@@ -41,7 +41,6 @@ from .robot import (
     leg_ik,
     leg_jacobian,
     terrain_preset,
-    terrain_query,
 )
 from .forces import ForceDistribution, distribute_forces
 from .simulation import (

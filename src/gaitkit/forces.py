@@ -13,11 +13,18 @@ problem stays well posed even when they are unattainable (flight phase, or a
 two-foot stance that cannot realize the full moment); the achieved residual
 and a feasibility verdict are reported alongside the forces. The cone faces
 are handled by a primal active-set loop on the small dense QP.
+
+Contact normals are constant per terrain segment, so the six friction-pyramid
+rows of a stance foot are built once per (normal, friction) pair and kept in a
+bounded cache as a read-only 6x3 block; each call copies the cached blocks
+into its constraint matrix. The cache is keyed on the exact bytes of the
+normal as given, so a block is bit for bit the one a fresh build would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +40,10 @@ _FEASIBLE_RTOL = 1e-6
 # penalized harder; horizontal force errors only cause a fore-aft surge
 # (which pair gaits need anyway to stay pitch-neutral).
 _ROW_WEIGHTS = (0.3, 0.3, 8.0, 30.0, 30.0, 30.0)
+_ROW_WEIGHTS_ARRAY = np.array(_ROW_WEIGHTS)
+# force rows of the wrench matrix: one 3x3 identity per stance foot
+_FORCE_ROWS = np.tile(np.eye(3), 4)
+_RIDGE_EYE = {k: _RIDGE * np.eye(3 * k) for k in range(1, 5)}
 
 
 @dataclass
@@ -47,10 +58,20 @@ class ForceDistribution:
     iterations: int
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of two float64 3-vectors without ``np.cross``'s overhead.
+
+    Same formula and operand order as ``np.cross``, each product rounded
+    before the subtraction, so the result is the same bits.
+    """
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]
-    )
+    x, y, z = v.tolist()
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
 def _tangent_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -58,10 +79,37 @@ def _tangent_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     helper = np.array([1.0, 0.0, 0.0])
     if abs(n @ helper) > 0.9:
         helper = np.array([0.0, 1.0, 0.0])
-    t1 = np.cross(n, helper)
+    t1 = _cross(n, helper)
     t1 /= np.linalg.norm(t1)
-    t2 = np.cross(n, t1)
+    t2 = _cross(n, t1)
     return t1, t2
+
+
+@lru_cache(maxsize=256)
+def _cone_block(normal_bytes: bytes, friction: float) -> np.ndarray:
+    """Read-only 6x3 constraint block of one stance foot in ``G x <= h``.
+
+    Rows: the four pyramid faces (+-t1, +-t2 against mu*n), then -n (f_n >= 0)
+    and n (f_n <= f_max). ``normal_bytes`` holds the raw float64 normal; it is
+    normalized here and again inside :func:`_tangent_basis`. The key is bytes,
+    not floats, because 0.0 == -0.0: the flat-terrain normal (-0.0, 0, 1) and
+    the default (0, 0, 1) give blocks whose zero entries differ in sign.
+    """
+    raw = np.frombuffer(normal_bytes, dtype=float)
+    n = raw / np.linalg.norm(raw)
+    t1, t2 = _tangent_basis(n)
+    block = np.array(
+        [
+            t1 - friction * n,
+            -t1 - friction * n,
+            t2 - friction * n,
+            -t2 - friction * n,
+            -n,
+            n,
+        ]
+    )
+    block.flags.writeable = False
+    return block
 
 
 def solve_qp(
@@ -169,27 +217,18 @@ def distribute_forces(
         normals = np.asarray(normals, dtype=float).reshape(4, 3)
 
     A = np.zeros((6, 3 * k))
+    A[0:3] = _FORCE_ROWS[:, : 3 * k]
     G = np.zeros((6 * k, 3 * k))
     h = np.zeros(6 * k)
+    h[5::6] = f_max
     for j, leg in enumerate(idx):
         cols = slice(3 * j, 3 * j + 3)
-        A[0:3, cols] = np.eye(3)
         A[3:6, cols] = _skew(feet[leg] - com)
-        n = normals[leg] / np.linalg.norm(normals[leg])
-        t1, t2 = _tangent_basis(n)
-        rows = 6 * j
-        G[rows + 0, cols] = t1 - friction * n
-        G[rows + 1, cols] = -t1 - friction * n
-        G[rows + 2, cols] = t2 - friction * n
-        G[rows + 3, cols] = -t2 - friction * n
-        G[rows + 4, cols] = -n
-        G[rows + 5, cols] = n
-        h[rows + 5] = f_max
+        G[6 * j : 6 * j + 6, cols] = _cone_block(normals[leg].tobytes(), friction)
 
-    w_rows = np.array(_ROW_WEIGHTS)
-    Aw = A * w_rows[:, None]
-    bw = wrench * w_rows
-    H = Aw.T @ Aw + _RIDGE * np.eye(3 * k)
+    Aw = A * _ROW_WEIGHTS_ARRAY[:, None]
+    bw = wrench * _ROW_WEIGHTS_ARRAY
+    H = Aw.T @ Aw + _RIDGE_EYE[k]
     g = -(Aw.T @ bw)
     x, iterations = solve_qp(H, g, G, h)
 

@@ -10,13 +10,24 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
 from .gaits import LegId
 
 GRAVITY = 9.81
+
+
+def _rebuild(obj):
+    """Pickle a frozen dataclass through its constructor.
+
+    Unpickled arrays come back writeable, so the read-only arrays derived in
+    ``__post_init__`` or a ``cached_property`` are rebuilt instead of copied
+    (worker processes of ``build_map(jobs=...)`` receive pickled copies).
+    """
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj) if f.init)
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,9 +55,14 @@ class RobotParams:
         if self.n_motors != 12:
             raise ValueError("the toolkit models 12 motors, 3 per leg")
 
-    @property
+    __reduce__ = _rebuild
+
+    @cached_property
     def inertia(self) -> np.ndarray:
-        return np.diag(self.inertia_diag)
+        """Body-frame inertia matrix; built once, read-only."""
+        inertia = np.diag(self.inertia_diag)
+        inertia.flags.writeable = False
+        return inertia
 
     @property
     def leg_reach(self) -> float:
@@ -177,6 +193,8 @@ class TerrainSegment:
 
 @dataclass(frozen=True)
 class TerrainSample:
+    """Terrain at one x; ``normal`` is its segment's shared read-only array."""
+
     height: float
     normal: np.ndarray
     incline: float
@@ -199,6 +217,8 @@ class Terrain:
     course_end: float | None = None  # finish line for strategy runs
     _starts: tuple[float, ...] = field(init=False, repr=False)
     _heights: tuple[float, ...] = field(init=False, repr=False)
+    _tans: tuple[float, ...] = field(init=False, repr=False)
+    _normals: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.segments:
@@ -208,12 +228,21 @@ class Terrain:
             raise ValueError("segments must be ordered by start_x without overlap")
         if any(s.friction <= 0.0 for s in self.segments):
             raise ValueError("friction coefficients must be positive")
+        tans = tuple(math.tan(s.incline) for s in self.segments)
         heights = [self.base_height]
-        for prev, cur in zip(self.segments, self.segments[1:]):
-            run = cur.start_x - prev.start_x
-            heights.append(heights[-1] + math.tan(prev.incline) * run)
+        for tan, prev, cur in zip(tans, self.segments, self.segments[1:]):
+            heights.append(heights[-1] + tan * (cur.start_x - prev.start_x))
+        normals = []
+        for seg in self.segments:
+            normal = np.array([-math.sin(seg.incline), 0.0, math.cos(seg.incline)])
+            normal.flags.writeable = False
+            normals.append(normal)
         object.__setattr__(self, "_starts", tuple(starts))
         object.__setattr__(self, "_heights", tuple(heights))
+        object.__setattr__(self, "_tans", tans)
+        object.__setattr__(self, "_normals", tuple(normals))
+
+    __reduce__ = _rebuild
 
     @property
     def start_x(self) -> float:
@@ -227,22 +256,23 @@ class Terrain:
                 seen.append(seg.kind)
         return tuple(seen)
 
-    def segment_at(self, x: float) -> TerrainSegment:
+    def _index(self, x: float) -> int:
         if x < self.start_x or x > self.end_x:
             raise TerrainBoundsError(
                 f"x={x} outside terrain extent [{self.start_x}, {self.end_x}]"
             )
-        idx = bisect.bisect_right(self._starts, x) - 1
-        return self.segments[max(idx, 0)]
+        return max(bisect.bisect_right(self._starts, x) - 1, 0)
+
+    def segment_at(self, x: float) -> TerrainSegment:
+        return self.segments[self._index(x)]
 
     def query(self, x: float) -> TerrainSample:
-        seg = self.segment_at(x)
-        idx = self.segments.index(seg)
-        height = self._heights[idx] + math.tan(seg.incline) * (x - seg.start_x)
-        normal = np.array([-math.sin(seg.incline), 0.0, math.cos(seg.incline)])
+        idx = self._index(x)
+        seg = self.segments[idx]
+        height = self._heights[idx] + self._tans[idx] * (x - seg.start_x)
         return TerrainSample(
             height=height,
-            normal=normal,
+            normal=self._normals[idx],
             incline=seg.incline,
             friction=seg.friction,
             kind=seg.kind,
@@ -251,10 +281,6 @@ class Terrain:
     def tangent(self, x: float) -> np.ndarray:
         seg = self.segment_at(x)
         return np.array([math.cos(seg.incline), 0.0, math.sin(seg.incline)])
-
-
-def terrain_query(terrain: Terrain, x: float) -> TerrainSample:
-    return terrain.query(x)
 
 
 _DEG = math.pi / 180.0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forces import distribute_forces
+from .forces import _cross, distribute_forces
 from .gaits import GaitPattern, LegId, leg_contact
 from .robot import (
     OutOfWorkspaceError,
@@ -167,17 +167,16 @@ def step(state: BodyState, contact: ContactForceSet, params: RobotParams, dt: fl
     if dt <= 0.0 or dt > 0.002 + 1e-12:
         raise ValueError("integration step must lie in (0, 2 ms]")
     f_total = contact.forces.sum(axis=0)
+    lever = contact.foot_positions - state.position
     moment = np.zeros(3)
     for leg in range(4):
         if contact.stance[leg]:
-            moment += np.cross(
-                contact.foot_positions[leg] - state.position, contact.forces[leg]
-            )
+            moment += _cross(lever[leg], contact.forces[leg])
 
     accel = params.gravity * _GRAV_DIR + f_total / params.mass
     rot = rotation_matrix(state.euler)
     inertia_w = rot @ params.inertia @ rot.T
-    gyro = np.cross(state.omega, inertia_w @ state.omega)
+    gyro = _cross(state.omega, inertia_w @ state.omega)
     omega_dot = np.linalg.solve(inertia_w, moment - gyro)
 
     velocity = state.velocity + accel * dt

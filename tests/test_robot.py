@@ -14,7 +14,6 @@ from gaitkit.robot import (
     leg_ik,
     leg_jacobian,
     terrain_preset,
-    terrain_query,
 )
 
 PARAMS = RobotParams()
@@ -115,7 +114,7 @@ def test_robot_params_validation():
 
 def test_flat_terrain_query():
     terrain = terrain_preset("flat")
-    s = terrain_query(terrain, 3.0)
+    s = terrain.query(3.0)
     assert s.height == 0.0
     assert np.allclose(s.normal, [0.0, 0.0, 1.0])
     assert s.incline == 0.0
@@ -125,7 +124,7 @@ def test_flat_terrain_query():
 def test_slope_height_geometry():
     terrain = terrain_preset("flat-slope")
     join = 3.0
-    s = terrain_query(terrain, join + 1.0)
+    s = terrain.query(join + 1.0)
     assert s.incline == pytest.approx(12 * DEG)
     assert s.height == pytest.approx(math.tan(12 * DEG) * 1.0)
     assert np.allclose(s.normal, [-math.sin(12 * DEG), 0.0, math.cos(12 * DEG)])
@@ -136,17 +135,17 @@ def test_height_continuous_at_joins():
         terrain = terrain_preset(name)
         for seg in terrain.segments[1:]:
             x = seg.start_x
-            below = terrain_query(terrain, x - 1e-9).height
-            above = terrain_query(terrain, x + 1e-9).height
+            below = terrain.query(x - 1e-9).height
+            above = terrain.query(x + 1e-9).height
             assert above == pytest.approx(below, abs=1e-6)
 
 
 def test_out_of_bounds_raises():
     terrain = terrain_preset("flat")
     with pytest.raises(TerrainBoundsError):
-        terrain_query(terrain, terrain.start_x - 1.0)
+        terrain.query(terrain.start_x - 1.0)
     with pytest.raises(TerrainBoundsError):
-        terrain_query(terrain, terrain.end_x + 1.0)
+        terrain.query(terrain.end_x + 1.0)
 
 
 def test_terrain_validation():
