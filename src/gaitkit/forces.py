@@ -19,10 +19,15 @@ rows of a stance foot are built once per (normal, friction) pair and kept in a
 bounded cache as a read-only 6x3 block; each call copies the cached blocks
 into its constraint matrix. The cache is keyed on the exact bytes of the
 normal as given, so a block is bit for bit the one a fresh build would give.
+
+Euclidean norms of 1-D vectors are taken as ``math.sqrt(v.dot(v))``, the
+same dot product and correctly rounded square root that ``np.linalg.norm``
+uses for them, without its dispatch overhead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -147,17 +152,17 @@ def solve_qp(
         # KKT leaves |p| bouncing around 1e-4, but the remaining objective
         # improvement p'Hp is then negligible against the achieved value
         step_gain = float(p @ (H @ p))
-        if step_gain <= 1e-18 * max(1.0, float(x @ (H @ x))) or np.linalg.norm(p) < 1e-11:
+        if step_gain <= 1e-18 * max(1.0, float(x @ (H @ x))) or math.sqrt(p.dot(p)) < 1e-11:
             if lam.size and lam.min() < -1e-9:
                 active.pop(int(np.argmin(lam)))
                 continue
             return x, last_it
 
-        Gp = G @ p
-        slack = h - G @ x
+        Gp = (G @ p).tolist()
+        slack = (h - G @ x).tolist()
         alpha = 1.0
         blocking = -1
-        for i in range(G.shape[0]):
+        for i in range(len(Gp)):
             if i in active or Gp[i] <= 1e-12:
                 continue
             step = slack[i] / Gp[i]
@@ -199,7 +204,7 @@ def distribute_forces(
     forces = np.zeros((4, 3))
     idx = np.flatnonzero(stance)
     k = idx.size
-    norm_b = float(np.linalg.norm(wrench))
+    norm_b = math.sqrt(wrench.dot(wrench))
     if k == 0:
         rel = norm_b / max(1.0, norm_b)
         return ForceDistribution(
@@ -236,14 +241,15 @@ def distribute_forces(
     # nullspace noise in the force split; re-min-norm while preserving the
     # achieved wrench and the binding cone faces
     binding = np.abs(G @ x - h) <= 1e-7 * (1.0 + np.abs(h))
-    C = np.vstack([A, G[binding]])
+    C = np.concatenate([A, G[binding]]) if binding.any() else A
     x_clean = np.linalg.lstsq(C, C @ x, rcond=None)[0]
-    slack_ok = np.all(G @ x_clean <= h + 1e-9)
+    slack_ok = (G @ x_clean <= h + 1e-9).all()
     if slack_ok and float(x_clean @ x_clean) <= float(x @ x) + 1e-9:
         x = x_clean
 
     forces[idx] = x.reshape(k, 3)
-    residual = float(np.linalg.norm(A @ x - wrench))
+    r = A @ x - wrench
+    residual = math.sqrt(r.dot(r))
     rel = residual / max(1.0, norm_b)
     return ForceDistribution(
         forces=forces,

@@ -7,6 +7,8 @@ import json
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
+import numpy as np
+
 from .gaits import LegId
 
 JOINT_NAMES = [
@@ -61,21 +63,36 @@ def stride_logs_to_csv(strides, path) -> None:
         writer.writerow(header)
         for si, log in enumerate(strides):
             n = log.time.shape[0]
-            for i in range(n):
-                row = (
-                    [si, repr(float(log.time[i]))]
-                    + [repr(float(x)) for x in log.torques[i]]
-                    + [repr(float(x)) for x in log.joint_velocities[i]]
-                    + [repr(float(x)) for x in log.forces[i].reshape(12)]
-                    + [int(x) for x in log.stance[i]]
-                    + [repr(float(x)) for x in log.position[i]]
-                    + [repr(float(x)) for x in log.velocity[i]]
-                    + [repr(float(x)) for x in log.euler[i]]
-                    + [repr(float(x)) for x in log.omega[i]]
-                    + [repr(float(log.foot_positions[i, leg, 2])) for leg in LegId]
-                    + [repr(float(log.v_cmd))]
+            if n == 0:
+                continue
+            # one list of cells per sample and block, converted a stride at a
+            # time: repr of Python floats is the text repr(float(x)) gives
+            blocks = [
+                _float_cells(a, n)
+                for a in (
+                    log.time,
+                    log.torques,
+                    log.joint_velocities,
+                    log.forces,
+                    log.position,
+                    log.velocity,
+                    log.euler,
+                    log.omega,
+                    log.foot_positions[:, :, 2],
                 )
-                writer.writerow(row)
+            ]
+            stance = [[int(x) for x in row] for row in log.stance.tolist()]
+            v_cmd = repr(float(log.v_cmd))
+            for i, (t, u, w, f, pos, vel, eul, om, foot_z) in enumerate(zip(*blocks)):
+                writer.writerow(
+                    [si, *t, *u, *w, *f, *stance[i], *pos, *vel, *eul, *om, *foot_z, v_cmd]
+                )
+
+
+def _float_cells(values, n: int) -> list[list[str]]:
+    """``repr`` of every float of an (n, ...) array, one list per sample."""
+    rows = np.asarray(values, dtype=float).reshape(n, -1).tolist()
+    return [[repr(x) for x in row] for row in rows]
 
 
 def stride_summary(strides, metrics_list) -> dict:

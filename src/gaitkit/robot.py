@@ -77,8 +77,12 @@ class RobotParams:
         y = 0.5 * self.hip_width * self.side_sign(leg)
         return np.array([x, y, 0.0])
 
-    def hips(self) -> np.ndarray:
-        return np.stack([self.hip_position(leg) for leg in LegId])
+    @cached_property
+    def hip_offsets(self) -> np.ndarray:
+        """(4, 3) body-frame hip positions in LegId order; built once, read-only."""
+        hips = np.stack([self.hip_position(leg) for leg in LegId])
+        hips.flags.writeable = False
+        return hips
 
 
 class OutOfWorkspaceError(ValueError):
@@ -113,9 +117,9 @@ def leg_ik(foot, leg: LegId, params: RobotParams) -> np.ndarray:
     carries the angles and position of the nearest reachable point (radial
     clamp onto the workspace annulus).
     """
-    hip = params.hip_position(leg)
-    rel = np.asarray(foot, dtype=float) - hip
-    px, py, pz = rel
+    fx, fy, fz = np.asarray(foot, dtype=float).tolist()
+    hx, hy, hz = params.hip_offsets[leg].tolist()
+    px, py, pz = fx - hx, fy - hy, fz - hz
     d = params.link_hip * params.side_sign(leg)
     l1, l2 = params.link_thigh, params.link_shank
 

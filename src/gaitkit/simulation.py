@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,12 +35,23 @@ _GRAV_DIR = np.array([0.0, 0.0, -1.0])
 
 @dataclass(frozen=True, eq=False)
 class BodyState:
-    """Trunk pose and rates: position/velocity, euler angles, world angular velocity."""
+    """Trunk pose and rates: position/velocity, euler angles, world angular velocity.
+
+    The arrays are never modified in place once a state exists (a new step
+    builds a new state), so quantities derived from them are cached.
+    """
 
     position: np.ndarray
     velocity: np.ndarray
     euler: np.ndarray  # (roll, pitch, yaw), pitch positive nose-up
     omega: np.ndarray  # world frame
+
+    @cached_property
+    def rotation(self) -> np.ndarray:
+        """Body-to-world rotation of ``euler``; built once, read-only."""
+        rot = rotation_matrix(self.euler)
+        rot.flags.writeable = False
+        return rot
 
     @property
     def roll(self) -> float:
@@ -77,11 +89,11 @@ def euler_rate_to_omega(euler) -> np.ndarray:
 
 
 def omega_to_euler_rates(euler, omega) -> np.ndarray:
-    m = euler_rate_to_omega(euler)
-    # guard the pitch singularity; failure thresholds sit well inside it
-    if abs(np.linalg.det(m)) < 1e-8:
+    # guard the pitch singularity (the map's determinant is -cos(pitch));
+    # failure thresholds sit well inside it
+    if abs(math.cos(float(euler[1]))) < 1e-8:
         return np.zeros(3)
-    return np.linalg.solve(m, omega)
+    return np.linalg.solve(euler_rate_to_omega(euler), omega)
 
 
 @dataclass(frozen=True)
@@ -94,7 +106,7 @@ class ContactForceSet:
 
     def __post_init__(self) -> None:
         swing = ~np.asarray(self.stance, dtype=bool)
-        if np.any(np.abs(np.asarray(self.forces)[swing]) > 0.0):
+        if (np.abs(np.asarray(self.forces)[swing]) > 0.0).any():
             raise ValueError("swing legs must carry exactly zero force")
 
 
@@ -174,7 +186,7 @@ def step(state: BodyState, contact: ContactForceSet, params: RobotParams, dt: fl
             moment += _cross(lever[leg], contact.forces[leg])
 
     accel = params.gravity * _GRAV_DIR + f_total / params.mass
-    rot = rotation_matrix(state.euler)
+    rot = state.rotation
     inertia_w = rot @ params.inertia @ rot.T
     gyro = _cross(state.omega, inertia_w @ state.omega)
     omega_dot = np.linalg.solve(inertia_w, moment - gyro)
@@ -196,8 +208,8 @@ def swing_torques(
 ) -> np.ndarray:
     """Joint torques driving the swing foot point mass: tau = J^T m (a - g).
 
-    ``foot_accel_body`` is the demanded foot acceleration minus nothing; the
-    gravity term is added here, both expressed in the body frame.
+    ``foot_accel_body`` is the demanded foot acceleration with gravity already
+    subtracted, (a - g), in the body frame; only J^T m is applied here.
     """
     j = leg_jacobian(q_leg, leg, params)
     return j.T @ (params.foot_mass * np.asarray(foot_accel_body, dtype=float))
@@ -381,11 +393,18 @@ def run_trial(
     else:
         state = initial_state
 
-    rot = rotation_matrix(state.euler)
+    hips = params.hip_offsets
+    rot = state.rotation
     foot_pos = np.zeros((4, 3))
+    # contact normal under each foot; a stance foot keeps its x, so this is
+    # sampled at the start and at every touchdown. distribute_forces reads the
+    # rows of stance feet only.
+    normals = np.zeros((4, 3))
     for leg in LegId:
-        hip_w = state.position + rot @ params.hip_position(leg)
-        foot_pos[leg] = [hip_w[0], hip_w[1], terrain.query(hip_w[0]).height]
+        hip_w = state.position + rot @ hips[leg]
+        samp = terrain.query(hip_w[0])
+        foot_pos[leg] = [hip_w[0], hip_w[1], samp.height]
+        normals[leg] = samp.normal
     lift_pos = foot_pos.copy()
     swing_entry_s = np.zeros(4)
     was_swing = np.zeros(4, dtype=bool)
@@ -417,30 +436,28 @@ def run_trial(
     acc = _StrideAccumulator()
     acc.reset(0.0, state.position)
 
+    # the ground under the body; after each step it is resampled for the
+    # failure check and serves the next step
+    body_samp = terrain.query(state.position[0])
     n_steps = int(round(duration / dt))
     t = 0.0
     for _ in range(n_steps):
         pattern = supplier.advance(dt)
         beta = pattern.beta
         swing_time_full = (1.0 - beta) * period
-        rot = rotation_matrix(state.euler)
+        rot = state.rotation
 
-        try:
-            body_samp = terrain.query(state.position[0])
-            # the body spans terrain kinks: blend the reference incline over
-            # the fore and hind hip footprint instead of stepping at the kink
-            half = 0.5 * params.hip_length
-            incline_ref = 0.5 * (
-                terrain.query(
-                    min(max(state.position[0] + half, terrain.start_x), terrain.end_x)
-                ).incline
-                + terrain.query(
-                    min(max(state.position[0] - half, terrain.start_x), terrain.end_x)
-                ).incline
-            )
-        except TerrainBoundsError:
-            failed = True
-            break
+        # the body spans terrain kinks: blend the reference incline over
+        # the fore and hind hip footprint instead of stepping at the kink
+        half = 0.5 * params.hip_length
+        incline_ref = 0.5 * (
+            terrain.query(
+                min(max(state.position[0] + half, terrain.start_x), terrain.end_x)
+            ).incline
+            + terrain.query(
+                min(max(state.position[0] - half, terrain.start_x), terrain.end_x)
+            ).incline
+        )
         tangent = np.array([math.cos(incline_ref), 0.0, math.sin(incline_ref)])
         v_des = v_cmd * tangent
         v_des_flat = np.array([v_des[0], 0.0, 0.0])
@@ -466,15 +483,14 @@ def run_trial(
                 s0 = swing_entry_s[leg]
                 local = (s - s0) / (1.0 - s0) if s0 < 1.0 - 1e-9 else 1.0
                 t_rem = (1.0 - s) * swing_time_full
-                hip_b = params.hip_position(leg)
-                hip_w = state.position + rot @ hip_b
+                hip_w = state.position + rot @ hips[leg]
                 # Raibert touchdown: symmetric stepping on the actual velocity
                 # plus a capture correction toward the commanded one; using
                 # the commanded velocity alone leaves lateral sway undamped
                 v_flat = np.array([state.velocity[0], state.velocity[1], 0.0])
                 hip_pred = hip_w + v_flat * t_rem
                 correction = config.capture_gain * (v_flat - v_des_flat)
-                c_norm = np.linalg.norm(correction)
+                c_norm = math.sqrt(correction.dot(correction))
                 if c_norm > config.capture_clamp:
                     correction *= config.capture_clamp / c_norm
                 target = hip_pred + v_flat * (0.5 * beta * period) + correction
@@ -493,9 +509,11 @@ def run_trial(
                 if was_swing[leg]:
                     was_swing[leg] = False
                     try:
-                        foot_pos[leg][2] = terrain.query(foot_pos[leg][0]).height
+                        samp = terrain.query(foot_pos[leg][0])
+                        foot_pos[leg][2] = samp.height
+                        normals[leg] = samp.normal
                     except TerrainBoundsError:
-                        pass
+                        normals[leg] = (0.0, 0.0, 1.0)
                 scheduled[leg] = True
 
             body_target = rot.T @ (foot_pos[leg] - state.position)
@@ -532,12 +550,6 @@ def run_trial(
         wrench = np.concatenate([f_des, m_des])
 
         mu = body_samp.friction
-        normals = np.zeros((4, 3))
-        for leg in LegId:
-            try:
-                normals[leg] = terrain.query(foot_pos[leg][0]).normal
-            except TerrainBoundsError:
-                normals[leg] = np.array([0.0, 0.0, 1.0])
         dist = distribute_forces(
             wrench, foot_pos, eff_stance, state.position, mu, f_max, normals
         )
@@ -553,7 +565,7 @@ def run_trial(
                 # the whole leg force scales down and the commanded wrench is
                 # no longer met; this is the controller limitation that drops
                 # the violent gaits
-                peak = np.max(np.abs(torques[leg]))
+                peak = np.abs(torques[leg]).max()
                 if peak > config.joint_torque_limit:
                     scale = config.joint_torque_limit / peak
                     torques[leg] *= scale
@@ -562,8 +574,9 @@ def run_trial(
             else:
                 a_body = rot.T @ (foot_acc_world[leg] - g_vec)
                 torques[leg] = swing_torques(q[leg], a_body, leg, params)
-                if np.max(np.abs(torques[leg])) > config.joint_torque_limit:
-                    scale = config.joint_torque_limit / np.max(np.abs(torques[leg]))
+                peak = np.abs(torques[leg]).max()
+                if peak > config.joint_torque_limit:
+                    scale = config.joint_torque_limit / peak
                     torques[leg] *= scale
                     foot_acc_world[leg] *= scale
                     acc.flags += 1
@@ -591,14 +604,15 @@ def run_trial(
         t += dt
 
         try:
-            ground = terrain.query(state.position[0]).height
+            body_samp = terrain.query(state.position[0])
         except TerrainBoundsError:
             failed = True
             break
         if (
             abs(state.roll) > config.max_roll
             or abs(state.pitch) > config.max_pitch
-            or state.position[2] - ground < config.min_height_ratio * config.nominal_height
+            or state.position[2] - body_samp.height
+            < config.min_height_ratio * config.nominal_height
         ):
             failed = True
             break

@@ -5,6 +5,7 @@ requires exact equality, because the hot path only avoids recomputation and
 numpy call overhead; it changes no arithmetic.
 """
 
+import csv
 import dataclasses
 import math
 import pickle
@@ -14,12 +15,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gaitkit.forces import _cone_block, _cross
-from gaitkit.gaits import GaitName, standard_gait
-from gaitkit.robot import RobotParams, terrain_preset
+from gaitkit.gaits import GaitName, LegId, standard_gait
+from gaitkit.io import stride_logs_to_csv
+from gaitkit.robot import (
+    OutOfWorkspaceError,
+    RobotParams,
+    Terrain,
+    TerrainBoundsError,
+    TerrainSegment,
+    leg_fk,
+    leg_ik,
+    terrain_preset,
+)
 from gaitkit.simulation import (
     BodyState,
     ContactForceSet,
     SimConfig,
+    euler_rate_to_omega,
     omega_to_euler_rates,
     rotation_matrix,
     run_trial,
@@ -112,9 +124,13 @@ def test_shared_arrays_are_read_only(copy):
     block = _cone_block(np.array([0.0, 0.0, 1.0]).tobytes(), 0.7)
     normal = copy(terrain_preset("flat-slope")).query(4.0).normal
     params = RobotParams()
-    params.inertia  # filled before pickling, so a copied cache would show
-    inertia = copy(params).inertia
-    for shared in (block, normal, inertia):
+    # filled before pickling, so a copied cache would show
+    params.inertia
+    params.hip_offsets
+    params = copy(params)
+    for leg in LegId:
+        assert _same_bits(params.hip_offsets[leg], params.hip_position(leg))
+    for shared in (block, normal, params.inertia, params.hip_offsets):
         with pytest.raises(ValueError):
             shared[0, ...] = 1.0
 
@@ -186,3 +202,185 @@ def test_trial_bits_do_not_depend_on_cone_cache_state():
     for a, b in zip(cold.strides, warm.strides):
         for f in dataclasses.fields(a):
             assert _same_bits(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+def _reference_euler_rates(euler, omega):
+    m = euler_rate_to_omega(euler)
+    if abs(np.linalg.det(m)) < 1e-8:
+        return np.zeros(3)
+    return np.linalg.solve(m, omega)
+
+
+_angle = st.floats(min_value=-math.pi, max_value=math.pi)
+_rate = st.floats(min_value=-50.0, max_value=50.0)
+
+
+@given(_angle, st.floats(min_value=-1.5, max_value=1.5), _angle, _rate, _rate, _rate)
+def test_euler_rates_match_det_guarded_solve(roll, pitch, yaw, wx, wy, wz):
+    euler, omega = np.array([roll, pitch, yaw]), np.array([wx, wy, wz])
+    got = omega_to_euler_rates(euler, omega)
+    assert _same_bits(got, _reference_euler_rates(euler, omega))
+
+
+@pytest.mark.parametrize("pitch", [math.pi / 2, -math.pi / 2])
+def test_euler_rates_are_zero_at_the_pitch_singularity(pitch):
+    euler = np.array([0.2, pitch, -0.4])
+    got = omega_to_euler_rates(euler, np.array([1.0, -2.0, 3.0]))
+    assert _same_bits(got, np.zeros(3))
+
+
+def test_body_rotation_is_cached_read_only_rotation_matrix():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        euler = rng.uniform(-0.6, 0.6, 3)
+        state = BodyState(
+            position=np.zeros(3), velocity=np.zeros(3), euler=euler, omega=np.zeros(3)
+        )
+        assert _same_bits(state.rotation, rotation_matrix(euler))
+        assert state.rotation is state.rotation
+        with pytest.raises(ValueError):
+            state.rotation[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("size", [3, 6, 9])
+@given(data=st.data())
+def test_sqrt_dot_matches_numpy_norm(size, data):
+    v = np.array(data.draw(st.lists(_finite, min_size=size, max_size=size)))
+    with np.errstate(over="ignore"):
+        got, want = math.sqrt(v.dot(v)), np.linalg.norm(v)
+    assert _same_bits(np.float64(got), want)
+
+
+def _reference_leg_ik(foot, leg, params):
+    """leg_ik on numpy scalars, as it was computed before the float rewrite."""
+    rel = np.asarray(foot, dtype=float) - params.hip_position(leg)
+    px, py, pz = rel
+    d = params.link_hip * params.side_sign(leg)
+    l1, l2 = params.link_thigh, params.link_shank
+    clamped = False
+    planar_sq = py * py + pz * pz - d * d
+    if planar_sq < 0.0:
+        planar_sq = 0.0
+        clamped = True
+    w = math.sqrt(planar_sq)
+    length = math.hypot(px, w)
+    lo, hi = abs(l1 - l2), l1 + l2
+    if length < lo or length > hi:
+        target_len = min(max(length, lo), hi)
+        if length > 1e-12:
+            scale = target_len / length
+            px, w = px * scale, w * scale
+        else:
+            px, w = 0.0, target_len
+        length = target_len
+        clamped = True
+    cos_knee = (length * length - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
+    q3 = -math.acos(min(1.0, max(-1.0, cos_knee)))
+    q2 = math.atan2(-px, w) - math.atan2(l2 * math.sin(q3), l1 + l2 * math.cos(q3))
+    q1 = math.atan2(pz, py) - math.atan2(-w, d)
+    return np.array([q1, q2, q3]), clamped
+
+
+@pytest.mark.parametrize("link_hip", [0.0, 0.05])
+def test_leg_ik_matches_numpy_scalar_reference(link_hip):
+    params = RobotParams(link_hip=link_hip)
+    rng = np.random.default_rng(7)
+    clamps = 0
+    for _ in range(300):
+        leg = LegId(int(rng.integers(4)))
+        foot = params.hip_position(leg) + rng.normal([0.0, 0.0, -0.3], 0.15)
+        want, clamped = _reference_leg_ik(foot, leg, params)
+        try:
+            got = leg_ik(foot, leg, params)
+        except OutOfWorkspaceError as err:
+            assert clamped
+            clamps += 1
+            assert _same_bits(err.clamped_angles, want)
+            assert _same_bits(err.clamped_point, leg_fk(want, leg, params))
+        else:
+            assert not clamped
+            assert _same_bits(got, want)
+    assert 0 < clamps < 300
+
+
+class _QueryLog:
+    """Wraps Terrain.query and records each x and whether it raised."""
+
+    def __init__(self, monkeypatch):
+        self.calls: list[tuple[float, bool]] = []
+        query = Terrain.query
+
+        def counted(terrain, x):
+            try:
+                sample = query(terrain, x)
+            except TerrainBoundsError:
+                self.calls.append((x, True))
+                raise
+            self.calls.append((x, False))
+            return sample
+
+        monkeypatch.setattr(Terrain, "query", counted)
+
+
+def test_trot_step_makes_at_most_eight_terrain_queries(monkeypatch):
+    log = _QueryLog(monkeypatch)
+    result = run_trial(
+        standard_gait(GaitName.TROT), 1.2, terrain_preset("flat"), 1.2, SimConfig(seed=3)
+    )
+    assert not result.failed
+    n_steps = round(1.2 / SimConfig().dt)
+    assert len(log.calls) / n_steps <= 8.0
+
+
+def test_post_step_bounds_error_ends_the_trial_as_a_fall(monkeypatch):
+    terrain = Terrain("short", (TerrainSegment(-1.0, 0.0),), end_x=0.7)
+    log = _QueryLog(monkeypatch)
+    result = run_trial(standard_gait(GaitName.TROT), 1.2, terrain, 2.0, SimConfig(seed=3))
+    # the trial ends on the ground sample under the body, which left the end
+    x, raised = log.calls[-1]
+    assert raised and x > terrain.end_x
+    last = result.strides[-1]
+    assert x == pytest.approx(last.position[-1, 0] + 0.002 * last.velocity[-1, 0], abs=1e-3)
+    assert result.failed and not result.finished_course
+    assert last.failed and not last.complete
+    assert result.end_time < 2.0
+
+
+def _reference_csv(strides, header, path):
+    """stride_logs_to_csv's rows, converted one element at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for si, log in enumerate(strides):
+            for i in range(log.time.shape[0]):
+                writer.writerow(
+                    [si, repr(float(log.time[i]))]
+                    + [repr(float(x)) for x in log.torques[i]]
+                    + [repr(float(x)) for x in log.joint_velocities[i]]
+                    + [repr(float(x)) for x in log.forces[i].reshape(12)]
+                    + [int(x) for x in log.stance[i]]
+                    + [repr(float(x)) for x in log.position[i]]
+                    + [repr(float(x)) for x in log.velocity[i]]
+                    + [repr(float(x)) for x in log.euler[i]]
+                    + [repr(float(x)) for x in log.omega[i]]
+                    + [repr(float(log.foot_positions[i, leg, 2])) for leg in LegId]
+                    + [repr(float(log.v_cmd))]
+                )
+
+
+@pytest.mark.parametrize(
+    "gait, v_cmd, falls", [(GaitName.TROT, 1.2, False), (GaitName.BOUND, 1.7, True)]
+)
+def test_stride_csv_matches_per_element_writer(tmp_path, gait, v_cmd, falls):
+    result = run_trial(
+        standard_gait(gait), v_cmd, terrain_preset("flat"), 1.2, SimConfig(seed=3)
+    )
+    # a fall leaves a partial final stride
+    assert result.failed == falls
+    assert result.strides[-1].complete != falls
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    stride_logs_to_csv(result.strides, got)
+    with open(got, newline="") as fh:
+        header = next(csv.reader(fh))
+    _reference_csv(result.strides, header, want)
+    assert got.read_bytes() == want.read_bytes()
