@@ -249,7 +249,8 @@ def cmd_build_map(args) -> int:
     result = None
     for terrain in terrains:
         built = build_map(
-            terrain, map_cfg, cfg.sim, cfg.robot, seed=cfg.sim.seed, jobs=args.jobs
+            terrain, map_cfg, cfg.sim, cfg.robot, seed=cfg.sim.seed, jobs=args.jobs,
+            timing=cfg.gait, metrics=cfg.metrics,
         )
         result = built if result is None else result.merge(built)
     out = Path(args.out)
@@ -313,6 +314,8 @@ def cmd_compare(args) -> int:
         cfg.sim,
         cfg.robot,
         duration=args.duration,
+        timing=cfg.gait,
+        metrics=cfg.metrics,
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -20,30 +20,12 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .gaits import DEFAULT_PERIOD, GaitName
+from .gaits import GaitName
 from .mapping import MapConfig
-from .metrics import COT_BOUND, STB_BOUND, StbWeights
+from .metrics import MetricsConfig
 from .robot import RobotParams, Terrain, TerrainSegment, terrain_preset
 from .simulation import SimConfig
-from .transitions import DEFAULT_DWELL_STRIDES, DEFAULT_SWITCH_TIME
-
-
-@dataclass(frozen=True)
-class GaitTimingConfig:
-    period: float = DEFAULT_PERIOD
-    switch_time: float = DEFAULT_SWITCH_TIME
-    dwell_strides: int = DEFAULT_DWELL_STRIDES
-
-
-@dataclass(frozen=True)
-class MetricsConfig:
-    weights: tuple[float, float, float, float] = (0.7, 1.0, 1.0, 0.3)
-    cot_bound: float = COT_BOUND
-    stb_bound: float = STB_BOUND
-    clamp_unfailed: bool = True
-
-    def stb_weights(self) -> StbWeights:
-        return StbWeights(*self.weights)
+from .transitions import GaitTimingConfig
 
 
 @dataclass

@@ -11,13 +11,15 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .gaits import GaitName, standard_gait
-from .metrics import COT_BOUND, STB_BOUND, StbWeights, stride_metrics
+from .metrics import MetricsConfig, stride_metrics
 from .robot import RobotParams, Terrain
-from .simulation import SimConfig, run_trial
+from .simulation import SimConfig, TrialResult, run_trial
+from .transitions import GaitTimingConfig
 
 ALL_GAITS = tuple(GaitName)
 
@@ -228,65 +230,65 @@ class VelocityGaitMap:
                         )
 
 
-def simulation_trial_runner(
+def trial_outcome(
+    result: TrialResult,
+    terrain: Terrain,
+    params: RobotParams,
+    metrics: MetricsConfig | None = None,
+    warmup_strides: int = 3,
+    strides: int | None = None,
+) -> tuple[float, float, bool]:
+    """Per-trial (mean CoT, mean STB, failed) over at most ``strides`` usable strides.
+
+    A trial fails when it fell, missed its finish line or left no complete
+    stride after the warm-up; a failed trial scores the configured bounds.
+    """
+    metrics = metrics or MetricsConfig()
+    usable = [
+        s for s in result.strides[warmup_strides:] if s.complete and not s.failed
+    ][:strides]
+    if result.failed or not result.finished_course or not usable:
+        return metrics.cot_bound, metrics.stb_bound, True
+    weights = metrics.stb_weights()
+    cots, stbs = [], []
+    for log in usable:
+        m = stride_metrics(log, terrain, params.mass, (), weights, params.gravity,
+                           clamp=metrics.clamp_unfailed, cot_bound=metrics.cot_bound,
+                           stb_bound=metrics.stb_bound)
+        cots.append(m.cot)
+        stbs.append(m.stb)
+    return float(np.mean(cots)), float(np.mean(stbs)), False
+
+
+def _simulated_trial(
     terrain: Terrain,
     map_cfg: MapConfig,
     sim_cfg: SimConfig,
     params: RobotParams,
     seed: int,
-    weights: StbWeights | None = None,
-):
-    """Default per-trial metric source: run the simulator and average strides."""
-    weights = weights or StbWeights()
-    period = standard_gait(GaitName.TROT).period
-    duration = (map_cfg.warmup_strides + map_cfg.strides + 1) * period
-
-    def runner(gait: GaitName, velocity: float, trial_idx: int):
-        rng = np.random.default_rng((seed, int(gait), int(round(velocity * 1000)), trial_idx))
-        pattern = standard_gait(gait, period)
-        result = run_trial(
-            pattern, velocity, terrain, duration, sim_cfg, params, rng=rng
-        )
-        usable = [
-            s
-            for s in result.strides[map_cfg.warmup_strides:]
-            if s.complete and not s.failed
-        ]
-        usable = usable[: map_cfg.strides]
-        if result.failed or not usable:
-            return COT_BOUND, STB_BOUND, True
-        cots, stbs = [], []
-        for log in usable:
-            m = stride_metrics(log, terrain, params.mass, (), weights,
-                               params.gravity)
-            cots.append(m.cot)
-            stbs.append(m.stb)
-        return float(np.mean(cots)), float(np.mean(stbs)), False
-
-    return runner
+    timing: GaitTimingConfig,
+    metrics: MetricsConfig,
+    gait: GaitName,
+    velocity: float,
+    trial_idx: int,
+) -> tuple[float, float, bool]:
+    """Default trial runner: one simulated trial, seeded by its cell key."""
+    rng = np.random.default_rng((seed, int(gait), int(round(velocity * 1000)), trial_idx))
+    duration = (map_cfg.warmup_strides + map_cfg.strides + 1) * timing.period
+    result = run_trial(standard_gait(gait, timing.period), velocity, terrain, duration,
+                       sim_cfg, params, rng=rng)
+    return trial_outcome(result, terrain, params, metrics, map_cfg.warmup_strides,
+                         map_cfg.strides)
 
 
 def _cell_stats(
-    trial_runner, gait: GaitName, velocity: float, trials: int
+    trial_runner, trials: int, gait: GaitName, velocity: float
 ) -> tuple[GaitCellStats, list[tuple[float, float, bool]]]:
     records = [trial_runner(gait, velocity, trial) for trial in range(trials)]
-    cots = [r[0] for r in records]
-    stbs = [r[1] for r in records]
-    successes = sum(0 if r[2] else 1 for r in records)
-    stats = GaitCellStats(
-        cot=float(np.mean(cots)),
-        stb=float(np.mean(stbs)),
-        successes=successes,
-        trials=trials,
-    )
+    cots, stbs, failed = zip(*records)
+    stats = GaitCellStats(float(np.mean(cots)), float(np.mean(stbs)),
+                          sum(not f for f in failed), trials)
     return stats, records
-
-
-def _cell_worker(payload):
-    terrain, map_cfg, sim_cfg, params, seed, gait, velocity = payload
-    runner = simulation_trial_runner(terrain, map_cfg, sim_cfg, params, seed)
-    stats, records = _cell_stats(runner, gait, velocity, map_cfg.trials)
-    return int(gait), velocity, stats, records
 
 
 def build_map(
@@ -299,63 +301,49 @@ def build_map(
     terrain_id: str | None = None,
     trial_runner=None,
     jobs: int = 1,
+    timing: GaitTimingConfig | None = None,
+    metrics: MetricsConfig | None = None,
 ) -> VelocityGaitMap:
     """Sweep (gait, velocity) cells and select the blend-minimizing gait per c.
 
     ``trial_runner(gait, velocity, trial_idx) -> (cot, stb, failed)`` may be
     injected for testing; the default runs the simulator. ``jobs`` > 1 fans
-    the independent cells out to worker processes; per-trial seeding depends
-    only on the cell key, so the result is identical either way.
+    the independent cells out to worker processes (the runner must then
+    pickle); per-trial seeding depends only on the cell key, so the result is
+    identical either way.
     """
     map_cfg.validate()
-    sim_cfg = sim_cfg or SimConfig()
-    params = params or RobotParams()
+    if trial_runner is None:
+        trial_runner = partial(
+            _simulated_trial, terrain, map_cfg, sim_cfg or SimConfig(),
+            params or RobotParams(), seed, timing or GaitTimingConfig(),
+            metrics or MetricsConfig(),
+        )
     tid = terrain_id or terrain.name
     grid = map_cfg.velocity_grid()
-
-    all_stats: dict[tuple[GaitName, int], GaitCellStats] = {}
-    trial_records: list[dict] = []
-
-    def _record(gait, velocity, records):
-        for trial, (c_val, s_val, failed) in enumerate(records):
-            trial_records.append(
-                {"terrain": tid, "gait": gait.label, "v": velocity,
-                 "trial": trial, "cot": c_val, "stb": s_val,
-                 "failed": bool(failed)}
-            )
-
-    if trial_runner is None and jobs > 1:
+    gaits = [gait for gait in map_cfg.gaits for _ in grid]
+    velocities = [velocity for _ in map_cfg.gaits for velocity in grid]
+    cell = partial(_cell_stats, trial_runner, map_cfg.trials)
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        payloads = [
-            (terrain, map_cfg, sim_cfg, params, seed, gait, velocity)
-            for gait in map_cfg.gaits
-            for velocity in grid
-        ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_cell_worker, payloads))
-        v_index = {v: i for i, v in enumerate(grid)}
-        for gait_code, velocity, stats, records in results:
-            all_stats[(GaitName(gait_code), v_index[velocity])] = stats
-            _record(GaitName(gait_code), velocity, records)
+            results = list(pool.map(cell, gaits, velocities))
     else:
-        if trial_runner is None:
-            trial_runner = simulation_trial_runner(
-                terrain, map_cfg, sim_cfg, params, seed
-            )
-        for gait in map_cfg.gaits:
-            for i, velocity in enumerate(grid):
-                stats, records = _cell_stats(
-                    trial_runner, gait, velocity, map_cfg.trials
-                )
-                all_stats[(gait, i)] = stats
-                _record(gait, velocity, records)
+        results = list(map(cell, gaits, velocities))
 
     out = VelocityGaitMap(c_values=tuple(map_cfg.c_values))
-    out.trial_records = trial_records
     out.v_grids[tid] = grid
-    for i, _velocity in enumerate(grid):
-        stats = {gait: all_stats[(gait, i)] for gait in map_cfg.gaits}
+    all_stats = {}
+    for gait, velocity, (stats, records) in zip(gaits, velocities, results):
+        all_stats[(gait, velocity)] = stats
+        out.trial_records += [
+            {"terrain": tid, "gait": gait.label, "v": velocity, "trial": trial,
+             "cot": c_val, "stb": s_val, "failed": bool(failed)}
+            for trial, (c_val, s_val, failed) in enumerate(records)
+        ]
+    for i, velocity in enumerate(grid):
+        stats = {gait: all_stats[(gait, velocity)] for gait in map_cfg.gaits}
         for gait in map_cfg.gaits:
             out.gait_table[(tid, int(gait), i)] = stats[gait]
         for c in map_cfg.c_values:

@@ -44,6 +44,19 @@ class StbWeights:
             raise ValueError("STB weights must be non-negative")
 
 
+@dataclass(frozen=True)
+class MetricsConfig:
+    """STB weights and the failure bounds every scored trial uses."""
+
+    weights: tuple[float, float, float, float] = (0.7, 1.0, 1.0, 0.3)
+    cot_bound: float = COT_BOUND
+    stb_bound: float = STB_BOUND
+    clamp_unfailed: bool = True
+
+    def stb_weights(self) -> StbWeights:
+        return StbWeights(*self.weights)
+
+
 @dataclass
 class StrideMetrics:
     """Per-stride scalars; ``j_e`` holds one value per requested blend ratio."""

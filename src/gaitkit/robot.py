@@ -261,7 +261,7 @@ class Terrain:
         return tuple(seen)
 
     def _index(self, x: float) -> int:
-        if x < self.start_x or x > self.end_x:
+        if not self.start_x <= x <= self.end_x:
             raise TerrainBoundsError(
                 f"x={x} outside terrain extent [{self.start_x}, {self.end_x}]"
             )

@@ -241,6 +241,9 @@ class StrideLog:
 
 @dataclass
 class TrialResult:
+    """Strides and events of one trial; ``finished_course`` means the body
+    passed ``finish_x`` or, without a finish line, survived the duration."""
+
     strides: list[StrideLog]
     events: list
     action_windows: list
@@ -642,6 +645,6 @@ def run_trial(
         events=list(supplier.events),
         action_windows=list(supplier.action_windows),
         failed=failed,
-        finished_course=finished,
+        finished_course=finished or (finish_x is None and not failed),
         end_time=t,
     )

@@ -19,11 +19,13 @@ from .mapping import (
     VelocityGaitMap,
     select_gait,
     select_gait_hysteretic,
+    trial_outcome,
 )
-from .metrics import COT_BOUND, STB_BOUND, StbWeights, stride_metrics
+from .metrics import MetricsConfig
+from .metrics import stride_metrics  # noqa: F401  (wrapped by perfbench/tracing.py)
 from .robot import RobotParams, Terrain
 from .simulation import SimConfig, TrialResult, run_trial
-from .transitions import GaitFsm
+from .transitions import GaitFsm, GaitTimingConfig
 
 
 class StrategyError(ValueError):
@@ -108,8 +110,7 @@ def run_strategy(
     rng: np.random.Generator | None = None,
     start_x: float = 0.0,
     finish_x: float | None = None,
-    switch_time: float = 0.5,
-    dwell_strides: int = 1,
+    timing: GaitTimingConfig | None = None,
     standing_start: bool = True,
 ) -> TrialResult:
     """Run one full test under a strategy; returns strides plus the event trace.
@@ -126,7 +127,8 @@ def run_strategy(
     if finish_x is None:
         finish_x = terrain.course_end
     rng = rng if rng is not None else np.random.default_rng(seed)
-    period = standard_gait(GaitName.TROT).period
+    timing = timing or GaitTimingConfig()
+    period = timing.period
     initial_state = (
         _standing_state(terrain, start_x, sim_cfg, rng) if standing_start else None
     )
@@ -152,8 +154,8 @@ def run_strategy(
     start_kind = terrain.segment_at(start_x).kind
     v0 = 0.0 if standing_start else v_cmd
     initial = select_gait(strategy.map, start_kind, v0, strategy.c)
-    fsm = GaitFsm(initial, period=period, switch_time=switch_time,
-                  dwell_strides=dwell_strides)
+    fsm = GaitFsm(initial, period=period, switch_time=timing.switch_time,
+                  dwell_strides=timing.dwell_strides)
     hyst = HysteresisState(initial, v0, start_kind)
     prev_mark = [0.0, np.array([start_x, 0.0, 0.0])]
 
@@ -198,29 +200,6 @@ class ComparisonRow:
         return self.successes / self.trials if self.trials else 0.0
 
 
-def trial_outcome(
-    result: TrialResult,
-    terrain: Terrain,
-    params: RobotParams,
-    weights: StbWeights | None = None,
-    warmup_strides: int = 3,
-) -> tuple[float, float, bool]:
-    """Per-trial (mean CoT, mean STB, failed) with failure clamping."""
-    weights = weights or StbWeights()
-    failed = result.failed or not result.finished_course
-    usable = [
-        s for s in result.strides[warmup_strides:] if s.complete and not s.failed
-    ]
-    if failed or not usable:
-        return COT_BOUND, STB_BOUND, True
-    cots, stbs = [], []
-    for log in usable:
-        m = stride_metrics(log, terrain, params.mass, (), weights, params.gravity)
-        cots.append(m.cot)
-        stbs.append(m.stb)
-    return float(np.mean(cots)), float(np.mean(stbs)), False
-
-
 def compare(
     strategies: list[Strategy],
     terrain: Terrain,
@@ -232,6 +211,8 @@ def compare(
     *,
     duration: float = 30.0,
     trial_hook=None,
+    timing: GaitTimingConfig | None = None,
+    metrics: MetricsConfig | None = None,
 ) -> list[ComparisonRow]:
     """Paired-trial comparison: same velocity and initial-state randomness per
     trial index across all strategies; per-trial metrics clamped on failure.
@@ -243,6 +224,7 @@ def compare(
         raise ValueError("at least one trial is required")
     sim_cfg = sim_cfg or SimConfig()
     params = params or RobotParams()
+    metrics = metrics or MetricsConfig()
     v_lo, v_hi = velocity_range
     velocities = [
         float(np.random.default_rng((seed, i, 7)).uniform(v_lo, v_hi))
@@ -260,13 +242,13 @@ def compare(
                     rng = np.random.default_rng((seed, i, 11))
                     result = run_strategy(
                         strategy, terrain, velocity, sim_cfg, params,
-                        duration=duration, rng=rng,
+                        duration=duration, rng=rng, timing=timing,
                     )
-                    c_val, s_val, failed = trial_outcome(result, terrain, params)
+                    c_val, s_val, failed = trial_outcome(result, terrain, params, metrics)
                 except StrategyError:
                     raise  # misconfiguration, not a trial outcome
                 except ValueError:
-                    c_val, s_val, failed = COT_BOUND, STB_BOUND, True
+                    c_val, s_val, failed = metrics.cot_bound, metrics.stb_bound, True
             cots.append(c_val)
             stbs.append(s_val)
             successes += 0 if failed else 1

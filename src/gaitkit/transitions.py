@@ -27,6 +27,16 @@ DEFAULT_DWELL_STRIDES = 1
 
 _TIME_EPS = 1e-9
 
+
+@dataclass(frozen=True)
+class GaitTimingConfig:
+    """Stride period, switching time T_s and settle dwell of every gait source."""
+
+    period: float = DEFAULT_PERIOD
+    switch_time: float = DEFAULT_SWITCH_TIME
+    dwell_strides: int = DEFAULT_DWELL_STRIDES
+
+
 # Directed edges of the gait graph. Self loops are zero-duration no-ops.
 _DIRECT_EDGES: frozenset[tuple[GaitName, GaitName]] = frozenset(
     [

@@ -208,3 +208,45 @@ def test_config_rejects_unknown_keys(tmp_path):
         "simulate", "--gait", "trot", "--velocity", "1.0",
         "--out", str(tmp_path / "o"), "--config", str(cfg_path),
     ]) == 1
+
+
+def _build_map_json(tmp_path, name, cfg, jobs):
+    cfg_path = tmp_path / f"{name}.cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / f"{name}.json"
+    assert main([
+        "build-map", "--terrain", "flat", "--v-min", "0.5", "--v-max", "1.0",
+        "--v-step", "0.5", "--c", "0.5", "--trials", "1", "--strides", "2",
+        "--out", str(out), "--seed", "5", "--jobs", str(jobs),
+        "--config", str(cfg_path),
+    ]) == 0
+    data = json.loads(out.read_text())
+    data.pop("manifest")  # records the config path and --jobs
+    return json.dumps(data, sort_keys=True)
+
+
+def test_build_map_honours_config_gait_period(tmp_path):
+    small = {"map": {"gaits": ["trot", "walk"], "warmup_strides": 1}}
+    default = _build_map_json(tmp_path, "default", small, jobs=1)
+    slow = {**small, "gait": {"period": 0.5}}
+    serial = _build_map_json(tmp_path, "serial", slow, jobs=1)
+    assert serial != default
+    assert _build_map_json(tmp_path, "parallel", slow, jobs=2) == serial
+
+
+def test_compare_honours_config_metrics_weights(tmp_path):
+    def run(name, cfg):
+        cfg_path = tmp_path / f"{name}.cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / f"{name}.csv"
+        assert main([
+            "compare", "--terrain", "flat", "--strategy", "fixed:trot",
+            "--trials", "1", "--v-min", "0.8", "--v-max", "1.0", "--duration", "3",
+            "--seed", "3", "--out", str(out), "--config", str(cfg_path),
+        ]) == 0
+        return out.read_text()
+
+    default = run("default", {})
+    weighted = run("weighted", {"metrics": {"weights": [2.0, 1.0, 1.0, 0.3]}})
+    assert weighted != default
+    assert default.splitlines()[1].endswith(",1,1")

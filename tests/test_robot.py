@@ -148,6 +148,17 @@ def test_out_of_bounds_raises():
         terrain.query(terrain.end_x + 1.0)
 
 
+@pytest.mark.parametrize(
+    "name", ["flat", "slope12", "flat-slope", "continuous-slope", "up-down-slope"]
+)
+def test_nan_position_is_out_of_bounds(name):
+    terrain = terrain_preset(name)
+    with pytest.raises(TerrainBoundsError):
+        terrain.query(float("nan"))
+    with pytest.raises(TerrainBoundsError):
+        terrain.segment_at(float("nan"))
+
+
 def test_terrain_validation():
     with pytest.raises(ValueError):
         Terrain("bad", ())

@@ -229,6 +229,19 @@ def test_forced_pitch_failure():
     assert res.strides[-1].failed
 
 
+def test_nan_state_ends_the_trial_as_a_fall():
+    # a NaN body position is outside every terrain, so the first post-step
+    # ground sample ends the trial instead of simulating on from NaN
+    bad = _state(pos=(0.0, 0.0, 0.32), vel=(float("nan"), 0.0, 0.0))
+    res = run_trial(
+        standard_gait(GaitName.TROT), 1.0, terrain_preset("flat"), 2.0, QUIET, PARAMS,
+        rng=np.random.default_rng(0), initial_state=bad,
+    )
+    assert res.failed and not res.finished_course
+    assert res.end_time == pytest.approx(QUIET.dt)
+    assert res.strides[-1].failed
+
+
 def test_logged_forces_respect_cone_and_swing_zero():
     terrain = terrain_preset("flat")
     res = run_trial(

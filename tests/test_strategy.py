@@ -4,7 +4,7 @@ import pytest
 
 from gaitkit.gaits import GaitName
 from gaitkit.mapping import MapConfig, build_map
-from gaitkit.metrics import COT_BOUND, STB_BOUND
+from gaitkit.metrics import COT_BOUND, STB_BOUND, MetricsConfig
 from gaitkit.robot import terrain_preset
 from gaitkit.simulation import SimConfig
 from gaitkit.strategy import (
@@ -219,3 +219,32 @@ def test_trial_outcome_failure_clamps():
     assert failed
     assert cot_v == COT_BOUND
     assert stb_v == STB_BOUND
+    bounds = MetricsConfig(cot_bound=2.0, stb_bound=3.0)
+    assert trial_outcome(FakeResult(), terrain_preset("flat"), RobotParams(),
+                         bounds) == (2.0, 3.0, True)
+
+
+def test_trial_outcome_scores_at_most_strides_usable_strides():
+    from gaitkit.robot import RobotParams
+    from gaitkit.metrics import stride_metrics
+
+    terrain = terrain_preset("flat")
+    res = run_strategy(FixedGait(GaitName.TROT), terrain, 0.9, QUIET, duration=3.0,
+                       seed=1, standing_start=False)
+    assert not res.failed and res.finished_course
+    first = next(s for s in res.strides[3:] if s.complete)
+    expected = stride_metrics(first, terrain, RobotParams().mass)
+    cot_v, stb_v, failed = trial_outcome(res, terrain, RobotParams(), strides=1)
+    assert not failed
+    assert (cot_v, stb_v) == (expected.cot, expected.stb)
+    assert trial_outcome(res, terrain, RobotParams())[:2] != (cot_v, stb_v)
+    missed = dataclasses.replace(res, finished_course=False)
+    assert trial_outcome(missed, terrain, RobotParams()) == (COT_BOUND, STB_BOUND, True)
+
+
+def test_compare_on_terrain_without_course_end_scores_survivors():
+    # flat has no finish line: a trial that survives its duration succeeds
+    rows = compare([FixedGait(GaitName.TROT)], terrain_preset("flat"), 2, (0.8, 1.0),
+                   seed=3, duration=3.0)
+    assert rows[0].successes == 2
+    assert rows[0].cot < COT_BOUND and rows[0].stb < STB_BOUND
