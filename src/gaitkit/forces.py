@@ -12,7 +12,11 @@ The wrench equalities are enforced through a stiff quadratic penalty so the
 problem stays well posed even when they are unattainable (flight phase, or a
 two-foot stance that cannot realize the full moment); the achieved residual
 and a feasibility verdict are reported alongside the forces. The cone faces
-are handled by a primal active-set loop on the small dense QP.
+are handled by a primal active-set loop on the small dense QP. The loop ends
+on the multipliers of the step that reached the working-set minimizer: after
+a full, unblocked step it returns if every multiplier is non-negative and
+otherwise drops the most negative one, without a further KKT solve to
+confirm a zero step (Nocedal & Wright, Numerical Optimization, Alg. 16.3).
 
 Contact normals are constant per terrain segment, so the six friction-pyramid
 rows of a stance foot are built once per (normal, friction) pair and kept in a
@@ -124,6 +128,15 @@ def solve_qp(
 
     Primal active-set method started from the feasible point x = 0. H must be
     positive definite. Sized for a handful of variables and constraints.
+
+    Each iteration solves the equality-constrained subproblem on the working
+    set for a step ``p`` and multipliers ``lam``. A blocked step adds the
+    blocking constraint. A full step lands on the subproblem's minimizer,
+    whose multipliers are ``lam``: the loop returns if ``lam >= -1e-9`` (at
+    once with an empty working set) and otherwise drops the constraint with
+    the most negative multiplier. A step that is already negligible in the
+    H-norm terminates on the same multiplier test. Returns the iterate and
+    the number of KKT solves that ran (at most ``max_iter``).
     """
     n = H.shape[0]
     x = np.zeros(n)
@@ -152,30 +165,30 @@ def solve_qp(
         # KKT leaves |p| bouncing around 1e-4, but the remaining objective
         # improvement p'Hp is then negligible against the achieved value
         step_gain = float(p @ (H @ p))
-        if step_gain <= 1e-18 * max(1.0, float(x @ (H @ x))) or math.sqrt(p.dot(p)) < 1e-11:
-            if lam.size and lam.min() < -1e-9:
-                active.pop(int(np.argmin(lam)))
+        negligible = step_gain <= 1e-18 * max(1.0, float(x @ (H @ x)))
+        if not (negligible or math.sqrt(p.dot(p)) < 1e-11):
+            Gp = (G @ p).tolist()
+            slack = (h - G @ x).tolist()
+            alpha = 1.0
+            blocking = -1
+            for i in range(len(Gp)):
+                if i in active or Gp[i] <= 1e-12:
+                    continue
+                step = slack[i] / Gp[i]
+                if step < alpha:
+                    alpha = step
+                    blocking = i
+            x = x + alpha * p
+            if blocking >= 0:
+                active.append(blocking)
                 continue
-            return x, last_it
 
-        Gp = (G @ p).tolist()
-        slack = (h - G @ x).tolist()
-        alpha = 1.0
-        blocking = -1
-        for i in range(len(Gp)):
-            if i in active or Gp[i] <= 1e-12:
-                continue
-            step = slack[i] / Gp[i]
-            if step < alpha:
-                alpha = step
-                blocking = i
-        x = x + alpha * p
-        if blocking >= 0:
-            active.append(blocking)
-        elif alpha >= 1.0:
-            # full step taken with no blocking constraint; next pass yields
-            # p ~ 0 and either terminates or drops a constraint
+        # x minimizes the working-set subproblem (a full step reached it, or
+        # the step was negligible) and lam are its multipliers
+        if lam.size and lam.min() < -1e-9:
+            active.pop(int(np.argmin(lam)))
             continue
+        return x, last_it
     return x, last_it
 
 
@@ -198,7 +211,7 @@ def distribute_forces(
     feet = np.asarray(foot_positions, dtype=float).reshape(4, 3)
     stance = np.asarray(stance, dtype=bool).reshape(4)
     com = np.asarray(com, dtype=float).reshape(3)
-    if friction <= 0.0:
+    if not friction > 0.0:  # also rejects NaN
         raise ValueError("friction coefficient must be positive")
 
     forces = np.zeros((4, 3))

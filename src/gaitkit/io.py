@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -46,7 +45,12 @@ class RunManifest:
 
 
 def stride_logs_to_csv(strides, path) -> None:
-    """One row per simulation sample across all strides of a trial."""
+    """One row per simulation sample across all strides of a trial.
+
+    Every cell is an int or the ``repr`` of a float, none of which needs
+    quoting, so rows are joined here in the csv module's default dialect
+    (``,`` between cells, ``\r\n`` after each row) and written at once.
+    """
     header = (
         ["stride", "time_s"]
         + [f"u_{n}" for n in JOINT_NAMES]
@@ -58,41 +62,40 @@ def stride_logs_to_csv(strides, path) -> None:
         + [f"foot_{leg.name.lower()}_z" for leg in LegId]
         + ["v_cmd"]
     )
+    lines = [",".join(header)]
+    for si, log in enumerate(strides):
+        n = log.time.shape[0]
+        if n == 0:
+            continue
+        # one joined string per sample and block, converted a stride at a
+        # time: repr of Python floats is the text repr(float(x)) gives
+        floats = [
+            _float_cells(a, n)
+            for a in (
+                log.time,
+                log.torques,
+                log.joint_velocities,
+                log.forces,
+                log.position,
+                log.velocity,
+                log.euler,
+                log.omega,
+                log.foot_positions[:, :, 2],
+            )
+        ]
+        stance = [",".join([str(int(x)) for x in row]) for row in log.stance.tolist()]
+        v_cmd = repr(float(log.v_cmd))
+        # the stance flags sit between the forces and the position
+        rows = zip(*floats[:4], stance, *floats[4:])
+        lines += [f"{si},{','.join(cells)},{v_cmd}" for cells in rows]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for si, log in enumerate(strides):
-            n = log.time.shape[0]
-            if n == 0:
-                continue
-            # one list of cells per sample and block, converted a stride at a
-            # time: repr of Python floats is the text repr(float(x)) gives
-            blocks = [
-                _float_cells(a, n)
-                for a in (
-                    log.time,
-                    log.torques,
-                    log.joint_velocities,
-                    log.forces,
-                    log.position,
-                    log.velocity,
-                    log.euler,
-                    log.omega,
-                    log.foot_positions[:, :, 2],
-                )
-            ]
-            stance = [[int(x) for x in row] for row in log.stance.tolist()]
-            v_cmd = repr(float(log.v_cmd))
-            for i, (t, u, w, f, pos, vel, eul, om, foot_z) in enumerate(zip(*blocks)):
-                writer.writerow(
-                    [si, *t, *u, *w, *f, *stance[i], *pos, *vel, *eul, *om, *foot_z, v_cmd]
-                )
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
-def _float_cells(values, n: int) -> list[list[str]]:
-    """``repr`` of every float of an (n, ...) array, one list per sample."""
+def _float_cells(values, n: int) -> list[str]:
+    """``repr`` of every float of an (n, ...) array, one joined row per sample."""
     rows = np.asarray(values, dtype=float).reshape(n, -1).tolist()
-    return [[repr(x) for x in row] for row in rows]
+    return [",".join(map(repr, row)) for row in rows]
 
 
 def stride_summary(strides, metrics_list) -> dict:

@@ -46,11 +46,12 @@ class RobotParams:
     n_motors: int = 12
 
     def __post_init__(self) -> None:
-        if self.mass <= 0.0:
+        # written as "not x > 0" so that NaN (from a JSON config) is rejected
+        if not self.mass > 0.0:
             raise ValueError("mass must be positive")
-        if any(i <= 0.0 for i in self.inertia_diag):
+        if not all(i > 0.0 for i in self.inertia_diag):
             raise ValueError("inertia must be positive definite")
-        if self.link_thigh <= 0.0 or self.link_shank <= 0.0 or self.link_hip < 0.0:
+        if not (self.link_thigh > 0.0 and self.link_shank > 0.0 and self.link_hip >= 0.0):
             raise ValueError("link lengths must be positive (hip offset >= 0)")
         if self.n_motors != 12:
             raise ValueError("the toolkit models 12 motors, 3 per leg")
@@ -230,8 +231,11 @@ class Terrain:
         starts = [s.start_x for s in self.segments]
         if sorted(starts) != starts or len(set(starts)) != len(starts):
             raise ValueError("segments must be ordered by start_x without overlap")
-        if any(s.friction <= 0.0 for s in self.segments):
+        # NaN fails both tests (a JSON config may hold NaN)
+        if not all(s.friction > 0.0 for s in self.segments):
             raise ValueError("friction coefficients must be positive")
+        if not all(math.isfinite(s.incline) for s in self.segments):
+            raise ValueError("segment inclines must be finite")
         tans = tuple(math.tan(s.incline) for s in self.segments)
         heights = [self.base_height]
         for tan, prev, cur in zip(tans, self.segments, self.segments[1:]):

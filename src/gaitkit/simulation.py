@@ -53,6 +53,13 @@ class BodyState:
         rot.flags.writeable = False
         return rot
 
+    @cached_property
+    def euler_rate_map(self) -> np.ndarray:
+        """Euler-rate-to-omega map of ``euler``; built once, read-only."""
+        rate_map = euler_rate_to_omega(self.euler)
+        rate_map.flags.writeable = False
+        return rate_map
+
     @property
     def roll(self) -> float:
         return float(self.euler[0])
@@ -88,12 +95,19 @@ def euler_rate_to_omega(euler) -> np.ndarray:
     )
 
 
-def omega_to_euler_rates(euler, omega) -> np.ndarray:
+def omega_to_euler_rates(euler, omega, rate_map=None) -> np.ndarray:
+    """Euler-angle rates giving the world angular velocity ``omega``.
+
+    ``rate_map`` is ``euler_rate_to_omega(euler)`` where the caller already
+    holds it (:attr:`BodyState.euler_rate_map`); it is built here otherwise.
+    """
     # guard the pitch singularity (the map's determinant is -cos(pitch));
     # failure thresholds sit well inside it
     if abs(math.cos(float(euler[1]))) < 1e-8:
         return np.zeros(3)
-    return np.linalg.solve(euler_rate_to_omega(euler), omega)
+    if rate_map is None:
+        rate_map = euler_rate_to_omega(euler)
+    return np.linalg.solve(rate_map, omega)
 
 
 @dataclass(frozen=True)
@@ -154,12 +168,16 @@ def swing_trajectory(s: float, lift_point, target_point, apex: float) -> np.ndar
     peaking ``apex`` above the chord midpoint; both endpoints are exact.
     """
     s = min(1.0, max(0.0, float(s)))
-    lift = np.asarray(lift_point, dtype=float)
-    target = np.asarray(target_point, dtype=float)
+    lx, ly, lz = np.asarray(lift_point, dtype=float).tolist()
+    tx, ty, tz = np.asarray(target_point, dtype=float).tolist()
     sigma = s - math.sin(2.0 * math.pi * s) / (2.0 * math.pi)
-    pos = lift + sigma * (target - lift)
-    pos[2] += apex * math.sin(math.pi * s)
-    return pos
+    return np.array(
+        [
+            lx + sigma * (tx - lx),
+            ly + sigma * (ty - ly),
+            lz + sigma * (tz - lz) + apex * math.sin(math.pi * s),
+        ]
+    )
 
 
 def swing_acceleration(
@@ -167,11 +185,18 @@ def swing_acceleration(
 ) -> np.ndarray:
     """Second time derivative of :func:`swing_trajectory` at phase ``s``."""
     s = min(1.0, max(0.0, float(s)))
-    lift = np.asarray(lift_point, dtype=float)
-    target = np.asarray(target_point, dtype=float)
-    d2 = 2.0 * math.pi * math.sin(2.0 * math.pi * s) * (target - lift)
-    d2[2] += -apex * math.pi * math.pi * math.sin(math.pi * s)
-    return d2 / (swing_time * swing_time)
+    lx, ly, lz = np.asarray(lift_point, dtype=float).tolist()
+    tx, ty, tz = np.asarray(target_point, dtype=float).tolist()
+    chord = 2.0 * math.pi * math.sin(2.0 * math.pi * s)
+    arch = -apex * math.pi * math.pi * math.sin(math.pi * s)
+    t2 = swing_time * swing_time
+    return np.array(
+        [
+            chord * (tx - lx) / t2,
+            chord * (ty - ly) / t2,
+            (chord * (tz - lz) + arch) / t2,
+        ]
+    )
 
 
 def step(state: BodyState, contact: ContactForceSet, params: RobotParams, dt: float) -> BodyState:
@@ -194,7 +219,8 @@ def step(state: BodyState, contact: ContactForceSet, params: RobotParams, dt: fl
     velocity = state.velocity + accel * dt
     position = state.position + velocity * dt
     omega = state.omega + omega_dot * dt
-    euler = state.euler + omega_to_euler_rates(state.euler, omega) * dt
+    rates = omega_to_euler_rates(state.euler, omega, state.euler_rate_map)
+    euler = state.euler + rates * dt
     return BodyState(position=position, velocity=velocity, euler=euler, omega=omega)
 
 
@@ -547,7 +573,7 @@ def run_trial(
             + np.array([0.0, 0.0, params.mass * params.gravity * support_scale])
         )
         euler_des = np.array([0.0, incline_ref, 0.0])
-        m_des = euler_rate_to_omega(state.euler) @ (
+        m_des = state.euler_rate_map @ (
             kp_ang * (euler_des - state.euler)
         ) - kd_ang * state.omega
         wrench = np.concatenate([f_des, m_des])
@@ -595,7 +621,7 @@ def run_trial(
                 state.velocity.copy(),
                 state.euler.copy(),
                 state.omega.copy(),
-                omega_to_euler_rates(state.euler, state.omega),
+                omega_to_euler_rates(state.euler, state.omega, state.euler_rate_map),
                 foot_pos.copy(),
             )
         )

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -207,6 +208,27 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert main([
         "simulate", "--gait", "trot", "--velocity", "1.0",
         "--out", str(tmp_path / "o"), "--config", str(cfg_path),
+    ]) == 1
+
+
+@pytest.mark.parametrize(
+    "cfg, terrain",
+    [
+        ({"terrains": {"slick": {"segments": [{"start_x": -100, "friction": math.nan}]}}},
+         "slick"),
+        ({"robot": {"mass": math.nan}}, "flat"),
+        ({"robot": {"inertia_diag": [0.05, math.nan, 0.18]}}, "flat"),
+    ],
+    ids=["friction", "mass", "inertia"],
+)
+def test_nan_in_config_exits_one(tmp_path, cfg, terrain):
+    # json.dumps writes NaN, which json.load accepts
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert "NaN" in cfg_path.read_text()
+    assert main([
+        "simulate", "--gait", "trot", "--velocity", "1.2", "--terrain", terrain,
+        "--duration", "1.2", "--out", str(tmp_path / "o"), "--config", str(cfg_path),
     ]) == 1
 
 

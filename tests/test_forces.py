@@ -4,12 +4,21 @@ The oracle parametrizes the solution set of the wrench equalities directly
 (particular solution + nullspace basis via SVD), then runs a shrinking
 uniform random search over the nullspace coordinates, keeping cone-feasible
 samples; it shares no code with the active-set path it checks.
+
+The active-set loop itself is also checked against a reference copy of the
+loop that confirmed every full step with one more KKT solve.
 """
+
+import math
 
 import numpy as np
 import pytest
 
+from gaitkit import forces
 from gaitkit.forces import distribute_forces
+from gaitkit.gaits import GaitName, standard_gait
+from gaitkit.robot import terrain_preset
+from gaitkit.simulation import SimConfig, run_trial
 
 MG = 12.0 * 9.81
 
@@ -136,6 +145,13 @@ def test_diagonal_trot_standing_matches_oracle():
     assert got >= best[1] * 0.99
 
 
+@pytest.mark.parametrize("mu", [0.0, -0.5, math.nan])
+def test_non_positive_or_nan_friction_is_rejected(mu):
+    wrench = np.array([0.0, 0.0, MG, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        distribute_forces(wrench, _standing_feet(), [True] * 4, COM, mu, 2 * MG)
+
+
 def _random_instance(rng):
     k = int(rng.integers(1, 5))
     legs = rng.choice(4, size=k, replace=False)
@@ -197,3 +213,129 @@ def test_objective_within_one_percent_of_oracle():
         assert got <= best[1] * 1.01 + 1e-9
         checked += 1
     assert checked == 50
+
+
+def _drop_choice(lam):
+    """Index of the working-set constraint to drop, or -1 to stop."""
+    return int(np.argmin(lam)) if lam.size and lam.min() < -1e-9 else -1
+
+
+def _reference_solve_qp(H, g, G, h, max_iter=80):
+    """The active-set loop with a confirming KKT solve after each full step.
+
+    After every full, unblocked step this loop solves once more to find
+    p ~ 0 and decides on that solve's multipliers. Returns (x, iterations,
+    confirmations, departed): the confirmations that found p ~ 0, and
+    whether a confirmation did something the step's own multipliers would
+    not: take a roundoff refinement step, or (on a degenerate working set,
+    whose multipliers are not unique) drop another constraint.
+    """
+    n = H.shape[0]
+    x = np.zeros(n)
+    active = []
+    last_it = 0
+    step_lam = None  # multipliers of a full, unblocked step, until confirmed
+    confirmations = 0
+    departed = False
+    for it in range(max_iter):
+        last_it = it + 1
+        if active:
+            C = G[active]
+            m = len(active)
+            kkt = np.zeros((n + m, n + m))
+            kkt[:n, :n] = H
+            kkt[:n, n:] = C.T
+            kkt[n:, :n] = C
+            rhs = np.concatenate([-(H @ x + g), np.zeros(m)])
+            try:
+                sol = np.linalg.solve(kkt, rhs)
+            except np.linalg.LinAlgError:
+                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+            p, lam = sol[:n], sol[n:]
+        else:
+            p = np.linalg.solve(H, -(H @ x + g))
+            lam = np.array([])
+
+        step_gain = float(p @ (H @ p))
+        if step_gain <= 1e-18 * max(1.0, float(x @ (H @ x))) or math.sqrt(p.dot(p)) < 1e-11:
+            if step_lam is not None:
+                confirmations += 1
+                departed |= _drop_choice(lam) != _drop_choice(step_lam)
+                step_lam = None
+            if lam.size and lam.min() < -1e-9:
+                active.pop(int(np.argmin(lam)))
+                continue
+            return x, last_it, confirmations, departed
+        departed |= step_lam is not None
+        step_lam = None
+
+        Gp = (G @ p).tolist()
+        slack = (h - G @ x).tolist()
+        alpha = 1.0
+        blocking = -1
+        for i in range(len(Gp)):
+            if i in active or Gp[i] <= 1e-12:
+                continue
+            step = slack[i] / Gp[i]
+            if step < alpha:
+                alpha = step
+                blocking = i
+        x = x + alpha * p
+        if blocking >= 0:
+            active.append(blocking)
+        else:
+            step_lam = lam
+    return x, last_it, confirmations, departed
+
+
+class _QpLog:
+    """Replaces forces.solve_qp and records each call with the reference."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        solve = forces.solve_qp
+
+        def recorded(H, g, G, h):
+            x, iterations = solve(H, g, G, h)
+            self.calls.append(((H, g, G, h), x, iterations, _reference_solve_qp(H, g, G, h)))
+            return x, iterations
+
+        monkeypatch.setattr(forces, "solve_qp", recorded)
+
+    def check(self):
+        """Compare every call with the reference; return the departed count."""
+        departed = 0
+        for (H, g, G, h), x, iterations, (x_ref, it_ref, confirms, dep) in self.calls:
+            if dep:
+                departed += 1
+                assert np.all(np.abs(x - x_ref) <= 1e-9 * (1.0 + np.abs(x_ref)))
+            else:
+                assert x.tobytes() == x_ref.tobytes()
+                assert iterations == it_ref - confirms
+            if (G @ np.linalg.solve(H, -g) <= h).all():
+                assert iterations == 1
+        return departed
+
+
+def test_qp_matches_confirming_reference_on_random_instances(monkeypatch):
+    # the instances of test_500_random_instances_constraints_hold
+    log = _QpLog(monkeypatch)
+    rng = np.random.default_rng(2024)
+    for _ in range(500):
+        wrench, feet, stance, com = _random_instance(rng)
+        distribute_forces(wrench, feet, stance, com, 0.7, 2 * MG)
+    assert len(log.calls) == 500
+    # a departure needs a degenerate working set; one instance here has one
+    assert log.check() <= 5
+    assert any(it == 1 for _, _, it, _ in log.calls)
+    assert any(it > 1 for _, _, it, _ in log.calls)
+
+
+def test_qp_matches_confirming_reference_on_a_flat_trot(monkeypatch):
+    log = _QpLog(monkeypatch)
+    result = run_trial(
+        standard_gait(GaitName.TROT), 1.2, terrain_preset("flat"), 1.2, SimConfig(seed=3)
+    )
+    assert not result.failed
+    assert len(log.calls) == round(1.2 / SimConfig().dt)
+    assert log.check() == 0

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import gaitkit.simulation as simulation
+
 from gaitkit.forces import _cone_block, _cross
 from gaitkit.gaits import GaitName, LegId, standard_gait
 from gaitkit.io import stride_logs_to_csv
@@ -34,8 +36,11 @@ from gaitkit.simulation import (
     euler_rate_to_omega,
     omega_to_euler_rates,
     rotation_matrix,
+    StrideLog,
     run_trial,
     step,
+    swing_acceleration,
+    swing_trajectory,
 )
 
 PRESETS = ("flat", "slope12", "flat-slope", "continuous-slope", "up-down-slope")
@@ -332,6 +337,71 @@ def test_trot_step_makes_at_most_eight_terrain_queries(monkeypatch):
     assert len(log.calls) / n_steps <= 8.0
 
 
+def test_trot_step_makes_at_most_four_solves_and_one_euler_rate_map(monkeypatch):
+    counts = {"solve": 0, "rate_map": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    monkeypatch.setattr(
+        simulation, "euler_rate_to_omega", counted("rate_map", euler_rate_to_omega)
+    )
+    result = run_trial(
+        standard_gait(GaitName.TROT), 1.2, terrain_preset("flat"), 1.2, SimConfig(seed=3)
+    )
+    assert not result.failed
+    n_steps = round(1.2 / SimConfig().dt)
+    # one solve in the 2-foot QP, one for omega_dot, two Euler-rate solves
+    assert counts["solve"] / n_steps <= 4.0
+    assert counts["rate_map"] / n_steps <= 1.0
+
+
+def _reference_swing_trajectory(s, lift_point, target_point, apex):
+    s = min(1.0, max(0.0, float(s)))
+    lift = np.asarray(lift_point, dtype=float)
+    target = np.asarray(target_point, dtype=float)
+    sigma = s - math.sin(2.0 * math.pi * s) / (2.0 * math.pi)
+    pos = lift + sigma * (target - lift)
+    pos[2] += apex * math.sin(math.pi * s)
+    return pos
+
+
+def _reference_swing_acceleration(s, lift_point, target_point, apex, swing_time):
+    s = min(1.0, max(0.0, float(s)))
+    lift = np.asarray(lift_point, dtype=float)
+    target = np.asarray(target_point, dtype=float)
+    d2 = 2.0 * math.pi * math.sin(2.0 * math.pi * s) * (target - lift)
+    d2[2] += -apex * math.pi * math.pi * math.sin(math.pi * s)
+    return d2 / (swing_time * swing_time)
+
+
+_coord = st.floats(min_value=-100.0, max_value=100.0)
+_point = st.lists(_coord, min_size=3, max_size=3).map(np.array)
+
+
+@given(
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(min_value=0.0, max_value=1.0)),
+    _point,
+    _point,
+    st.floats(min_value=0.0, max_value=0.5),
+    st.floats(min_value=1e-6, max_value=1.0),
+)
+def test_swing_arcs_match_numpy_array_reference(s, lift, target, apex, swing_time):
+    assert _same_bits(
+        swing_trajectory(s, lift, target, apex),
+        _reference_swing_trajectory(s, lift, target, apex),
+    )
+    assert _same_bits(
+        swing_acceleration(s, lift, target, apex, swing_time),
+        _reference_swing_acceleration(s, lift, target, apex, swing_time),
+    )
+
+
 def test_post_step_bounds_error_ends_the_trial_as_a_fall(monkeypatch):
     terrain = Terrain("short", (TerrainSegment(-1.0, 0.0),), end_x=0.7)
     log = _QueryLog(monkeypatch)
@@ -384,3 +454,56 @@ def test_stride_csv_matches_per_element_writer(tmp_path, gait, v_cmd, falls):
         header = next(csv.reader(fh))
     _reference_csv(result.strides, header, want)
     assert got.read_bytes() == want.read_bytes()
+
+
+def _synthetic_stride(n, rng):
+    """A StrideLog of ``n`` random samples (no simulation behind it)."""
+    return StrideLog(
+        time=np.arange(n) * 0.002,
+        torques=rng.normal(0.0, 10.0, (n, 12)),
+        joint_velocities=rng.normal(0.0, 3.0, (n, 12)),
+        forces=rng.normal(0.0, 50.0, (n, 4, 3)),
+        stance=rng.random((n, 4)) < 0.5,
+        position=rng.normal(0.0, 1.0, (n, 3)),
+        velocity=rng.normal(0.0, 1.0, (n, 3)),
+        euler=rng.normal(0.0, 0.1, (n, 3)),
+        omega=rng.normal(0.0, 1.0, (n, 3)),
+        euler_rates=rng.normal(0.0, 1.0, (n, 3)),
+        foot_positions=rng.normal(0.0, 0.3, (n, 4, 3)),
+        v_cmd=1.2,
+        delta_s=0.5,
+        t_f=0.4,
+        failed=False,
+        complete=True,
+    )
+
+
+def _special_stride(rng):
+    log = _synthetic_stride(3, rng)
+    log.torques[0, :4] = (math.nan, math.inf, -math.inf, -0.0)
+    log.forces[1, 2] = (-0.0, math.nan, math.inf)
+    log.position[2] = (-math.inf, -0.0, math.nan)
+    log.euler[0, 1] = -0.0
+    log.foot_positions[1, :, 2] = (math.nan, -0.0, math.inf, -math.inf)
+    log.time[2] = math.nan
+    return log
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: [_synthetic_stride(4, rng), _special_stride(rng)],
+        lambda rng: [_synthetic_stride(2, rng), _synthetic_stride(0, rng), _synthetic_stride(3, rng)],
+        lambda rng: [],
+    ],
+    ids=["nan-inf-negzero", "empty-stride", "no-strides"],
+)
+def test_stride_csv_edge_cases_match_per_element_writer(tmp_path, make):
+    strides = make(np.random.default_rng(9))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    stride_logs_to_csv(strides, got)
+    with open(got, newline="") as fh:
+        rows = list(csv.reader(fh))
+    _reference_csv(strides, rows[0], want)
+    assert got.read_bytes() == want.read_bytes()
+    assert len(rows) == 1 + sum(log.time.shape[0] for log in strides)

@@ -171,6 +171,34 @@ def test_terrain_validation():
         Terrain("bad", (TerrainSegment(0.0, 0.0, friction=0.0),))
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"mass": math.nan},
+        {"inertia_diag": (0.05, math.nan, 0.18)},
+        {"link_thigh": math.nan},
+        {"link_hip": math.nan},
+    ],
+)
+def test_robot_params_reject_nan(kwargs):
+    with pytest.raises(ValueError):
+        RobotParams(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "segment",
+    [
+        TerrainSegment(0.0, 0.0, friction=math.nan),
+        TerrainSegment(0.0, math.nan),
+        TerrainSegment(0.0, math.inf),
+    ],
+    ids=["nan-friction", "nan-incline", "inf-incline"],
+)
+def test_terrain_rejects_nan_friction_and_non_finite_incline(segment):
+    with pytest.raises(ValueError):
+        Terrain("bad", (segment,))
+
+
 def test_preset_kinds():
     assert terrain_preset("flat").kinds == ("flat",)
     assert terrain_preset("slope12").kinds == ("slope12",)
