@@ -19,7 +19,7 @@ from .gaits import GaitName, standard_gait
 from .io import RunManifest, stride_logs_to_csv, stride_summary, write_json
 from .mapping import VelocityGaitMap, build_map
 from .metrics import UndefinedDisplacementError, stride_metrics
-from .simulation import run_trial
+from .simulation import FsmGaitSupplier, run_trial
 from .strategy import (
     FixedGait,
     MultiGait,
@@ -31,7 +31,6 @@ from .strategy import (
 from .transitions import (
     TRANSITION_TABLE,
     GaitFsm,
-    schedule_trace,
     write_transition_trace,
 )
 
@@ -144,9 +143,11 @@ def cmd_transition_demo(args) -> int:
 
     terrain = cfg.terrain("flat")
     rng = np.random.default_rng((cfg.sim.seed, 1))
+    # the parameter schedule of the machine that ran, one row per step
+    rows: list = []
     result = run_trial(
-        fsm, args.velocity, terrain, duration, cfg.sim, cfg.robot,
-        rng=rng, on_stride=on_stride,
+        FsmGaitSupplier(fsm, on_stride, trace=rows), args.velocity, terrain, duration,
+        cfg.sim, cfg.robot, rng=rng,
     )
 
     out = Path(args.out)
@@ -155,15 +156,6 @@ def cmd_transition_demo(args) -> int:
     trace_path = out / "transition_trace.csv"
     events_path = out / "events.json"
     _write_demo_series(result, series_path)
-    rows = schedule_trace(
-        source,
-        [(settle * period, target)],
-        duration,
-        cfg.sim.dt,
-        period=period,
-        switch_time=cfg.gait.switch_time,
-        dwell_strides=cfg.gait.dwell_strides,
-    )
     write_transition_trace(trace_path, rows)
 
     manifest = _manifest(

@@ -18,6 +18,24 @@ a full, unblocked step it returns if every multiplier is non-negative and
 otherwise drops the most negative one, without a further KKT solve to
 confirm a zero step (Nocedal & Wright, Numerical Optimization, Alg. 16.3).
 
+The working set stays linearly independent: a cone face may block a step
+only if its row is independent of the working-set rows of the same foot
+(Nocedal & Wright, §16.5). At x = 0 all five faces through the origin have
+zero slack, and {face+t1, face-t1, +-n}, {face+t2, face-t2, +-n}, {n, -n}
+and any four rows of one foot are dependent; a dependent face has G_i p = 0 on
+every step of the working set, so skipping it is exact, and the skip keeps
+the KKT matrix nonsingular. The rows of a foot act on its three columns only, so the
+test is a cross or triple product of at most three 3-vectors.
+
+The solved forces are polished: the active-set steps through the ridge-
+conditioned KKT leave small noise in the null space of the wrench map A,
+which the polish removes while keeping the achieved wrench and the binding
+cone faces, by ``np.linalg.lstsq`` on A stacked with the binding rows. The
+stance count selects two closed forms. With one foot A has full column
+rank, so the polish is the identity. With two feet and no binding face it
+is the projection onto the row space of A, whose null space is the squeeze
+direction d = [r; -r], r = p1 - p2: x - d (d.x) / (d.d).
+
 Contact normals are constant per terrain segment, so the six friction-pyramid
 rows of a stance foot are built once per (normal, friction) pair and kept in a
 bounded cache as a read-only 6x3 block; each call copies the cached blocks
@@ -42,6 +60,9 @@ import numpy as np
 # threshold, large enough to keep the KKT systems well conditioned.
 _RIDGE = 1e-9
 _FEASIBLE_RTOL = 1e-6
+# sine of the angle below which a cone row counts as lying in the span of
+# the working-set rows of its foot; dependent rows give round-off (~1e-16)
+_DEPENDENT_RTOL = 1e-9
 # When the wrench is unattainable (rank-deficient or cone-limited stance),
 # the residual lands on the rows with the least weight. Moment errors act on
 # the small trunk inertia and destabilize far faster than force errors act on
@@ -121,13 +142,44 @@ def _cone_block(normal_bytes: bytes, friction: float) -> np.ndarray:
     return block
 
 
+def _independent(G: np.ndarray, i: int, active: list[int], group_rows: int) -> bool:
+    """Whether row ``i`` of G is independent of the active rows of its group.
+
+    The active rows of a group are independent themselves (only independent
+    rows are added), so three of them span the group's three columns.
+    """
+    b = i // group_rows
+    basis = [j for j in active if j // group_rows == b]
+    if not basis:
+        return True
+    if len(basis) == 3:
+        return False
+    cols = slice(3 * b, 3 * b + 3)
+    r0, r1, r2 = G[i, cols].tolist()
+    a0, a1, a2 = G[basis[0], cols].tolist()
+    if len(basis) == 2:
+        # independent unless the row lies in the plane of the two: the
+        # triple product against their normal vanishes
+        b0, b1, b2 = G[basis[1], cols].tolist()
+        n0, n1, n2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+        dot = n0 * r0 + n1 * r1 + n2 * r2
+        scale = (n0 * n0 + n1 * n1 + n2 * n2) * (r0 * r0 + r1 * r1 + r2 * r2)
+        return dot * dot > _DEPENDENT_RTOL**2 * scale
+    # independent of one row unless parallel to it
+    c0, c1, c2 = a1 * r2 - a2 * r1, a2 * r0 - a0 * r2, a0 * r1 - a1 * r0
+    scale = (a0 * a0 + a1 * a1 + a2 * a2) * (r0 * r0 + r1 * r1 + r2 * r2)
+    return c0 * c0 + c1 * c1 + c2 * c2 > _DEPENDENT_RTOL**2 * scale
+
+
 def solve_qp(
     H: np.ndarray, g: np.ndarray, G: np.ndarray, h: np.ndarray, max_iter: int = 80
 ) -> tuple[np.ndarray, int]:
     """Minimize 0.5 x'Hx + g'x subject to Gx <= h with h >= 0.
 
     Primal active-set method started from the feasible point x = 0. H must be
-    positive definite. Sized for a handful of variables and constraints.
+    positive definite. Sized for a handful of variables and constraints. G is
+    block-diagonal by foot: its rows come in ``n // 3`` equal groups, group b
+    acting on columns 3b to 3b + 2 only.
 
     Each iteration solves the equality-constrained subproblem on the working
     set for a step ``p`` and multipliers ``lam``. A blocked step adds the
@@ -135,10 +187,15 @@ def solve_qp(
     whose multipliers are ``lam``: the loop returns if ``lam >= -1e-9`` (at
     once with an empty working set) and otherwise drops the constraint with
     the most negative multiplier. A step that is already negligible in the
-    H-norm terminates on the same multiplier test. Returns the iterate and
-    the number of KKT solves that ran (at most ``max_iter``).
+    H-norm terminates on the same multiplier test. A constraint may block
+    only if its row is linearly independent of the working-set rows of its
+    group (a dependent row has G_i p = 0 exactly, so skipping it is exact);
+    each group then holds at most three active rows and the KKT matrix stays
+    nonsingular. Returns the iterate and the number of KKT solves that ran
+    (at most ``max_iter``).
     """
     n = H.shape[0]
+    group_rows = 3 * G.shape[0] // n
     x = np.zeros(n)
     active: list[int] = []
     last_it = 0
@@ -169,15 +226,21 @@ def solve_qp(
         if not (negligible or math.sqrt(p.dot(p)) < 1e-11):
             Gp = (G @ p).tolist()
             slack = (h - G @ x).tolist()
-            alpha = 1.0
-            blocking = -1
+            ratios = []
             for i in range(len(Gp)):
                 if i in active or Gp[i] <= 1e-12:
                     continue
                 step = slack[i] / Gp[i]
-                if step < alpha:
+                if step < 1.0:
+                    ratios.append((step, i))
+            # the nearest independent row blocks (lowest index on ties)
+            alpha = 1.0
+            blocking = -1
+            for step, i in sorted(ratios):
+                if _independent(G, i, active, group_rows):
                     alpha = step
                     blocking = i
+                    break
             x = x + alpha * p
             if blocking >= 0:
                 active.append(blocking)
@@ -252,13 +315,20 @@ def distribute_forces(
 
     # polish: active-set steps through the ridge-conditioned KKT leave O(1e-4)
     # nullspace noise in the force split; re-min-norm while preserving the
-    # achieved wrench and the binding cone faces
-    binding = np.abs(G @ x - h) <= 1e-7 * (1.0 + np.abs(h))
-    C = np.concatenate([A, G[binding]]) if binding.any() else A
-    x_clean = np.linalg.lstsq(C, C @ x, rcond=None)[0]
-    slack_ok = (G @ x_clean <= h + 1e-9).all()
-    if slack_ok and float(x_clean @ x_clean) <= float(x @ x) + 1e-9:
-        x = x_clean
+    # achieved wrench and the binding cone faces (one foot: nothing to remove)
+    if k > 1:
+        binding = np.abs(G @ x - h) <= 1e-7 * (1.0 + np.abs(h))
+        if k == 2 and not binding.any():
+            # project out A's null space, the squeeze direction
+            r = feet[idx[0]] - feet[idx[1]]
+            d = np.concatenate([r, -r])
+            x_clean = x - d * (d.dot(x) / d.dot(d))
+        else:
+            C = np.concatenate([A, G[binding]]) if binding.any() else A
+            x_clean = np.linalg.lstsq(C, C @ x, rcond=None)[0]
+        slack_ok = (G @ x_clean <= h + 1e-9).all()
+        if slack_ok and float(x_clean @ x_clean) <= float(x @ x) + 1e-9:
+            x = x_clean
 
     forces[idx] = x.reshape(k, 3)
     r = A @ x - wrench

@@ -95,19 +95,21 @@ def euler_rate_to_omega(euler) -> np.ndarray:
     )
 
 
-def omega_to_euler_rates(euler, omega, rate_map=None) -> np.ndarray:
+def omega_to_euler_rates(euler, omega) -> np.ndarray:
     """Euler-angle rates giving the world angular velocity ``omega``.
 
-    ``rate_map`` is ``euler_rate_to_omega(euler)`` where the caller already
-    holds it (:attr:`BodyState.euler_rate_map`); it is built here otherwise.
+    The closed-form inverse of :func:`euler_rate_to_omega`.
     """
+    pitch, yaw = float(euler[1]), float(euler[2])
+    cp = math.cos(pitch)
     # guard the pitch singularity (the map's determinant is -cos(pitch));
     # failure thresholds sit well inside it
-    if abs(math.cos(float(euler[1]))) < 1e-8:
+    if abs(cp) < 1e-8:
         return np.zeros(3)
-    if rate_map is None:
-        rate_map = euler_rate_to_omega(euler)
-    return np.linalg.solve(rate_map, omega)
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    wx, wy, wz = np.asarray(omega, dtype=float).tolist()
+    roll_rate = (cy * wx + sy * wy) / cp
+    return np.array([roll_rate, sy * wx - cy * wy, wz - math.sin(pitch) * roll_rate])
 
 
 @dataclass(frozen=True)
@@ -211,15 +213,17 @@ def step(state: BodyState, contact: ContactForceSet, params: RobotParams, dt: fl
             moment += _cross(lever[leg], contact.forces[leg])
 
     accel = params.gravity * _GRAV_DIR + f_total / params.mass
+    # the body inertia I is diagonal, so the world inertia R diag(I) R^T has
+    # the inverse R diag(1/I) R^T; v @ rot is R^T v
     rot = state.rotation
-    inertia_w = rot @ params.inertia @ rot.T
-    gyro = _cross(state.omega, inertia_w @ state.omega)
-    omega_dot = np.linalg.solve(inertia_w, moment - gyro)
+    inertia = params.inertia.diagonal()
+    gyro = _cross(state.omega, rot @ ((state.omega @ rot) * inertia))
+    omega_dot = rot @ (((moment - gyro) @ rot) / inertia)
 
     velocity = state.velocity + accel * dt
     position = state.position + velocity * dt
     omega = state.omega + omega_dot * dt
-    rates = omega_to_euler_rates(state.euler, omega, state.euler_rate_map)
+    rates = omega_to_euler_rates(state.euler, omega)
     euler = state.euler + rates * dt
     return BodyState(position=position, velocity=velocity, euler=euler, omega=omega)
 
@@ -298,11 +302,16 @@ class SteadyGait:
 
 
 class FsmGaitSupplier:
-    """Gait source backed by a :class:`GaitFsm`, with a stride-boundary hook."""
+    """Gait source backed by a :class:`GaitFsm`, with a stride-boundary hook.
 
-    def __init__(self, fsm: GaitFsm, on_stride=None):
+    With a ``trace`` list, each :meth:`advance` appends the row (time,
+    pattern, current gait, active action id or "") of the machine that runs.
+    """
+
+    def __init__(self, fsm: GaitFsm, on_stride=None, trace: list | None = None):
         self.fsm = fsm
         self._on_stride = on_stride
+        self._trace = trace
 
     @property
     def period(self) -> float:
@@ -317,7 +326,11 @@ class FsmGaitSupplier:
         return self.fsm.action_windows
 
     def advance(self, dt: float) -> GaitPattern:
-        return self.fsm.advance(dt)
+        pattern = self.fsm.advance(dt)
+        if self._trace is not None:
+            fsm = self.fsm
+            self._trace.append((fsm.time, pattern, fsm.current, fsm.active_action or ""))
+        return pattern
 
     def on_stride_boundary(self, stride_idx: int, state: BodyState, t: float) -> None:
         if self._on_stride is not None:
@@ -621,7 +634,7 @@ def run_trial(
                 state.velocity.copy(),
                 state.euler.copy(),
                 state.omega.copy(),
-                omega_to_euler_rates(state.euler, state.omega, state.euler_rate_map),
+                omega_to_euler_rates(state.euler, state.omega),
                 foot_pos.copy(),
             )
         )

@@ -21,7 +21,7 @@ from .mapping import (
     select_gait_hysteretic,
     trial_outcome,
 )
-from .metrics import MetricsConfig
+from .metrics import MetricsConfig, UndefinedDisplacementError
 from .metrics import stride_metrics  # noqa: F401  (wrapped by perfbench/tracing.py)
 from .robot import RobotParams, Terrain
 from .simulation import SimConfig, TrialResult, run_trial
@@ -216,6 +216,8 @@ def compare(
 ) -> list[ComparisonRow]:
     """Paired-trial comparison: same velocity and initial-state randomness per
     trial index across all strategies; per-trial metrics clamped on failure.
+    A trial that raises :class:`UndefinedDisplacementError` (no CoT) scores
+    as a fall; every other error propagates.
 
     ``trial_hook(strategy, velocity, trial_idx) -> (cot, stb, failed)`` can be
     injected for synthetic harnesses.
@@ -245,9 +247,8 @@ def compare(
                         duration=duration, rng=rng, timing=timing,
                     )
                     c_val, s_val, failed = trial_outcome(result, terrain, params, metrics)
-                except StrategyError:
-                    raise  # misconfiguration, not a trial outcome
-                except ValueError:
+                except UndefinedDisplacementError:
+                    # no displacement, no CoT: an outcome, not a bug
                     c_val, s_val, failed = metrics.cot_bound, metrics.stb_bound, True
             cots.append(c_val)
             stbs.append(s_val)

@@ -1,8 +1,10 @@
+import csv
 import json
 import math
 
 import pytest
 
+from gaitkit import strategy
 from gaitkit.cli import main
 
 
@@ -84,6 +86,27 @@ def test_transition_demo_trot_to_run_chain(tmp_path):
     events = json.loads((out / "events.json").read_text())
     assert events["events"][0]["chain"] == ["a12", "a23"]
     assert (out / "sim_series.csv").exists()
+
+
+@pytest.mark.parametrize("target, code", [("walk", 0), ("run", 2)])
+def test_transition_trace_is_the_schedule_that_ran(tmp_path, target, code):
+    out = tmp_path / "demo"
+    assert main([
+        "transition-demo", "--from", "trot", "--to", target, "--velocity", "1.2",
+        "--out", str(out), "--seed", "2",
+    ]) == code
+    with open(out / "transition_trace.csv", newline="") as fh:
+        trace = list(csv.DictReader(fh))
+    with open(out / "sim_series.csv", newline="") as fh:
+        series = list(csv.DictReader(fh))
+    # one row per simulated step, the step of a fall included, none after it
+    assert len(trace) == len(series)
+    assert float(trace[-1]["time_s"]) == pytest.approx(float(series[-1]["time_s"]) + 0.002)
+    # the switch starts after the stride boundary where it was requested
+    event = json.loads((out / "events.json").read_text())["events"][0]
+    first = next(row for row in trace if row["action"])
+    assert float(first["time_s"]) >= event["time"]
+    assert first["action"] == event["chain"][0]
 
 
 def test_transition_demo_self_is_noop(tmp_path):
@@ -272,3 +295,17 @@ def test_compare_honours_config_metrics_weights(tmp_path):
     weighted = run("weighted", {"metrics": {"weights": [2.0, 1.0, 1.0, 0.3]}})
     assert weighted != default
     assert default.splitlines()[1].endswith(",1,1")
+
+
+def test_compare_exits_one_on_a_programming_error(tmp_path, monkeypatch):
+    # a ValueError that is not a trial outcome must not be scored as a fall
+    def broken(*args, **kwargs):
+        raise ValueError("a programming error")
+
+    monkeypatch.setattr(strategy, "run_strategy", broken)
+    out = tmp_path / "cmp.csv"
+    assert main([
+        "compare", "--terrain", "flat", "--strategy", "fixed:trot", "--trials", "1",
+        "--out", str(out),
+    ]) == 1
+    assert not out.exists()

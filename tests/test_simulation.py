@@ -1,9 +1,13 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
+import gaitkit.simulation as simulation
+from gaitkit import forces
 from gaitkit.gaits import GaitName, LegId, standard_gait
+from gaitkit.mapping import MapConfig, build_map
 from gaitkit.robot import RobotParams, terrain_preset
 from gaitkit.simulation import (
     BodyState,
@@ -257,6 +261,62 @@ def test_logged_forces_respect_cone_and_swing_zero():
         assert np.all(fn >= -1e-9)
         assert np.all(np.abs(forces[..., 0][stance]) <= mu * fn + 1e-9)
         assert np.all(np.abs(forces[..., 1][stance]) <= mu * fn + 1e-9)
+
+
+def _cone_violation(force, normal, mu, f_max):
+    """Largest excess of one foot force over its pyramid faces and normal bounds."""
+    n = normal / np.linalg.norm(normal)
+    helper = np.array([0.0, 1.0, 0.0]) if abs(n[0]) > 0.9 else np.array([1.0, 0.0, 0.0])
+    t1 = np.cross(n, helper)
+    t1 /= np.linalg.norm(t1)
+    t2 = np.cross(n, t1)
+    fn = force @ n
+    return max(-fn, fn - f_max, abs(force @ t1) - mu * fn, abs(force @ t2) - mu * fn)
+
+
+class _DistributionLog:
+    """Wraps the simulator's distribute_forces and keeps inputs and results."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        distribute = simulation.distribute_forces
+
+        def recorded(wrench, feet, stance, com, mu, f_max, normals):
+            dist = distribute(wrench, feet, stance, com, mu, f_max, normals)
+            self.calls.append((dist, np.array(normals), mu, f_max))
+            return dist
+
+        monkeypatch.setattr(simulation, "distribute_forces", recorded)
+
+
+def test_degenerate_working_sets_keep_forces_in_the_cone(monkeypatch):
+    # a falling run trial whose QP met faces dependent on its working set:
+    # at x = 0 the pyramid faces and f_n >= 0 of a foot all pass through the
+    # origin, and adding them made the KKT matrix singular (forces 103 N
+    # outside the cone)
+    log = _DistributionLog(monkeypatch)
+    run_trial(
+        standard_gait(GaitName.RUN), 0.7, terrain_preset("flat-slope"), 1.5,
+        SimConfig(seed=3), start_x=2.4,
+    )
+    assert len(log.calls) > 100
+    worst = max(
+        _cone_violation(dist.forces[leg], normals[leg], mu, f_max)
+        for dist, normals, mu, f_max in log.calls
+        for leg in np.flatnonzero(dist.stance)
+    )
+    assert worst <= 1e-9
+
+    # the map-sweep cells: 5 gaits x 0.7/1.7 m/s on flat and slope12, one
+    # trial each (a bound trial on slope12 ran into max_iter)
+    log.calls.clear()
+    cfg = MapConfig(v_min=0.7, v_max=1.7, v_step=1.0, trials=1, strides=1,
+                    warmup_strides=1)
+    for name in ("flat", "slope12"):
+        build_map(terrain_preset(name), cfg, seed=931000)
+    max_iter = inspect.signature(forces.solve_qp).parameters["max_iter"].default
+    assert len(log.calls) > 1000
+    assert max(dist.iterations for dist, *_ in log.calls) < max_iter
 
 
 def test_determinism_bit_identical():

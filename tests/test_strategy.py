@@ -2,9 +2,10 @@ import dataclasses
 
 import pytest
 
+from gaitkit import strategy
 from gaitkit.gaits import GaitName
 from gaitkit.mapping import MapConfig, build_map
-from gaitkit.metrics import COT_BOUND, STB_BOUND, MetricsConfig
+from gaitkit.metrics import COT_BOUND, STB_BOUND, MetricsConfig, UndefinedDisplacementError
 from gaitkit.robot import terrain_preset
 from gaitkit.simulation import SimConfig
 from gaitkit.strategy import (
@@ -248,3 +249,23 @@ def test_compare_on_terrain_without_course_end_scores_survivors():
                    seed=3, duration=3.0)
     assert rows[0].successes == 2
     assert rows[0].cot < COT_BOUND and rows[0].stb < STB_BOUND
+
+
+def test_compare_scores_undefined_displacement_as_a_fall(monkeypatch):
+    # a trial without displacement has no CoT; it scores the configured bounds
+    def standing(*args, **kwargs):
+        raise UndefinedDisplacementError("no displacement")
+
+    monkeypatch.setattr(strategy, "run_strategy", standing)
+    rows = compare([FixedGait(GaitName.TROT)], terrain_preset("flat"), 2, (0.8, 1.0),
+                   metrics=MetricsConfig(cot_bound=2.0, stb_bound=3.0))
+    assert (rows[0].cot, rows[0].stb, rows[0].successes) == (2.0, 3.0, 0)
+
+
+def test_compare_propagates_other_value_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("a programming error")
+
+    monkeypatch.setattr(strategy, "run_strategy", broken)
+    with pytest.raises(ValueError, match="a programming error"):
+        compare([FixedGait(GaitName.TROT)], terrain_preset("flat"), 1, (0.8, 1.0))
