@@ -202,15 +202,32 @@ def swing_acceleration(
 
 
 def step(state: BodyState, contact: ContactForceSet, params: RobotParams, dt: float) -> BodyState:
-    """Semi-implicit Euler update of the trunk rigid-body dynamics."""
+    """Semi-implicit Euler update of the trunk rigid-body dynamics.
+
+    The validating entry point: it checks ``dt``, and ``contact`` checked on
+    construction that swing legs carry zero force. :func:`run_trial` calls the
+    same integrator without building a :class:`ContactForceSet` and so skips
+    that check: its forces are zero on swing legs by construction (the force
+    QP returns zero rows off stance, and torque saturation only scales rows).
+    """
     if dt <= 0.0 or dt > 0.002 + 1e-12:
         raise ValueError("integration step must lie in (0, 2 ms]")
-    f_total = contact.forces.sum(axis=0)
-    lever = contact.foot_positions - state.position
+    return _integrate(
+        state, contact.forces, contact.stance, contact.foot_positions, params, dt
+    )
+
+
+def _integrate(
+    state: BodyState, forces, stance, foot_positions, params: RobotParams, dt: float
+) -> BodyState:
+    """The body of :func:`step`, on world forces (4, 3), stance flags (4,) and
+    foot points (4, 3); nothing is validated or kept."""
+    f_total = forces.sum(axis=0)
+    lever = foot_positions - state.position
     moment = np.zeros(3)
     for leg in range(4):
-        if contact.stance[leg]:
-            moment += _cross(lever[leg], contact.forces[leg])
+        if stance[leg]:
+            moment += _cross(lever[leg], forces[leg])
 
     accel = params.gravity * _GRAV_DIR + f_total / params.mass
     # the body inertia I is diagonal, so the world inertia R diag(I) R^T has
@@ -247,7 +264,14 @@ def swing_torques(
 
 @dataclass
 class StrideLog:
-    """Sampled time series over one stride plus per-stride aggregates."""
+    """Sampled time series over one stride plus per-stride aggregates.
+
+    In the strides :func:`run_trial` returns, each array is a view of one
+    buffer per field that holds every step of the trial, not a copy; the
+    strides of one trial are disjoint row ranges of those buffers, so they
+    never overlap, and writing into one stride changes no other. A stride
+    keeps its trial's whole buffer alive.
+    """
 
     time: np.ndarray  # (n,)
     torques: np.ndarray  # (n, 12) per-leg (abduction, hip, knee), LegId order
@@ -338,36 +362,54 @@ class FsmGaitSupplier:
 
 
 class _StrideAccumulator:
-    def __init__(self) -> None:
-        self.rows: list = []
+    """Step rows of one trial, written in place into buffers sized once per
+    trial, with the counters of the open stride; a stride is the row range
+    ``[start, end)``."""
+
+    def __init__(self, n: int) -> None:
+        self.time = np.empty(n)
+        self.torques = np.empty((n, 4, 3))
+        self.joint_velocities = np.empty((n, 4, 3))
+        self.forces = np.empty((n, 4, 3))
+        self.stance = np.empty((n, 4), dtype=bool)
+        self.position = np.empty((n, 3))
+        self.velocity = np.empty((n, 3))
+        self.euler = np.empty((n, 3))
+        self.omega = np.empty((n, 3))
+        self.euler_rates = np.empty((n, 3))
+        self.foot_positions = np.empty((n, 4, 3))
+        self.start = 0
         self.start_time = 0.0
         self.start_pos: np.ndarray | None = None
         self.slips = 0
         self.flags = 0
 
-    def reset(self, t: float, pos: np.ndarray) -> None:
-        self.rows = []
+    def reset(self, row: int, t: float, pos: np.ndarray) -> None:
+        self.start = row
         self.start_time = t
         self.start_pos = pos.copy()
         self.slips = 0
         self.flags = 0
 
-    def close(self, t: float, pos: np.ndarray, v_cmd: float, failed: bool, complete: bool) -> StrideLog | None:
-        if not self.rows:
+    def close(
+        self, end: int, t: float, pos: np.ndarray, v_cmd: float, failed: bool, complete: bool
+    ) -> StrideLog | None:
+        """The stride of rows ``[start, end)`` as views of the trial buffers."""
+        if end <= self.start:
             return None
-        cols = list(zip(*self.rows))
+        rows = slice(self.start, end)
         return StrideLog(
-            time=np.array(cols[0]),
-            torques=np.array(cols[1]),
-            joint_velocities=np.array(cols[2]),
-            forces=np.array(cols[3]),
-            stance=np.array(cols[4]),
-            position=np.array(cols[5]),
-            velocity=np.array(cols[6]),
-            euler=np.array(cols[7]),
-            omega=np.array(cols[8]),
-            euler_rates=np.array(cols[9]),
-            foot_positions=np.array(cols[10]),
+            time=self.time[rows],
+            torques=self.torques[rows].reshape(-1, 12),
+            joint_velocities=self.joint_velocities[rows].reshape(-1, 12),
+            forces=self.forces[rows],
+            stance=self.stance[rows],
+            position=self.position[rows],
+            velocity=self.velocity[rows],
+            euler=self.euler[rows],
+            omega=self.omega[rows],
+            euler_rates=self.euler_rates[rows],
+            foot_positions=self.foot_positions[rows],
             v_cmd=v_cmd,
             delta_s=float(np.linalg.norm(pos - self.start_pos)),
             t_f=t - self.start_time,
@@ -398,6 +440,11 @@ def run_trial(
     or any supplier with ``advance(dt)`` / ``on_stride_boundary(...)``. Logs
     are segmented per stride; the trial ends early on failure (attitude or
     height threshold) or when the body passes ``finish_x``.
+
+    Every step writes one row of per-trial buffers sized for ``duration``,
+    and each returned :class:`StrideLog` holds views of the rows of its
+    stride: the strides partition the steps run, in order, with no gap, no
+    overlap and no empty stride.
     """
     config = config or SimConfig()
     params = params or RobotParams()
@@ -475,15 +522,16 @@ def run_trial(
     failed = False
     finished = False
     strides: list[StrideLog] = []
-    acc = _StrideAccumulator()
-    acc.reset(0.0, state.position)
+    n_steps = int(round(duration / dt))
+    acc = _StrideAccumulator(n_steps)
+    acc.reset(0, 0.0, state.position)
 
     # the ground under the body; after each step it is resampled for the
     # failure check and serves the next step
     body_samp = terrain.query(state.position[0])
-    n_steps = int(round(duration / dt))
     t = 0.0
-    for _ in range(n_steps):
+    rows = 0  # steps run, each logged in its row
+    for row in range(n_steps):
         pattern = supplier.advance(dt)
         beta = pattern.beta
         swing_time_full = (1.0 - beta) * period
@@ -623,26 +671,20 @@ def run_trial(
                     foot_acc_world[leg] *= scale
                     acc.flags += 1
 
-        acc.rows.append(
-            (
-                t,
-                torques.reshape(12).copy(),
-                qdot.reshape(12).copy(),
-                applied_forces.copy(),
-                eff_stance.copy(),
-                state.position.copy(),
-                state.velocity.copy(),
-                state.euler.copy(),
-                state.omega.copy(),
-                omega_to_euler_rates(state.euler, state.omega),
-                foot_pos.copy(),
-            )
-        )
+        acc.time[row] = t
+        acc.torques[row] = torques
+        acc.joint_velocities[row] = qdot
+        acc.forces[row] = applied_forces
+        acc.stance[row] = eff_stance
+        acc.position[row] = state.position
+        acc.velocity[row] = state.velocity
+        acc.euler[row] = state.euler
+        acc.omega[row] = state.omega
+        acc.euler_rates[row] = omega_to_euler_rates(state.euler, state.omega)
+        acc.foot_positions[row] = foot_pos
+        rows = row + 1
 
-        contact = ContactForceSet(
-            forces=applied_forces, stance=eff_stance, foot_positions=foot_pos.copy()
-        )
-        state = step(state, contact, params, dt)
+        state = _integrate(state, applied_forces, eff_stance, foot_pos, params, dt)
         t += dt
 
         try:
@@ -662,10 +704,10 @@ def run_trial(
         phase += dt / period
         if phase >= 1.0 - 1e-9:
             phase -= 1.0
-            log = acc.close(t, state.position, v_cmd, failed=False, complete=True)
+            log = acc.close(rows, t, state.position, v_cmd, failed=False, complete=True)
             if log is not None:
                 strides.append(log)
-            acc.reset(t, state.position)
+            acc.reset(rows, t, state.position)
             stride_idx += 1
             supplier.on_stride_boundary(stride_idx, state, t)
 
@@ -673,7 +715,7 @@ def run_trial(
             finished = True
             break
 
-    log = acc.close(t, state.position, v_cmd, failed=failed, complete=False)
+    log = acc.close(rows, t, state.position, v_cmd, failed=failed, complete=False)
     if log is not None:
         strides.append(log)
     if failed and strides:

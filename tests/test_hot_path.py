@@ -46,6 +46,7 @@ from gaitkit.simulation import (
     swing_acceleration,
     swing_trajectory,
 )
+from gaitkit.transitions import GaitFsm
 
 PRESETS = ("flat", "slope12", "flat-slope", "continuous-slope", "up-down-slope")
 
@@ -401,6 +402,137 @@ def test_trot_step_makes_one_solve_no_lstsq_and_one_euler_rate_map(monkeypatch):
     assert counts["solve"] / n_steps <= 1.0
     assert counts["lstsq"] == 0
     assert counts["rate_map"] / n_steps <= 1.0
+
+
+def test_trot_step_builds_no_contact_force_set(monkeypatch):
+    built = []
+    check = ContactForceSet.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(ContactForceSet, "__post_init__", counted)
+    ContactForceSet(
+        forces=np.zeros((4, 3)), stance=np.zeros(4, dtype=bool), foot_positions=np.zeros((4, 3))
+    )
+    assert len(built) == 1
+    built.clear()
+    result = run_trial(
+        standard_gait(GaitName.TROT), 1.2, terrain_preset("flat"), 1.2, SimConfig(seed=3)
+    )
+    assert not result.failed
+    assert built == []
+
+
+class _IntegratorLog:
+    """Wraps run_trial's rigid-body integrator and keeps a copy of the state,
+    applied forces, stance flags and foot points of every step."""
+
+    FIELDS = ("position", "velocity", "euler", "omega", "forces", "stance", "foot_positions")
+
+    def __init__(self, monkeypatch):
+        self.rows = []
+        integrate = simulation._integrate
+
+        def recorded(state, forces, stance, feet, params, dt):
+            self.rows.append(
+                tuple(
+                    np.array(a)
+                    for a in (state.position, state.velocity, state.euler, state.omega,
+                              forces, stance, feet)
+                )
+            )
+            return integrate(state, forces, stance, feet, params, dt)
+
+        monkeypatch.setattr(simulation, "_integrate", recorded)
+
+
+def _steady_trot(log):
+    return _trot_on("flat", 0.0, 1.2)
+
+
+def _falling_bound(log):
+    result = run_trial(
+        standard_gait(GaitName.BOUND), 1.7, terrain_preset("flat"), 1.2, SimConfig(seed=3)
+    )
+    assert result.failed and not result.strides[-1].complete
+    return result
+
+
+def _fsm_trot_to_walk(log):
+    def on_stride(supplier, idx, body, t):
+        if idx == 2:
+            supplier.fsm.request(GaitName.WALK)
+
+    result = run_trial(
+        GaitFsm(GaitName.TROT), 0.8, terrain_preset("flat"), 3.0,
+        SimConfig(seed=2), on_stride=on_stride,
+    )
+    assert result.events and not result.failed
+    return result
+
+
+def _finish_on_stride_boundary(log):
+    # the body reaches finish_x in the step that closes the second stride
+    free = _trot_on("flat", 0.0, 1.2)
+    finish_x = float(free.strides[2].position[0, 0])
+    log.rows.clear()
+    result = run_trial(
+        standard_gait(GaitName.TROT), 1.2, terrain_preset("flat"), 1.2, SimConfig(seed=3),
+        finish_x=finish_x,
+    )
+    assert result.finished_course and len(result.strides) == 2
+    assert all(s.complete for s in result.strides)
+    return result
+
+
+def _one_step_nan_fall(log):
+    bad = BodyState(
+        position=np.array([0.0, 0.0, 0.32]),
+        velocity=np.array([math.nan, 0.0, 0.0]),
+        euler=np.zeros(3),
+        omega=np.zeros(3),
+    )
+    quiet = dataclasses.replace(SimConfig(), attitude_jitter=0.0, velocity_jitter=0.0)
+    result = run_trial(
+        standard_gait(GaitName.TROT), 1.0, terrain_preset("flat"), 2.0, quiet,
+        rng=np.random.default_rng(0), initial_state=bad,
+    )
+    assert result.failed and len(log.rows) == 1
+    return result
+
+
+@pytest.mark.parametrize(
+    "trial",
+    [_steady_trot, _falling_bound, _fsm_trot_to_walk, _finish_on_stride_boundary,
+     _one_step_nan_fall],
+    ids=["steady-trot", "falling-bound", "fsm-trot-walk", "finish-on-boundary", "nan-fall"],
+)
+def test_stride_logs_are_the_rows_the_integrator_received(monkeypatch, trial):
+    log = _IntegratorLog(monkeypatch)
+    result = trial(log)
+    strides = result.strides
+    # the strides partition the steps run: each step's row once, in order
+    assert strides and all(s.time.shape[0] > 0 for s in strides)
+    assert sum(s.time.shape[0] for s in strides) == len(log.rows)
+    want = dict(zip(_IntegratorLog.FIELDS, (np.stack(col) for col in zip(*log.rows))))
+    for name, rows in want.items():
+        assert _same_bits(np.concatenate([getattr(s, name) for s in strides]), rows), name
+    rates = [omega_to_euler_rates(e, w) for e, w in zip(want["euler"], want["omega"])]
+    assert _same_bits(np.concatenate([s.euler_rates for s in strides]), np.stack(rates))
+    times, t = [], 0.0
+    for _ in log.rows:
+        times.append(t)
+        t += SimConfig().dt
+    assert _same_bits(np.concatenate([s.time for s in strides]), np.array(times))
+    assert result.end_time == t
+    for s in strides:
+        assert s.torques.shape == s.joint_velocities.shape == (s.time.shape[0], 12)
+    arrays = _IntegratorLog.FIELDS + ("time", "torques", "joint_velocities", "euler_rates")
+    for a, b in itertools.combinations(strides, 2):
+        for name in arrays:
+            assert not np.shares_memory(getattr(a, name), getattr(b, name)), name
 
 
 def _reference_swing_trajectory(s, lift_point, target_point, apex):

@@ -246,12 +246,26 @@ def test_nan_state_ends_the_trial_as_a_fall():
     assert res.strides[-1].failed
 
 
-def test_logged_forces_respect_cone_and_swing_zero():
+@pytest.mark.parametrize(
+    "gait, v_cmd, falls",
+    [
+        (GaitName.WALK, 0.7, False),
+        (GaitName.TROT, 1.3, False),
+        (GaitName.BOUND, 1.7, True),
+        (GaitName.RUN, 1.7, True),
+        (GaitName.TROT_RUN, 1.3, False),
+    ],
+    ids=["walk", "trot", "bound-falls", "run-falls", "trot_run"],
+)
+def test_logged_forces_respect_cone_and_swing_zero(gait, v_cmd, falls):
+    # run_trial skips ContactForceSet's swing-force check: the logged forces
+    # are the ones integrated, so swing rows must hold exactly zero here
     terrain = terrain_preset("flat")
     res = run_trial(
-        standard_gait(GaitName.TROT_RUN), 1.3, terrain, 2.8, SimConfig(), PARAMS,
+        standard_gait(gait), v_cmd, terrain, 2.8, SimConfig(), PARAMS,
         rng=np.random.default_rng(8),
     )
+    assert res.failed == falls
     mu = 0.7
     for log in res.strides:
         stance = log.stance
