@@ -45,7 +45,6 @@ from .robot import (
 from .forces import ForceDistribution, distribute_forces
 from .simulation import (
     BodyState,
-    ContactForceSet,
     SimConfig,
     StrideLog,
     TrialResult,

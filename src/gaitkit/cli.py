@@ -8,6 +8,7 @@ failed (outputs are still written).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from .gaits import GaitName, standard_gait
 from .io import RunManifest, stride_logs_to_csv, stride_summary, write_json
 from .mapping import VelocityGaitMap, build_map
 from .metrics import UndefinedDisplacementError, stride_metrics
-from .simulation import FsmGaitSupplier, run_trial
+from .simulation import run_trial
 from .strategy import (
     FixedGait,
     MultiGait,
@@ -63,8 +64,6 @@ def _manifest(args, command: str, outputs: list[str]) -> RunManifest:
 
 
 def _sim_config(cfg: ToolkitConfig, args) -> ToolkitConfig:
-    import dataclasses
-
     sim = cfg.sim
     if getattr(args, "seed", None) is not None:
         sim = dataclasses.replace(sim, seed=args.seed)
@@ -118,6 +117,20 @@ def cmd_simulate(args) -> int:
     return EXIT_SIM_FAILURE if result.failed else EXIT_OK
 
 
+class _TracedFsm(GaitFsm):
+    """A gait machine that keeps the parameter schedule it ran: one row of
+    (time, pattern, current gait, active action id or "") per advance."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.trace: list = []
+
+    def advance(self, dt: float):
+        pattern = super().advance(dt)
+        self.trace.append((self.time, pattern, self.current, self.active_action or ""))
+        return pattern
+
+
 def cmd_transition_demo(args) -> int:
     cfg = _sim_config(load_config(args.config), args)
     source = GaitName.parse(args.from_gait)
@@ -130,24 +143,22 @@ def cmd_transition_demo(args) -> int:
     )
     duration = (2 * settle) * period + chain_time + period
 
-    fsm = GaitFsm(
+    fsm = _TracedFsm(
         source,
         period=period,
         switch_time=cfg.gait.switch_time,
         dwell_strides=cfg.gait.dwell_strides,
     )
 
-    def on_stride(supplier, stride_idx, body, t):
+    def on_stride(stride_idx, body, t):
         if stride_idx == settle:
-            supplier.fsm.request(target)
+            fsm.request(target)
 
     terrain = cfg.terrain("flat")
     rng = np.random.default_rng((cfg.sim.seed, 1))
-    # the parameter schedule of the machine that ran, one row per step
-    rows: list = []
     result = run_trial(
-        FsmGaitSupplier(fsm, on_stride, trace=rows), args.velocity, terrain, duration,
-        cfg.sim, cfg.robot, rng=rng,
+        fsm, args.velocity, terrain, duration, cfg.sim, cfg.robot, rng=rng,
+        on_stride=on_stride,
     )
 
     out = Path(args.out)
@@ -156,7 +167,7 @@ def cmd_transition_demo(args) -> int:
     trace_path = out / "transition_trace.csv"
     events_path = out / "events.json"
     _write_demo_series(result, series_path)
-    write_transition_trace(trace_path, rows)
+    write_transition_trace(trace_path, fsm.trace)
 
     manifest = _manifest(
         args, "transition-demo", [str(series_path), str(trace_path), str(events_path)]
@@ -218,25 +229,17 @@ def _write_demo_series(result, path) -> None:
 
 
 def cmd_build_map(args) -> int:
-    import dataclasses
-
     cfg = _sim_config(load_config(args.config), args)
     terrains = [cfg.terrain(t) for t in (args.terrain or ["flat"])]
-    map_cfg = cfg.map
-    overrides = {}
-    if args.v_min is not None:
-        overrides["v_min"] = args.v_min
-    if args.v_max is not None:
-        overrides["v_max"] = args.v_max
-    if args.v_step is not None:
-        overrides["v_step"] = args.v_step
+    # each flag named after a map field overrides it; repeated --c flags fill c_values
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(cfg.map)
+        if getattr(args, f.name, None) is not None
+    }
     if args.c:
         overrides["c_values"] = tuple(args.c)
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.strides is not None:
-        overrides["strides"] = args.strides
-    map_cfg = dataclasses.replace(map_cfg, **overrides)
+    map_cfg = dataclasses.replace(cfg.map, **overrides)
 
     result = None
     for terrain in terrains:

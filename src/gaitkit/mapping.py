@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .gaits import GaitName, standard_gait
-from .metrics import MetricsConfig, stride_metrics
+from .metrics import MetricsConfig, UndefinedDisplacementError, stride_metrics
 from .robot import RobotParams, Terrain
 from .simulation import SimConfig, TrialResult, run_trial
 from .transitions import GaitTimingConfig
@@ -240,8 +240,9 @@ def trial_outcome(
 ) -> tuple[float, float, bool]:
     """Per-trial (mean CoT, mean STB, failed) over at most ``strides`` usable strides.
 
-    A trial fails when it fell, missed its finish line or left no complete
-    stride after the warm-up; a failed trial scores the configured bounds.
+    A trial fails when it fell, missed its finish line, left no complete
+    stride after the warm-up or has a usable stride without displacement (no
+    displacement, no CoT); a failed trial scores the configured bounds.
     """
     metrics = metrics or MetricsConfig()
     usable = [
@@ -252,9 +253,12 @@ def trial_outcome(
     weights = metrics.stb_weights()
     cots, stbs = [], []
     for log in usable:
-        m = stride_metrics(log, terrain, params.mass, (), weights, params.gravity,
-                           clamp=metrics.clamp_unfailed, cot_bound=metrics.cot_bound,
-                           stb_bound=metrics.stb_bound)
+        try:
+            m = stride_metrics(log, terrain, params.mass, (), weights, params.gravity,
+                               clamp=metrics.clamp_unfailed, cot_bound=metrics.cot_bound,
+                               stb_bound=metrics.stb_bound)
+        except UndefinedDisplacementError:
+            return metrics.cot_bound, metrics.stb_bound, True
         cots.append(m.cot)
         stbs.append(m.stb)
     return float(np.mean(cots)), float(np.mean(stbs)), False

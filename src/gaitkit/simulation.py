@@ -6,6 +6,11 @@ which makes swing effort (and hence the duty factor) show up in the energy
 accounting. Swing feet follow a cycloidal arch toward a capture-style
 touchdown point; stance feet are pinned to the terrain.
 
+A trial's gait comes from one of two sources: a :class:`GaitPattern` held for
+the whole trial, or a :class:`GaitFsm` advanced once per step, which switches
+gaits when it is asked to at a stride boundary. Every step ends in one call of
+the rigid-body integrator :func:`step`.
+
 Angle convention: euler = (roll, pitch, yaw) with pitch positive nose-up, so
 a body aligned to an uphill slope has pitch equal to the terrain inclination.
 """
@@ -52,13 +57,6 @@ class BodyState:
         rot = rotation_matrix(self.euler)
         rot.flags.writeable = False
         return rot
-
-    @cached_property
-    def euler_rate_map(self) -> np.ndarray:
-        """Euler-rate-to-omega map of ``euler``; built once, read-only."""
-        rate_map = euler_rate_to_omega(self.euler)
-        rate_map.flags.writeable = False
-        return rate_map
 
     @property
     def roll(self) -> float:
@@ -110,20 +108,6 @@ def omega_to_euler_rates(euler, omega) -> np.ndarray:
     wx, wy, wz = np.asarray(omega, dtype=float).tolist()
     roll_rate = (cy * wx + sy * wy) / cp
     return np.array([roll_rate, sy * wx - cy * wy, wz - math.sin(pitch) * roll_rate])
-
-
-@dataclass(frozen=True)
-class ContactForceSet:
-    """Per-leg world-frame contact forces with stance flags and foot points."""
-
-    forces: np.ndarray  # (4, 3)
-    stance: np.ndarray  # (4,) bool
-    foot_positions: np.ndarray  # (4, 3) world frame
-
-    def __post_init__(self) -> None:
-        swing = ~np.asarray(self.stance, dtype=bool)
-        if (np.abs(np.asarray(self.forces)[swing]) > 0.0).any():
-            raise ValueError("swing legs must carry exactly zero force")
 
 
 @dataclass(frozen=True)
@@ -201,27 +185,19 @@ def swing_acceleration(
     )
 
 
-def step(state: BodyState, contact: ContactForceSet, params: RobotParams, dt: float) -> BodyState:
+def step(
+    state: BodyState, forces, stance, foot_positions, params: RobotParams, dt: float
+) -> BodyState:
     """Semi-implicit Euler update of the trunk rigid-body dynamics.
 
-    The validating entry point: it checks ``dt``, and ``contact`` checked on
-    construction that swing legs carry zero force. :func:`run_trial` calls the
-    same integrator without building a :class:`ContactForceSet` and so skips
-    that check: its forces are zero on swing legs by construction (the force
-    QP returns zero rows off stance, and torque saturation only scales rows).
+    ``forces`` are the world-frame foot forces (4, 3), ``stance`` the stance
+    flags (4,) and ``foot_positions`` the world foot points (4, 3); only
+    stance feet add a moment. Swing legs are expected to carry zero force:
+    in :func:`run_trial` they do by construction (the force QP returns zero
+    rows off stance, and torque saturation only scales rows).
     """
     if dt <= 0.0 or dt > 0.002 + 1e-12:
         raise ValueError("integration step must lie in (0, 2 ms]")
-    return _integrate(
-        state, contact.forces, contact.stance, contact.foot_positions, params, dt
-    )
-
-
-def _integrate(
-    state: BodyState, forces, stance, foot_positions, params: RobotParams, dt: float
-) -> BodyState:
-    """The body of :func:`step`, on world forces (4, 3), stance flags (4,) and
-    foot points (4, 3); nothing is validated or kept."""
     f_total = forces.sum(axis=0)
     lever = foot_positions - state.position
     moment = np.zeros(3)
@@ -306,61 +282,6 @@ class TrialResult:
     end_time: float
 
 
-class SteadyGait:
-    """Gait source that holds one pattern forever."""
-
-    def __init__(self, pattern: GaitPattern):
-        self._pattern = pattern
-        self.events: list = []
-        self.action_windows: list = []
-
-    @property
-    def period(self) -> float:
-        return self._pattern.period
-
-    def advance(self, dt: float) -> GaitPattern:
-        return self._pattern
-
-    def on_stride_boundary(self, stride_idx: int, state: BodyState, t: float) -> None:
-        pass
-
-
-class FsmGaitSupplier:
-    """Gait source backed by a :class:`GaitFsm`, with a stride-boundary hook.
-
-    With a ``trace`` list, each :meth:`advance` appends the row (time,
-    pattern, current gait, active action id or "") of the machine that runs.
-    """
-
-    def __init__(self, fsm: GaitFsm, on_stride=None, trace: list | None = None):
-        self.fsm = fsm
-        self._on_stride = on_stride
-        self._trace = trace
-
-    @property
-    def period(self) -> float:
-        return self.fsm.period
-
-    @property
-    def events(self) -> list:
-        return self.fsm.events
-
-    @property
-    def action_windows(self) -> list:
-        return self.fsm.action_windows
-
-    def advance(self, dt: float) -> GaitPattern:
-        pattern = self.fsm.advance(dt)
-        if self._trace is not None:
-            fsm = self.fsm
-            self._trace.append((fsm.time, pattern, fsm.current, fsm.active_action or ""))
-        return pattern
-
-    def on_stride_boundary(self, stride_idx: int, state: BodyState, t: float) -> None:
-        if self._on_stride is not None:
-            self._on_stride(self, stride_idx, state, t)
-
-
 class _StrideAccumulator:
     """Step rows of one trial, written in place into buffers sized once per
     trial, with the counters of the open stride; a stride is the row range
@@ -421,7 +342,7 @@ class _StrideAccumulator:
 
 
 def run_trial(
-    gait_source,
+    gait: GaitPattern | GaitFsm,
     v_cmd: float,
     terrain: Terrain,
     duration: float,
@@ -434,12 +355,16 @@ def run_trial(
     initial_state: BodyState | None = None,
     on_stride=None,
 ) -> TrialResult:
-    """Closed-loop trial: track ``v_cmd`` along the terrain under a gait source.
+    """Closed-loop trial: track ``v_cmd`` along the terrain under ``gait``.
 
-    ``gait_source`` may be a steady :class:`GaitPattern`, a :class:`GaitFsm`,
-    or any supplier with ``advance(dt)`` / ``on_stride_boundary(...)``. Logs
-    are segmented per stride; the trial ends early on failure (attitude or
-    height threshold) or when the body passes ``finish_x``.
+    ``gait`` is a :class:`GaitPattern`, held for the whole trial, or a
+    :class:`GaitFsm`, advanced by one ``dt`` per step; the trial's events and
+    action windows are the machine's (none for a pattern). Any other source
+    is a :class:`TypeError`. ``on_stride(stride_idx, state, t)``, when given,
+    is called at every stride boundary with the index of the stride that
+    starts, the body state and the time; it may request a gait from a machine
+    it holds. Logs are segmented per stride; the trial ends early on failure
+    (attitude or height threshold) or when the body passes ``finish_x``.
 
     Every step writes one row of per-trial buffers sized for ``duration``,
     and each returned :class:`StrideLog` holds views of the rows of its
@@ -452,13 +377,13 @@ def run_trial(
     if not 0.0 <= v_cmd <= 3.0:
         raise ValueError(f"commanded velocity {v_cmd} outside the supported [0, 3] m/s")
 
-    if isinstance(gait_source, GaitPattern):
-        supplier = SteadyGait(gait_source)
-    elif isinstance(gait_source, GaitFsm):
-        supplier = FsmGaitSupplier(gait_source, on_stride)
+    if isinstance(gait, GaitFsm):
+        fsm = gait
+    elif isinstance(gait, GaitPattern):
+        fsm = None
     else:
-        supplier = gait_source
-    period = supplier.period
+        raise TypeError(f"gait must be a GaitPattern or a GaitFsm, not {type(gait)}")
+    period = gait.period
 
     if duration < 3.0 * period - 1e-9:
         raise ValueError("trial duration must cover at least three strides")
@@ -532,7 +457,7 @@ def run_trial(
     t = 0.0
     rows = 0  # steps run, each logged in its row
     for row in range(n_steps):
-        pattern = supplier.advance(dt)
+        pattern = gait if fsm is None else fsm.advance(dt)
         beta = pattern.beta
         swing_time_full = (1.0 - beta) * period
         rot = state.rotation
@@ -634,7 +559,7 @@ def run_trial(
             + np.array([0.0, 0.0, params.mass * params.gravity * support_scale])
         )
         euler_des = np.array([0.0, incline_ref, 0.0])
-        m_des = state.euler_rate_map @ (
+        m_des = euler_rate_to_omega(state.euler) @ (
             kp_ang * (euler_des - state.euler)
         ) - kd_ang * state.omega
         wrench = np.concatenate([f_des, m_des])
@@ -684,7 +609,7 @@ def run_trial(
         acc.foot_positions[row] = foot_pos
         rows = row + 1
 
-        state = _integrate(state, applied_forces, eff_stance, foot_pos, params, dt)
+        state = step(state, applied_forces, eff_stance, foot_pos, params, dt)
         t += dt
 
         try:
@@ -709,7 +634,8 @@ def run_trial(
                 strides.append(log)
             acc.reset(rows, t, state.position)
             stride_idx += 1
-            supplier.on_stride_boundary(stride_idx, state, t)
+            if on_stride is not None:
+                on_stride(stride_idx, state, t)
 
         if finish_x is not None and state.position[0] >= finish_x:
             finished = True
@@ -723,8 +649,8 @@ def run_trial(
 
     return TrialResult(
         strides=strides,
-        events=list(supplier.events),
-        action_windows=list(supplier.action_windows),
+        events=[] if fsm is None else list(fsm.events),
+        action_windows=[] if fsm is None else list(fsm.action_windows),
         failed=failed,
         finished_course=finished or (finish_x is None and not failed),
         end_time=t,

@@ -21,7 +21,7 @@ from .mapping import (
     select_gait_hysteretic,
     trial_outcome,
 )
-from .metrics import MetricsConfig, UndefinedDisplacementError
+from .metrics import MetricsConfig
 from .metrics import stride_metrics  # noqa: F401  (wrapped by perfbench/tracing.py)
 from .robot import RobotParams, Terrain
 from .simulation import SimConfig, TrialResult, run_trial
@@ -133,55 +133,43 @@ def run_strategy(
         _standing_state(terrain, start_x, sim_cfg, rng) if standing_start else None
     )
 
-    if isinstance(strategy, FixedGait):
-        source = standard_gait(strategy.gait, period)
-        return run_trial(
-            source, v_cmd, terrain, duration, sim_cfg, params,
-            rng=rng, start_x=start_x, finish_x=finish_x,
-            initial_state=initial_state,
-        )
-
-    if isinstance(strategy, PerVelocityFixed):
-        start_kind = terrain.segment_at(start_x).kind
-        gait = select_gait(strategy.map, start_kind, v_cmd, strategy.c)
-        source = standard_gait(gait, period)
-        return run_trial(
-            source, v_cmd, terrain, duration, sim_cfg, params,
-            rng=rng, start_x=start_x, finish_x=finish_x,
-            initial_state=initial_state,
-        )
-
     start_kind = terrain.segment_at(start_x).kind
-    v0 = 0.0 if standing_start else v_cmd
-    initial = select_gait(strategy.map, start_kind, v0, strategy.c)
-    fsm = GaitFsm(initial, period=period, switch_time=timing.switch_time,
-                  dwell_strides=timing.dwell_strides)
-    hyst = HysteresisState(initial, v0, start_kind)
-    prev_mark = [0.0, np.array([start_x, 0.0, 0.0])]
+    on_stride = None
+    if isinstance(strategy, FixedGait):
+        gait = standard_gait(strategy.gait, period)
+    elif isinstance(strategy, PerVelocityFixed):
+        gait = standard_gait(select_gait(strategy.map, start_kind, v_cmd, strategy.c), period)
+    else:
+        v0 = 0.0 if standing_start else v_cmd
+        initial = select_gait(strategy.map, start_kind, v0, strategy.c)
+        fsm = GaitFsm(initial, period=period, switch_time=timing.switch_time,
+                      dwell_strides=timing.dwell_strides)
+        hyst = HysteresisState(initial, v0, start_kind)
+        prev_mark = [0.0, np.array([start_x, 0.0, terrain.query(start_x).height
+                                    + sim_cfg.nominal_height])]
 
-    def on_stride(supplier, stride_idx, body, t):
-        nonlocal hyst
-        dt = t - prev_mark[0]
-        v_meas = float(np.linalg.norm(body.position - prev_mark[1]) / dt) if dt > 0 else 0.0
-        prev_mark[0] = t
-        prev_mark[1] = body.position.copy()
-        kind = terrain.segment_at(
-            min(max(body.position[0], terrain.start_x), terrain.end_x)
-        ).kind
-        desired, hyst = select_gait_hysteretic(
-            strategy.map, kind, min(v_meas, v_cmd), strategy.c, hyst,
-            strategy.hysteresis_band,
-        )
-        if desired != supplier.fsm.current and not supplier.fsm.busy:
-            supplier.fsm.request(desired)
+        def on_stride(stride_idx, body, t):
+            nonlocal hyst
+            dt = t - prev_mark[0]
+            v_meas = float(np.linalg.norm(body.position - prev_mark[1]) / dt) if dt > 0 else 0.0
+            prev_mark[0] = t
+            prev_mark[1] = body.position.copy()
+            kind = terrain.segment_at(
+                min(max(body.position[0], terrain.start_x), terrain.end_x)
+            ).kind
+            desired, hyst = select_gait_hysteretic(
+                strategy.map, kind, min(v_meas, v_cmd), strategy.c, hyst,
+                strategy.hysteresis_band,
+            )
+            if desired != fsm.current and not fsm.busy:
+                fsm.request(desired)
 
-    prev_mark[1] = np.array([start_x, 0.0, terrain.query(start_x).height
-                             + sim_cfg.nominal_height])
+        gait = fsm
 
     return run_trial(
-        fsm, v_cmd, terrain, duration, sim_cfg, params,
-        rng=rng, start_x=start_x, finish_x=finish_x, on_stride=on_stride,
-        initial_state=initial_state,
+        gait, v_cmd, terrain, duration, sim_cfg, params,
+        rng=rng, start_x=start_x, finish_x=finish_x,
+        initial_state=initial_state, on_stride=on_stride,
     )
 
 
@@ -215,9 +203,8 @@ def compare(
     metrics: MetricsConfig | None = None,
 ) -> list[ComparisonRow]:
     """Paired-trial comparison: same velocity and initial-state randomness per
-    trial index across all strategies; per-trial metrics clamped on failure.
-    A trial that raises :class:`UndefinedDisplacementError` (no CoT) scores
-    as a fall; every other error propagates.
+    trial index across all strategies; each trial is scored by
+    :func:`~gaitkit.mapping.trial_outcome`, as in :func:`~gaitkit.mapping.build_map`.
 
     ``trial_hook(strategy, velocity, trial_idx) -> (cot, stb, failed)`` can be
     injected for synthetic harnesses.
@@ -240,16 +227,12 @@ def compare(
             if trial_hook is not None:
                 c_val, s_val, failed = trial_hook(strategy, velocity, i)
             else:
-                try:
-                    rng = np.random.default_rng((seed, i, 11))
-                    result = run_strategy(
-                        strategy, terrain, velocity, sim_cfg, params,
-                        duration=duration, rng=rng, timing=timing,
-                    )
-                    c_val, s_val, failed = trial_outcome(result, terrain, params, metrics)
-                except UndefinedDisplacementError:
-                    # no displacement, no CoT: an outcome, not a bug
-                    c_val, s_val, failed = metrics.cot_bound, metrics.stb_bound, True
+                rng = np.random.default_rng((seed, i, 11))
+                result = run_strategy(
+                    strategy, terrain, velocity, sim_cfg, params,
+                    duration=duration, rng=rng, timing=timing,
+                )
+                c_val, s_val, failed = trial_outcome(result, terrain, params, metrics)
             cots.append(c_val)
             stbs.append(s_val)
             successes += 0 if failed else 1

@@ -35,7 +35,6 @@ from gaitkit.robot import (
 )
 from gaitkit.simulation import (
     BodyState,
-    ContactForceSet,
     SimConfig,
     euler_rate_to_omega,
     omega_to_euler_rates,
@@ -87,16 +86,14 @@ def _reference_query(terrain, x):
     return height, normal, seg.incline
 
 
-def _reference_step(state, contact, params, dt):
+def _reference_step(state, forces, stance, foot_positions, params, dt):
     """Reference step: world inertia built per call and solved against, and
     Euler rates from a solve."""
-    f_total = contact.forces.sum(axis=0)
+    f_total = forces.sum(axis=0)
     moment = np.zeros(3)
     for leg in range(4):
-        if contact.stance[leg]:
-            moment += np.cross(
-                contact.foot_positions[leg] - state.position, contact.forces[leg]
-            )
+        if stance[leg]:
+            moment += np.cross(foot_positions[leg] - state.position, forces[leg])
     accel = params.gravity * np.array([0.0, 0.0, -1.0]) + f_total / params.mass
     rot = rotation_matrix(state.euler)
     inertia_w = rot @ np.diag(params.inertia_diag) @ rot.T
@@ -209,11 +206,9 @@ def test_step_matches_per_call_reference():
         )
         stance = rng.random(4) < 0.6
         forces = rng.normal(0.0, 40.0, (4, 3)) * stance[:, None]
-        contact = ContactForceSet(
-            forces=forces, stance=stance, foot_positions=rng.normal(0.0, 0.3, (4, 3))
-        )
-        got = step(state, contact, params, 0.002)
-        want = _reference_step(state, contact, params, 0.002)
+        feet = rng.normal(0.0, 0.3, (4, 3))
+        got = step(state, forces, stance, feet, params, 0.002)
+        want = _reference_step(state, forces, stance, feet, params, 0.002)
         # position and velocity take no inverse: still the same bits
         assert _same_bits(got.position, want[0])
         assert _same_bits(got.velocity, want[1])
@@ -404,27 +399,6 @@ def test_trot_step_makes_one_solve_no_lstsq_and_one_euler_rate_map(monkeypatch):
     assert counts["rate_map"] / n_steps <= 1.0
 
 
-def test_trot_step_builds_no_contact_force_set(monkeypatch):
-    built = []
-    check = ContactForceSet.__post_init__
-
-    def counted(self):
-        built.append(self)
-        check(self)
-
-    monkeypatch.setattr(ContactForceSet, "__post_init__", counted)
-    ContactForceSet(
-        forces=np.zeros((4, 3)), stance=np.zeros(4, dtype=bool), foot_positions=np.zeros((4, 3))
-    )
-    assert len(built) == 1
-    built.clear()
-    result = run_trial(
-        standard_gait(GaitName.TROT), 1.2, terrain_preset("flat"), 1.2, SimConfig(seed=3)
-    )
-    assert not result.failed
-    assert built == []
-
-
 class _IntegratorLog:
     """Wraps run_trial's rigid-body integrator and keeps a copy of the state,
     applied forces, stance flags and foot points of every step."""
@@ -433,7 +407,7 @@ class _IntegratorLog:
 
     def __init__(self, monkeypatch):
         self.rows = []
-        integrate = simulation._integrate
+        integrate = simulation.step
 
         def recorded(state, forces, stance, feet, params, dt):
             self.rows.append(
@@ -445,7 +419,7 @@ class _IntegratorLog:
             )
             return integrate(state, forces, stance, feet, params, dt)
 
-        monkeypatch.setattr(simulation, "_integrate", recorded)
+        monkeypatch.setattr(simulation, "step", recorded)
 
 
 def _steady_trot(log):
@@ -461,12 +435,14 @@ def _falling_bound(log):
 
 
 def _fsm_trot_to_walk(log):
-    def on_stride(supplier, idx, body, t):
+    fsm = GaitFsm(GaitName.TROT)
+
+    def on_stride(idx, body, t):
         if idx == 2:
-            supplier.fsm.request(GaitName.WALK)
+            fsm.request(GaitName.WALK)
 
     result = run_trial(
-        GaitFsm(GaitName.TROT), 0.8, terrain_preset("flat"), 3.0,
+        fsm, 0.8, terrain_preset("flat"), 3.0,
         SimConfig(seed=2), on_stride=on_stride,
     )
     assert result.events and not result.failed

@@ -11,7 +11,6 @@ from gaitkit.mapping import MapConfig, build_map
 from gaitkit.robot import RobotParams, terrain_preset
 from gaitkit.simulation import (
     BodyState,
-    ContactForceSet,
     SimConfig,
     run_trial,
     stance_torques,
@@ -36,11 +35,8 @@ def _state(pos=(0, 0, 1.0), vel=(0, 0, 0), euler=(0, 0, 0), omega=(0, 0, 0)):
 
 
 def _no_contact():
-    return ContactForceSet(
-        forces=np.zeros((4, 3)),
-        stance=np.zeros(4, dtype=bool),
-        foot_positions=np.zeros((4, 3)),
-    )
+    """Forces, stance flags and foot points of a body with no foot down."""
+    return np.zeros((4, 3)), np.zeros(4, dtype=bool), np.zeros((4, 3))
 
 
 # -- swing trajectory ---------------------------------------------------------
@@ -82,7 +78,7 @@ def test_swing_impulse_matches_momentum_change():
 
 def test_free_fall_velocity():
     s0 = _state()
-    s1 = step(s0, _no_contact(), PARAMS, 0.001)
+    s1 = step(s0, *_no_contact(), PARAMS, 0.001)
     assert s1.velocity[2] == pytest.approx(-9.81 * 0.001)
 
 
@@ -91,13 +87,9 @@ def test_equilibrium_forces_hold_velocity():
         [[0.19, -0.15, 0.0], [-0.19, -0.15, 0.0], [0.19, 0.15, 0.0], [-0.19, 0.15, 0.0]]
     )
     fz = PARAMS.mass * PARAMS.gravity / 4
-    contact = ContactForceSet(
-        forces=np.tile([0.0, 0.0, fz], (4, 1)),
-        stance=np.ones(4, dtype=bool),
-        foot_positions=feet,
-    )
+    forces = np.tile([0.0, 0.0, fz], (4, 1))
     s0 = _state(pos=(0, 0, 0.32), vel=(0.3, 0, 0))
-    s1 = step(s0, contact, PARAMS, 0.001)
+    s1 = step(s0, forces, np.ones(4, dtype=bool), feet, PARAMS, 0.001)
     assert np.allclose(s1.velocity, s0.velocity, atol=1e-12)
     assert np.allclose(s1.omega, s0.omega, atol=1e-12)
 
@@ -109,7 +101,7 @@ def test_ballistic_energy_conservation_staggered():
     s = _state(pos=(0, 0, 1.0), vel=(1.0, 0.0, 1.5))
     states = [s]
     for _ in range(steps):
-        s = step(s, _no_contact(), PARAMS, dt)
+        s = step(s, *_no_contact(), PARAMS, dt)
         states.append(s)
     energies = []
     for a, b in zip(states[:-1], states[1:]):
@@ -122,22 +114,13 @@ def test_ballistic_energy_conservation_staggered():
 
 def test_step_rejects_large_dt():
     with pytest.raises(ValueError):
-        step(_state(), _no_contact(), PARAMS, 0.01)
-
-
-def test_contact_force_set_rejects_swing_force():
-    forces = np.zeros((4, 3))
-    forces[1] = [0.0, 0.0, 5.0]
-    with pytest.raises(ValueError):
-        ContactForceSet(
-            forces=forces, stance=np.zeros(4, dtype=bool), foot_positions=np.zeros((4, 3))
-        )
+        step(_state(), *_no_contact(), PARAMS, 0.01)
 
 
 def test_gyroscopic_term_active():
     # spinning about two axes with unequal inertia precesses even with no moment
     s0 = _state(omega=(2.0, 3.0, 0.0))
-    s1 = step(s0, _no_contact(), PARAMS, 0.001)
+    s1 = step(s0, *_no_contact(), PARAMS, 0.001)
     assert not np.allclose(s1.omega, s0.omega)
 
 
@@ -258,8 +241,8 @@ def test_nan_state_ends_the_trial_as_a_fall():
     ids=["walk", "trot", "bound-falls", "run-falls", "trot_run"],
 )
 def test_logged_forces_respect_cone_and_swing_zero(gait, v_cmd, falls):
-    # run_trial skips ContactForceSet's swing-force check: the logged forces
-    # are the ones integrated, so swing rows must hold exactly zero here
+    # step does not check swing forces: the logged forces are the ones
+    # integrated, so swing rows must hold exactly zero here
     terrain = terrain_preset("flat")
     res = run_trial(
         standard_gait(gait), v_cmd, terrain, 2.8, SimConfig(), PARAMS,
@@ -366,9 +349,9 @@ def test_fsm_source_transition_completes_in_motion():
     terrain = terrain_preset("flat")
     fsm = GaitFsm(GaitName.TROT)
 
-    def on_stride(supplier, idx, body, t):
+    def on_stride(idx, body, t):
         if idx == 2:
-            supplier.fsm.request(GaitName.TROT_RUN)
+            fsm.request(GaitName.TROT_RUN)
 
     res = run_trial(
         fsm, 1.3, terrain, 6.0, SimConfig(), PARAMS,
@@ -380,3 +363,25 @@ def test_fsm_source_transition_completes_in_motion():
     assert len(res.action_windows) == 1
     win = res.action_windows[0]
     assert win.end - win.start == pytest.approx(0.5, abs=0.01)
+
+
+def test_on_stride_is_called_at_every_boundary_of_a_pattern():
+    # a steady pattern reports its stride boundaries like a machine does
+    calls = []
+    res = run_trial(
+        standard_gait(GaitName.TROT), 1.0, terrain_preset("flat"), 2.0, SimConfig(), PARAMS,
+        rng=np.random.default_rng(3), on_stride=lambda idx, body, t: calls.append((idx, t)),
+    )
+    assert not res.failed
+    # one call after each complete stride, with the index of the next one
+    complete = [s for s in res.strides if s.complete]
+    assert len(complete) == 5
+    assert [idx for idx, _ in calls] == list(range(1, len(complete) + 1))
+    for (_, t), stride in zip(calls, complete):
+        assert t == stride.time[-1] + SimConfig().dt
+    assert res.events == [] and res.action_windows == []
+
+
+def test_run_trial_rejects_other_gait_sources():
+    with pytest.raises(TypeError):
+        run_trial(GaitName.TROT, 1.0, terrain_preset("flat"), 2.0, QUIET, PARAMS)

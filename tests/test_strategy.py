@@ -3,11 +3,11 @@ import dataclasses
 import pytest
 
 from gaitkit import strategy
-from gaitkit.gaits import GaitName
+from gaitkit.gaits import GaitName, standard_gait
 from gaitkit.mapping import MapConfig, build_map
-from gaitkit.metrics import COT_BOUND, STB_BOUND, MetricsConfig, UndefinedDisplacementError
-from gaitkit.robot import terrain_preset
-from gaitkit.simulation import SimConfig
+from gaitkit.metrics import COT_BOUND, STB_BOUND, MetricsConfig
+from gaitkit.robot import RobotParams, terrain_preset
+from gaitkit.simulation import SimConfig, run_trial
 from gaitkit.strategy import (
     ComparisonRow,
     FixedGait,
@@ -251,12 +251,27 @@ def test_compare_on_terrain_without_course_end_scores_survivors():
     assert rows[0].cot < COT_BOUND and rows[0].stb < STB_BOUND
 
 
+def _standing_still(delta_s):
+    """A finished flat trot trial whose every stride covered ``delta_s`` metres."""
+    res = run_trial(standard_gait(GaitName.TROT), 1.0, terrain_preset("flat"), 2.0, QUIET)
+    assert not res.failed and res.finished_course
+    strides = [dataclasses.replace(s, delta_s=delta_s) for s in res.strides]
+    return dataclasses.replace(res, strides=strides)
+
+
+@pytest.mark.parametrize("delta_s", [0.0, 1e-3])
+def test_trial_outcome_scores_a_trial_without_displacement_as_a_fall(delta_s):
+    # no displacement, no CoT: the trial scores the configured bounds
+    res = _standing_still(delta_s)
+    bounds = MetricsConfig(cot_bound=2.0, stb_bound=3.0)
+    assert trial_outcome(res, terrain_preset("flat"), RobotParams(), bounds,
+                         warmup_strides=0) == (2.0, 3.0, True)
+
+
 def test_compare_scores_undefined_displacement_as_a_fall(monkeypatch):
     # a trial without displacement has no CoT; it scores the configured bounds
-    def standing(*args, **kwargs):
-        raise UndefinedDisplacementError("no displacement")
-
-    monkeypatch.setattr(strategy, "run_strategy", standing)
+    standing = _standing_still(0.0)
+    monkeypatch.setattr(strategy, "run_strategy", lambda *args, **kwargs: standing)
     rows = compare([FixedGait(GaitName.TROT)], terrain_preset("flat"), 2, (0.8, 1.0),
                    metrics=MetricsConfig(cot_bound=2.0, stb_bound=3.0))
     assert (rows[0].cot, rows[0].stb, rows[0].successes) == (2.0, 3.0, 0)
