@@ -58,7 +58,7 @@ from .simulation import (
 from .metrics import (
     COT_BOUND,
     STB_BOUND,
-    StbWeights,
+    MetricsConfig,
     StrideMetrics,
     UndefinedDisplacementError,
     clamp_failed,

@@ -89,24 +89,16 @@ def cmd_simulate(args) -> int:
     stride_logs_to_csv(result.strides, csv_path)
 
     metrics_list = []
-    weights = cfg.metrics.stb_weights()
     for log in result.strides:
         try:
             metrics_list.append(
-                stride_metrics(
-                    log, terrain, cfg.robot.mass, tuple(cfg.map.c_values), weights,
-                    cfg.robot.gravity, clamp=cfg.metrics.clamp_unfailed or log.failed,
-                    cot_bound=cfg.metrics.cot_bound, stb_bound=cfg.metrics.stb_bound,
-                )
+                stride_metrics(log, terrain, cfg.robot, cfg.metrics, cfg.map.c_values)
             )
         except UndefinedDisplacementError:
             metrics_list.append(None)
 
     manifest = _manifest(args, "simulate", [str(csv_path), str(json_path)])
-    summary = stride_summary(
-        [s for s, m in zip(result.strides, metrics_list) if m is not None],
-        [m for m in metrics_list if m is not None],
-    )
+    summary = stride_summary(result.strides, metrics_list)
     summary["failed"] = result.failed
     summary["v_cmd"] = args.velocity
     summary["gait"] = gait.label

@@ -104,7 +104,9 @@ def config_from_dict(data: dict) -> ToolkitConfig:
         if bad:
             raise ValueError(f"unknown keys in config section {section!r}: {sorted(bad)}")
         kwargs = {k: _coerce(cls, k, v) for k, v in overrides.items()}
+        # each section's own checks run here, so a bad value fails at load
         sections[section] = dataclasses.replace(defaults, **kwargs)
+    sections["sim"].validate()
     terrains = {
         name: _terrain_from_dict(name, block)
         for name, block in data.get("terrains", {}).items()

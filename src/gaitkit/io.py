@@ -99,22 +99,23 @@ def _float_cells(values, n: int) -> list[str]:
 
 
 def stride_summary(strides, metrics_list) -> dict:
-    """Per-stride aggregate block for the metrics JSON export."""
-    out = []
-    for i, (log, m) in enumerate(zip(strides, metrics_list)):
-        out.append(
-            {
-                "stride": i,
-                "t_f": float(log.t_f),
-                "delta_s": float(log.delta_s),
-                "work_j": float(m.work),
-                "cot": float(m.cot),
-                "stb": float(m.stb),
-                "j_e": {repr(c): float(v) for c, v in m.j_e.items()},
-                "failed": bool(log.failed),
-                "complete": bool(log.complete),
-            }
-        )
+    """Per-stride aggregate block for the metrics JSON export; a stride whose
+    metrics are ``None`` (no CoT) is left out, and the others keep their index."""
+    out = [
+        {
+            "stride": i,
+            "t_f": float(log.t_f),
+            "delta_s": float(log.delta_s),
+            "work_j": float(m.work),
+            "cot": float(m.cot),
+            "stb": float(m.stb),
+            "j_e": {repr(c): float(v) for c, v in m.j_e.items()},
+            "failed": bool(log.failed),
+            "complete": bool(log.complete),
+        }
+        for i, (log, m) in enumerate(zip(strides, metrics_list))
+        if m is not None
+    ]
     return {"strides": out}
 
 

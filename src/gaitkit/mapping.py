@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .gaits import GaitName, standard_gait
-from .metrics import MetricsConfig, UndefinedDisplacementError, stride_metrics
+from .metrics import MetricsConfig, UndefinedDisplacementError, j_e, stride_metrics
 from .robot import RobotParams, Terrain
 from .simulation import SimConfig, TrialResult, run_trial
 from .transitions import GaitTimingConfig
@@ -63,7 +63,7 @@ class GaitCellStats:
     trials: int
 
     def j_e(self, c: float) -> float:
-        return c * self.stb + (1.0 - c) * self.cot
+        return j_e(self.cot, self.stb, c)
 
 
 @dataclass
@@ -250,13 +250,10 @@ def trial_outcome(
     ][:strides]
     if result.failed or not result.finished_course or not usable:
         return metrics.cot_bound, metrics.stb_bound, True
-    weights = metrics.stb_weights()
     cots, stbs = [], []
     for log in usable:
         try:
-            m = stride_metrics(log, terrain, params.mass, (), weights, params.gravity,
-                               clamp=metrics.clamp_unfailed, cot_bound=metrics.cot_bound,
-                               stb_bound=metrics.stb_bound)
+            m = stride_metrics(log, terrain, params, metrics)
         except UndefinedDisplacementError:
             return metrics.cot_bound, metrics.stb_bound, True
         cots.append(m.cot)

@@ -5,15 +5,18 @@ drivetrain); CoT normalizes it by weight and travel distance. STB is a
 weighted stability index combining the normal-velocity ratio, attitude error
 against the local terrain, and attitude rates, time-averaged over a stride.
 Failed strides are clamped to fixed worst-case values so sweeps stay bounded.
+:class:`MetricsConfig` is the one scoring policy: STB weights, failure bounds
+and the clamping rule, read whole by :func:`stride_metrics`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .robot import Terrain
+from .robot import RobotParams, Terrain
 
 COT_BOUND = 1.25
 STB_BOUND = 1.36
@@ -31,30 +34,22 @@ class UndefinedDisplacementError(ValueError):
 
 
 @dataclass(frozen=True)
-class StbWeights:
-    """Term weights: normal-velocity ratio, pitch error, roll, attitude rates."""
-
-    w1: float = 0.7
-    w2: float = 1.0
-    w3: float = 1.0
-    w4: float = 0.3
-
-    def __post_init__(self) -> None:
-        if min(self.w1, self.w2, self.w3, self.w4) < 0.0:
-            raise ValueError("STB weights must be non-negative")
-
-
-@dataclass(frozen=True)
 class MetricsConfig:
-    """STB weights and the failure bounds every scored trial uses."""
+    """STB term weights (normal-velocity ratio, pitch error, roll, attitude
+    rates), the failure bounds, and whether unfailed strides are capped at
+    them too; a failed stride scores the bounds either way."""
 
     weights: tuple[float, float, float, float] = (0.7, 1.0, 1.0, 0.3)
     cot_bound: float = COT_BOUND
     stb_bound: float = STB_BOUND
     clamp_unfailed: bool = True
 
-    def stb_weights(self) -> StbWeights:
-        return StbWeights(*self.weights)
+    def __post_init__(self) -> None:
+        # comparisons written so that NaN (from a JSON config) is rejected
+        if len(self.weights) != 4 or not all(0.0 <= w < math.inf for w in self.weights):
+            raise ValueError(f"need four non-negative finite STB weights: {self.weights}")
+        if not all(0.0 < b < math.inf for b in (self.cot_bound, self.stb_bound)):
+            raise ValueError("failure bounds must be positive and finite")
 
 
 @dataclass
@@ -95,8 +90,9 @@ def cot(work: float, mass: float, delta_s: float, gravity: float = 9.81) -> floa
     return work / (mass * gravity * delta_s)
 
 
-def stb_samples(log, terrain: Terrain, weights: StbWeights) -> tuple[np.ndarray, int]:
+def stb_samples(log, terrain: Terrain, weights: tuple) -> tuple[np.ndarray, int]:
     """Per-sample stability index values and the division-guard event count."""
+    w1, w2, w3, w4 = weights
     pos = np.asarray(log.position, dtype=float)
     vel = np.asarray(log.velocity, dtype=float)
     euler = np.asarray(log.euler, dtype=float)
@@ -117,17 +113,17 @@ def stb_samples(log, terrain: Terrain, weights: StbWeights) -> tuple[np.ndarray,
         else:
             ratio = abs(v_n / v_b)
         values[i] = (
-            weights.w1 * ratio
-            + weights.w2 * abs(euler[i, 1] - samp.incline)
-            + weights.w3 * abs(euler[i, 0])
-            + weights.w4 * (abs(rates[i, 1]) + abs(rates[i, 0]))
+            w1 * ratio
+            + w2 * abs(euler[i, 1] - samp.incline)
+            + w3 * abs(euler[i, 0])
+            + w4 * (abs(rates[i, 1]) + abs(rates[i, 0]))
         )
     return values, guards
 
 
-def stb(log, terrain: Terrain, weights: StbWeights | None = None) -> float:
+def stb(log, terrain: Terrain, metrics: MetricsConfig | None = None) -> float:
     """Stride-averaged stability index."""
-    values, _ = stb_samples(log, terrain, weights or StbWeights())
+    values, _ = stb_samples(log, terrain, (metrics or MetricsConfig()).weights)
     return float(values.mean()) if values.size else 0.0
 
 
@@ -138,59 +134,50 @@ def j_e(cot_value: float, stb_value: float, c: float) -> float:
     return c * stb_value + (1.0 - c) * cot_value
 
 
-def clamp_failed(
-    metrics: StrideMetrics,
-    cot_bound: float = COT_BOUND,
-    stb_bound: float = STB_BOUND,
-    clamp_unfailed: bool = True,
-) -> StrideMetrics:
-    """Apply the failure bounds; failed strides pin to the worst case.
+def clamp_failed(m: StrideMetrics, config: MetricsConfig | None = None) -> StrideMetrics:
+    """Apply the policy's failure bounds; failed strides pin to the worst case.
 
     Idempotent: re-clamping a clamped record is a no-op.
     """
-    if metrics.failed:
-        new_cot, new_stb = cot_bound, stb_bound
-    elif clamp_unfailed:
-        new_cot = min(metrics.cot, cot_bound)
-        new_stb = min(metrics.stb, stb_bound)
+    config = config or MetricsConfig()
+    if m.failed:
+        new_cot, new_stb = config.cot_bound, config.stb_bound
+    elif config.clamp_unfailed:
+        new_cot = min(m.cot, config.cot_bound)
+        new_stb = min(m.stb, config.stb_bound)
     else:
-        new_cot, new_stb = metrics.cot, metrics.stb
+        new_cot, new_stb = m.cot, m.stb
     return replace(
-        metrics,
+        m,
         cot=new_cot,
         stb=new_stb,
-        j_e={c: j_e(new_cot, new_stb, c) for c in metrics.j_e},
+        j_e={c: j_e(new_cot, new_stb, c) for c in m.j_e},
     )
 
 
 def stride_metrics(
     log,
     terrain: Terrain,
-    mass: float,
+    params: RobotParams,
+    metrics: MetricsConfig | None = None,
     c_values=(),
-    weights: StbWeights | None = None,
-    gravity: float = 9.81,
-    clamp: bool = True,
-    cot_bound: float = COT_BOUND,
-    stb_bound: float = STB_BOUND,
 ) -> StrideMetrics:
-    """Full per-stride evaluation with optional failure clamping."""
-    weights = weights or StbWeights()
+    """Full per-stride evaluation, clamped under the policy ``metrics``;
+    :func:`clamp_failed` fills the blend of each ``c_values`` entry."""
+    metrics = metrics or MetricsConfig()
     work = stride_energy(log)
     if log.failed:
-        cot_value, stb_value, guards = cot_bound, stb_bound, 0
+        cot_value, stb_value, guards = metrics.cot_bound, metrics.stb_bound, 0
     else:
-        cot_value = cot(work, mass, log.delta_s, gravity)
-        values, guards = stb_samples(log, terrain, weights)
+        cot_value = cot(work, params.mass, log.delta_s, params.gravity)
+        values, guards = stb_samples(log, terrain, metrics.weights)
         stb_value = float(values.mean()) if values.size else 0.0
     out = StrideMetrics(
         work=work,
         cot=cot_value,
         stb=stb_value,
-        j_e={c: j_e(cot_value, stb_value, c) for c in c_values},
+        j_e=dict.fromkeys(c_values),
         failed=bool(log.failed),
         guard_events=guards,
     )
-    if clamp:
-        out = clamp_failed(out, cot_bound, stb_bound)
-    return out
+    return clamp_failed(out, metrics)

@@ -18,7 +18,7 @@ a body aligned to an uphill slope has pitch equal to the terrain inclination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -136,6 +136,10 @@ class SimConfig:
     joint_torque_limit: float = 33.5  # [N*m] actuator saturation per joint
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not all(math.isfinite(v) for v in np.ravel(value)):
+                raise ValueError(f"sim.{f.name} must be finite, got {value}")
         if self.dt <= 0.0 or self.dt > 0.002 + 1e-12:
             raise ValueError("dt must lie in (0, 2 ms]")
         gains = (*self.kp_lin, *self.kd_lin, *self.kp_ang, *self.kd_ang)

@@ -18,6 +18,7 @@ the eight directed actions, with an optional settle dwell between chain links.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .gaits import DEFAULT_PERIOD, GaitName, GaitPattern, standard_gait
@@ -35,6 +36,13 @@ class GaitTimingConfig:
     period: float = DEFAULT_PERIOD
     switch_time: float = DEFAULT_SWITCH_TIME
     dwell_strides: int = DEFAULT_DWELL_STRIDES
+
+    def __post_init__(self) -> None:
+        # comparisons written so that NaN (from a JSON config) is rejected
+        if not (0.0 < self.period < math.inf and 0.0 < self.switch_time < math.inf):
+            raise ValueError("gait period and switch_time must be positive and finite")
+        if type(self.dwell_strides) is not int or self.dwell_strides < 0:
+            raise ValueError(f"dwell_strides must be an int >= 0, got {self.dwell_strides!r}")
 
 
 # Directed edges of the gait graph. Self loops are zero-duration no-ops.

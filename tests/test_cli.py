@@ -1,10 +1,11 @@
 import csv
+import dataclasses
 import json
 import math
 
 import pytest
 
-from gaitkit import strategy
+from gaitkit import cli, strategy
 from gaitkit.cli import main
 
 
@@ -162,7 +163,7 @@ def test_select_prints_gait_and_cell_values(tmp_path, capsys):
     code = main([
         "compare", "--terrain", "flat", "--map", str(map_path),
         "--strategy", "fixed:trot", "--strategy", "per-velocity:0.1",
-        "--trials", "2", "--v-min", "0.5", "--v-max", "1.0",
+        "--trials", "2", "--v-min", "0.5", "--v-max", "1.0", "--duration", "3",
         "--seed", "3", "--out", str(cmp_path),
     ])
     assert code == 0
@@ -241,8 +242,13 @@ def test_config_rejects_unknown_keys(tmp_path):
          "slick"),
         ({"robot": {"mass": math.nan}}, "flat"),
         ({"robot": {"inertia_diag": [0.05, math.nan, 0.18]}}, "flat"),
+        ({"sim": {"kp_lin": [math.nan, 400.0, 400.0]}}, "flat"),
+        # a NaN failure threshold would switch the failure check off
+        ({"sim": {"max_roll": math.nan}}, "flat"),
+        ({"sim": {"max_pitch": math.nan}}, "flat"),
+        ({"sim": {"min_height_ratio": math.nan}}, "flat"),
     ],
-    ids=["friction", "mass", "inertia"],
+    ids=["friction", "mass", "inertia", "gain", "max_roll", "max_pitch", "min_height_ratio"],
 )
 def test_nan_in_config_exits_one(tmp_path, cfg, terrain):
     # json.dumps writes NaN, which json.load accepts
@@ -253,6 +259,78 @@ def test_nan_in_config_exits_one(tmp_path, cfg, terrain):
         "simulate", "--gait", "trot", "--velocity", "1.2", "--terrain", terrain,
         "--duration", "1.2", "--out", str(tmp_path / "o"), "--config", str(cfg_path),
     ]) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def _no_trial(*args, **kwargs):
+    raise AssertionError("a bad config section must fail at load, before any trial")
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"weights": [math.nan, 1.0, 1.0, 0.3]},
+        {"weights": [-0.1, 1.0, 1.0, 0.3]},
+        {"weights": [0.7, 1.0, 1.0]},
+        {"weights": [0.7, 1.0, 1.0, 0.3, 0.1]},
+        {"cot_bound": math.nan},
+        {"stb_bound": 0.0},
+        {"cot_bound": math.inf},
+    ],
+    ids=["nan-weight", "negative-weight", "three-weights", "five-weights",
+         "nan-bound", "zero-bound", "inf-bound"],
+)
+def test_bad_metrics_config_exits_one_before_simulating(tmp_path, monkeypatch, section):
+    monkeypatch.setattr(cli, "run_trial", _no_trial)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"metrics": section}))
+    assert main([
+        "simulate", "--gait", "trot", "--velocity", "1.2", "--duration", "1.2",
+        "--out", str(tmp_path / "o"), "--config", str(cfg_path),
+    ]) == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command, gait",
+    [
+        (["simulate", "--gait", "trot", "--velocity", "1.2", "--duration", "1.2"],
+         {"period": math.nan}),
+        (["transition-demo", "--from", "trot", "--to", "walk"], {"switch_time": math.nan}),
+        (["transition-demo", "--from", "trot", "--to", "walk"], {"dwell_strides": -1}),
+        (["transition-demo", "--from", "trot", "--to", "walk"], {"dwell_strides": 1.5}),
+    ],
+    ids=["nan-period", "nan-switch-time", "negative-dwell", "fractional-dwell"],
+)
+def test_bad_gait_timing_exits_one_at_load(tmp_path, monkeypatch, command, gait):
+    monkeypatch.setattr(cli, "run_trial", _no_trial)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"gait": gait}))
+    assert main(command + ["--out", str(tmp_path / "o"), "--config", str(cfg_path)]) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_json_strides_keep_their_csv_numbers(tmp_path, monkeypatch):
+    # stride 0 covers no distance, so it has no CoT and is left out of the
+    # JSON; the strides after it keep the numbers the CSV gives them
+    run_trial = cli.run_trial
+
+    def first_stride_standing(*args, **kwargs):
+        result = run_trial(*args, **kwargs)
+        result.strides[0] = dataclasses.replace(result.strides[0], delta_s=0.0)
+        return result
+
+    monkeypatch.setattr(cli, "run_trial", first_stride_standing)
+    out = tmp_path / "run"
+    assert main([
+        "simulate", "--gait", "trot", "--velocity", "1.2", "--duration", "1.2",
+        "--out", str(out), "--seed", "4",
+    ]) == 0
+    with open(out / "stride_log.csv", newline="") as fh:
+        csv_strides = sorted({int(row["stride"]) for row in csv.DictReader(fh)})
+    json_strides = [s["stride"] for s in json.loads((out / "metrics.json").read_text())["strides"]]
+    assert csv_strides[0] == 0 and len(csv_strides) >= 3
+    assert json_strides == csv_strides[1:]
 
 
 def _build_map_json(tmp_path, name, cfg, jobs):

@@ -8,7 +8,7 @@ from gaitkit.metrics import (
     COT_BOUND,
     STB_BOUND,
     InvalidLogError,
-    StbWeights,
+    MetricsConfig,
     StrideMetrics,
     UndefinedDisplacementError,
     clamp_failed,
@@ -18,7 +18,7 @@ from gaitkit.metrics import (
     stride_energy,
     stride_metrics,
 )
-from gaitkit.robot import terrain_preset
+from gaitkit.robot import RobotParams, terrain_preset
 
 
 @dataclasses.dataclass
@@ -171,17 +171,18 @@ def test_stb_matches_hand_recomputation():
     log.velocity = rng.uniform(-1, 1, size=(n, 3)) + np.array([1.5, 0, 0])
     log.euler = rng.uniform(-0.2, 0.2, size=(n, 3))
     log.euler_rates = rng.uniform(-1, 1, size=(n, 3))
-    w = StbWeights()
+    w1, w2, w3, w4 = MetricsConfig().weights
     expected = np.mean(
         [
-            w.w1 * abs(log.velocity[i, 2] / log.velocity[i, 0])
-            + w.w2 * abs(log.euler[i, 1])
-            + w.w3 * abs(log.euler[i, 0])
-            + w.w4 * (abs(log.euler_rates[i, 1]) + abs(log.euler_rates[i, 0]))
+            w1 * abs(log.velocity[i, 2] / log.velocity[i, 0])
+            + w2 * abs(log.euler[i, 1])
+            + w3 * abs(log.euler[i, 0])
+            + w4 * (abs(log.euler_rates[i, 1]) + abs(log.euler_rates[i, 0]))
             for i in range(n)
         ]
     )
-    assert stb(log, terrain, w) == pytest.approx(expected)
+    assert stb(log, terrain) == pytest.approx(expected)
+    assert stb(log, terrain, MetricsConfig()) == pytest.approx(expected)
 
 
 def test_stb_guard_at_zero_speed():
@@ -189,12 +190,27 @@ def test_stb_guard_at_zero_speed():
     log = _flat_motion_log(v=0.0)
     assert stb(log, terrain) == 0.0  # v_bn also ~ 0 -> term zero, not inf
     log.velocity[:, 2] = 0.5  # vertical motion while v_b ~ 0 -> clamp to 1
-    assert stb(log, terrain) == pytest.approx(StbWeights().w1 * 1.0)
+    assert stb(log, terrain) == pytest.approx(MetricsConfig().weights[0] * 1.0)
 
 
 def test_stb_weights_validation():
+    for weights in [
+        (-0.1, 1.0, 1.0, 0.3),
+        (float("nan"), 1.0, 1.0, 0.3),
+        (0.7, 1.0, float("inf"), 0.3),
+        (0.7, 1.0, 1.0),
+        (0.7, 1.0, 1.0, 0.3, 0.1),
+    ]:
+        with pytest.raises(ValueError):
+            MetricsConfig(weights=weights)
+    assert MetricsConfig(weights=(0.0, 0.0, 0.0, 0.0)).weights == (0.0,) * 4
+
+
+@pytest.mark.parametrize("bound", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["cot_bound", "stb_bound"])
+def test_metrics_config_rejects_bad_bounds(name, bound):
     with pytest.raises(ValueError):
-        StbWeights(w1=-0.1)
+        MetricsConfig(**{name: bound})
 
 
 # -- j_e and clamping ---------------------------------------------------------
@@ -233,7 +249,7 @@ def test_clamp_unfailed_cases():
     clamped = clamp_failed(big)
     assert clamped.cot == COT_BOUND
     assert clamped.stb == STB_BOUND
-    unclamped = clamp_failed(big, clamp_unfailed=False)
+    unclamped = clamp_failed(big, MetricsConfig(clamp_unfailed=False))
     assert unclamped.cot == 1.9
 
 
@@ -259,7 +275,7 @@ def test_stride_metrics_full_pipeline():
     terrain = terrain_preset("flat")
     log = _flat_motion_log(roll=0.05)
     log.delta_s = 0.4
-    m = stride_metrics(log, terrain, 12.0, c_values=(0.0, 0.5, 1.0))
+    m = stride_metrics(log, terrain, RobotParams(mass=12.0), c_values=(0.0, 0.5, 1.0))
     assert m.cot == 0.0
     assert m.stb == pytest.approx(0.05)
     assert m.j_e[1.0] == pytest.approx(0.05)
@@ -270,6 +286,6 @@ def test_stride_metrics_failed_log():
     terrain = terrain_preset("flat")
     log = _flat_motion_log()
     log.failed = True
-    m = stride_metrics(log, terrain, 12.0, c_values=(0.5,))
+    m = stride_metrics(log, terrain, RobotParams(mass=12.0), c_values=(0.5,))
     assert m.cot == COT_BOUND
     assert m.stb == STB_BOUND

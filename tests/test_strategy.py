@@ -234,7 +234,7 @@ def test_trial_outcome_scores_at_most_strides_usable_strides():
                        seed=1, standing_start=False)
     assert not res.failed and res.finished_course
     first = next(s for s in res.strides[3:] if s.complete)
-    expected = stride_metrics(first, terrain, RobotParams().mass)
+    expected = stride_metrics(first, terrain, RobotParams())
     cot_v, stb_v, failed = trial_outcome(res, terrain, RobotParams(), strides=1)
     assert not failed
     assert (cot_v, stb_v) == (expected.cot, expected.stb)
