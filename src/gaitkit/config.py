@@ -107,6 +107,7 @@ def config_from_dict(data: dict) -> ToolkitConfig:
         # each section's own checks run here, so a bad value fails at load
         sections[section] = dataclasses.replace(defaults, **kwargs)
     sections["sim"].validate()
+    sections["map"].validate()
     terrains = {
         name: _terrain_from_dict(name, block)
         for name, block in data.get("terrains", {}).items()

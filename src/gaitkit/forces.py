@@ -30,17 +30,33 @@ test is a cross or triple product of at most three 3-vectors.
 The solved forces are polished: the active-set steps through the ridge-
 conditioned KKT leave small noise in the null space of the wrench map A,
 which the polish removes while keeping the achieved wrench and the binding
-cone faces, by ``np.linalg.lstsq`` on A stacked with the binding rows. The
-stance count selects two closed forms. With one foot A has full column
-rank, so the polish is the identity. With two feet and no binding face it
-is the projection onto the row space of A, whose null space is the squeeze
-direction d = [r; -r], r = p1 - p2: x - d (d.x) / (d.d).
+cone faces, by ``np.linalg.lstsq`` on A stacked with the binding rows G_b.
+The stance count selects the closed forms. With one foot A has full column
+rank, so the polish is the identity. With two feet the null space of A is
+the squeeze direction d = [r; -r], r = p1 - p2, so the null space of
+[A; G_b] is d when every binding row is orthogonal to d, and {0} otherwise:
+the polish is x - d (d.x) / (d.d) in the first case (also with no binding
+face) and the identity in the second. ``lstsq`` runs only for three and
+four stance feet.
+
+Consecutive control steps solve nearly the same QP, so the solver is hot-
+started (Nocedal & Wright, §16.5): ``solve_qp`` takes an initial working set
+and ``distribute_forces`` takes and returns it in leg-face numbering,
+``6 * leg + face``. The seed keeps, in the given order, the rows of stance
+feet that are active at x = 0 (h_i == 0, so never an f_max row) and
+independent of the rows kept before them; the loop then runs as from a cold
+start. Any such seed reaches the minimizer, since x = 0 is feasible and on
+every seeded face: the objective matches the cold start's to round-off,
+while the forces may differ along directions that only the tiny ridge term
+pins down. The empty seed is the cold start.
 
 Contact normals are constant per terrain segment, so the six friction-pyramid
 rows of a stance foot are built once per (normal, friction) pair and kept in a
-bounded cache as a read-only 6x3 block; each call copies the cached blocks
-into its constraint matrix. The cache is keyed on the exact bytes of the
-normal as given, so a block is bit for bit the one a fresh build would give.
+bounded cache as a read-only 6x3 block, and the constraint matrix and bounds
+of a stance set are built from those blocks once per (normals, friction,
+f_max) and cached read-only as well. The caches are keyed on the exact bytes
+of the normals as given, so a block is bit for bit the one a fresh build
+would give.
 
 Euclidean norms of 1-D vectors are taken as ``math.sqrt(v.dot(v))``, the
 same dot product and correctly rounded square root that ``np.linalg.norm``
@@ -71,8 +87,12 @@ _DEPENDENT_RTOL = 1e-9
 # (which pair gaits need anyway to stay pitch-neutral).
 _ROW_WEIGHTS = (0.3, 0.3, 8.0, 30.0, 30.0, 30.0)
 _ROW_WEIGHTS_ARRAY = np.array(_ROW_WEIGHTS)
-# force rows of the wrench matrix: one 3x3 identity per stance foot
-_FORCE_ROWS = np.tile(np.eye(3), 4)
+# force rows of the wrench matrix by stance count: one 3x3 identity per foot
+_FORCE_ROWS = {
+    k: ([1.0, 0.0, 0.0] * k, [0.0, 1.0, 0.0] * k, [0.0, 0.0, 1.0] * k) for k in range(1, 5)
+}
+# raw bytes of the default contact normal, world z (a cone-cache key)
+_UP_BYTES = np.array([0.0, 0.0, 1.0]).tobytes()
 _RIDGE_EYE = {k: _RIDGE * np.eye(3 * k) for k in range(1, 5)}
 
 
@@ -86,6 +106,9 @@ class ForceDistribution:
     relative_residual: float
     feasible: bool
     iterations: int
+    # final QP working set in leg-face numbering 6 * leg + face; the seed of
+    # the next control step
+    working_set: tuple[int, ...] = ()
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -97,11 +120,6 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a0, a1, a2 = a.tolist()
     b0, b1, b2 = b.tolist()
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-
-
-def _skew(v: np.ndarray) -> np.ndarray:
-    x, y, z = v.tolist()
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
 def _tangent_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,6 +160,27 @@ def _cone_block(normal_bytes: bytes, friction: float) -> np.ndarray:
     return block
 
 
+@lru_cache(maxsize=256)
+def _constraints(
+    normal_bytes: tuple[bytes, ...], friction: float, f_max: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``G`` and ``h`` of ``G x <= h`` for one stance set.
+
+    ``normal_bytes`` holds the raw normal of each stance foot in leg order;
+    G is block-diagonal in their :func:`_cone_block` blocks and h is zero but
+    for ``f_max`` on each foot's f_n <= f_max row.
+    """
+    k = len(normal_bytes)
+    G = np.zeros((6 * k, 3 * k))
+    for j, normal in enumerate(normal_bytes):
+        G[6 * j : 6 * j + 6, 3 * j : 3 * j + 3] = _cone_block(normal, friction)
+    h = np.zeros(6 * k)
+    h[5::6] = f_max
+    G.flags.writeable = False
+    h.flags.writeable = False
+    return G, h
+
+
 def _independent(G: np.ndarray, i: int, active: list[int], group_rows: int) -> bool:
     """Whether row ``i`` of G is independent of the active rows of its group.
 
@@ -172,14 +211,25 @@ def _independent(G: np.ndarray, i: int, active: list[int], group_rows: int) -> b
 
 
 def solve_qp(
-    H: np.ndarray, g: np.ndarray, G: np.ndarray, h: np.ndarray, max_iter: int = 80
-) -> tuple[np.ndarray, int]:
+    H: np.ndarray,
+    g: np.ndarray,
+    G: np.ndarray,
+    h: np.ndarray,
+    max_iter: int = 80,
+    working_set=(),
+) -> tuple[np.ndarray, int, list[int]]:
     """Minimize 0.5 x'Hx + g'x subject to Gx <= h with h >= 0.
 
     Primal active-set method started from the feasible point x = 0. H must be
     positive definite. Sized for a handful of variables and constraints. G is
     block-diagonal by foot: its rows come in ``n // 3`` equal groups, group b
     acting on columns 3b to 3b + 2 only.
+
+    The initial working set is hot-started from ``working_set``: in the given
+    order, each row active at x = 0 (``h[i] == 0``, so never an f_max row) and
+    independent of the rows kept before it joins (a repeated row is
+    dependent). x = 0 lies on every such row, so the loop below reaches the
+    minimizer from any seed; the empty seed is the cold start.
 
     Each iteration solves the equality-constrained subproblem on the working
     set for a step ``p`` and multipliers ``lam``. A blocked step adds the
@@ -191,13 +241,16 @@ def solve_qp(
     only if its row is linearly independent of the working-set rows of its
     group (a dependent row has G_i p = 0 exactly, so skipping it is exact);
     each group then holds at most three active rows and the KKT matrix stays
-    nonsingular. Returns the iterate and the number of KKT solves that ran
-    (at most ``max_iter``).
+    nonsingular. Returns the iterate, the number of KKT solves that ran (at
+    most ``max_iter``) and the final working set.
     """
     n = H.shape[0]
     group_rows = 3 * G.shape[0] // n
     x = np.zeros(n)
     active: list[int] = []
+    for i in working_set:
+        if h[i] == 0.0 and _independent(G, i, active, group_rows):
+            active.append(i)
     last_it = 0
     for it in range(max_iter):
         last_it = it + 1
@@ -251,8 +304,8 @@ def solve_qp(
         if lam.size and lam.min() < -1e-9:
             active.pop(int(np.argmin(lam)))
             continue
-        return x, last_it
-    return x, last_it
+        return x, last_it, active
+    return x, last_it, active
 
 
 def distribute_forces(
@@ -263,12 +316,16 @@ def distribute_forces(
     friction: float,
     f_max: float,
     normals=None,
+    working_set=(),
 ) -> ForceDistribution:
     """Distribute a desired (force, moment) wrench over the stance feet.
 
     ``wrench`` is a 6-vector (N, N*m) about the center of mass ``com``;
     ``foot_positions`` is (4, 3) world frame; ``stance`` is a 4-flag mask.
     ``normals`` optionally gives a contact normal per foot (world z default).
+    ``working_set`` seeds the QP's working set in leg-face numbering
+    ``6 * leg + face`` (the previous step's ``ForceDistribution.working_set``);
+    rows of swing feet are dropped, and the empty default is a cold start.
     """
     wrench = np.asarray(wrench, dtype=float).reshape(6)
     feet = np.asarray(foot_positions, dtype=float).reshape(4, 3)
@@ -279,7 +336,8 @@ def distribute_forces(
 
     forces = np.zeros((4, 3))
     idx = np.flatnonzero(stance)
-    k = idx.size
+    legs = idx.tolist()
+    k = len(legs)
     norm_b = math.sqrt(wrench.dot(wrench))
     if k == 0:
         rel = norm_b / max(1.0, norm_b)
@@ -293,42 +351,54 @@ def distribute_forces(
         )
 
     if normals is None:
-        normals = np.tile(np.array([0.0, 0.0, 1.0]), (4, 1))
+        keys = (_UP_BYTES,) * k
     else:
         normals = np.asarray(normals, dtype=float).reshape(4, 3)
-
-    A = np.zeros((6, 3 * k))
-    A[0:3] = _FORCE_ROWS[:, : 3 * k]
-    G = np.zeros((6 * k, 3 * k))
-    h = np.zeros(6 * k)
-    h[5::6] = f_max
-    for j, leg in enumerate(idx):
-        cols = slice(3 * j, 3 * j + 3)
-        A[3:6, cols] = _skew(feet[leg] - com)
-        G[6 * j : 6 * j + 6, cols] = _cone_block(normals[leg].tobytes(), friction)
+        keys = tuple(normals[leg].tobytes() for leg in legs)
+    G, h = _constraints(keys, friction, f_max)
+    # wrench map: a 3x3 identity (force) over skew(p - com) (moment) per foot
+    mx, my, mz = [], [], []
+    for x, y, z in (feet[idx] - com).tolist():
+        mx += (0.0, -z, y)
+        my += (z, 0.0, -x)
+        mz += (-y, x, 0.0)
+    A = np.array([*_FORCE_ROWS[k], mx, my, mz])
 
     Aw = A * _ROW_WEIGHTS_ARRAY[:, None]
     bw = wrench * _ROW_WEIGHTS_ARRAY
     H = Aw.T @ Aw + _RIDGE_EYE[k]
     g = -(Aw.T @ bw)
-    x, iterations = solve_qp(H, g, G, h)
+    # QP row 6 * j + face belongs to the j-th stance foot
+    slot = {leg: j for j, leg in enumerate(legs)}
+    seed = [6 * slot[i // 6] + i % 6 for i in working_set if i // 6 in slot]
+    x, iterations, active = solve_qp(H, g, G, h, working_set=seed)
 
     # polish: active-set steps through the ridge-conditioned KKT leave O(1e-4)
     # nullspace noise in the force split; re-min-norm while preserving the
     # achieved wrench and the binding cone faces (one foot: nothing to remove)
     if k > 1:
         binding = np.abs(G @ x - h) <= 1e-7 * (1.0 + np.abs(h))
-        if k == 2 and not binding.any():
-            # project out A's null space, the squeeze direction
-            r = feet[idx[0]] - feet[idx[1]]
+        x_clean = None
+        if k == 2:
+            # null([A; G_b]) is the squeeze direction d if every binding row
+            # is orthogonal to d, and {0} (the polish is the identity) if not
+            r = feet[legs[0]] - feet[legs[1]]
             d = np.concatenate([r, -r])
-            x_clean = x - d * (d.dot(x) / d.dot(d))
+            dd = d.dot(d)
+            free = True
+            if binding.any():
+                Gb = G[binding]
+                Gd = Gb @ d
+                free = (Gd * Gd <= _DEPENDENT_RTOL**2 * dd * (Gb * Gb).sum(axis=1)).all()
+            if free:
+                x_clean = x - d * (d.dot(x) / dd)
         else:
             C = np.concatenate([A, G[binding]]) if binding.any() else A
             x_clean = np.linalg.lstsq(C, C @ x, rcond=None)[0]
-        slack_ok = (G @ x_clean <= h + 1e-9).all()
-        if slack_ok and float(x_clean @ x_clean) <= float(x @ x) + 1e-9:
-            x = x_clean
+        if x_clean is not None:
+            slack_ok = (G @ x_clean <= h + 1e-9).all()
+            if slack_ok and float(x_clean @ x_clean) <= float(x @ x) + 1e-9:
+                x = x_clean
 
     forces[idx] = x.reshape(k, 3)
     r = A @ x - wrench
@@ -341,4 +411,5 @@ def distribute_forces(
         relative_residual=rel,
         feasible=rel <= _FEASIBLE_RTOL,
         iterations=iterations,
+        working_set=tuple(6 * legs[i // 6] + i % 6 for i in active),
     )

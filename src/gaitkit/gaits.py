@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
+from functools import lru_cache
 
 DEFAULT_PERIOD = 0.4  # stride duration [s]
 
@@ -143,8 +144,13 @@ _CANONICAL: dict[GaitName, tuple[float, tuple[float, float, float, float]]] = {
 }
 
 
+@lru_cache(maxsize=64)
 def standard_gait(name: GaitName, period: float = DEFAULT_PERIOD) -> GaitPattern:
-    """Canonical parameters for one of the five named gaits."""
+    """Canonical parameters for one of the five named gaits.
+
+    Memoized: a :class:`GaitPattern` is frozen, and the gait machine asks for
+    the pattern in effect on every control step.
+    """
     if period <= 0.0:
         raise ValueError(f"stride period must be positive, got {period}")
     beta, offsets = _CANONICAL[name]

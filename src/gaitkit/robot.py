@@ -53,6 +53,12 @@ class RobotParams:
             raise ValueError("inertia must be positive definite")
         if not (self.link_thigh > 0.0 and self.link_shank > 0.0 and self.link_hip >= 0.0):
             raise ValueError("link lengths must be positive (hip offset >= 0)")
+        for name in ("gravity", "hip_length", "hip_width"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("foot_mass", "link_hip"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
         if self.n_motors != 12:
             raise ValueError("the toolkit models 12 motors, 3 per leg")
 

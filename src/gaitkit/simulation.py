@@ -429,10 +429,10 @@ def run_trial(
     touchdown_scatter = np.zeros((4, 2))
 
     q = np.zeros((4, 3))
+    body_targets = (foot_pos - state.position) @ rot
     for leg in LegId:
-        body_target = rot.T @ (foot_pos[leg] - state.position)
         try:
-            q[leg] = leg_ik(body_target, leg, params)
+            q[leg] = leg_ik(body_targets[leg], leg, params)
         except OutOfWorkspaceError as err:
             q[leg] = err.clamped_angles
     q_prev = q.copy()
@@ -444,6 +444,7 @@ def run_trial(
     f_max = config.f_max_scale * params.mass * params.gravity
     g_vec = params.gravity * _GRAV_DIR
     apex = max(config.swing_apex, config.ground_clearance)
+    limit = config.joint_torque_limit
 
     carrot_x = start_x
     phase = 0.0
@@ -458,6 +459,8 @@ def run_trial(
     # the ground under the body; after each step it is resampled for the
     # failure check and serves the next step
     body_samp = terrain.query(state.position[0])
+    # the force QP's final working set seeds the next step's QP
+    working_set: tuple[int, ...] = ()
     t = 0.0
     rows = 0  # steps run, each logged in its row
     for row in range(n_steps):
@@ -481,9 +484,18 @@ def run_trial(
         v_des = v_cmd * tangent
         v_des_flat = np.array([v_des[0], 0.0, 0.0])
 
-        scheduled = np.zeros(4, dtype=bool)
+        # Raibert touchdown: symmetric stepping on the actual velocity plus a
+        # capture correction toward the commanded one (using the commanded
+        # velocity alone leaves lateral sway undamped); both terms but the
+        # hip's own prediction are the same for every swing leg
+        v_flat = np.array([state.velocity[0], state.velocity[1], 0.0])
+        lead = v_flat * (0.5 * beta * period)
+        correction = config.capture_gain * (v_flat - v_des_flat)
+        c_norm = math.sqrt(correction.dot(correction))
+        if c_norm > config.capture_clamp:
+            correction *= config.capture_clamp / c_norm
+
         eff_stance = np.zeros(4, dtype=bool)
-        torques = np.zeros((4, 3))
         foot_acc_world = np.zeros((4, 3))
         for leg in LegId:
             cs = leg_contact(pattern, phase, leg)
@@ -502,17 +514,8 @@ def run_trial(
                 s0 = swing_entry_s[leg]
                 local = (s - s0) / (1.0 - s0) if s0 < 1.0 - 1e-9 else 1.0
                 t_rem = (1.0 - s) * swing_time_full
-                hip_w = state.position + rot @ hips[leg]
-                # Raibert touchdown: symmetric stepping on the actual velocity
-                # plus a capture correction toward the commanded one; using
-                # the commanded velocity alone leaves lateral sway undamped
-                v_flat = np.array([state.velocity[0], state.velocity[1], 0.0])
-                hip_pred = hip_w + v_flat * t_rem
-                correction = config.capture_gain * (v_flat - v_des_flat)
-                c_norm = math.sqrt(correction.dot(correction))
-                if c_norm > config.capture_clamp:
-                    correction *= config.capture_clamp / c_norm
-                target = hip_pred + v_flat * (0.5 * beta * period) + correction
+                hip_pred = state.position + rot @ hips[leg] + v_flat * t_rem
+                target = hip_pred + lead + correction
                 target[0] += touchdown_scatter[leg, 0]
                 target[1] += touchdown_scatter[leg, 1]
                 try:
@@ -533,17 +536,17 @@ def run_trial(
                         normals[leg] = samp.normal
                     except TerrainBoundsError:
                         normals[leg] = (0.0, 0.0, 1.0)
-                scheduled[leg] = True
+                eff_stance[leg] = True
 
-            body_target = rot.T @ (foot_pos[leg] - state.position)
+        # a stance foot out of reach is dropped from stance
+        body_targets = (foot_pos - state.position) @ rot
+        for leg in LegId:
             try:
-                q[leg] = leg_ik(body_target, leg, params)
-                reachable = True
+                q[leg] = leg_ik(body_targets[leg], leg, params)
             except OutOfWorkspaceError as err:
                 q[leg] = err.clamped_angles
-                reachable = False
+                eff_stance[leg] = False
                 acc.slips += 1
-            eff_stance[leg] = scheduled[leg] and reachable
 
         # body tracking wrench; gravity feedforward scaled so flight gaits
         # receive the stride-averaged weight support during their stance phases
@@ -570,38 +573,37 @@ def run_trial(
 
         mu = body_samp.friction
         dist = distribute_forces(
-            wrench, foot_pos, eff_stance, state.position, mu, f_max, normals
+            wrench, foot_pos, eff_stance, state.position, mu, f_max, normals,
+            working_set=working_set,
         )
+        working_set = dist.working_set
 
         qdot = (q - q_prev) / dt
         q_prev = q.copy()
         applied_forces = dist.forces.copy()
-        for leg in LegId:
-            if eff_stance[leg]:
-                f_body = rot.T @ dist.forces[leg]
-                torques[leg] = stance_torques(f_body, q[leg], leg, params)
-                # actuator saturation: when a joint exceeds its torque limit
-                # the whole leg force scales down and the commanded wrench is
-                # no longer met; this is the controller limitation that drops
-                # the violent gaits
-                peak = np.abs(torques[leg]).max()
-                if peak > config.joint_torque_limit:
-                    scale = config.joint_torque_limit / peak
-                    torques[leg] *= scale
-                    applied_forces[leg] = dist.forces[leg] * scale
-                    acc.flags += 1
+        forces_body = dist.forces @ rot
+        acc_body = (foot_acc_world - g_vec) @ rot
+        torques = acc.torques[row]
+        for leg, in_stance in zip(LegId, eff_stance.tolist()):
+            if in_stance:
+                tau = stance_torques(forces_body[leg], q[leg], leg, params)
             else:
-                a_body = rot.T @ (foot_acc_world[leg] - g_vec)
-                torques[leg] = swing_torques(q[leg], a_body, leg, params)
-                peak = np.abs(torques[leg]).max()
-                if peak > config.joint_torque_limit:
-                    scale = config.joint_torque_limit / peak
-                    torques[leg] *= scale
-                    foot_acc_world[leg] *= scale
-                    acc.flags += 1
+                tau = swing_torques(q[leg], acc_body[leg], leg, params)
+            # actuator saturation: when a joint exceeds its torque limit the
+            # whole leg effort scales down; a stance leg's force scales with
+            # it and the commanded wrench is no longer met, which is the
+            # controller limitation that drops the violent gaits
+            t0, t1, t2 = tau.tolist()
+            peak = max(abs(t0), abs(t1), abs(t2))
+            if peak > limit:
+                scale = limit / peak
+                tau *= scale
+                if in_stance:
+                    applied_forces[leg] = dist.forces[leg] * scale
+                acc.flags += 1
+            torques[leg] = tau
 
         acc.time[row] = t
-        acc.torques[row] = torques
         acc.joint_velocities[row] = qdot
         acc.forces[row] = applied_forces
         acc.stance[row] = eff_stance

@@ -242,13 +242,17 @@ def test_config_rejects_unknown_keys(tmp_path):
          "slick"),
         ({"robot": {"mass": math.nan}}, "flat"),
         ({"robot": {"inertia_diag": [0.05, math.nan, 0.18]}}, "flat"),
+        # a NaN gravity was scored as a fall (exit 2); a NaN foot mass exited 0
+        ({"robot": {"gravity": math.nan}}, "flat"),
+        ({"robot": {"foot_mass": math.nan}}, "flat"),
         ({"sim": {"kp_lin": [math.nan, 400.0, 400.0]}}, "flat"),
         # a NaN failure threshold would switch the failure check off
         ({"sim": {"max_roll": math.nan}}, "flat"),
         ({"sim": {"max_pitch": math.nan}}, "flat"),
         ({"sim": {"min_height_ratio": math.nan}}, "flat"),
     ],
-    ids=["friction", "mass", "inertia", "gain", "max_roll", "max_pitch", "min_height_ratio"],
+    ids=["friction", "mass", "inertia", "gravity", "foot_mass", "gain", "max_roll",
+         "max_pitch", "min_height_ratio"],
 )
 def test_nan_in_config_exits_one(tmp_path, cfg, terrain):
     # json.dumps writes NaN, which json.load accepts
@@ -260,6 +264,18 @@ def test_nan_in_config_exits_one(tmp_path, cfg, terrain):
         "--duration", "1.2", "--out", str(tmp_path / "o"), "--config", str(cfg_path),
     ]) == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_bad_map_c_values_exit_one_before_any_output(tmp_path):
+    # simulate reads map.c_values for its per-stride blends; a bad value
+    # used to fail only after stride_log.csv was written
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"map": {"c_values": [1.5]}}))
+    assert main([
+        "simulate", "--gait", "trot", "--velocity", "1.2", "--duration", "1.2",
+        "--out", str(tmp_path / "o"), "--config", str(cfg_path),
+    ]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def _no_trial(*args, **kwargs):

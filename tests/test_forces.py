@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from gaitkit import forces
+from gaitkit import forces, simulation
 from gaitkit.forces import distribute_forces
 from gaitkit.gaits import GaitName, standard_gait
 from gaitkit.robot import terrain_preset
@@ -220,8 +220,10 @@ def _drop_choice(lam):
     return int(np.argmin(lam)) if lam.size and lam.min() < -1e-9 else -1
 
 
-def _reference_solve_qp(H, g, G, h, max_iter=80):
+def _reference_solve_qp(H, g, G, h, max_iter=80, working_set=()):
     """The active-set loop with a confirming KKT solve after each full step.
+
+    It starts from the working set that solve_qp seeds from ``working_set``.
 
     After every full, unblocked step this loop solves once more to find
     p ~ 0 and decides on that solve's multipliers. Returns (x, iterations,
@@ -233,6 +235,9 @@ def _reference_solve_qp(H, g, G, h, max_iter=80):
     n = H.shape[0]
     x = np.zeros(n)
     active = []
+    for i in working_set:
+        if h[i] == 0.0 and forces._independent(G, i, active, 6):
+            active.append(i)
     last_it = 0
     step_lam = None  # multipliers of a full, unblocked step, until confirmed
     confirmations = 0
@@ -295,24 +300,26 @@ class _QpLog:
         self.calls = []
         solve = forces.solve_qp
 
-        def recorded(H, g, G, h):
-            x, iterations = solve(H, g, G, h)
-            self.calls.append(((H, g, G, h), x, iterations, _reference_solve_qp(H, g, G, h)))
-            return x, iterations
+        def recorded(H, g, G, h, working_set=()):
+            x, iterations, active = solve(H, g, G, h, working_set=working_set)
+            reference = _reference_solve_qp(H, g, G, h, working_set=working_set)
+            self.calls.append(((H, g, G, h, tuple(working_set)), x, iterations, reference))
+            return x, iterations, active
 
         monkeypatch.setattr(forces, "solve_qp", recorded)
 
     def check(self):
         """Compare every call with the reference; return the departed count."""
         departed = 0
-        for (H, g, G, h), x, iterations, (x_ref, it_ref, confirms, dep) in self.calls:
+        for (H, g, G, h, seed), x, iterations, (x_ref, it_ref, confirms, dep) in self.calls:
             if dep:
                 departed += 1
                 assert np.all(np.abs(x - x_ref) <= 1e-9 * (1.0 + np.abs(x_ref)))
             else:
                 assert x.tobytes() == x_ref.tobytes()
                 assert iterations == it_ref - confirms
-            if (G @ np.linalg.solve(H, -g) <= h).all():
+            # a cold start ends at once on a feasible unconstrained optimum
+            if not seed and (G @ np.linalg.solve(H, -g) <= h).all():
                 assert iterations == 1
         return departed
 
@@ -339,3 +346,167 @@ def test_qp_matches_confirming_reference_on_a_flat_trot(monkeypatch):
     assert not result.failed
     assert len(log.calls) == round(1.2 / SimConfig().dt)
     assert log.check() == 0
+
+
+def _objective(forces_out, wrench, feet, stance, com):
+    """The QP objective of a force split, up to its constant term."""
+    A, idx = _wrench_matrix(feet, stance, com)
+    x = forces_out[idx].reshape(-1)
+    r = forces._ROW_WEIGHTS_ARRAY * (A @ x - wrench)
+    return 0.5 * float(r @ r) + 0.5 * forces._RIDGE * float(x @ x)
+
+
+def test_hot_start_reaches_the_cold_minimizer_on_random_instances():
+    # the instances of test_500_random_instances_constraints_hold, each
+    # hot-started from its own cold working set and from a random subset of
+    # all 24 leg-face rows in random order (swing and f_max rows included)
+    rng = np.random.default_rng(2024)
+    seed_rng = np.random.default_rng(5)
+    mu, f_max = 0.7, 2 * MG
+    hot_starts = 0
+    for _ in range(500):
+        wrench, feet, stance, com = _random_instance(rng)
+        cold = distribute_forces(wrench, feet, stance, com, mu, f_max)
+        cold_obj = _objective(cold.forces, wrench, feet, stance, com)
+        rows = seed_rng.permutation(24)[: int(seed_rng.integers(1, 13))]
+        for seed in (cold.working_set, tuple(int(i) for i in rows)):
+            hot = distribute_forces(wrench, feet, stance, com, mu, f_max, working_set=seed)
+            hot_starts += bool(seed)
+            assert np.all(hot.forces[~stance] == 0.0)
+            fn = hot.forces[stance][:, 2]
+            assert np.all(fn >= -1e-9)
+            assert np.all(fn <= f_max + 1e-9)
+            assert np.all(np.abs(hot.forces[stance][:, :2]) <= mu * fn[:, None] + 1e-9)
+            assert hot.feasible == cold.feasible
+            hot_obj = _objective(hot.forces, wrench, feet, stance, com)
+            assert abs(hot_obj - cold_obj) <= 1e-8 * (1.0 + cold_obj)
+            assert all(stance[i // 6] for i in hot.working_set)
+    assert hot_starts > 600
+
+
+def test_seed_drops_swing_rows_and_f_max_rows(monkeypatch):
+    # legs 0 and 3 stand; rows of legs 1 and 2 and the f_n <= f_max rows
+    # (face 5) are no valid seed, so the solve is the cold start bit for bit
+    wrench = np.array([4.0, -2.0, MG, 0.5, -0.5, 0.2])
+    stance = np.array([True, False, False, True])
+    cold = distribute_forces(wrench, _standing_feet(), stance, COM, 0.7, 2 * MG)
+    seeds = []
+    solve = forces.solve_qp
+
+    def recorded(H, g, G, h, working_set=()):
+        seeds.append(list(working_set))
+        return solve(H, g, G, h, working_set=working_set)
+
+    monkeypatch.setattr(forces, "solve_qp", recorded)
+    invalid = (6 + 0, 12 + 4, 5, 18 + 5, 6 + 5)
+    hot = distribute_forces(
+        wrench, _standing_feet(), stance, COM, 0.7, 2 * MG, working_set=invalid
+    )
+    # swing rows never reach the QP; leg 3 is the QP's second foot
+    assert seeds == [[5, 6 + 5]]
+    assert hot.forces.tobytes() == cold.forces.tobytes()
+    assert hot.iterations == cold.iterations
+    assert hot.working_set == cold.working_set
+
+    # a face through the origin of a stance foot is kept, in QP numbering
+    seeds.clear()
+    distribute_forces(
+        wrench, _standing_feet(), stance, COM, 0.7, 2 * MG, working_set=(18 + 4, 6 + 1)
+    )
+    assert seeds == [[6 + 4]]
+
+
+def _aligned_pair_instance(rng):
+    """Two feet with one equal ground coordinate, pushed past their cone.
+
+    The pair shares y (a side pair) or x (a front or hind pair), and the
+    wrench is that of foot forces beyond the friction pyramid along the
+    shared axis, so the binding faces are orthogonal to the squeeze
+    direction d and the polish projects d out.
+    """
+    pair = [[0, 1], [2, 3], [0, 2], [1, 3]][int(rng.integers(4))]
+    stance = np.zeros(4, dtype=bool)
+    stance[pair] = True
+    feet = _standing_feet() + rng.uniform(-0.03, 0.03, size=(4, 3))
+    axis = 1 if pair in ([0, 1], [2, 3]) else 0
+    feet[pair, axis] = feet[pair[0], axis]
+    feet[:, 2] = 0.0
+    fz = 0.5 * MG * rng.uniform(0.8, 1.2, size=2)
+    f = np.zeros((2, 3))
+    f[:, 2] = fz
+    f[:, axis] = rng.choice([-1.0, 1.0]) * rng.uniform(0.72, 0.9) * fz
+    A, _ = _wrench_matrix(feet, stance, COM)
+    return A @ f.reshape(-1), feet, stance, COM
+
+
+def test_two_foot_binding_polish_matches_lstsq(monkeypatch):
+    """The closed-form 2-foot polish against lstsq on [A; binding rows].
+
+    Instances: the 2-foot random instances, aligned pairs pushed past their
+    cone, and the 2-foot steps of trials that press feet against their cone
+    faces.
+    """
+    lstsq = np.linalg.lstsq
+    qp_x = []
+    solve = forces.solve_qp
+
+    def recorded(H, g, G, h, working_set=()):
+        out = solve(H, g, G, h, working_set=working_set)
+        qp_x.append((G, h, out[0].copy()))
+        return out
+
+    lstsq_calls = []
+
+    def counted(*args, **kwargs):
+        lstsq_calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(forces, "solve_qp", recorded)
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+
+    instances = []
+    distribute = simulation.distribute_forces
+
+    def logged(wrench, feet, stance, com, mu, f_max, normals, working_set=()):
+        dist = distribute(wrench, feet, stance, com, mu, f_max, normals,
+                          working_set=working_set)
+        if dist.stance.sum() == 2:
+            instances.append((np.array(feet), dist.stance, np.array(com), qp_x[-1], dist))
+        return dist
+
+    monkeypatch.setattr(simulation, "distribute_forces", logged)
+    rng = np.random.default_rng(2024)
+    for _ in range(500):
+        wrench, feet, stance, com = _random_instance(rng)
+        if stance.sum() == 2:
+            dist = distribute_forces(wrench, feet, stance, com, 0.7, 2 * MG)
+            instances.append((feet, stance, com, qp_x[-1], dist))
+    for _ in range(50):
+        wrench, feet, stance, com = _aligned_pair_instance(rng)
+        dist = distribute_forces(wrench, feet, stance, com, 0.7, 2 * MG)
+        instances.append((feet, stance, com, qp_x[-1], dist))
+    for gait, v_cmd, name, start_x in [
+        (GaitName.BOUND, 1.7, "flat", 0.0),
+        (GaitName.RUN, 0.7, "flat-slope", 2.4),
+        (GaitName.BOUND, 0.7, "slope12", 0.0),
+    ]:
+        run_trial(standard_gait(gait), v_cmd, terrain_preset(name), 1.5,
+                  SimConfig(seed=3), start_x=start_x)
+    assert lstsq_calls == []
+
+    checked = {"projected": 0, "kept": 0}
+    for feet, stance, com, (G, h, x), dist in instances:
+        binding = np.abs(G @ x - h) <= 1e-7 * (1.0 + np.abs(h))
+        if not binding.any():
+            continue
+        A, idx = _wrench_matrix(feet, stance, com)
+        C = np.concatenate([A, G[binding]])
+        want = lstsq(C, C @ x, rcond=None)[0]
+        if not ((G @ want <= h + 1e-9).all() and want @ want <= x @ x + 1e-9):
+            want = x
+        got = dist.forces[idx].reshape(-1)
+        assert np.linalg.norm(got - want) <= 1e-9 * max(np.linalg.norm(want), 1.0)
+        checked["projected" if np.linalg.matrix_rank(C) < 6 else "kept"] += 1
+    # both closed forms run: the squeeze direction projected out, and kept
+    assert checked["projected"] > 10
+    assert checked["kept"] > 10

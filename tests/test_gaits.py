@@ -39,6 +39,12 @@ def test_standard_gait_rejects_bad_period():
         standard_gait(GaitName.TROT, -1.0)
 
 
+def test_standard_gait_is_memoized():
+    # the gait machine asks for the pattern in effect on every control step
+    assert standard_gait(GaitName.WALK, 0.4) is standard_gait(GaitName.WALK, 0.4)
+    assert standard_gait(GaitName.WALK, 0.4) is not standard_gait(GaitName.WALK, 0.5)
+
+
 def test_pattern_validation():
     with pytest.raises(ValueError):
         GaitPattern(beta=0.0, offsets=(0, 0, 0, 0))

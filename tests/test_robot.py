@@ -185,6 +185,21 @@ def test_robot_params_reject_nan(kwargs):
         RobotParams(**kwargs)
 
 
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0, math.inf])
+@pytest.mark.parametrize("name", ["gravity", "hip_length", "hip_width"])
+def test_robot_params_reject_non_positive_or_non_finite_geometry(name, value):
+    with pytest.raises(ValueError, match=name):
+        RobotParams(**{name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, -0.01, math.inf])
+@pytest.mark.parametrize("name", ["foot_mass", "link_hip"])
+def test_robot_params_reject_negative_or_non_finite_offsets(name, value):
+    with pytest.raises(ValueError):
+        RobotParams(**{name: value})
+    RobotParams(**{name: 0.0})
+
+
 @pytest.mark.parametrize(
     "segment",
     [

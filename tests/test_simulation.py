@@ -278,8 +278,10 @@ class _DistributionLog:
         self.calls = []
         distribute = simulation.distribute_forces
 
-        def recorded(wrench, feet, stance, com, mu, f_max, normals):
-            dist = distribute(wrench, feet, stance, com, mu, f_max, normals)
+        def recorded(wrench, feet, stance, com, mu, f_max, normals, working_set=()):
+            dist = distribute(
+                wrench, feet, stance, com, mu, f_max, normals, working_set=working_set
+            )
             self.calls.append((dist, np.array(normals), mu, f_max))
             return dist
 
@@ -314,6 +316,33 @@ def test_degenerate_working_sets_keep_forces_in_the_cone(monkeypatch):
     max_iter = inspect.signature(forces.solve_qp).parameters["max_iter"].default
     assert len(log.calls) > 1000
     assert max(dist.iterations for dist, *_ in log.calls) < max_iter
+
+
+def test_threaded_working_set_needs_fewer_kkt_solves_than_cold_starts(monkeypatch):
+    # a walk across the flat-slope kink, whose 3- and 2-foot QPs bind cone
+    # faces; each step's QP starts from the previous step's working set
+    distribute = simulation.distribute_forces
+    solves = {"hot": [], "cold": []}
+
+    def counted(mode):
+        def recorded(wrench, feet, stance, com, mu, f_max, normals, working_set=()):
+            seed = working_set if mode == "hot" else ()
+            dist = distribute(wrench, feet, stance, com, mu, f_max, normals,
+                              working_set=seed)
+            solves[mode].append(dist.iterations)
+            return dist
+
+        return recorded
+
+    for mode in ("hot", "cold"):
+        monkeypatch.setattr(simulation, "distribute_forces", counted(mode))
+        result = run_trial(
+            standard_gait(GaitName.WALK), 0.7, terrain_preset("flat-slope"), 1.2,
+            SimConfig(seed=3), start_x=2.4,
+        )
+        assert not result.failed
+    assert len(solves["hot"]) == len(solves["cold"]) == round(1.2 / SimConfig().dt)
+    assert sum(solves["hot"]) < 0.6 * sum(solves["cold"])
 
 
 def test_determinism_bit_identical():
