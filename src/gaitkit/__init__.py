@@ -87,4 +87,4 @@ from .strategy import (
     compare,
     run_strategy,
 )
-from .config import ToolkitConfig, load_config, save_config
+from .config import ToolkitConfig, load_config

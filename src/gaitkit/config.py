@@ -115,42 +115,9 @@ def config_from_dict(data: dict) -> ToolkitConfig:
     return ToolkitConfig(**sections, terrains=terrains)
 
 
-def config_to_dict(cfg: ToolkitConfig) -> dict:
-    out = {}
-    for section, cls in _SECTIONS.items():
-        block = dataclasses.asdict(getattr(cfg, section))
-        if section == "map":
-            block["gaits"] = [g.label for g in getattr(cfg, section).gaits]
-        out[section] = block
-    if cfg.terrains:
-        out["terrains"] = {
-            name: {
-                "segments": [
-                    {
-                        "start_x": seg.start_x,
-                        "incline_deg": math.degrees(seg.incline),
-                        "friction": seg.friction,
-                        "kind": seg.kind,
-                    }
-                    for seg in terrain.segments
-                ],
-                "end_x": terrain.end_x,
-                "base_height": terrain.base_height,
-                "course_end": terrain.course_end,
-            }
-            for name, terrain in cfg.terrains.items()
-        }
-    return out
-
-
 def load_config(path: str | None) -> ToolkitConfig:
     """Load the toolkit config, falling back to defaults when path is None."""
     if path is None:
         return ToolkitConfig()
     with open(path) as fh:
         return config_from_dict(json.load(fh))
-
-
-def save_config(cfg: ToolkitConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=1, sort_keys=True)

@@ -11,33 +11,41 @@ minimizing the total squared force subject to
 The wrench equalities are enforced through a stiff quadratic penalty so the
 problem stays well posed even when they are unattainable (flight phase, or a
 two-foot stance that cannot realize the full moment); the achieved residual
-and a feasibility verdict are reported alongside the forces. The cone faces
-are handled by a primal active-set loop on the small dense QP. The loop ends
-on the multipliers of the step that reached the working-set minimizer: after
-a full, unblocked step it returns if every multiplier is non-negative and
-otherwise drops the most negative one, without a further KKT solve to
-confirm a zero step (Nocedal & Wright, Numerical Optimization, Alg. 16.3).
+and a feasibility verdict are reported alongside the forces. With the row
+weights W and a ridge eps, the objective is the least-squares form
+0.5 |M x - b|^2 with M = [W A; sqrt(eps) I] and b = [W w; 0]: the penalty on
+the wrench w plus eps/2 |x|^2, which picks the smallest forces among those
+that realize the same wrench. M has full column rank, and its condition
+number (about 7e5 for four feet) is the square root of that of the normal
+matrix M'M, so the normal equations are never formed.
 
-The working set stays linearly independent: a cone face may block a step
-only if its row is independent of the working-set rows of the same foot
-(Nocedal & Wright, §16.5). At x = 0 all five faces through the origin have
+The cone faces are handled by a primal active-set loop on this small dense
+problem (Nocedal & Wright, Numerical Optimization, §16.5). Each working-set
+subproblem, min 0.5 |M p - r|^2 subject to C p = 0 with r = b - M x, is one
+solve of the augmented system (Björck, Numerical Methods for Least Squares
+Problems, §2.5)
+
+    [ -a I   M    0  ] [ y  ]   [ r ]
+    [  M'    0    C' ] [ p  ] = [ 0 ]
+    [  0     C    0  ] [ mu ]   [ 0 ]
+
+where y = (M p - r) / a is the scaled residual and a * mu are the
+multipliers of the working-set rows. The scale a = sqrt(eps) is about the
+smallest singular value of M, which balances the system; it is nonsingular
+because M has full column rank and C full row rank. The loop ends on the
+multipliers of the step that reached the working-set minimizer: after a
+full, unblocked step, or a step below 1e-9 of max(1, |x|), it returns if
+every multiplier is at least -1e-12 and otherwise drops the most negative
+one, without a further solve to confirm a zero step (Alg. 16.3).
+
+The working set stays linearly independent, so C keeps full row rank: a
+cone face may block a step only if its row is independent of the working-set
+rows of the same foot. At x = 0 all five faces through the origin have
 zero slack, and {face+t1, face-t1, +-n}, {face+t2, face-t2, +-n}, {n, -n}
 and any four rows of one foot are dependent; a dependent face has G_i p = 0 on
-every step of the working set, so skipping it is exact, and the skip keeps
-the KKT matrix nonsingular. The rows of a foot act on its three columns only, so the
-test is a cross or triple product of at most three 3-vectors.
-
-The solved forces are polished: the active-set steps through the ridge-
-conditioned KKT leave small noise in the null space of the wrench map A,
-which the polish removes while keeping the achieved wrench and the binding
-cone faces, by ``np.linalg.lstsq`` on A stacked with the binding rows G_b.
-The stance count selects the closed forms. With one foot A has full column
-rank, so the polish is the identity. With two feet the null space of A is
-the squeeze direction d = [r; -r], r = p1 - p2, so the null space of
-[A; G_b] is d when every binding row is orthogonal to d, and {0} otherwise:
-the polish is x - d (d.x) / (d.d) in the first case (also with no binding
-face) and the identity in the second. ``lstsq`` runs only for three and
-four stance feet.
+every step of the working set, so skipping it is exact. The rows of a foot act
+on its three columns only, so the test is a cross or triple product of at most
+three 3-vectors.
 
 Consecutive control steps solve nearly the same QP, so the solver is hot-
 started (Nocedal & Wright, §16.5): ``solve_qp`` takes an initial working set
@@ -46,9 +54,9 @@ and ``distribute_forces`` takes and returns it in leg-face numbering,
 feet that are active at x = 0 (h_i == 0, so never an f_max row) and
 independent of the rows kept before them; the loop then runs as from a cold
 start. Any such seed reaches the minimizer, since x = 0 is feasible and on
-every seeded face: the objective matches the cold start's to round-off,
-while the forces may differ along directions that only the tiny ridge term
-pins down. The empty seed is the cold start.
+every seeded face, and the ridge makes that minimizer unique, so hot and
+cold starts end on the same forces to round-off. The empty seed is the cold
+start.
 
 Contact normals are constant per terrain segment, so the six friction-pyramid
 rows of a stance foot are built once per (normal, friction) pair and kept in a
@@ -73,7 +81,8 @@ import numpy as np
 
 # Weight of the norm-minimization term relative to the wrench penalty. Small
 # enough that the wrench residual stays far below the 1e-6 feasibility
-# threshold, large enough to keep the KKT systems well conditioned.
+# threshold, large enough to keep the condition number of the least-squares
+# factor [W A; sqrt(eps) I] near 1e6 (its smallest singular value is sqrt(eps)).
 _RIDGE = 1e-9
 _FEASIBLE_RTOL = 1e-6
 # sine of the angle below which a cone row counts as lying in the span of
@@ -93,7 +102,10 @@ _FORCE_ROWS = {
 }
 # raw bytes of the default contact normal, world z (a cone-cache key)
 _UP_BYTES = np.array([0.0, 0.0, 1.0]).tobytes()
-_RIDGE_EYE = {k: _RIDGE * np.eye(3 * k) for k in range(1, 5)}
+_SQRT_RIDGE = math.sqrt(_RIDGE)
+# the multiplier below which a working-set row is dropped, in the units of
+# the objective (multipliers of feasible splits are eps * |f|, about 1e-7)
+_LAMBDA_TOL = -1e-12
 
 
 @dataclass
@@ -211,17 +223,19 @@ def _independent(G: np.ndarray, i: int, active: list[int], group_rows: int) -> b
 
 
 def solve_qp(
-    H: np.ndarray,
-    g: np.ndarray,
+    M: np.ndarray,
+    b: np.ndarray,
     G: np.ndarray,
     h: np.ndarray,
     max_iter: int = 80,
     working_set=(),
 ) -> tuple[np.ndarray, int, list[int]]:
-    """Minimize 0.5 x'Hx + g'x subject to Gx <= h with h >= 0.
+    """Minimize 0.5 |Mx - b|^2 subject to Gx <= h with h >= 0.
 
-    Primal active-set method started from the feasible point x = 0. H must be
-    positive definite. Sized for a handful of variables and constraints. G is
+    Primal active-set method started from the feasible point x = 0. M must
+    have full column rank with its smallest singular value near
+    ``sqrt(_RIDGE)``, the scale of the augmented system (the module
+    docstring). Sized for a handful of variables and constraints. G is
     block-diagonal by foot: its rows come in ``n // 3`` equal groups, group b
     acting on columns 3b to 3b + 2 only.
 
@@ -231,52 +245,51 @@ def solve_qp(
     dependent). x = 0 lies on every such row, so the loop below reaches the
     minimizer from any seed; the empty seed is the cold start.
 
-    Each iteration solves the equality-constrained subproblem on the working
-    set for a step ``p`` and multipliers ``lam``. A blocked step adds the
+    Each iteration solves the augmented system of the working-set subproblem
+    for a step ``p`` and multipliers ``lam``. A blocked step adds the
     blocking constraint. A full step lands on the subproblem's minimizer,
-    whose multipliers are ``lam``: the loop returns if ``lam >= -1e-9`` (at
+    whose multipliers are ``lam``: the loop returns if ``lam >= -1e-12`` (at
     once with an empty working set) and otherwise drops the constraint with
-    the most negative multiplier. A step that is already negligible in the
-    H-norm terminates on the same multiplier test. A constraint may block
-    only if its row is linearly independent of the working-set rows of its
-    group (a dependent row has G_i p = 0 exactly, so skipping it is exact);
-    each group then holds at most three active rows and the KKT matrix stays
-    nonsingular. Returns the iterate, the number of KKT solves that ran (at
-    most ``max_iter``) and the final working set.
+    the most negative multiplier. A step with ``|p| <= 1e-9 * max(1, |x|)``
+    is not taken and goes to the same multiplier test. A constraint may
+    block only if its row is linearly independent of the working-set rows of
+    its group (a dependent row has G_i p = 0 exactly, so skipping it is
+    exact); each group then holds at most three active rows and the
+    augmented system stays nonsingular. Returns the iterate, the number of
+    solves that ran (at most ``max_iter``) and the final working set.
     """
-    n = H.shape[0]
+    rows, n = M.shape
     group_rows = 3 * G.shape[0] // n
     x = np.zeros(n)
     active: list[int] = []
     for i in working_set:
         if h[i] == 0.0 and _independent(G, i, active, group_rows):
             active.append(i)
+    # the augmented system of the empty working set; C borders it below
+    size = rows + n
+    aug = np.zeros((size, size))
+    np.fill_diagonal(aug[:rows, :rows], -_SQRT_RIDGE)
+    aug[:rows, rows:] = M
+    aug[rows:, :rows] = M.T
     last_it = 0
     for it in range(max_iter):
         last_it = it + 1
-        if active:
+        m = len(active)
+        if m:
+            kkt = np.zeros((size + m, size + m))
+            kkt[:size, :size] = aug
             C = G[active]
-            m = len(active)
-            kkt = np.zeros((n + m, n + m))
-            kkt[:n, :n] = H
-            kkt[:n, n:] = C.T
-            kkt[n:, :n] = C
-            rhs = np.concatenate([-(H @ x + g), np.zeros(m)])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-            p, lam = sol[:n], sol[n:]
+            kkt[size:, rows:size] = C
+            kkt[rows:size, size:] = C.T
         else:
-            p = np.linalg.solve(H, -(H @ x + g))
-            lam = np.array([])
+            kkt = aug
+        rhs = np.zeros(size + m)
+        rhs[:rows] = b - M @ x
+        sol = np.linalg.solve(kkt, rhs)
+        p = sol[rows:size]
+        lam = _SQRT_RIDGE * sol[size:]
 
-        # convergence in the H-norm: roundoff through the ridge-conditioned
-        # KKT leaves |p| bouncing around 1e-4, but the remaining objective
-        # improvement p'Hp is then negligible against the achieved value
-        step_gain = float(p @ (H @ p))
-        negligible = step_gain <= 1e-18 * max(1.0, float(x @ (H @ x)))
-        if not (negligible or math.sqrt(p.dot(p)) < 1e-11):
+        if math.sqrt(p.dot(p)) > 1e-9 * max(1.0, math.sqrt(x.dot(x))):
             Gp = (G @ p).tolist()
             slack = (h - G @ x).tolist()
             ratios = []
@@ -301,7 +314,7 @@ def solve_qp(
 
         # x minimizes the working-set subproblem (a full step reached it, or
         # the step was negligible) and lam are its multipliers
-        if lam.size and lam.min() < -1e-9:
+        if m and lam.min() < _LAMBDA_TOL:
             active.pop(int(np.argmin(lam)))
             continue
         return x, last_it, active
@@ -364,41 +377,16 @@ def distribute_forces(
         mz += (-y, x, 0.0)
     A = np.array([*_FORCE_ROWS[k], mx, my, mz])
 
-    Aw = A * _ROW_WEIGHTS_ARRAY[:, None]
-    bw = wrench * _ROW_WEIGHTS_ARRAY
-    H = Aw.T @ Aw + _RIDGE_EYE[k]
-    g = -(Aw.T @ bw)
+    # least-squares factor [W A; sqrt(eps) I] and target [W w; 0]
+    M = np.zeros((6 + 3 * k, 3 * k))
+    M[:6] = A * _ROW_WEIGHTS_ARRAY[:, None]
+    np.fill_diagonal(M[6:], _SQRT_RIDGE)
+    b = np.zeros(6 + 3 * k)
+    b[:6] = wrench * _ROW_WEIGHTS_ARRAY
     # QP row 6 * j + face belongs to the j-th stance foot
     slot = {leg: j for j, leg in enumerate(legs)}
     seed = [6 * slot[i // 6] + i % 6 for i in working_set if i // 6 in slot]
-    x, iterations, active = solve_qp(H, g, G, h, working_set=seed)
-
-    # polish: active-set steps through the ridge-conditioned KKT leave O(1e-4)
-    # nullspace noise in the force split; re-min-norm while preserving the
-    # achieved wrench and the binding cone faces (one foot: nothing to remove)
-    if k > 1:
-        binding = np.abs(G @ x - h) <= 1e-7 * (1.0 + np.abs(h))
-        x_clean = None
-        if k == 2:
-            # null([A; G_b]) is the squeeze direction d if every binding row
-            # is orthogonal to d, and {0} (the polish is the identity) if not
-            r = feet[legs[0]] - feet[legs[1]]
-            d = np.concatenate([r, -r])
-            dd = d.dot(d)
-            free = True
-            if binding.any():
-                Gb = G[binding]
-                Gd = Gb @ d
-                free = (Gd * Gd <= _DEPENDENT_RTOL**2 * dd * (Gb * Gb).sum(axis=1)).all()
-            if free:
-                x_clean = x - d * (d.dot(x) / dd)
-        else:
-            C = np.concatenate([A, G[binding]]) if binding.any() else A
-            x_clean = np.linalg.lstsq(C, C @ x, rcond=None)[0]
-        if x_clean is not None:
-            slack_ok = (G @ x_clean <= h + 1e-9).all()
-            if slack_ok and float(x_clean @ x_clean) <= float(x @ x) + 1e-9:
-                x = x_clean
+    x, iterations, active = solve_qp(M, b, G, h, working_set=seed)
 
     forces[idx] = x.reshape(k, 3)
     r = A @ x - wrench

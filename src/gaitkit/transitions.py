@@ -380,37 +380,9 @@ class GaitFsm:
                 return
 
 
-def schedule_trace(
-    initial: GaitName,
-    requests: list[tuple[float, GaitName]],
-    duration: float,
-    dt: float,
-    *,
-    period: float = DEFAULT_PERIOD,
-    switch_time: float = DEFAULT_SWITCH_TIME,
-    dwell_strides: int = DEFAULT_DWELL_STRIDES,
-) -> list[tuple[float, GaitPattern, GaitName, str]]:
-    """Replay a request script and sample the parameter schedule at ``dt``.
-
-    Returns rows of (time, pattern, current state, active action id or "").
-    """
-    fsm = GaitFsm(
-        initial, period=period, switch_time=switch_time, dwell_strides=dwell_strides
-    )
-    pending = sorted(requests)
-    rows = []
-    steps = int(round(duration / dt))
-    for k in range(steps):
-        t = k * dt
-        while pending and pending[0][0] <= t + 1e-12:
-            fsm.request(pending.pop(0)[1])
-        pattern = fsm.advance(dt)
-        rows.append((t + dt, pattern, fsm.current, fsm.active_action or ""))
-    return rows
-
-
 def write_transition_trace(path, rows) -> None:
-    """CSV export of a schedule trace: one row per sample."""
+    """CSV export of a parameter schedule: one row of (time, pattern, gait,
+    active action id or "") per sample."""
     import csv
 
     with open(path, "w", newline="") as fh:

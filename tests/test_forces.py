@@ -5,8 +5,9 @@ The oracle parametrizes the solution set of the wrench equalities directly
 uniform random search over the nullspace coordinates, keeping cone-feasible
 samples; it shares no code with the active-set path it checks.
 
-The active-set loop itself is also checked against a reference copy of the
-loop that confirmed every full step with one more KKT solve.
+Every QP of the random instances and of whole trials is also checked for the
+optimality conditions, with multipliers and a working-set minimizer that the
+tests compute by their own linear algebra.
 """
 
 import math
@@ -14,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from gaitkit import forces, simulation
+from gaitkit import forces
 from gaitkit.forces import distribute_forces
 from gaitkit.gaits import GaitName, standard_gait
 from gaitkit.robot import terrain_preset
@@ -215,137 +216,128 @@ def test_objective_within_one_percent_of_oracle():
     assert checked == 50
 
 
-def _drop_choice(lam):
-    """Index of the working-set constraint to drop, or -1 to stop."""
-    return int(np.argmin(lam)) if lam.size and lam.min() < -1e-9 else -1
+def _aligned_pair_instance(rng):
+    """Two feet with one equal ground coordinate, pushed past their cone.
 
-
-def _reference_solve_qp(H, g, G, h, max_iter=80, working_set=()):
-    """The active-set loop with a confirming KKT solve after each full step.
-
-    It starts from the working set that solve_qp seeds from ``working_set``.
-
-    After every full, unblocked step this loop solves once more to find
-    p ~ 0 and decides on that solve's multipliers. Returns (x, iterations,
-    confirmations, departed): the confirmations that found p ~ 0, and
-    whether a confirmation did something the step's own multipliers would
-    not: take a roundoff refinement step, or (on a degenerate working set,
-    whose multipliers are not unique) drop another constraint.
+    The pair shares y (a side pair) or x (a front or hind pair), and the
+    wrench is that of foot forces beyond the friction pyramid along the
+    shared axis, so the binding faces are orthogonal to the squeeze
+    direction d = [r; -r], r = p1 - p2, which the wrench map cannot see.
     """
-    n = H.shape[0]
-    x = np.zeros(n)
-    active = []
-    for i in working_set:
-        if h[i] == 0.0 and forces._independent(G, i, active, 6):
-            active.append(i)
-    last_it = 0
-    step_lam = None  # multipliers of a full, unblocked step, until confirmed
-    confirmations = 0
-    departed = False
-    for it in range(max_iter):
-        last_it = it + 1
-        if active:
-            C = G[active]
-            m = len(active)
-            kkt = np.zeros((n + m, n + m))
-            kkt[:n, :n] = H
-            kkt[:n, n:] = C.T
-            kkt[n:, :n] = C
-            rhs = np.concatenate([-(H @ x + g), np.zeros(m)])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-            p, lam = sol[:n], sol[n:]
-        else:
-            p = np.linalg.solve(H, -(H @ x + g))
-            lam = np.array([])
-
-        step_gain = float(p @ (H @ p))
-        if step_gain <= 1e-18 * max(1.0, float(x @ (H @ x))) or math.sqrt(p.dot(p)) < 1e-11:
-            if step_lam is not None:
-                confirmations += 1
-                departed |= _drop_choice(lam) != _drop_choice(step_lam)
-                step_lam = None
-            if lam.size and lam.min() < -1e-9:
-                active.pop(int(np.argmin(lam)))
-                continue
-            return x, last_it, confirmations, departed
-        departed |= step_lam is not None
-        step_lam = None
-
-        Gp = (G @ p).tolist()
-        slack = (h - G @ x).tolist()
-        alpha = 1.0
-        blocking = -1
-        for i in range(len(Gp)):
-            if i in active or Gp[i] <= 1e-12:
-                continue
-            step = slack[i] / Gp[i]
-            if step < alpha:
-                alpha = step
-                blocking = i
-        x = x + alpha * p
-        if blocking >= 0:
-            active.append(blocking)
-        else:
-            step_lam = lam
-    return x, last_it, confirmations, departed
+    pair = [[0, 1], [2, 3], [0, 2], [1, 3]][int(rng.integers(4))]
+    stance = np.zeros(4, dtype=bool)
+    stance[pair] = True
+    feet = _standing_feet() + rng.uniform(-0.03, 0.03, size=(4, 3))
+    axis = 1 if pair in ([0, 1], [2, 3]) else 0
+    feet[pair, axis] = feet[pair[0], axis]
+    feet[:, 2] = 0.0
+    fz = 0.5 * MG * rng.uniform(0.8, 1.2, size=2)
+    f = np.zeros((2, 3))
+    f[:, 2] = fz
+    f[:, axis] = rng.choice([-1.0, 1.0]) * rng.uniform(0.72, 0.9) * fz
+    A, _ = _wrench_matrix(feet, stance, COM)
+    return A @ f.reshape(-1), feet, stance, COM
 
 
-class _QpLog:
-    """Replaces forces.solve_qp and records each call with the reference."""
+def _record_qps(monkeypatch):
+    """Wrap forces.solve_qp; return the list of its calls and results."""
+    calls = []
+    solve = forces.solve_qp
 
-    def __init__(self, monkeypatch):
-        self.calls = []
-        solve = forces.solve_qp
+    def recorded(M, b, G, h, working_set=()):
+        x, iterations, active = solve(M, b, G, h, working_set=working_set)
+        calls.append((M, b, G, h, tuple(working_set), x, iterations, list(active)))
+        return x, iterations, active
 
-        def recorded(H, g, G, h, working_set=()):
-            x, iterations, active = solve(H, g, G, h, working_set=working_set)
-            reference = _reference_solve_qp(H, g, G, h, working_set=working_set)
-            self.calls.append(((H, g, G, h, tuple(working_set)), x, iterations, reference))
-            return x, iterations, active
-
-        monkeypatch.setattr(forces, "solve_qp", recorded)
-
-    def check(self):
-        """Compare every call with the reference; return the departed count."""
-        departed = 0
-        for (H, g, G, h, seed), x, iterations, (x_ref, it_ref, confirms, dep) in self.calls:
-            if dep:
-                departed += 1
-                assert np.all(np.abs(x - x_ref) <= 1e-9 * (1.0 + np.abs(x_ref)))
-            else:
-                assert x.tobytes() == x_ref.tobytes()
-                assert iterations == it_ref - confirms
-            # a cold start ends at once on a feasible unconstrained optimum
-            if not seed and (G @ np.linalg.solve(H, -g) <= h).all():
-                assert iterations == 1
-        return departed
+    monkeypatch.setattr(forces, "solve_qp", recorded)
+    return calls
 
 
-def test_qp_matches_confirming_reference_on_random_instances(monkeypatch):
-    # the instances of test_500_random_instances_constraints_hold
-    log = _QpLog(monkeypatch)
+def _check_minimizer(M, b, G, h, x, active):
+    """x minimizes 0.5|Mx - b|^2 subject to Gx <= h, with working set ``active``.
+
+    Checks the cone within 1e-9 and the optimality conditions on the working
+    set, with multipliers from lstsq, not from the solver, to the round-off
+    of the gradient. That round-off hides force errors along the directions
+    that keep the wrench and the working set, where only the ridge acts, so
+    x must also be orthogonal to those directions (an SVD basis) within
+    1e-6 N. The achieved wrench is checked against the working-set minimizer
+    found by the null-space method.
+    """
+    assert np.all(G @ x <= h + 1e-9)
+    n_m = np.linalg.norm(M, 2)
+    tol = 1e-12 * n_m * (n_m * np.linalg.norm(x) + np.linalg.norm(b))
+    grad = M.T @ (M @ x - b)
+    if active:
+        C = G[active]
+        assert np.all(np.abs(C @ x - h[active]) <= 1e-9)
+        lam = np.linalg.lstsq(C.T, -grad, rcond=None)[0]
+        assert lam.min() >= -tol
+        grad = grad + C.T @ lam
+        x0 = np.linalg.lstsq(C, h[active], rcond=None)[0]
+        Z = np.linalg.svd(C)[2][len(active):].T
+    else:
+        x0, Z = np.zeros_like(x), np.eye(x.size)
+    assert np.linalg.norm(grad) <= tol
+    wrench_rows = M[:6]
+    _, s, vt = np.linalg.svd(np.concatenate([wrench_rows, G[active]]))
+    assert np.all(np.abs(vt[int(np.sum(s > 1e-9 * s[0])):] @ x) <= 1e-6)
+    x_ref = x0 + Z @ np.linalg.lstsq(M @ Z, b - M @ x0, rcond=None)[0] if Z.size else x0
+    gap = np.linalg.norm(wrench_rows @ (x - x_ref))
+    assert gap <= 1e-10 * max(1.0, np.linalg.norm(b[:6]))
+
+
+def test_qp_is_the_minimizer_on_random_instances(monkeypatch):
+    # the instances of test_500_random_instances_constraints_hold, then
+    # aligned pairs pushed past their cone
+    calls = _record_qps(monkeypatch)
     rng = np.random.default_rng(2024)
-    for _ in range(500):
-        wrench, feet, stance, com = _random_instance(rng)
-        distribute_forces(wrench, feet, stance, com, 0.7, 2 * MG)
-    assert len(log.calls) == 500
-    # a departure needs a degenerate working set; one instance here has one
-    assert log.check() <= 5
-    assert any(it == 1 for _, _, it, _ in log.calls)
-    assert any(it > 1 for _, _, it, _ in log.calls)
+    mu, f_max = 0.7, 2 * MG
+    instances = [_random_instance(rng) for _ in range(500)]
+    instances += [_aligned_pair_instance(rng) for _ in range(50)]
+    oracle_checked = 0
+    for n, (wrench, feet, stance, com) in enumerate(instances):
+        d = distribute_forces(wrench, feet, stance, com, mu, f_max)
+        M, b, G, h, _, x, iterations, active = calls[-1]
+        _check_minimizer(M, b, G, h, x, active)
+        # a cold start ends at once on a feasible unconstrained optimum
+        if (G @ np.linalg.lstsq(M, b, rcond=None)[0] <= h).all():
+            assert iterations == 1
+        if not d.feasible:
+            continue
+        A, idx = _wrench_matrix(feet, stance, com)
+        assert np.linalg.norm(A @ x - wrench) <= 1e-6 * max(1.0, np.linalg.norm(wrench))
+        best = oracle_min_norm(wrench, feet, stance, com, mu, f_max, seed=n)
+        if best is not None:
+            # the oracle's cone-feasible point is never smaller
+            assert float(x @ x) <= best[1] * (1.0 + 1e-9)
+            oracle_checked += 1
+    assert len(calls) == 550
+    assert oracle_checked >= 150
+    assert any(c[6] == 1 for c in calls)
+    assert any(c[6] > 1 for c in calls)
 
 
-def test_qp_matches_confirming_reference_on_a_flat_trot(monkeypatch):
-    log = _QpLog(monkeypatch)
+def test_qp_is_the_minimizer_on_every_trial_step(monkeypatch):
+    # a steady flat trot, and trials that press feet against their cone faces
+    calls = _record_qps(monkeypatch)
     result = run_trial(
         standard_gait(GaitName.TROT), 1.2, terrain_preset("flat"), 1.2, SimConfig(seed=3)
     )
     assert not result.failed
-    assert len(log.calls) == round(1.2 / SimConfig().dt)
-    assert log.check() == 0
+    assert len(calls) == round(1.2 / SimConfig().dt)
+    for gait, v_cmd, name, start_x in [
+        (GaitName.BOUND, 1.7, "flat", 0.0),
+        (GaitName.RUN, 0.7, "flat-slope", 2.4),
+        (GaitName.BOUND, 0.7, "slope12", 0.0),
+    ]:
+        run_trial(standard_gait(gait), v_cmd, terrain_preset(name), 1.5,
+                  SimConfig(seed=3), start_x=start_x)
+    binding = 0
+    for M, b, G, h, _, x, _, active in calls:
+        _check_minimizer(M, b, G, h, x, active)
+        binding += bool(active)
+    assert binding > 100
 
 
 def _objective(forces_out, wrench, feet, stance, com):
@@ -380,6 +372,7 @@ def test_hot_start_reaches_the_cold_minimizer_on_random_instances():
             assert hot.feasible == cold.feasible
             hot_obj = _objective(hot.forces, wrench, feet, stance, com)
             assert abs(hot_obj - cold_obj) <= 1e-8 * (1.0 + cold_obj)
+            assert np.abs(hot.forces - cold.forces).max() <= 1e-6
             assert all(stance[i // 6] for i in hot.working_set)
     assert hot_starts > 600
 
@@ -414,99 +407,3 @@ def test_seed_drops_swing_rows_and_f_max_rows(monkeypatch):
         wrench, _standing_feet(), stance, COM, 0.7, 2 * MG, working_set=(18 + 4, 6 + 1)
     )
     assert seeds == [[6 + 4]]
-
-
-def _aligned_pair_instance(rng):
-    """Two feet with one equal ground coordinate, pushed past their cone.
-
-    The pair shares y (a side pair) or x (a front or hind pair), and the
-    wrench is that of foot forces beyond the friction pyramid along the
-    shared axis, so the binding faces are orthogonal to the squeeze
-    direction d and the polish projects d out.
-    """
-    pair = [[0, 1], [2, 3], [0, 2], [1, 3]][int(rng.integers(4))]
-    stance = np.zeros(4, dtype=bool)
-    stance[pair] = True
-    feet = _standing_feet() + rng.uniform(-0.03, 0.03, size=(4, 3))
-    axis = 1 if pair in ([0, 1], [2, 3]) else 0
-    feet[pair, axis] = feet[pair[0], axis]
-    feet[:, 2] = 0.0
-    fz = 0.5 * MG * rng.uniform(0.8, 1.2, size=2)
-    f = np.zeros((2, 3))
-    f[:, 2] = fz
-    f[:, axis] = rng.choice([-1.0, 1.0]) * rng.uniform(0.72, 0.9) * fz
-    A, _ = _wrench_matrix(feet, stance, COM)
-    return A @ f.reshape(-1), feet, stance, COM
-
-
-def test_two_foot_binding_polish_matches_lstsq(monkeypatch):
-    """The closed-form 2-foot polish against lstsq on [A; binding rows].
-
-    Instances: the 2-foot random instances, aligned pairs pushed past their
-    cone, and the 2-foot steps of trials that press feet against their cone
-    faces.
-    """
-    lstsq = np.linalg.lstsq
-    qp_x = []
-    solve = forces.solve_qp
-
-    def recorded(H, g, G, h, working_set=()):
-        out = solve(H, g, G, h, working_set=working_set)
-        qp_x.append((G, h, out[0].copy()))
-        return out
-
-    lstsq_calls = []
-
-    def counted(*args, **kwargs):
-        lstsq_calls.append(args[0].shape)
-        return lstsq(*args, **kwargs)
-
-    monkeypatch.setattr(forces, "solve_qp", recorded)
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
-
-    instances = []
-    distribute = simulation.distribute_forces
-
-    def logged(wrench, feet, stance, com, mu, f_max, normals, working_set=()):
-        dist = distribute(wrench, feet, stance, com, mu, f_max, normals,
-                          working_set=working_set)
-        if dist.stance.sum() == 2:
-            instances.append((np.array(feet), dist.stance, np.array(com), qp_x[-1], dist))
-        return dist
-
-    monkeypatch.setattr(simulation, "distribute_forces", logged)
-    rng = np.random.default_rng(2024)
-    for _ in range(500):
-        wrench, feet, stance, com = _random_instance(rng)
-        if stance.sum() == 2:
-            dist = distribute_forces(wrench, feet, stance, com, 0.7, 2 * MG)
-            instances.append((feet, stance, com, qp_x[-1], dist))
-    for _ in range(50):
-        wrench, feet, stance, com = _aligned_pair_instance(rng)
-        dist = distribute_forces(wrench, feet, stance, com, 0.7, 2 * MG)
-        instances.append((feet, stance, com, qp_x[-1], dist))
-    for gait, v_cmd, name, start_x in [
-        (GaitName.BOUND, 1.7, "flat", 0.0),
-        (GaitName.RUN, 0.7, "flat-slope", 2.4),
-        (GaitName.BOUND, 0.7, "slope12", 0.0),
-    ]:
-        run_trial(standard_gait(gait), v_cmd, terrain_preset(name), 1.5,
-                  SimConfig(seed=3), start_x=start_x)
-    assert lstsq_calls == []
-
-    checked = {"projected": 0, "kept": 0}
-    for feet, stance, com, (G, h, x), dist in instances:
-        binding = np.abs(G @ x - h) <= 1e-7 * (1.0 + np.abs(h))
-        if not binding.any():
-            continue
-        A, idx = _wrench_matrix(feet, stance, com)
-        C = np.concatenate([A, G[binding]])
-        want = lstsq(C, C @ x, rcond=None)[0]
-        if not ((G @ want <= h + 1e-9).all() and want @ want <= x @ x + 1e-9):
-            want = x
-        got = dist.forces[idx].reshape(-1)
-        assert np.linalg.norm(got - want) <= 1e-9 * max(np.linalg.norm(want), 1.0)
-        checked["projected" if np.linalg.matrix_rank(C) < 6 else "kept"] += 1
-    # both closed forms run: the squeeze direction projected out, and kept
-    assert checked["projected"] > 10
-    assert checked["kept"] > 10

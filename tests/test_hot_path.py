@@ -392,8 +392,8 @@ def test_trot_step_makes_one_solve_no_lstsq_and_one_euler_rate_map(monkeypatch):
     )
     assert not result.failed
     n_steps = round(1.2 / SimConfig().dt)
-    # the 2-foot QP's one KKT solve; omega_dot and the Euler rates are closed
-    # forms, and the 2-foot polish projects out the squeeze direction
+    # the 2-foot QP's one augmented-system solve; omega_dot and the Euler
+    # rates are closed forms, and the forces need no least-squares clean-up
     assert counts["solve"] / n_steps <= 1.0
     assert counts["lstsq"] == 0
     assert counts["rate_map"] / n_steps <= 1.0

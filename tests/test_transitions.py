@@ -10,7 +10,6 @@ from gaitkit.transitions import (
     action_from_id,
     fsm_dispatch,
     initial_state,
-    schedule_trace,
     transition_action,
     transition_params,
 )
@@ -215,10 +214,17 @@ def test_mid_action_events_are_deferred():
 
 
 def test_schedule_trace_rows_and_actions():
-    rows = schedule_trace(
-        GaitName.TROT, [(0.2, GaitName.WALK)], duration=2.0, dt=0.01,
-        period=0.4, switch_time=TS,
-    )
+    # a gait machine driven by a request script, sampled every 10 ms
+    fsm = GaitFsm(GaitName.TROT, period=0.4, switch_time=TS)
+    pending = [(0.2, GaitName.WALK)]
+    rows = []
+    dt = 0.01
+    for k in range(int(round(2.0 / dt))):
+        t = k * dt
+        while pending and pending[0][0] <= t + 1e-12:
+            fsm.request(pending.pop(0)[1])
+        pattern = fsm.advance(dt)
+        rows.append((t + dt, pattern, fsm.current, fsm.active_action or ""))
     actions = {r[3] for r in rows}
     assert "a10" in actions
     final_time, final_pattern, final_state, _ = rows[-1]
