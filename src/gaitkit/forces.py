@@ -96,6 +96,7 @@ _DEPENDENT_RTOL = 1e-9
 # (which pair gaits need anyway to stay pitch-neutral).
 _ROW_WEIGHTS = (0.3, 0.3, 8.0, 30.0, 30.0, 30.0)
 _ROW_WEIGHTS_ARRAY = np.array(_ROW_WEIGHTS)
+_ROW_WEIGHTS_COLUMN = _ROW_WEIGHTS_ARRAY[:, None]
 # force rows of the wrench matrix by stance count: one 3x3 identity per foot
 _FORCE_ROWS = {
     k: ([1.0, 0.0, 0.0] * k, [0.0, 1.0, 0.0] * k, [0.0, 0.0, 1.0] * k) for k in range(1, 5)
@@ -170,6 +171,29 @@ def _cone_block(normal_bytes: bytes, friction: float) -> np.ndarray:
     )
     block.flags.writeable = False
     return block
+
+
+@lru_cache(maxsize=8)
+def _ridge_skeleton(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``M`` and ``b`` of ``k`` stance feet with zero wrench rows:
+    ``[0; sqrt(eps) I]`` and zeros; a copy gets the weighted rows written in."""
+    M = np.zeros((6 + 3 * k, 3 * k))
+    np.fill_diagonal(M[6:], _SQRT_RIDGE)
+    b = np.zeros(6 + 3 * k)
+    M.flags.writeable = False
+    b.flags.writeable = False
+    return M, b
+
+
+@lru_cache(maxsize=8)
+def _augmented_skeleton(rows: int, n: int) -> np.ndarray:
+    """Read-only ``(rows + n)``-square matrix with ``-sqrt(eps)`` on the first
+    ``rows`` diagonal entries and zeros elsewhere; a copy gets ``M`` and its
+    transpose written into the off-diagonal blocks."""
+    aug = np.zeros((rows + n, rows + n))
+    np.fill_diagonal(aug[:rows, :rows], -_SQRT_RIDGE)
+    aug.flags.writeable = False
+    return aug
 
 
 @lru_cache(maxsize=256)
@@ -267,8 +291,7 @@ def solve_qp(
             active.append(i)
     # the augmented system of the empty working set; C borders it below
     size = rows + n
-    aug = np.zeros((size, size))
-    np.fill_diagonal(aug[:rows, :rows], -_SQRT_RIDGE)
+    aug = _augmented_skeleton(rows, n).copy()
     aug[:rows, rows:] = M
     aug[rows:, :rows] = M.T
     last_it = 0
@@ -341,15 +364,14 @@ def distribute_forces(
     rows of swing feet are dropped, and the empty default is a cold start.
     """
     wrench = np.asarray(wrench, dtype=float).reshape(6)
-    feet = np.asarray(foot_positions, dtype=float).reshape(4, 3)
+    feet = np.asarray(foot_positions, dtype=float).reshape(4, 3).tolist()
     stance = np.asarray(stance, dtype=bool).reshape(4)
-    com = np.asarray(com, dtype=float).reshape(3)
+    cx, cy, cz = np.asarray(com, dtype=float).reshape(3).tolist()
     if not friction > 0.0:  # also rejects NaN
         raise ValueError("friction coefficient must be positive")
 
     forces = np.zeros((4, 3))
-    idx = np.flatnonzero(stance)
-    legs = idx.tolist()
+    legs = [leg for leg, on in enumerate(stance.tolist()) if on]
     k = len(legs)
     norm_b = math.sqrt(wrench.dot(wrench))
     if k == 0:
@@ -371,24 +393,27 @@ def distribute_forces(
     G, h = _constraints(keys, friction, f_max)
     # wrench map: a 3x3 identity (force) over skew(p - com) (moment) per foot
     mx, my, mz = [], [], []
-    for x, y, z in (feet[idx] - com).tolist():
+    for leg in legs:
+        fx, fy, fz = feet[leg]
+        x, y, z = fx - cx, fy - cy, fz - cz
         mx += (0.0, -z, y)
         my += (z, 0.0, -x)
         mz += (-y, x, 0.0)
     A = np.array([*_FORCE_ROWS[k], mx, my, mz])
 
-    # least-squares factor [W A; sqrt(eps) I] and target [W w; 0]
-    M = np.zeros((6 + 3 * k, 3 * k))
-    M[:6] = A * _ROW_WEIGHTS_ARRAY[:, None]
-    np.fill_diagonal(M[6:], _SQRT_RIDGE)
-    b = np.zeros(6 + 3 * k)
-    b[:6] = wrench * _ROW_WEIGHTS_ARRAY
+    # least-squares factor [W A; sqrt(eps) I] and target [W w; 0], written
+    # into copies of the stance count's skeleton
+    M_skeleton, b_skeleton = _ridge_skeleton(k)
+    M = M_skeleton.copy()
+    np.multiply(A, _ROW_WEIGHTS_COLUMN, out=M[:6])
+    b = b_skeleton.copy()
+    np.multiply(wrench, _ROW_WEIGHTS_ARRAY, out=b[:6])
     # QP row 6 * j + face belongs to the j-th stance foot
     slot = {leg: j for j, leg in enumerate(legs)}
     seed = [6 * slot[i // 6] + i % 6 for i in working_set if i // 6 in slot]
     x, iterations, active = solve_qp(M, b, G, h, working_set=seed)
 
-    forces[idx] = x.reshape(k, 3)
+    forces[legs] = x.reshape(k, 3)
     r = A @ x - wrench
     residual = math.sqrt(r.dot(r))
     rel = residual / max(1.0, norm_b)

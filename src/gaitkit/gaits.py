@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 DEFAULT_PERIOD = 0.4  # stride duration [s]
 
@@ -70,9 +71,12 @@ class ContactPhase(Enum):
     SWING = "swing"
 
 
-@dataclass(frozen=True)
-class ContactState:
-    """Contact phase of one leg; swing_phase is defined only while airborne."""
+class ContactState(NamedTuple):
+    """Contact phase of one leg; swing_phase is defined only while airborne.
+
+    An immutable record; a named tuple because the control loop builds one
+    per leg and step.
+    """
 
     phase: ContactPhase
     swing_phase: float | None = None

@@ -12,6 +12,7 @@ import bisect
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,6 +92,16 @@ class RobotParams:
         hips.flags.writeable = False
         return hips
 
+    @cached_property
+    def _leg_geometry(self) -> tuple[tuple[float, float, float, float], ...]:
+        """Per leg in LegId order: the hip point and the signed abduction
+        offset ``link_hip * side_sign``, as Python floats for the per-step
+        kinematics."""
+        return tuple(
+            (*self.hip_offsets[leg].tolist(), self.link_hip * self.side_sign(leg))
+            for leg in LegId
+        )
+
 
 class OutOfWorkspaceError(ValueError):
     """IK target outside the leg workspace; carries the nearest reachable point."""
@@ -106,28 +117,25 @@ class OutOfWorkspaceError(ValueError):
 
 def leg_fk(q_leg, leg: LegId, params: RobotParams) -> np.ndarray:
     """Body-frame foot position for (abduction, hip pitch, knee) angles."""
-    q1, q2, q3 = float(q_leg[0]), float(q_leg[1]), float(q_leg[2])
-    d = params.link_hip * params.side_sign(leg)
+    q1, q2, q3 = q_leg
+    hx, hy, hz, d = params._leg_geometry[leg]
     xp = -params.link_thigh * math.sin(q2) - params.link_shank * math.sin(q2 + q3)
     zp = -params.link_thigh * math.cos(q2) - params.link_shank * math.cos(q2 + q3)
     c1, s1 = math.cos(q1), math.sin(q1)
-    hip = params.hip_position(leg)
-    return np.array(
-        [hip[0] + xp, hip[1] + c1 * d - s1 * zp, hip[2] + s1 * d + c1 * zp]
-    )
+    return np.array([hx + xp, hy + c1 * d - s1 * zp, hz + s1 * d + c1 * zp])
 
 
 def leg_ik(foot, leg: LegId, params: RobotParams) -> np.ndarray:
     """Knee-backward joint angles reaching a body-frame foot position.
 
-    Raises :class:`OutOfWorkspaceError` for unreachable targets; the error
-    carries the angles and position of the nearest reachable point (radial
-    clamp onto the workspace annulus).
+    ``foot`` is any sequence of three floats. Raises
+    :class:`OutOfWorkspaceError` for unreachable targets; the error carries
+    the angles and position of the nearest reachable point (radial clamp onto
+    the workspace annulus).
     """
-    fx, fy, fz = np.asarray(foot, dtype=float).tolist()
-    hx, hy, hz = params.hip_offsets[leg].tolist()
+    fx, fy, fz = foot
+    hx, hy, hz, d = params._leg_geometry[leg]
     px, py, pz = fx - hx, fy - hy, fz - hz
-    d = params.link_hip * params.side_sign(leg)
     l1, l2 = params.link_thigh, params.link_shank
 
     clamped = False
@@ -163,9 +171,12 @@ def leg_ik(foot, leg: LegId, params: RobotParams) -> np.ndarray:
 
 
 def leg_jacobian(q_leg, leg: LegId, params: RobotParams) -> np.ndarray:
-    """3x3 Jacobian of :func:`leg_fk` with respect to the joint angles."""
-    q1, q2, q3 = float(q_leg[0]), float(q_leg[1]), float(q_leg[2])
-    d = params.link_hip * params.side_sign(leg)
+    """3x3 Jacobian of :func:`leg_fk` with respect to the joint angles.
+
+    ``q_leg`` is any sequence of three floats.
+    """
+    q1, q2, q3 = q_leg
+    d = params._leg_geometry[leg][3]
     l1, l2 = params.link_thigh, params.link_shank
     s2, c2 = math.sin(q2), math.cos(q2)
     s23, c23 = math.sin(q2 + q3), math.cos(q2 + q3)
@@ -202,9 +213,12 @@ class TerrainSegment:
     kind: str = "flat"
 
 
-@dataclass(frozen=True)
-class TerrainSample:
-    """Terrain at one x; ``normal`` is its segment's shared read-only array."""
+class TerrainSample(NamedTuple):
+    """Terrain at one x; ``normal`` is its segment's shared read-only array.
+
+    An immutable record; a named tuple because the control loop samples the
+    terrain several times per step.
+    """
 
     height: float
     normal: np.ndarray
@@ -271,7 +285,7 @@ class Terrain:
         return tuple(seen)
 
     def _index(self, x: float) -> int:
-        if not self.start_x <= x <= self.end_x:
+        if not self._starts[0] <= x <= self.end_x:
             raise TerrainBoundsError(
                 f"x={x} outside terrain extent [{self.start_x}, {self.end_x}]"
             )
@@ -284,13 +298,7 @@ class Terrain:
         idx = self._index(x)
         seg = self.segments[idx]
         height = self._heights[idx] + self._tans[idx] * (x - seg.start_x)
-        return TerrainSample(
-            height=height,
-            normal=self._normals[idx],
-            incline=seg.incline,
-            friction=seg.friction,
-            kind=seg.kind,
-        )
+        return TerrainSample(height, self._normals[idx], seg.incline, seg.friction, seg.kind)
 
     def tangent(self, x: float) -> np.ndarray:
         seg = self.segment_at(x)

@@ -11,6 +11,17 @@ the whole trial, or a :class:`GaitFsm` advanced once per step, which switches
 gaits when it is asked to at a stride boundary. Every step ends in one call of
 the rigid-body integrator :func:`step`.
 
+The control step runs on Python floats. Its vectors have three entries, so a
+numpy call costs far more in dispatch than in arithmetic: :func:`run_trial`
+unpacks the body state once per step with ``tolist()``, works out the
+reference, touchdown targets, frame changes and leg torques on scalars, and
+builds arrays only where they are logged or handed to the force QP, and
+:func:`step` integrates on scalars as well. The scalar sums round differently
+from the BLAS 3x3 products they replace (which may fuse multiply and add), so
+a trial's bits differ from those of a numpy build, by about 1e-16 relative
+per operation; sums that numpy adds in a fixed order (the force total, the
+moment, the position and velocity updates) keep that order and their bits.
+
 Angle convention: euler = (roll, pitch, yaw) with pitch positive nose-up, so
 a body aligned to an uphill slope has pitch equal to the terrain inclination.
 """
@@ -23,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .forces import _cross, distribute_forces
+from .forces import distribute_forces
 from .gaits import GaitPattern, LegId, leg_contact
 from .robot import (
     OutOfWorkspaceError,
@@ -35,7 +46,7 @@ from .robot import (
 )
 from .transitions import GaitFsm
 
-_GRAV_DIR = np.array([0.0, 0.0, -1.0])
+_LEGS = tuple(LegId)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,20 +83,27 @@ class BodyState:
 
 
 def rotation_matrix(euler) -> np.ndarray:
-    """Body-to-world rotation for (roll, pitch, yaw), pitch nose-up positive."""
-    roll, pitch, yaw = float(euler[0]), float(euler[1]), float(euler[2])
+    """Body-to-world rotation for (roll, pitch, yaw), pitch nose-up positive.
+
+    The product Rz(yaw) Ry(pitch) Rx(roll) in closed form, with
+    Ry = [[cp, 0, -sp], [0, 1, 0], [sp, 0, cp]].
+    """
+    roll, pitch, yaw = euler
     cr, sr = math.cos(roll), math.sin(roll)
     cp, sp = math.cos(pitch), math.sin(pitch)
     cy, sy = math.cos(yaw), math.sin(yaw)
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
-    ry = np.array([[cp, 0.0, -sp], [0.0, 1.0, 0.0], [sp, 0.0, cp]])
-    rz = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
-    return rz @ ry @ rx
+    return np.array(
+        [
+            [cy * cp, -cy * sp * sr - sy * cr, sy * sr - cy * sp * cr],
+            [sy * cp, cy * cr - sy * sp * sr, -sy * sp * cr - cy * sr],
+            [sp, cp * sr, cp * cr],
+        ]
+    )
 
 
 def euler_rate_to_omega(euler) -> np.ndarray:
     """Matrix mapping (roll, pitch, yaw) rates to the world angular velocity."""
-    _, pitch, yaw = float(euler[0]), float(euler[1]), float(euler[2])
+    _, pitch, yaw = euler
     cp, sp = math.cos(pitch), math.sin(pitch)
     cy, sy = math.cos(yaw), math.sin(yaw)
     return np.array(
@@ -98,16 +116,38 @@ def omega_to_euler_rates(euler, omega) -> np.ndarray:
 
     The closed-form inverse of :func:`euler_rate_to_omega`.
     """
-    pitch, yaw = float(euler[1]), float(euler[2])
+    _, pitch, yaw = euler
     cp = math.cos(pitch)
     # guard the pitch singularity (the map's determinant is -cos(pitch));
     # failure thresholds sit well inside it
     if abs(cp) < 1e-8:
         return np.zeros(3)
     cy, sy = math.cos(yaw), math.sin(yaw)
-    wx, wy, wz = np.asarray(omega, dtype=float).tolist()
+    wx, wy, wz = omega
     roll_rate = (cy * wx + sy * wy) / cp
     return np.array([roll_rate, sy * wx - cy * wy, wz - math.sin(pitch) * roll_rate])
+
+
+def _rotate(rot, v) -> tuple[float, float, float]:
+    """``rot @ v`` for a 3x3 rotation given as nested lists of floats."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot
+    x, y, z = v
+    return (
+        r00 * x + r01 * y + r02 * z,
+        r10 * x + r11 * y + r12 * z,
+        r20 * x + r21 * y + r22 * z,
+    )
+
+
+def _unrotate(rot, v) -> tuple[float, float, float]:
+    """``v @ rot``, i.e. ``rot.T @ v``, for nested lists of floats."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot
+    x, y, z = v
+    return (
+        x * r00 + y * r10 + z * r20,
+        x * r01 + y * r11 + z * r21,
+        x * r02 + y * r12 + z * r22,
+    )
 
 
 @dataclass(frozen=True)
@@ -158,8 +198,8 @@ def swing_trajectory(s: float, lift_point, target_point, apex: float) -> np.ndar
     peaking ``apex`` above the chord midpoint; both endpoints are exact.
     """
     s = min(1.0, max(0.0, float(s)))
-    lx, ly, lz = np.asarray(lift_point, dtype=float).tolist()
-    tx, ty, tz = np.asarray(target_point, dtype=float).tolist()
+    lx, ly, lz = lift_point
+    tx, ty, tz = target_point
     sigma = s - math.sin(2.0 * math.pi * s) / (2.0 * math.pi)
     return np.array(
         [
@@ -175,8 +215,8 @@ def swing_acceleration(
 ) -> np.ndarray:
     """Second time derivative of :func:`swing_trajectory` at phase ``s``."""
     s = min(1.0, max(0.0, float(s)))
-    lx, ly, lz = np.asarray(lift_point, dtype=float).tolist()
-    tx, ty, tz = np.asarray(target_point, dtype=float).tolist()
+    lx, ly, lz = lift_point
+    tx, ty, tz = target_point
     chord = 2.0 * math.pi * math.sin(2.0 * math.pi * s)
     arch = -apex * math.pi * math.pi * math.sin(math.pi * s)
     t2 = swing_time * swing_time
@@ -199,35 +239,72 @@ def step(
     stance feet add a moment. Swing legs are expected to carry zero force:
     in :func:`run_trial` they do by construction (the force QP returns zero
     rows off stance, and torque saturation only scales rows).
+
+    The update runs on Python floats. The force total, the moment sum and the
+    position and velocity updates add in numpy's order (rows in leg order,
+    each cross product as :func:`gaitkit.forces._cross`), so position and
+    velocity are the bits a numpy build gives; the rotations are scalar sums.
     """
     if dt <= 0.0 or dt > 0.002 + 1e-12:
         raise ValueError("integration step must lie in (0, 2 ms]")
-    f_total = forces.sum(axis=0)
-    lever = foot_positions - state.position
-    moment = np.zeros(3)
-    for leg in range(4):
-        if stance[leg]:
-            moment += _cross(lever[leg], forces[leg])
+    f = np.asarray(forces, dtype=float).reshape(4, 3).tolist()
+    feet = np.asarray(foot_positions, dtype=float).reshape(4, 3).tolist()
+    px, py, pz = state.position.tolist()
+    (f0x, f0y, f0z), (f1x, f1y, f1z), (f2x, f2y, f2z), (f3x, f3y, f3z) = f
+    fx = f0x + f1x + f2x + f3x
+    fy = f0y + f1y + f2y + f3y
+    fz = f0z + f1z + f2z + f3z
+    mx = my = mz = 0.0
+    for on, (ux, uy, uz), (x, y, z) in zip(stance, f, feet):
+        if on:
+            lx, ly, lz = x - px, y - py, z - pz
+            mx += ly * uz - lz * uy
+            my += lz * ux - lx * uz
+            mz += lx * uy - ly * ux
 
-    accel = params.gravity * _GRAV_DIR + f_total / params.mass
+    # gravity * (0, 0, -1) + f_total / m; the 0.0 terms keep numpy's sign of zero
+    mass, gravity = params.mass, params.gravity
+    ax, ay, az = 0.0 + fx / mass, 0.0 + fy / mass, fz / mass - gravity
     # the body inertia I is diagonal, so the world inertia R diag(I) R^T has
-    # the inverse R diag(1/I) R^T; v @ rot is R^T v
-    rot = state.rotation
-    inertia = params.inertia.diagonal()
-    gyro = _cross(state.omega, rot @ ((state.omega @ rot) * inertia))
-    omega_dot = rot @ (((moment - gyro) @ rot) / inertia)
+    # the inverse R diag(1/I) R^T
+    rot = state.rotation.tolist()
+    i0, i1, i2 = params.inertia_diag
+    wx, wy, wz = state.omega.tolist()
+    u0, u1, u2 = _unrotate(rot, (wx, wy, wz))
+    hx, hy, hz = _rotate(rot, (u0 * i0, u1 * i1, u2 * i2))
+    gx, gy, gz = wy * hz - wz * hy, wz * hx - wx * hz, wx * hy - wy * hx
+    e0, e1, e2 = _unrotate(rot, (mx - gx, my - gy, mz - gz))
+    dx, dy, dz = _rotate(rot, (e0 / i0, e1 / i1, e2 / i2))
 
-    velocity = state.velocity + accel * dt
-    position = state.position + velocity * dt
-    omega = state.omega + omega_dot * dt
-    rates = omega_to_euler_rates(state.euler, omega)
-    euler = state.euler + rates * dt
-    return BodyState(position=position, velocity=velocity, euler=euler, omega=omega)
+    vx, vy, vz = state.velocity.tolist()
+    vx, vy, vz = vx + ax * dt, vy + ay * dt, vz + az * dt
+    omega = (wx + dx * dt, wy + dy * dt, wz + dz * dt)
+    roll, pitch, yaw = state.euler.tolist()
+    r0, r1, r2 = omega_to_euler_rates((roll, pitch, yaw), omega).tolist()
+    return BodyState(
+        position=np.array([px + vx * dt, py + vy * dt, pz + vz * dt]),
+        velocity=np.array([vx, vy, vz]),
+        euler=np.array([roll + r0 * dt, pitch + r1 * dt, yaw + r2 * dt]),
+        omega=np.array(omega),
+    )
 
 
 def stance_torques(force_body, q_leg, leg: LegId, params: RobotParams) -> np.ndarray:
-    """Joint torques balancing a body-frame ground reaction force: tau = -J^T f."""
-    return -leg_jacobian(q_leg, leg, params).T @ np.asarray(force_body, dtype=float)
+    """Joint torques balancing a body-frame ground reaction force: tau = -J^T f.
+
+    ``force_body`` and ``q_leg`` are sequences of three floats.
+    """
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = leg_jacobian(
+        q_leg, leg, params
+    ).tolist()
+    f0, f1, f2 = force_body
+    return np.array(
+        [
+            -j00 * f0 - j10 * f1 - j20 * f2,
+            -j01 * f0 - j11 * f1 - j21 * f2,
+            -j02 * f0 - j12 * f1 - j22 * f2,
+        ]
+    )
 
 
 def swing_torques(
@@ -237,9 +314,21 @@ def swing_torques(
 
     ``foot_accel_body`` is the demanded foot acceleration with gravity already
     subtracted, (a - g), in the body frame; only J^T m is applied here.
+    ``q_leg`` and ``foot_accel_body`` are sequences of three floats.
     """
-    j = leg_jacobian(q_leg, leg, params)
-    return j.T @ (params.foot_mass * np.asarray(foot_accel_body, dtype=float))
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = leg_jacobian(
+        q_leg, leg, params
+    ).tolist()
+    m = params.foot_mass
+    a0, a1, a2 = foot_accel_body
+    a0, a1, a2 = m * a0, m * a1, m * a2
+    return np.array(
+        [
+            j00 * a0 + j10 * a1 + j20 * a2,
+            j01 * a0 + j11 * a1 + j21 * a2,
+            j02 * a0 + j12 * a1 + j22 * a2,
+        ]
+    )
 
 
 @dataclass
@@ -411,40 +500,46 @@ def run_trial(
     else:
         state = initial_state
 
-    hips = params.hip_offsets
-    rot = state.rotation
-    foot_pos = np.zeros((4, 3))
+    hips = params.hip_offsets.tolist()
+    px, py, pz = state.position.tolist()
+    rot = state.rotation.tolist()
+    # foot points in LegId order; an entry is replaced, never changed in place,
+    # so the lift point of a swing can share it
+    foot_pos = []
     # contact normal under each foot; a stance foot keeps its x, so this is
     # sampled at the start and at every touchdown. distribute_forces reads the
     # rows of stance feet only.
     normals = np.zeros((4, 3))
-    for leg in LegId:
-        hip_w = state.position + rot @ hips[leg]
-        samp = terrain.query(hip_w[0])
-        foot_pos[leg] = [hip_w[0], hip_w[1], samp.height]
+    for leg in _LEGS:
+        hx, hy, _ = _rotate(rot, hips[leg])
+        samp = terrain.query(px + hx)
+        foot_pos.append((px + hx, py + hy, samp.height))
         normals[leg] = samp.normal
-    lift_pos = foot_pos.copy()
-    swing_entry_s = np.zeros(4)
-    was_swing = np.zeros(4, dtype=bool)
-    touchdown_scatter = np.zeros((4, 2))
+    lift_pos = list(foot_pos)
+    swing_entry_s = [0.0] * 4
+    was_swing = [False] * 4
+    touchdown_scatter = [(0.0, 0.0)] * 4
 
-    q = np.zeros((4, 3))
-    body_targets = (foot_pos - state.position) @ rot
-    for leg in LegId:
+    q = []
+    for leg in _LEGS:
+        fx, fy, fz = foot_pos[leg]
         try:
-            q[leg] = leg_ik(body_targets[leg], leg, params)
+            q.append(leg_ik(_unrotate(rot, (fx - px, fy - py, fz - pz)), leg, params).tolist())
         except OutOfWorkspaceError as err:
-            q[leg] = err.clamped_angles
-    q_prev = q.copy()
+            q.append(err.clamped_angles.tolist())
 
-    kp_lin = np.asarray(config.kp_lin)
-    kd_lin = np.asarray(config.kd_lin)
-    kp_ang = np.asarray(config.kp_ang)
-    kd_ang = np.asarray(config.kd_ang)
+    kpx, kpy, kpz = config.kp_lin
+    kdx, kdy, kdz = config.kd_lin
+    kp_roll, kp_pitch, kp_yaw = config.kp_ang
+    kd_roll, kd_pitch, kd_yaw = config.kd_ang
     f_max = config.f_max_scale * params.mass * params.gravity
-    g_vec = params.gravity * _GRAV_DIR
+    weight = params.mass * params.gravity
+    gravity = params.gravity
     apex = max(config.swing_apex, config.ground_clearance)
     limit = config.joint_torque_limit
+    half = 0.5 * params.hip_length
+    x_lo, x_hi = terrain.start_x, terrain.end_x
+    min_height = config.min_height_ratio * config.nominal_height
 
     carrot_x = start_x
     phase = 0.0
@@ -458,51 +553,51 @@ def run_trial(
 
     # the ground under the body; after each step it is resampled for the
     # failure check and serves the next step
-    body_samp = terrain.query(state.position[0])
+    body_samp = terrain.query(px)
     # the force QP's final working set seeds the next step's QP
     working_set: tuple[int, ...] = ()
+    vx, vy, vz = state.velocity.tolist()
+    euler = state.euler.tolist()
+    omega = state.omega.tolist()
     t = 0.0
     rows = 0  # steps run, each logged in its row
     for row in range(n_steps):
         pattern = gait if fsm is None else fsm.advance(dt)
         beta = pattern.beta
         swing_time_full = (1.0 - beta) * period
-        rot = state.rotation
+        rot = state.rotation.tolist()
 
         # the body spans terrain kinks: blend the reference incline over
         # the fore and hind hip footprint instead of stepping at the kink
-        half = 0.5 * params.hip_length
         incline_ref = 0.5 * (
-            terrain.query(
-                min(max(state.position[0] + half, terrain.start_x), terrain.end_x)
-            ).incline
-            + terrain.query(
-                min(max(state.position[0] - half, terrain.start_x), terrain.end_x)
-            ).incline
+            terrain.query(min(max(px + half, x_lo), x_hi)).incline
+            + terrain.query(min(max(px - half, x_lo), x_hi)).incline
         )
-        tangent = np.array([math.cos(incline_ref), 0.0, math.sin(incline_ref)])
-        v_des = v_cmd * tangent
-        v_des_flat = np.array([v_des[0], 0.0, 0.0])
+        cos_ref = math.cos(incline_ref)
+        vdx, vdz = v_cmd * cos_ref, v_cmd * math.sin(incline_ref)
 
         # Raibert touchdown: symmetric stepping on the actual velocity plus a
         # capture correction toward the commanded one (using the commanded
         # velocity alone leaves lateral sway undamped); both terms but the
         # hip's own prediction are the same for every swing leg
-        v_flat = np.array([state.velocity[0], state.velocity[1], 0.0])
-        lead = v_flat * (0.5 * beta * period)
-        correction = config.capture_gain * (v_flat - v_des_flat)
-        c_norm = math.sqrt(correction.dot(correction))
+        lead_time = 0.5 * beta * period
+        lead_x, lead_y = vx * lead_time, vy * lead_time
+        corr_x, corr_y = config.capture_gain * (vx - vdx), config.capture_gain * vy
+        c_norm = math.sqrt(corr_x * corr_x + corr_y * corr_y)
         if c_norm > config.capture_clamp:
-            correction *= config.capture_clamp / c_norm
+            c_scale = config.capture_clamp / c_norm
+            corr_x, corr_y = corr_x * c_scale, corr_y * c_scale
 
-        eff_stance = np.zeros(4, dtype=bool)
-        foot_acc_world = np.zeros((4, 3))
-        for leg in LegId:
+        eff_stance = [False] * 4
+        foot_acc = [(0.0, 0.0, 0.0)] * 4
+        q_prev = q
+        q = list(q)
+        for leg in _LEGS:
             cs = leg_contact(pattern, phase, leg)
             if cs.is_swing:
                 s = cs.swing_phase
                 if not was_swing[leg]:
-                    lift_pos[leg] = foot_pos[leg].copy()
+                    lift_pos[leg] = foot_pos[leg]
                     swing_entry_s[leg] = s
                     was_swing[leg] = True
                     # landing scatter drawn once per swing (sensing and
@@ -510,85 +605,102 @@ def run_trial(
                     # trial-to-trial variance the repeated tests average over
                     touchdown_scatter[leg] = rng.normal(
                         0.0, config.touchdown_noise, size=2
-                    )
+                    ).tolist()
                 s0 = swing_entry_s[leg]
                 local = (s - s0) / (1.0 - s0) if s0 < 1.0 - 1e-9 else 1.0
                 t_rem = (1.0 - s) * swing_time_full
-                hip_pred = state.position + rot @ hips[leg] + v_flat * t_rem
-                target = hip_pred + lead + correction
-                target[0] += touchdown_scatter[leg, 0]
-                target[1] += touchdown_scatter[leg, 1]
+                hx, hy, _ = _rotate(rot, hips[leg])
+                scatter_x, scatter_y = touchdown_scatter[leg]
+                target_x = px + hx + vx * t_rem + lead_x + corr_x + scatter_x
+                target_y = py + hy + vy * t_rem + lead_y + corr_y + scatter_y
                 try:
-                    target[2] = terrain.query(target[0]).height
+                    target_z = terrain.query(target_x).height
                 except TerrainBoundsError:
-                    target[2] = foot_pos[leg][2]
-                foot_pos[leg] = swing_trajectory(local, lift_pos[leg], target, apex)
+                    target_z = foot_pos[leg][2]
+                target = (target_x, target_y, target_z)
+                foot_pos[leg] = swing_trajectory(
+                    local, lift_pos[leg], target, apex
+                ).tolist()
                 eff_swing_time = max((1.0 - s0) * swing_time_full, 1e-6)
-                foot_acc_world[leg] = swing_acceleration(
+                foot_acc[leg] = swing_acceleration(
                     local, lift_pos[leg], target, apex, eff_swing_time
-                )
+                ).tolist()
             else:
                 if was_swing[leg]:
                     was_swing[leg] = False
+                    fx, fy, _ = foot_pos[leg]
                     try:
-                        samp = terrain.query(foot_pos[leg][0])
-                        foot_pos[leg][2] = samp.height
+                        samp = terrain.query(fx)
+                        foot_pos[leg] = (fx, fy, samp.height)
                         normals[leg] = samp.normal
                     except TerrainBoundsError:
                         normals[leg] = (0.0, 0.0, 1.0)
                 eff_stance[leg] = True
 
-        # a stance foot out of reach is dropped from stance
-        body_targets = (foot_pos - state.position) @ rot
-        for leg in LegId:
+            # a stance foot out of reach is dropped from stance
+            fx, fy, fz = foot_pos[leg]
             try:
-                q[leg] = leg_ik(body_targets[leg], leg, params)
+                q[leg] = leg_ik(
+                    _unrotate(rot, (fx - px, fy - py, fz - pz)), leg, params
+                ).tolist()
             except OutOfWorkspaceError as err:
-                q[leg] = err.clamped_angles
+                q[leg] = err.clamped_angles.tolist()
                 eff_stance[leg] = False
                 acc.slips += 1
 
         # body tracking wrench; gravity feedforward scaled so flight gaits
         # receive the stride-averaged weight support during their stance phases
-        carrot_x += v_cmd * math.cos(incline_ref) * dt
-        carrot_samp = terrain.query(min(max(carrot_x, terrain.start_x), terrain.end_x))
-        p_des = np.array(
-            [carrot_x, 0.0, carrot_samp.height + config.nominal_height]
-        )
+        carrot_x += v_cmd * cos_ref * dt
+        carrot_samp = terrain.query(min(max(carrot_x, x_lo), x_hi))
         # anti-windup on the error, not the reference: surging gaits lead and
         # lag the constant-velocity plan within a stride without stealing it
-        p_err = p_des - state.position
-        p_err[0] = min(max(p_err[0], -config.carrot_clamp), config.carrot_clamp)
-        support_scale = 1.0 / min(1.0, 2.0 * beta)
-        f_des = (
-            kp_lin * p_err
-            + kd_lin * (v_des - state.velocity)
-            + np.array([0.0, 0.0, params.mass * params.gravity * support_scale])
+        err_x = min(max(carrot_x - px, -config.carrot_clamp), config.carrot_clamp)
+        err_z = carrot_samp.height + config.nominal_height - pz
+        support = weight * (1.0 / min(1.0, 2.0 * beta))
+        roll, pitch, yaw = euler
+        wx, wy, wz = omega
+        (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = euler_rate_to_omega(
+            euler
+        ).tolist()
+        # force rows kp (p_des - p) + kd (v_des - v) + support, moment rows
+        # E(euler) kp (euler_des - euler) - kd omega, for the reference
+        # p_des = (carrot, 0, ground + nominal height), euler_des = (0, incline, 0)
+        ang_x = kp_roll * (0.0 - roll)
+        ang_y = kp_pitch * (incline_ref - pitch)
+        ang_z = kp_yaw * (0.0 - yaw)
+        wrench = np.array(
+            [
+                kpx * err_x + kdx * (vdx - vx),
+                kpy * (0.0 - py) + kdy * (0.0 - vy),
+                kpz * err_z + kdz * (vdz - vz) + support,
+                e00 * ang_x + e01 * ang_y + e02 * ang_z - kd_roll * wx,
+                e10 * ang_x + e11 * ang_y + e12 * ang_z - kd_pitch * wy,
+                e20 * ang_x + e21 * ang_y + e22 * ang_z - kd_yaw * wz,
+            ]
         )
-        euler_des = np.array([0.0, incline_ref, 0.0])
-        m_des = euler_rate_to_omega(state.euler) @ (
-            kp_ang * (euler_des - state.euler)
-        ) - kd_ang * state.omega
-        wrench = np.concatenate([f_des, m_des])
 
-        mu = body_samp.friction
+        # the log row's arrays are what the force QP and the integrator read
+        feet_row = acc.foot_positions[row]
+        feet_row[...] = foot_pos
         dist = distribute_forces(
-            wrench, foot_pos, eff_stance, state.position, mu, f_max, normals,
-            working_set=working_set,
+            wrench, feet_row, eff_stance, state.position, body_samp.friction, f_max,
+            normals, working_set=working_set,
         )
         working_set = dist.working_set
 
-        qdot = (q - q_prev) / dt
-        q_prev = q.copy()
-        applied_forces = dist.forces.copy()
-        forces_body = dist.forces @ rot
-        acc_body = (foot_acc_world - g_vec) @ rot
+        applied = acc.forces[row]
+        applied[...] = dist.forces
+        forces = dist.forces.tolist()
         torques = acc.torques[row]
-        for leg, in_stance in zip(LegId, eff_stance.tolist()):
+        for leg, in_stance in zip(_LEGS, eff_stance):
             if in_stance:
-                tau = stance_torques(forces_body[leg], q[leg], leg, params)
+                tau = stance_torques(_unrotate(rot, forces[leg]), q[leg], leg, params)
             else:
-                tau = swing_torques(q[leg], acc_body[leg], leg, params)
+                # the demanded acceleration less gravity (0, 0, -g)
+                ax, ay, az = foot_acc[leg]
+                tau = swing_torques(
+                    q[leg], _unrotate(rot, (ax, ay, az + gravity)), leg, params
+                )
             # actuator saturation: when a joint exceeds its torque limit the
             # whole leg effort scales down; a stance leg's force scales with
             # it and the commanded wrench is no longer met, which is the
@@ -599,35 +711,38 @@ def run_trial(
                 scale = limit / peak
                 tau *= scale
                 if in_stance:
-                    applied_forces[leg] = dist.forces[leg] * scale
+                    applied[leg] = dist.forces[leg] * scale
                 acc.flags += 1
             torques[leg] = tau
 
         acc.time[row] = t
-        acc.joint_velocities[row] = qdot
-        acc.forces[row] = applied_forces
+        acc.joint_velocities[row] = [
+            [(a - b) / dt for a, b in zip(new, old)] for new, old in zip(q, q_prev)
+        ]
         acc.stance[row] = eff_stance
         acc.position[row] = state.position
         acc.velocity[row] = state.velocity
         acc.euler[row] = state.euler
         acc.omega[row] = state.omega
-        acc.euler_rates[row] = omega_to_euler_rates(state.euler, state.omega)
-        acc.foot_positions[row] = foot_pos
+        acc.euler_rates[row] = omega_to_euler_rates(euler, omega)
         rows = row + 1
 
-        state = step(state, applied_forces, eff_stance, foot_pos, params, dt)
+        state = step(state, applied, eff_stance, feet_row, params, dt)
         t += dt
+        px, py, pz = state.position.tolist()
+        vx, vy, vz = state.velocity.tolist()
+        euler = state.euler.tolist()
+        omega = state.omega.tolist()
 
         try:
-            body_samp = terrain.query(state.position[0])
+            body_samp = terrain.query(px)
         except TerrainBoundsError:
             failed = True
             break
         if (
-            abs(state.roll) > config.max_roll
-            or abs(state.pitch) > config.max_pitch
-            or state.position[2] - body_samp.height
-            < config.min_height_ratio * config.nominal_height
+            abs(euler[0]) > config.max_roll
+            or abs(euler[1]) > config.max_pitch
+            or pz - body_samp.height < min_height
         ):
             failed = True
             break
@@ -643,7 +758,7 @@ def run_trial(
             if on_stride is not None:
                 on_stride(stride_idx, state, t)
 
-        if finish_x is not None and state.position[0] >= finish_x:
+        if finish_x is not None and px >= finish_x:
             finished = True
             break
 

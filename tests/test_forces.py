@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+import gaitkit.simulation as simulation
 from gaitkit import forces
 from gaitkit.forces import distribute_forces
 from gaitkit.gaits import GaitName, standard_gait
@@ -338,6 +339,61 @@ def test_qp_is_the_minimizer_on_every_trial_step(monkeypatch):
         _check_minimizer(M, b, G, h, x, active)
         binding += bool(active)
     assert binding > 100
+
+
+def _reference_least_squares(wrench, feet, stance, com):
+    """The QP's M = [W A; sqrt(eps) I] and b = [W w; 0], built with numpy."""
+    A, idx = _wrench_matrix(
+        np.asarray(feet, dtype=float), np.asarray(stance, dtype=bool),
+        np.asarray(com, dtype=float),
+    )
+    weights = np.array(forces._ROW_WEIGHTS)
+    M = np.zeros((6 + 3 * len(idx), 3 * len(idx)))
+    M[:6] = A * weights[:, None]
+    np.fill_diagonal(M[6:], math.sqrt(forces._RIDGE))
+    b = np.zeros(6 + 3 * len(idx))
+    b[:6] = np.asarray(wrench, dtype=float) * weights
+    return M, b
+
+
+def _assert_bit_equal_least_squares(inputs, calls):
+    """Each QP's M and b against the numpy build from its distribute_forces
+    inputs; stance sets without feet make no QP."""
+    with_feet = [args for args in inputs if np.any(args[2])]
+    assert len(with_feet) == len(calls) > 0
+    for (wrench, feet, stance, com), (M, b, *_) in zip(with_feet, calls):
+        want_M, want_b = _reference_least_squares(wrench, feet, stance, com)
+        assert M.dtype == want_M.dtype and M.shape == want_M.shape
+        assert M.tobytes() == want_M.tobytes()
+        assert b.dtype == want_b.dtype and b.shape == want_b.shape
+        assert b.tobytes() == want_b.tobytes()
+
+
+def test_least_squares_factor_is_the_numpy_build_on_random_instances(monkeypatch):
+    # the instances of test_500_random_instances_constraints_hold
+    calls = _record_qps(monkeypatch)
+    rng = np.random.default_rng(2024)
+    instances = [_random_instance(rng) for _ in range(500)]
+    for wrench, feet, stance, com in instances:
+        distribute_forces(wrench, feet, stance, com, 0.7, 2 * MG)
+    _assert_bit_equal_least_squares(instances, calls)
+
+
+def test_least_squares_factor_is_the_numpy_build_on_a_trot(monkeypatch):
+    calls = _record_qps(monkeypatch)
+    inputs = []
+    distribute = simulation.distribute_forces
+
+    def recorded(wrench, feet, stance, com, *args, **kwargs):
+        inputs.append(tuple(np.array(a) for a in (wrench, feet, stance, com)))
+        return distribute(wrench, feet, stance, com, *args, **kwargs)
+
+    monkeypatch.setattr(simulation, "distribute_forces", recorded)
+    result = run_trial(
+        standard_gait(GaitName.TROT), 1.2, terrain_preset("flat"), 1.2, SimConfig(seed=3)
+    )
+    assert not result.failed and len(inputs) == round(1.2 / SimConfig().dt)
+    _assert_bit_equal_least_squares(inputs, calls)
 
 
 def _objective(forces_out, wrench, feet, stance, com):

@@ -3,9 +3,10 @@
 Each test keeps the straightforward per-call computation as its reference.
 Where the hot path only avoids recomputation and numpy call overhead it
 changes no arithmetic, and the test requires exact equality. The rigid-body
-step and the Euler-rate inverse replace linear solves by closed forms, which
-round differently; their tests require agreement with the solve-based
-references within 1e-12 relative plus 1e-12 absolute.
+step and the Euler-rate inverse replace linear solves by closed forms, and
+the control step replaces numpy's 3x3 products by scalar sums; these round
+differently, so their tests require agreement with the numpy references
+within 1e-12 relative (plus 1e-12 absolute where a value may be zero).
 """
 
 import csv
@@ -31,6 +32,7 @@ from gaitkit.robot import (
     TerrainSegment,
     leg_fk,
     leg_ik,
+    leg_jacobian,
     terrain_preset,
 )
 from gaitkit.simulation import (
@@ -269,6 +271,15 @@ def test_euler_rates_are_zero_at_the_pitch_singularity(pitch):
     assert _same_bits(got, np.zeros(3))
 
 
+def _reference_rotation(euler):
+    """Rz(yaw) @ Ry(pitch) @ Rx(roll), each elementary rotation an array."""
+    (cr, cp, cy), (sr, sp, sy) = np.cos(euler), np.sin(euler)
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
+    ry = np.array([[cp, 0.0, -sp], [0.0, 1.0, 0.0], [sp, 0.0, cp]])
+    rz = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
+    return rz @ ry @ rx
+
+
 def test_body_rotation_is_cached_read_only_rotation_matrix():
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -276,6 +287,7 @@ def test_body_rotation_is_cached_read_only_rotation_matrix():
         state = BodyState(
             position=np.zeros(3), velocity=np.zeros(3), euler=euler, omega=np.zeros(3)
         )
+        assert _close(rotation_matrix(euler), _reference_rotation(euler))
         assert _same_bits(state.rotation, rotation_matrix(euler))
         assert state.rotation is state.rotation
         with pytest.raises(ValueError):
@@ -509,6 +521,193 @@ def test_stride_logs_are_the_rows_the_integrator_received(monkeypatch, trial):
     for a, b in itertools.combinations(strides, 2):
         for name in arrays:
             assert not np.shares_memory(getattr(a, name), getattr(b, name)), name
+
+
+class _ControlLog:
+    """Wraps the force QP, the contact schedule and the swing accelerations
+    that run_trial calls, and keeps, in call order, each QP's wrench and
+    forces, each contact query and each swing leg's touchdown target and
+    world-frame foot acceleration."""
+
+    def __init__(self, monkeypatch):
+        self.wrenches, self.qp_forces, self.contacts, self.swing_acc = [], [], [], []
+        distribute = simulation.distribute_forces
+        contact = simulation.leg_contact
+        swing_acceleration = simulation.swing_acceleration
+
+        def recorded_qp(wrench, *args, **kwargs):
+            self.wrenches.append(np.array(wrench))
+            dist = distribute(wrench, *args, **kwargs)
+            self.qp_forces.append(dist.forces.copy())
+            return dist
+
+        def recorded_contact(pattern, phase, leg):
+            state = contact(pattern, phase, leg)
+            self.contacts.append((pattern, state))
+            return state
+
+        def recorded_acc(s, lift, target, *args):
+            acc = swing_acceleration(s, lift, target, *args)
+            self.swing_acc.append((np.array(target), acc.copy()))
+            return acc
+
+        monkeypatch.setattr(simulation, "distribute_forces", recorded_qp)
+        monkeypatch.setattr(simulation, "leg_contact", recorded_contact)
+        monkeypatch.setattr(simulation, "swing_acceleration", recorded_acc)
+
+
+def _reference_wrench(pos, vel, euler, omega, beta, incline_ref, carrot_x, v_cmd,
+                      terrain, config, params):
+    """The body wrench of one control step, with numpy arrays throughout."""
+    tangent = np.array([math.cos(incline_ref), 0.0, math.sin(incline_ref)])
+    v_des = v_cmd * tangent
+    carrot_samp = terrain.query(min(max(carrot_x, terrain.start_x), terrain.end_x))
+    p_des = np.array([carrot_x, 0.0, carrot_samp.height + config.nominal_height])
+    p_err = p_des - pos
+    p_err[0] = min(max(p_err[0], -config.carrot_clamp), config.carrot_clamp)
+    support_scale = 1.0 / min(1.0, 2.0 * beta)
+    f_des = (
+        np.asarray(config.kp_lin) * p_err
+        + np.asarray(config.kd_lin) * (v_des - vel)
+        + np.array([0.0, 0.0, params.mass * params.gravity * support_scale])
+    )
+    euler_des = np.array([0.0, incline_ref, 0.0])
+    m_des = euler_rate_to_omega(euler) @ (
+        np.asarray(config.kp_ang) * (euler_des - euler)
+    ) - np.asarray(config.kd_ang) * omega
+    return np.concatenate([f_des, m_des])
+
+
+def _reference_torques(pos, euler, feet, stance, qp_forces, swing_acc, config, params):
+    """Joint torques and applied forces of one control step, with numpy 3x3
+    products: tau = -J^T f_body in stance, J^T m (a - g)_body otherwise, each
+    leg scaled down together with its force when a joint exceeds the limit."""
+    rot = _reference_rotation(euler)
+    body_targets = (feet - pos) @ rot
+    forces_body = qp_forces @ rot
+    acc_body = (swing_acc - params.gravity * np.array([0.0, 0.0, -1.0])) @ rot
+    torques, applied = np.zeros((4, 3)), qp_forces.copy()
+    for leg in LegId:
+        try:
+            q = leg_ik(body_targets[leg], leg, params)
+        except OutOfWorkspaceError as err:
+            q = err.clamped_angles
+        j = leg_jacobian(q, leg, params)
+        if stance[leg]:
+            tau = -j.T @ forces_body[leg]
+        else:
+            tau = j.T @ (params.foot_mass * acc_body[leg])
+        peak = np.abs(tau).max()
+        if peak > config.joint_torque_limit:
+            scale = config.joint_torque_limit / peak
+            tau = tau * scale
+            if stance[leg]:
+                applied[leg] = qp_forces[leg] * scale
+        torques[leg] = tau
+    return torques, applied
+
+
+def _reference_target(pos, vel, euler, pattern, swing_phase, incline_ref, v_cmd, leg,
+                      scatter, config, params):
+    """A swing leg's touchdown x and y, with numpy arrays throughout: the hip
+    moved on with the velocity for the rest of the swing, plus the stance
+    lead, the clamped capture correction and the swing's landing scatter."""
+    rot = _reference_rotation(euler)
+    v_des_flat = np.array([v_cmd * math.cos(incline_ref), 0.0, 0.0])
+    v_flat = np.array([vel[0], vel[1], 0.0])
+    lead = v_flat * (0.5 * pattern.beta * pattern.period)
+    correction = config.capture_gain * (v_flat - v_des_flat)
+    c_norm = np.linalg.norm(correction)
+    if c_norm > config.capture_clamp:
+        correction *= config.capture_clamp / c_norm
+    t_rem = (1.0 - swing_phase) * ((1.0 - pattern.beta) * pattern.period)
+    target = pos + rot @ params.hip_offsets[leg] + v_flat * t_rem + lead + correction
+    return target[:2] + scatter
+
+
+def _rel_close(got, want, tiny=1e-12) -> bool:
+    return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want) + tiny
+
+
+def _falling_run(log):
+    result = run_trial(
+        standard_gait(GaitName.RUN), 1.7, terrain_preset("flat"), 1.2, SimConfig(seed=3)
+    )
+    assert result.failed
+    return result
+
+
+@pytest.mark.parametrize(
+    "trial, v_cmd, seed, covers",
+    [
+        (_steady_trot, 1.2, 3, None),
+        (_fsm_trot_to_walk, 0.8, 2, None),
+        # stance feet out of reach drop to swing with zero foot acceleration
+        (_falling_bound, 1.7, 3, "dropped"),
+        # joints over the torque limit scale their leg's torques and force
+        (_falling_run, 1.7, 3, "saturated"),
+    ],
+    ids=["steady-trot", "fsm-trot-walk", "falling-bound", "falling-run"],
+)
+def test_control_step_matches_numpy_reference(monkeypatch, trial, v_cmd, seed, covers):
+    log = _ControlLog(monkeypatch)
+    result = trial(None)
+    config, params, terrain = SimConfig(), RobotParams(), terrain_preset("flat")
+    # the trial's random stream: the initial attitude and velocity jitter,
+    # then one landing scatter per swing, drawn as the swing starts
+    rng = np.random.default_rng(seed)
+    rng.uniform(-1.0, 1.0, size=2)
+    rng.uniform(-1.0, 1.0, size=2)
+    was_swing, scatter = [False] * 4, [None] * 4
+    rows = {
+        name: np.concatenate([getattr(s, name) for s in result.strides])
+        for name in ("position", "velocity", "euler", "omega", "foot_positions",
+                     "stance", "forces", "torques")
+    }
+    n = rows["position"].shape[0]
+    assert len(log.wrenches) == n and len(log.contacts) == 4 * n
+    half = 0.5 * params.hip_length
+    carrot_x = 0.0
+    swing_acc = iter(log.swing_acc)
+    seen = {"dropped": 0, "saturated": 0}
+    for i in range(n):
+        pos, vel, euler, omega = (rows[k][i] for k in ("position", "velocity", "euler", "omega"))
+        contacts = log.contacts[4 * i : 4 * i + 4]
+        incline_ref = 0.5 * (
+            terrain.query(pos[0] + half).incline + terrain.query(pos[0] - half).incline
+        )
+        carrot_x += v_cmd * math.cos(incline_ref) * config.dt
+        want = _reference_wrench(pos, vel, euler, omega, contacts[0][0].beta, incline_ref,
+                                 carrot_x, v_cmd, terrain, config, params)
+        got = log.wrenches[i]
+        # force and moment rows differ in scale by two orders of magnitude
+        assert _rel_close(got[:3], want[:3]) and _rel_close(got[3:], want[3:]), i
+        acc_world = np.zeros((4, 3))
+        for leg, (pattern, state) in zip(LegId, contacts):
+            if state.is_swing and not was_swing[leg]:
+                scatter[leg] = rng.normal(0.0, config.touchdown_noise, size=2)
+            was_swing[leg] = state.is_swing
+            if state.is_swing:
+                target, acc_world[leg] = next(swing_acc)
+                want = _reference_target(pos, vel, euler, pattern, state.swing_phase,
+                                         incline_ref, v_cmd, leg, scatter[leg], config,
+                                         params)
+                assert _rel_close(target[:2], want), (i, leg)
+                assert target[2] == terrain.query(target[0]).height
+        torques, applied = _reference_torques(
+            pos, euler, rows["foot_positions"][i], rows["stance"][i], log.qp_forces[i],
+            acc_world, config, params,
+        )
+        for leg in LegId:
+            assert _rel_close(rows["torques"][i].reshape(4, 3)[leg], torques[leg]), (i, leg)
+            assert _rel_close(rows["forces"][i, leg], applied[leg]), (i, leg)
+        seen["saturated"] += not np.array_equal(applied, log.qp_forces[i])
+        seen["dropped"] += sum(
+            not state.is_swing and not on for (_, state), on in zip(contacts, rows["stance"][i])
+        )
+    assert next(swing_acc, None) is None
+    if covers:
+        assert seen[covers] > 0
 
 
 def _reference_swing_trajectory(s, lift_point, target_point, apex):
