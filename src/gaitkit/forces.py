@@ -124,25 +124,14 @@ class ForceDistribution:
     working_set: tuple[int, ...] = ()
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two float64 3-vectors without ``np.cross``'s overhead.
-
-    Same formula and operand order as ``np.cross``, each product rounded
-    before the subtraction, so the result is the same bits.
-    """
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-
-
 def _tangent_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = normal / np.linalg.norm(normal)
     helper = np.array([1.0, 0.0, 0.0])
     if abs(n @ helper) > 0.9:
         helper = np.array([0.0, 1.0, 0.0])
-    t1 = _cross(n, helper)
+    t1 = np.cross(n, helper)
     t1 /= np.linalg.norm(t1)
-    t2 = _cross(n, t1)
+    t2 = np.cross(n, t1)
     return t1, t2
 
 

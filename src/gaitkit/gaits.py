@@ -107,34 +107,6 @@ class GaitPattern:
             raise ValueError("expected one phase offset per leg")
         object.__setattr__(self, "offsets", tuple(x % 1.0 for x in self.offsets))
 
-    def offset(self, leg: LegId) -> float:
-        return self.offsets[leg]
-
-    @property
-    def swing_fraction(self) -> float:
-        return 1.0 - self.beta
-
-    @property
-    def stance_duration(self) -> float:
-        return self.beta * self.period
-
-    @property
-    def swing_duration(self) -> float:
-        return (1.0 - self.beta) * self.period
-
-    def to_json_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "offsets": {leg.name: self.offsets[leg] for leg in LegId},
-            "period_s": self.period,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GaitPattern":
-        offsets = tuple(float(data["offsets"][leg.name]) for leg in LegId)
-        return cls(beta=float(data["beta"]), offsets=offsets,
-                   period=float(data["period_s"]))
-
 
 # Canonical parameters: duty factor and offsets (RF, RH, LF, LH). The walk
 # values are the walk-side endpoints of the walk<->trot morph; the others are

@@ -69,18 +69,6 @@ class BodyState:
         rot.flags.writeable = False
         return rot
 
-    @property
-    def roll(self) -> float:
-        return float(self.euler[0])
-
-    @property
-    def pitch(self) -> float:
-        return float(self.euler[1])
-
-    @property
-    def yaw(self) -> float:
-        return float(self.euler[2])
-
 
 def rotation_matrix(euler) -> np.ndarray:
     """Body-to-world rotation for (roll, pitch, yaw), pitch nose-up positive.
@@ -242,8 +230,9 @@ def step(
 
     The update runs on Python floats. The force total, the moment sum and the
     position and velocity updates add in numpy's order (rows in leg order,
-    each cross product as :func:`gaitkit.forces._cross`), so position and
-    velocity are the bits a numpy build gives; the rotations are scalar sums.
+    each cross product in ``np.cross``'s formula and operand order), so
+    position and velocity are the bits a numpy build gives; the rotations are
+    scalar sums.
     """
     if dt <= 0.0 or dt > 0.002 + 1e-12:
         raise ValueError("integration step must lie in (0, 2 ms]")

@@ -1,19 +1,19 @@
 """Gait-parameter schedules for switching and the switching-order FSM.
 
-Switching between neighbouring gaits is a linear morph of the duty factor
-and/or the right-side offsets over a fixed switching time T_s, while the left
-legs hold (phi_LF, phi_LH) = (0.0, 0.5) throughout:
+The gait graph is data: the canonical patterns of :mod:`gaitkit.gaits` and
+the neighbour pairs below. Every switch between neighbours is one affine
+morph p(tau) = a + tau * (b - a), tau = t / T_s, from the source pattern a to
+the target pattern b, applied to the duty factor and to each of the four
+offsets over a fixed switching time T_s. The per-edge rates follow from the
+canonical values: the duty factor ramps at 1/(4 T_s) between walk and trot
+and at 1/(5 T_s) between trot and trot-run and between bound and run, while
+phi_RF and phi_RH cross at 1/(2 T_s) between trot and bound. The left legs
+hold (phi_LF, phi_LH) = (0.0, 0.5) throughout.
 
-* walk <-> trot      duty factor ramps at 1/(4 T_s); phi_RF tracks beta and
-                     phi_RH tracks beta +/- 0.5 (modulo 1)
-* trot <-> bound     duty factor stays 0.5; phi_RF and phi_RH cross linearly
-                     at 1/(2 T_s) in opposite senses
-* trot <-> trot-run  duty factor ramps at 1/(5 T_s); offsets held
-* bound <-> run      duty factor ramps at 1/(5 T_s); offsets held
-
-Direct switching between run and trot-run is denied (both are flight gaits);
-a five-state FSM sequences multi-hop requests as chains of at most three of
-the eight directed actions, with an optional settle dwell between chain links.
+Direct switching between run and trot-run is denied (both are flight gaits).
+The graph is a tree, so a five-state FSM sequences any request as the unique
+path of at most three of the eight directed actions, with an optional settle
+dwell between chain links.
 """
 
 from __future__ import annotations
@@ -45,19 +45,15 @@ class GaitTimingConfig:
             raise ValueError(f"dwell_strides must be an int >= 0, got {self.dwell_strides!r}")
 
 
-# Directed edges of the gait graph. Self loops are zero-duration no-ops.
+# Neighbouring gaits switch both ways; self loops are zero-duration no-ops.
+_NEIGHBOURS = (
+    (GaitName.WALK, GaitName.TROT),
+    (GaitName.TROT, GaitName.BOUND),
+    (GaitName.BOUND, GaitName.RUN),
+    (GaitName.TROT, GaitName.TROT_RUN),
+)
 _DIRECT_EDGES: frozenset[tuple[GaitName, GaitName]] = frozenset(
-    [
-        (GaitName.WALK, GaitName.TROT),
-        (GaitName.TROT, GaitName.WALK),
-        (GaitName.TROT, GaitName.BOUND),
-        (GaitName.BOUND, GaitName.TROT),
-        (GaitName.BOUND, GaitName.RUN),
-        (GaitName.RUN, GaitName.BOUND),
-        (GaitName.TROT, GaitName.TROT_RUN),
-        (GaitName.TROT_RUN, GaitName.TROT),
-    ]
-    + [(g, g) for g in GaitName]
+    [(g, g) for g in GaitName] + [e for a, b in _NEIGHBOURS for e in ((a, b), (b, a))]
 )
 
 
@@ -107,7 +103,8 @@ def transition_params(
     """Instantaneous gait parameters ``t`` seconds into a switching action.
 
     Endpoints are exact: t=0 reproduces the source gait and t=duration the
-    target gait, bit for bit.
+    target gait, bit for bit, because ``b - a`` is exact for the canonical
+    values of every pair of neighbours.
     """
     if t < 0.0 or t > action.duration:
         raise ValueError(
@@ -116,63 +113,35 @@ def transition_params(
     if action.is_self_loop:
         return standard_gait(action.source, period)
     tau = t / action.duration
-    key = (action.source, action.target)
-    if key == (GaitName.TROT, GaitName.WALK):
-        beta = 0.5 + 0.25 * tau
-        rf, rh = beta, (beta + 0.5) % 1.0
-    elif key == (GaitName.WALK, GaitName.TROT):
-        beta = 0.75 - 0.25 * tau
-        rf, rh = beta, beta - 0.5
-    elif key == (GaitName.TROT, GaitName.BOUND):
-        beta = 0.5
-        rf, rh = 0.5 - 0.5 * tau, 0.5 * tau
-    elif key == (GaitName.BOUND, GaitName.TROT):
-        beta = 0.5
-        rf, rh = 0.5 * tau, 0.5 - 0.5 * tau
-    elif key == (GaitName.TROT, GaitName.TROT_RUN):
-        beta = 0.5 - 0.2 * tau
-        rf, rh = 0.5, 0.0
-    elif key == (GaitName.TROT_RUN, GaitName.TROT):
-        beta = 0.3 + 0.2 * tau
-        rf, rh = 0.5, 0.0
-    elif key == (GaitName.BOUND, GaitName.RUN):
-        beta = 0.5 - 0.2 * tau
-        rf, rh = 0.0, 0.5
-    elif key == (GaitName.RUN, GaitName.BOUND):
-        beta = 0.3 + 0.2 * tau
-        rf, rh = 0.0, 0.5
-    else:  # pragma: no cover - constructor rejects other edges
-        raise ValueError(f"no parameter schedule for edge {action.id}")
-    return GaitPattern(beta=beta, offsets=(rf, rh, 0.0, 0.5), period=period)
+    a, b = standard_gait(action.source, period), standard_gait(action.target, period)
+    return GaitPattern(
+        beta=a.beta + tau * (b.beta - a.beta),
+        offsets=tuple(x + tau * (y - x) for x, y in zip(a.offsets, b.offsets)),
+        period=period,
+    )
 
 
-# Switching order table: (current state, requested state) -> action chain.
+def _tree_path(
+    source: GaitName, target: GaitName, came_from: GaitName | None = None
+) -> tuple[str, ...] | None:
+    """Action ids from ``source`` to ``target`` without stepping back to
+    ``came_from``, or None; the graph is a tree, so a path found is the only one."""
+    if source == target:
+        return ()
+    for a, b in sorted(_DIRECT_EDGES):
+        if a == source and b not in (a, came_from):
+            rest = _tree_path(b, target, a)
+            if rest is not None:
+                return (transition_action(a, b).id,) + rest
+    return None
+
+
+# Switching order table: (current state, requested state) -> action chain; a
+# request for the current gait runs its self loop.
 TRANSITION_TABLE: dict[tuple[GaitName, GaitName], tuple[str, ...]] = {
-    (GaitName.WALK, GaitName.WALK): ("a00",),
-    (GaitName.WALK, GaitName.TROT): ("a01",),
-    (GaitName.WALK, GaitName.BOUND): ("a01", "a12"),
-    (GaitName.WALK, GaitName.RUN): ("a01", "a12", "a23"),
-    (GaitName.WALK, GaitName.TROT_RUN): ("a01", "a14"),
-    (GaitName.TROT, GaitName.WALK): ("a10",),
-    (GaitName.TROT, GaitName.TROT): ("a11",),
-    (GaitName.TROT, GaitName.BOUND): ("a12",),
-    (GaitName.TROT, GaitName.RUN): ("a12", "a23"),
-    (GaitName.TROT, GaitName.TROT_RUN): ("a14",),
-    (GaitName.BOUND, GaitName.WALK): ("a21", "a10"),
-    (GaitName.BOUND, GaitName.TROT): ("a21",),
-    (GaitName.BOUND, GaitName.BOUND): ("a22",),
-    (GaitName.BOUND, GaitName.RUN): ("a23",),
-    (GaitName.BOUND, GaitName.TROT_RUN): ("a21", "a14"),
-    (GaitName.RUN, GaitName.WALK): ("a32", "a21", "a10"),
-    (GaitName.RUN, GaitName.TROT): ("a32", "a21"),
-    (GaitName.RUN, GaitName.BOUND): ("a32",),
-    (GaitName.RUN, GaitName.RUN): ("a33",),
-    (GaitName.RUN, GaitName.TROT_RUN): ("a32", "a21", "a14"),
-    (GaitName.TROT_RUN, GaitName.WALK): ("a41", "a10"),
-    (GaitName.TROT_RUN, GaitName.TROT): ("a41",),
-    (GaitName.TROT_RUN, GaitName.BOUND): ("a41", "a12"),
-    (GaitName.TROT_RUN, GaitName.RUN): ("a41", "a12", "a23"),
-    (GaitName.TROT_RUN, GaitName.TROT_RUN): ("a44",),
+    (source, target): _tree_path(source, target) or (transition_action(source, source).id,)
+    for source in GaitName
+    for target in GaitName
 }
 
 
@@ -235,41 +204,34 @@ def advance(
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     remaining = dt
-    pattern = standard_gait(state.current, period)
     while True:
         if state.in_progress is not None:
             action, elapsed = state.in_progress
             left = action.duration - elapsed
             if remaining < left - _TIME_EPS:
                 elapsed += remaining
-                pattern = transition_params(action, elapsed, period)
                 state = replace(state, in_progress=(action, elapsed))
-                return state, pattern
+                return state, transition_params(action, elapsed, period)
             remaining = max(0.0, remaining - left)
             dwell = dwell_strides * period if state.queue else 0.0
-            state = FsmState(
-                current=action.target,
-                queue=state.queue,
-                in_progress=None,
-                dwell_remaining=dwell,
+            state = replace(
+                state, current=action.target, in_progress=None, dwell_remaining=dwell
             )
-            pattern = standard_gait(action.target, period)
-            if remaining <= _TIME_EPS:
-                return state, pattern
         elif state.dwell_remaining > _TIME_EPS:
             if remaining < state.dwell_remaining - _TIME_EPS:
                 state = replace(state, dwell_remaining=state.dwell_remaining - remaining)
-                return state, standard_gait(state.current, period)
+                break
             remaining = max(0.0, remaining - state.dwell_remaining)
             state = replace(state, dwell_remaining=0.0)
-            pattern = standard_gait(state.current, period)
-            if remaining <= _TIME_EPS:
-                return state, pattern
         elif state.queue:
-            head, rest = state.queue[0], state.queue[1:]
-            state = replace(state, queue=rest, in_progress=(head, 0.0))
+            state = replace(state, queue=state.queue[1:], in_progress=(state.queue[0], 0.0))
+            continue
         else:
-            return state, standard_gait(state.current, period)
+            break
+        # a finished action or dwell that used up the step ends it
+        if remaining <= _TIME_EPS:
+            break
+    return state, standard_gait(state.current, period)
 
 
 @dataclass
@@ -344,40 +306,25 @@ class GaitFsm:
     def _dispatch(self, target: GaitName) -> None:
         source = self.state.current
         self.state = fsm_dispatch(self.state, GaitEvent(target), self.switch_time)
-        self.events.append(
-            EventRecord(
-                time=self.time,
-                source=source,
-                target=target,
-                chain=TRANSITION_TABLE[(source, target)],
-            )
-        )
+        chain = tuple(action.id for action in self.state.queue)
+        self.events.append(EventRecord(self.time, source, target, chain))
 
     def advance(self, dt: float) -> GaitPattern:
         before = self.active_action
-        t0 = self.time
         self.state, pattern = advance(
             self.state, dt, period=self.period, dwell_strides=self.dwell_strides
         )
-        self.time = t0 + dt
+        self.time += dt
         after = self.active_action
-        if before != after:
-            if before is not None:
-                self._close_window(before)
-            if after is not None:
-                self.action_windows.append(ActionWindow(after, self.time, self.time))
-        if after is not None and self.action_windows:
+        # one action runs at a time, so its window is the last one appended
+        if before is not None:
             self.action_windows[-1].end = self.time
+        if after is not None and after != before:
+            self.action_windows.append(ActionWindow(after, self.time, self.time))
         if not self.state.busy and self.pending is not None:
             target, self.pending = self.pending, None
             self._dispatch(target)
         return pattern
-
-    def _close_window(self, action_id: str) -> None:
-        for win in reversed(self.action_windows):
-            if win.action == action_id:
-                win.end = self.time
-                return
 
 
 def write_transition_trace(path, rows) -> None:

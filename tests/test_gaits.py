@@ -134,14 +134,6 @@ def test_stance_measure_matches_four_beta(beta, offsets):
     assert stance_measure(pattern) == pytest.approx(4.0 * pattern.beta, abs=1e-12)
 
 
-def test_json_round_trip():
-    pattern = standard_gait(GaitName.TROT_RUN, 0.5)
-    data = pattern.to_json_dict()
-    assert set(data) == {"beta", "offsets", "period_s"}
-    assert data["offsets"]["RF"] == 0.5
-    assert GaitPattern.from_json_dict(data) == pattern
-
-
 def test_gait_name_parsing():
     assert GaitName.parse("trot-run") is GaitName.TROT_RUN
     assert GaitName.parse("Trot_Run") is GaitName.TROT_RUN

@@ -21,7 +21,7 @@ from hypothesis import given, strategies as st
 
 import gaitkit.simulation as simulation
 
-from gaitkit.forces import _cone_block, _cross, _independent
+from gaitkit.forces import _cone_block, _independent
 from gaitkit.gaits import GaitName, LegId, standard_gait
 from gaitkit.io import stride_logs_to_csv
 from gaitkit.robot import (
@@ -109,16 +109,6 @@ def _reference_step(state, forces, stance, foot_positions, params, dt):
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
-_vec3 = st.lists(_finite, min_size=3, max_size=3).map(np.array)
-
-
-@given(_vec3, _vec3)
-def test_cross_matches_numpy_bits(a, b):
-    with np.errstate(all="ignore"):
-        got, want = _cross(a, b), np.cross(a, b)
-    assert np.array_equal(got, want, equal_nan=True)
-    real = ~np.isnan(want)
-    assert np.array_equal(np.signbit(got[real]), np.signbit(want[real]))
 
 
 def test_cone_block_matches_per_call_rows_for_every_preset():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,27 @@ def test_reversibility(edge):
     fwd = action_from_id(edge, TS)
     back = transition_action(fwd.target, fwd.source, TS)
     assert transition_params(back, TS) == standard_gait(fwd.source)
+
+
+@pytest.mark.parametrize("edge", DIRECTED_EDGES)
+def test_interior_params_are_the_exact_affine_blend(edge):
+    # the t values a gait machine reaches at dt = 2 ms, plus a uniform grid
+    action = action_from_id(edge, TS)
+    state = fsm_dispatch(initial_state(action.source), GaitEvent(action.target), TS)
+    times = set(np.linspace(0.0, TS, 101)[1:-1].tolist())
+    while True:
+        state, _ = advance(state, 0.002)
+        if state.in_progress is None:
+            break
+        times.add(state.in_progress[1])
+    a, b = standard_gait(action.source), standard_gait(action.target)
+    for t in sorted(times):
+        tau = Fraction(t) / Fraction(TS)
+        pattern = transition_params(action, t)
+        got = (pattern.beta,) + pattern.offsets
+        for x, y, value in zip((a.beta,) + a.offsets, (b.beta,) + b.offsets, got):
+            exact = Fraction(x) + tau * (Fraction(y) - Fraction(x))
+            assert abs(Fraction(value) - exact) <= 2e-16, (t, x, y, value)
 
 
 def test_transition_params_rejects_out_of_window():
@@ -230,3 +253,24 @@ def test_schedule_trace_rows_and_actions():
     final_time, final_pattern, final_state, _ = rows[-1]
     assert final_state is GaitName.WALK
     assert final_pattern == standard_gait(GaitName.WALK)
+
+
+@pytest.mark.parametrize("dwell", [0, 1])
+def test_chain_action_windows_follow_the_schedule(dwell):
+    dt, period = 0.002, 0.4
+    fsm = GaitFsm(GaitName.WALK, period=period, switch_time=TS, dwell_strides=dwell)
+    assert fsm.request(GaitName.RUN) is True
+    dispatched = tuple(action.id for action in fsm.state.queue)
+    assert dispatched == ("a01", "a12", "a23")
+    for _ in range(5000):
+        if not fsm.busy:
+            break
+        fsm.advance(dt)
+    assert fsm.current is GaitName.RUN and not fsm.busy
+    assert [e.chain for e in fsm.events] == [dispatched]
+    windows = fsm.action_windows
+    assert [w.action for w in windows] == list(dispatched)
+    for w in windows:
+        assert abs((w.end - w.start) - TS) <= dt + 1e-9
+    for prev, nxt in zip(windows, windows[1:]):
+        assert abs((nxt.start - prev.end) - dwell * period) <= dt + 1e-9
