@@ -18,7 +18,7 @@ import numpy as np
 from .gaits import GaitName, standard_gait
 from .metrics import MetricsConfig, UndefinedDisplacementError, j_e, stride_metrics
 from .robot import RobotParams, Terrain
-from .simulation import SimConfig, TrialResult, run_trial
+from .simulation import MAX_COMMAND_VELOCITY, SimConfig, TrialResult, run_trial
 from .transitions import GaitTimingConfig
 
 ALL_GAITS = tuple(GaitName)
@@ -44,13 +44,22 @@ class MapConfig:
         return tuple(self.v_min + i * self.v_step for i in range(count))
 
     def validate(self) -> None:
+        """Reject a config that :func:`build_map` could not run to the end."""
         if not self.gaits:
             raise ValueError("candidate gait set must not be empty")
-        if self.trials < 1 or self.strides < 1:
-            raise ValueError("trials and strides must be at least 1")
+        for name, least in (("trials", 1), ("strides", 1), ("warmup_strides", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
         if any(not 0.0 <= c <= 1.0 for c in self.c_values):
             raise ValueError("c values must lie in [0, 1]")
-        self.velocity_grid()
+        grid = self.velocity_grid()
+        # the grid rises, so its ends bound it; NaN fails the test
+        if not (0.0 <= grid[0] and grid[-1] <= MAX_COMMAND_VELOCITY):
+            raise ValueError(
+                f"velocity grid {grid[0]:g}..{grid[-1]:g} m/s leaves the supported "
+                f"[0, {MAX_COMMAND_VELOCITY:g}] m/s"
+            )
 
 
 @dataclass
@@ -308,11 +317,14 @@ def build_map(
     """Sweep (gait, velocity) cells and select the blend-minimizing gait per c.
 
     ``trial_runner(gait, velocity, trial_idx) -> (cot, stb, failed)`` may be
-    injected for testing; the default runs the simulator. ``jobs`` > 1 fans
-    the independent cells out to worker processes (the runner must then
-    pickle); per-trial seeding depends only on the cell key, so the result is
+    injected for testing; the default runs the simulator. ``jobs`` is at
+    least 1 (a :class:`ValueError` otherwise); ``jobs`` > 1 fans the
+    independent cells out to worker processes (the runner must then pickle);
+    per-trial seeding depends only on the cell key, so the result is
     identical either way.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     map_cfg.validate()
     if trial_runner is None:
         trial_runner = partial(

@@ -20,6 +20,11 @@ from .gaits import LegId
 
 GRAVITY = 9.81
 
+# the per-step kinematics hand vectors and 3x3 matrices (as rows) around as
+# tuples of Python floats
+Vector3 = tuple[float, float, float]
+Matrix3 = tuple[Vector3, Vector3, Vector3]
+
 
 def _rebuild(obj):
     """Pickle a frozen dataclass through its constructor.
@@ -125,13 +130,14 @@ def leg_fk(q_leg, leg: LegId, params: RobotParams) -> np.ndarray:
     return np.array([hx + xp, hy + c1 * d - s1 * zp, hz + s1 * d + c1 * zp])
 
 
-def leg_ik(foot, leg: LegId, params: RobotParams) -> np.ndarray:
+def leg_ik(foot, leg: LegId, params: RobotParams) -> Vector3:
     """Knee-backward joint angles reaching a body-frame foot position.
 
-    ``foot`` is any sequence of three floats. Raises
+    ``foot`` is any sequence of three floats; returns a tuple of three floats
+    (the control step calls this per leg and step). Raises
     :class:`OutOfWorkspaceError` for unreachable targets; the error carries
     the angles and position of the nearest reachable point (radial clamp onto
-    the workspace annulus).
+    the workspace annulus) as arrays.
     """
     fx, fy, fz = foot
     hx, hy, hz, d = params._leg_geometry[leg]
@@ -163,17 +169,18 @@ def leg_ik(foot, leg: LegId, params: RobotParams) -> np.ndarray:
         l2 * math.sin(q3), l1 + l2 * math.cos(q3)
     )
     q1 = math.atan2(pz, py) - math.atan2(-w, d)
-    q = np.array([q1, q2, q3])
+    q = (q1, q2, q3)
 
     if clamped:
         raise OutOfWorkspaceError(foot, leg_fk(q, leg, params), q)
     return q
 
 
-def leg_jacobian(q_leg, leg: LegId, params: RobotParams) -> np.ndarray:
+def leg_jacobian(q_leg, leg: LegId, params: RobotParams) -> Matrix3:
     """3x3 Jacobian of :func:`leg_fk` with respect to the joint angles.
 
-    ``q_leg`` is any sequence of three floats.
+    ``q_leg`` is any sequence of three floats; returns the rows as a tuple of
+    three tuples of three floats.
     """
     q1, q2, q3 = q_leg
     d = params._leg_geometry[leg][3]
@@ -192,12 +199,10 @@ def leg_jacobian(q_leg, leg: LegId, params: RobotParams) -> np.ndarray:
     dxp_dq3 = -l2 * c23
     dzp_dq3 = l2 * s23
 
-    return np.array(
-        [
-            [0.0, dxp_dq2, dxp_dq3],
-            [-rel_z, -s1 * dzp_dq2, -s1 * dzp_dq3],
-            [rel_y, c1 * dzp_dq2, c1 * dzp_dq3],
-        ]
+    return (
+        (0.0, dxp_dq2, dxp_dq3),
+        (-rel_z, -s1 * dzp_dq2, -s1 * dzp_dq3),
+        (rel_y, c1 * dzp_dq2, c1 * dzp_dq3),
     )
 
 

@@ -16,7 +16,14 @@ numpy call costs far more in dispatch than in arithmetic: :func:`run_trial`
 unpacks the body state once per step with ``tolist()``, works out the
 reference, touchdown targets, frame changes and leg torques on scalars, and
 builds arrays only where they are logged or handed to the force QP, and
-:func:`step` integrates on scalars as well. The scalar sums round differently
+:func:`step` integrates on scalars as well. The helpers they call once or
+more per step (:func:`~gaitkit.robot.leg_ik`,
+:func:`~gaitkit.robot.leg_jacobian`, :func:`rotation_matrix`,
+:func:`euler_rate_to_omega`, :func:`omega_to_euler_rates`, the swing arc and
+its acceleration, and the stance and swing torques) take sequences of floats
+and return a tuple of three floats, or for a 3x3 matrix a tuple of three such
+rows; they are looked up through this module's globals on every call, so a
+tracer can wrap them here. The scalar sums round differently
 from the BLAS 3x3 products they replace (which may fuse multiply and add), so
 a trial's bits differ from those of a numpy build, by about 1e-16 relative
 per operation; sums that numpy adds in a fixed order (the force total, the
@@ -30,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -38,9 +44,11 @@ from .forces import distribute_forces
 from .gaits import GaitPattern, LegId, leg_contact
 from .robot import (
     OutOfWorkspaceError,
+    Matrix3,
     RobotParams,
     Terrain,
     TerrainBoundsError,
+    Vector3,
     leg_ik,
     leg_jacobian,
 )
@@ -48,13 +56,16 @@ from .transitions import GaitFsm
 
 _LEGS = tuple(LegId)
 
+# the highest commanded speed a trial accepts [m/s]; commands lie in [0, this]
+MAX_COMMAND_VELOCITY = 3.0
+
 
 @dataclass(frozen=True, eq=False)
 class BodyState:
     """Trunk pose and rates: position/velocity, euler angles, world angular velocity.
 
     The arrays are never modified in place once a state exists (a new step
-    builds a new state), so quantities derived from them are cached.
+    builds a new state).
     """
 
     position: np.ndarray
@@ -62,62 +73,55 @@ class BodyState:
     euler: np.ndarray  # (roll, pitch, yaw), pitch positive nose-up
     omega: np.ndarray  # world frame
 
-    @cached_property
-    def rotation(self) -> np.ndarray:
-        """Body-to-world rotation of ``euler``; built once, read-only."""
-        rot = rotation_matrix(self.euler)
-        rot.flags.writeable = False
-        return rot
 
-
-def rotation_matrix(euler) -> np.ndarray:
+def rotation_matrix(euler) -> Matrix3:
     """Body-to-world rotation for (roll, pitch, yaw), pitch nose-up positive.
 
     The product Rz(yaw) Ry(pitch) Rx(roll) in closed form, with
-    Ry = [[cp, 0, -sp], [0, 1, 0], [sp, 0, cp]].
+    Ry = [[cp, 0, -sp], [0, 1, 0], [sp, 0, cp]]; ``euler`` is a sequence of
+    three floats, and the rows come back as a tuple of three tuples of three
+    floats.
     """
     roll, pitch, yaw = euler
     cr, sr = math.cos(roll), math.sin(roll)
     cp, sp = math.cos(pitch), math.sin(pitch)
     cy, sy = math.cos(yaw), math.sin(yaw)
-    return np.array(
-        [
-            [cy * cp, -cy * sp * sr - sy * cr, sy * sr - cy * sp * cr],
-            [sy * cp, cy * cr - sy * sp * sr, -sy * sp * cr - cy * sr],
-            [sp, cp * sr, cp * cr],
-        ]
+    return (
+        (cy * cp, -cy * sp * sr - sy * cr, sy * sr - cy * sp * cr),
+        (sy * cp, cy * cr - sy * sp * sr, -sy * sp * cr - cy * sr),
+        (sp, cp * sr, cp * cr),
     )
 
 
-def euler_rate_to_omega(euler) -> np.ndarray:
-    """Matrix mapping (roll, pitch, yaw) rates to the world angular velocity."""
+def euler_rate_to_omega(euler) -> Matrix3:
+    """Matrix mapping (roll, pitch, yaw) rates to the world angular velocity,
+    as a tuple of three rows of three floats."""
     _, pitch, yaw = euler
     cp, sp = math.cos(pitch), math.sin(pitch)
     cy, sy = math.cos(yaw), math.sin(yaw)
-    return np.array(
-        [[cy * cp, sy, 0.0], [sy * cp, -cy, 0.0], [sp, 0.0, 1.0]]
-    )
+    return ((cy * cp, sy, 0.0), (sy * cp, -cy, 0.0), (sp, 0.0, 1.0))
 
 
-def omega_to_euler_rates(euler, omega) -> np.ndarray:
+def omega_to_euler_rates(euler, omega) -> Vector3:
     """Euler-angle rates giving the world angular velocity ``omega``.
 
-    The closed-form inverse of :func:`euler_rate_to_omega`.
+    The closed-form inverse of :func:`euler_rate_to_omega`; returns a tuple
+    of three floats.
     """
     _, pitch, yaw = euler
     cp = math.cos(pitch)
     # guard the pitch singularity (the map's determinant is -cos(pitch));
     # failure thresholds sit well inside it
     if abs(cp) < 1e-8:
-        return np.zeros(3)
+        return (0.0, 0.0, 0.0)
     cy, sy = math.cos(yaw), math.sin(yaw)
     wx, wy, wz = omega
     roll_rate = (cy * wx + sy * wy) / cp
-    return np.array([roll_rate, sy * wx - cy * wy, wz - math.sin(pitch) * roll_rate])
+    return (roll_rate, sy * wx - cy * wy, wz - math.sin(pitch) * roll_rate)
 
 
-def _rotate(rot, v) -> tuple[float, float, float]:
-    """``rot @ v`` for a 3x3 rotation given as nested lists of floats."""
+def _rotate(rot, v) -> Vector3:
+    """``rot @ v`` for a 3x3 rotation given as nested sequences of floats."""
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot
     x, y, z = v
     return (
@@ -127,8 +131,8 @@ def _rotate(rot, v) -> tuple[float, float, float]:
     )
 
 
-def _unrotate(rot, v) -> tuple[float, float, float]:
-    """``v @ rot``, i.e. ``rot.T @ v``, for nested lists of floats."""
+def _unrotate(rot, v) -> Vector3:
+    """``v @ rot``, i.e. ``rot.T @ v``, for nested sequences of floats."""
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot
     x, y, z = v
     return (
@@ -179,41 +183,39 @@ class SimConfig:
             raise ValueError("nominal height must be positive")
 
 
-def swing_trajectory(s: float, lift_point, target_point, apex: float) -> np.ndarray:
+def swing_trajectory(s: float, lift_point, target_point, apex: float) -> Vector3:
     """Swing foot position at swing phase ``s`` in [0, 1].
 
     Cycloidal progress along the lift->target chord with a sinusoidal arch
-    peaking ``apex`` above the chord midpoint; both endpoints are exact.
+    peaking ``apex`` above the chord midpoint; both endpoints are exact. The
+    points are sequences of three floats; returns a tuple of three floats.
     """
     s = min(1.0, max(0.0, float(s)))
     lx, ly, lz = lift_point
     tx, ty, tz = target_point
     sigma = s - math.sin(2.0 * math.pi * s) / (2.0 * math.pi)
-    return np.array(
-        [
-            lx + sigma * (tx - lx),
-            ly + sigma * (ty - ly),
-            lz + sigma * (tz - lz) + apex * math.sin(math.pi * s),
-        ]
+    return (
+        lx + sigma * (tx - lx),
+        ly + sigma * (ty - ly),
+        lz + sigma * (tz - lz) + apex * math.sin(math.pi * s),
     )
 
 
 def swing_acceleration(
     s: float, lift_point, target_point, apex: float, swing_time: float
-) -> np.ndarray:
-    """Second time derivative of :func:`swing_trajectory` at phase ``s``."""
+) -> Vector3:
+    """Second time derivative of :func:`swing_trajectory` at phase ``s``, as a
+    tuple of three floats."""
     s = min(1.0, max(0.0, float(s)))
     lx, ly, lz = lift_point
     tx, ty, tz = target_point
     chord = 2.0 * math.pi * math.sin(2.0 * math.pi * s)
     arch = -apex * math.pi * math.pi * math.sin(math.pi * s)
     t2 = swing_time * swing_time
-    return np.array(
-        [
-            chord * (tx - lx) / t2,
-            chord * (ty - ly) / t2,
-            (chord * (tz - lz) + arch) / t2,
-        ]
+    return (
+        chord * (tx - lx) / t2,
+        chord * (ty - ly) / t2,
+        (chord * (tz - lz) + arch) / t2,
     )
 
 
@@ -256,7 +258,8 @@ def step(
     ax, ay, az = 0.0 + fx / mass, 0.0 + fy / mass, fz / mass - gravity
     # the body inertia I is diagonal, so the world inertia R diag(I) R^T has
     # the inverse R diag(1/I) R^T
-    rot = state.rotation.tolist()
+    roll, pitch, yaw = state.euler.tolist()
+    rot = rotation_matrix((roll, pitch, yaw))
     i0, i1, i2 = params.inertia_diag
     wx, wy, wz = state.omega.tolist()
     u0, u1, u2 = _unrotate(rot, (wx, wy, wz))
@@ -268,8 +271,7 @@ def step(
     vx, vy, vz = state.velocity.tolist()
     vx, vy, vz = vx + ax * dt, vy + ay * dt, vz + az * dt
     omega = (wx + dx * dt, wy + dy * dt, wz + dz * dt)
-    roll, pitch, yaw = state.euler.tolist()
-    r0, r1, r2 = omega_to_euler_rates((roll, pitch, yaw), omega).tolist()
+    r0, r1, r2 = omega_to_euler_rates((roll, pitch, yaw), omega)
     return BodyState(
         position=np.array([px + vx * dt, py + vy * dt, pz + vz * dt]),
         velocity=np.array([vx, vy, vz]),
@@ -278,45 +280,37 @@ def step(
     )
 
 
-def stance_torques(force_body, q_leg, leg: LegId, params: RobotParams) -> np.ndarray:
+def stance_torques(force_body, q_leg, leg: LegId, params: RobotParams) -> Vector3:
     """Joint torques balancing a body-frame ground reaction force: tau = -J^T f.
 
-    ``force_body`` and ``q_leg`` are sequences of three floats.
+    ``force_body`` and ``q_leg`` are sequences of three floats; returns a
+    tuple of three floats.
     """
-    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = leg_jacobian(
-        q_leg, leg, params
-    ).tolist()
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = leg_jacobian(q_leg, leg, params)
     f0, f1, f2 = force_body
-    return np.array(
-        [
-            -j00 * f0 - j10 * f1 - j20 * f2,
-            -j01 * f0 - j11 * f1 - j21 * f2,
-            -j02 * f0 - j12 * f1 - j22 * f2,
-        ]
+    return (
+        -j00 * f0 - j10 * f1 - j20 * f2,
+        -j01 * f0 - j11 * f1 - j21 * f2,
+        -j02 * f0 - j12 * f1 - j22 * f2,
     )
 
 
-def swing_torques(
-    q_leg, foot_accel_body, leg: LegId, params: RobotParams
-) -> np.ndarray:
+def swing_torques(q_leg, foot_accel_body, leg: LegId, params: RobotParams) -> Vector3:
     """Joint torques driving the swing foot point mass: tau = J^T m (a - g).
 
     ``foot_accel_body`` is the demanded foot acceleration with gravity already
     subtracted, (a - g), in the body frame; only J^T m is applied here.
-    ``q_leg`` and ``foot_accel_body`` are sequences of three floats.
+    ``q_leg`` and ``foot_accel_body`` are sequences of three floats; returns a
+    tuple of three floats.
     """
-    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = leg_jacobian(
-        q_leg, leg, params
-    ).tolist()
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = leg_jacobian(q_leg, leg, params)
     m = params.foot_mass
     a0, a1, a2 = foot_accel_body
     a0, a1, a2 = m * a0, m * a1, m * a2
-    return np.array(
-        [
-            j00 * a0 + j10 * a1 + j20 * a2,
-            j01 * a0 + j11 * a1 + j21 * a2,
-            j02 * a0 + j12 * a1 + j22 * a2,
-        ]
+    return (
+        j00 * a0 + j10 * a1 + j20 * a2,
+        j01 * a0 + j11 * a1 + j21 * a2,
+        j02 * a0 + j12 * a1 + j22 * a2,
     )
 
 
@@ -456,8 +450,11 @@ def run_trial(
     config = config or SimConfig()
     params = params or RobotParams()
     config.validate()
-    if not 0.0 <= v_cmd <= 3.0:
-        raise ValueError(f"commanded velocity {v_cmd} outside the supported [0, 3] m/s")
+    if not 0.0 <= v_cmd <= MAX_COMMAND_VELOCITY:
+        raise ValueError(
+            f"commanded velocity {v_cmd} outside the supported "
+            f"[0, {MAX_COMMAND_VELOCITY:g}] m/s"
+        )
 
     if isinstance(gait, GaitFsm):
         fsm = gait
@@ -491,7 +488,8 @@ def run_trial(
 
     hips = params.hip_offsets.tolist()
     px, py, pz = state.position.tolist()
-    rot = state.rotation.tolist()
+    euler = state.euler.tolist()
+    rot = rotation_matrix(euler)
     # foot points in LegId order; an entry is replaced, never changed in place,
     # so the lift point of a swing can share it
     foot_pos = []
@@ -513,7 +511,7 @@ def run_trial(
     for leg in _LEGS:
         fx, fy, fz = foot_pos[leg]
         try:
-            q.append(leg_ik(_unrotate(rot, (fx - px, fy - py, fz - pz)), leg, params).tolist())
+            q.append(leg_ik(_unrotate(rot, (fx - px, fy - py, fz - pz)), leg, params))
         except OutOfWorkspaceError as err:
             q.append(err.clamped_angles.tolist())
 
@@ -546,7 +544,6 @@ def run_trial(
     # the force QP's final working set seeds the next step's QP
     working_set: tuple[int, ...] = ()
     vx, vy, vz = state.velocity.tolist()
-    euler = state.euler.tolist()
     omega = state.omega.tolist()
     t = 0.0
     rows = 0  # steps run, each logged in its row
@@ -554,7 +551,7 @@ def run_trial(
         pattern = gait if fsm is None else fsm.advance(dt)
         beta = pattern.beta
         swing_time_full = (1.0 - beta) * period
-        rot = state.rotation.tolist()
+        rot = rotation_matrix(euler)
 
         # the body spans terrain kinks: blend the reference incline over
         # the fore and hind hip footprint instead of stepping at the kink
@@ -607,13 +604,11 @@ def run_trial(
                 except TerrainBoundsError:
                     target_z = foot_pos[leg][2]
                 target = (target_x, target_y, target_z)
-                foot_pos[leg] = swing_trajectory(
-                    local, lift_pos[leg], target, apex
-                ).tolist()
+                foot_pos[leg] = swing_trajectory(local, lift_pos[leg], target, apex)
                 eff_swing_time = max((1.0 - s0) * swing_time_full, 1e-6)
                 foot_acc[leg] = swing_acceleration(
                     local, lift_pos[leg], target, apex, eff_swing_time
-                ).tolist()
+                )
             else:
                 if was_swing[leg]:
                     was_swing[leg] = False
@@ -629,9 +624,7 @@ def run_trial(
             # a stance foot out of reach is dropped from stance
             fx, fy, fz = foot_pos[leg]
             try:
-                q[leg] = leg_ik(
-                    _unrotate(rot, (fx - px, fy - py, fz - pz)), leg, params
-                ).tolist()
+                q[leg] = leg_ik(_unrotate(rot, (fx - px, fy - py, fz - pz)), leg, params)
             except OutOfWorkspaceError as err:
                 q[leg] = err.clamped_angles.tolist()
                 eff_stance[leg] = False
@@ -648,9 +641,7 @@ def run_trial(
         support = weight * (1.0 / min(1.0, 2.0 * beta))
         roll, pitch, yaw = euler
         wx, wy, wz = omega
-        (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = euler_rate_to_omega(
-            euler
-        ).tolist()
+        (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = euler_rate_to_omega(euler)
         # force rows kp (p_des - p) + kd (v_des - v) + support, moment rows
         # E(euler) kp (euler_des - euler) - kd omega, for the reference
         # p_des = (carrot, 0, ground + nominal height), euler_des = (0, incline, 0)
@@ -694,11 +685,11 @@ def run_trial(
             # whole leg effort scales down; a stance leg's force scales with
             # it and the commanded wrench is no longer met, which is the
             # controller limitation that drops the violent gaits
-            t0, t1, t2 = tau.tolist()
+            t0, t1, t2 = tau
             peak = max(abs(t0), abs(t1), abs(t2))
             if peak > limit:
                 scale = limit / peak
-                tau *= scale
+                tau = (t0 * scale, t1 * scale, t2 * scale)
                 if in_stance:
                     applied[leg] = dist.forces[leg] * scale
                 acc.flags += 1

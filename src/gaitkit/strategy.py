@@ -24,7 +24,7 @@ from .mapping import (
 from .metrics import MetricsConfig
 from .metrics import stride_metrics  # noqa: F401  (wrapped by perfbench/tracing.py)
 from .robot import RobotParams, Terrain
-from .simulation import SimConfig, TrialResult, run_trial
+from .simulation import MAX_COMMAND_VELOCITY, SimConfig, TrialResult, run_trial
 from .transitions import GaitFsm, GaitTimingConfig
 
 
@@ -207,14 +207,21 @@ def compare(
     :func:`~gaitkit.mapping.trial_outcome`, as in :func:`~gaitkit.mapping.build_map`.
 
     ``trial_hook(strategy, velocity, trial_idx) -> (cot, stb, failed)`` can be
-    injected for synthetic harnesses.
+    injected for synthetic harnesses. The velocity range must lie in the
+    commanded speeds a trial accepts, low end first.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
+    v_lo, v_hi = velocity_range
+    # NaN fails the test
+    if not 0.0 <= v_lo <= v_hi <= MAX_COMMAND_VELOCITY:
+        raise ValueError(
+            f"velocity range ({v_lo:g}, {v_hi:g}) m/s is not an interval in the "
+            f"supported [0, {MAX_COMMAND_VELOCITY:g}] m/s"
+        )
     sim_cfg = sim_cfg or SimConfig()
     params = params or RobotParams()
     metrics = metrics or MetricsConfig()
-    v_lo, v_hi = velocity_range
     velocities = [
         float(np.random.default_rng((seed, i, 7)).uniform(v_lo, v_hi))
         for i in range(trials)

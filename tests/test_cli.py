@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from gaitkit import cli, strategy
+from gaitkit import cli, mapping, strategy
 from gaitkit.cli import main
 
 
@@ -324,6 +324,63 @@ def test_bad_gait_timing_exits_one_at_load(tmp_path, monkeypatch, command, gait)
     cfg_path.write_text(json.dumps({"gait": gait}))
     assert main(command + ["--out", str(tmp_path / "o"), "--config", str(cfg_path)]) == 1
     assert not (tmp_path / "o").exists()
+
+
+_BUILD_MAP = ["build-map", "--v-min", "0.5", "--v-max", "0.5", "--c", "0.5",
+              "--trials", "1", "--strides", "1"]
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        (["simulate", "--gait", "trot", "--velocity", "1.2", "--duration", "1.2"],
+         {"warmup_strides": -1}),
+        (["simulate", "--gait", "trot", "--velocity", "1.2", "--duration", "1.2"],
+         {"v_max": 3.5}),
+        # build-map used to simulate every cell up to 2.9 m/s and then exit 1
+        (["build-map"], {"v_max": 3.5}),
+        (["build-map"], {"warmup_strides": -1}),
+    ],
+    ids=["simulate-negative-warmup", "simulate-v-max", "build-map-v-max",
+         "build-map-negative-warmup"],
+)
+def test_bad_map_section_exits_one_at_load(tmp_path, monkeypatch, command, section):
+    monkeypatch.setattr(cli, "run_trial", _no_trial)
+    monkeypatch.setattr(mapping, "run_trial", _no_trial)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"map": section}))
+    out = tmp_path / "o"
+    assert main(command + ["--out", str(out), "--config", str(cfg_path)]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--v-max", "3.5"],
+        ["--jobs", "0"],
+        ["--jobs", "-1"],
+    ],
+    ids=["v-max-flag", "zero-jobs", "negative-jobs"],
+)
+def test_build_map_bad_flag_exits_one_without_output(tmp_path, monkeypatch, args):
+    monkeypatch.setattr(mapping, "run_trial", _no_trial)
+    out = tmp_path / "maps" / "map.json"
+    assert main(_BUILD_MAP + args + ["--out", str(out)]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--v-max", "3.5"], ["--v-min", "-0.2"], ["--v-min", "2.0", "--v-max", "1.0"]],
+    ids=["above-limit", "negative", "reversed"],
+)
+def test_compare_bad_velocity_range_exits_one_before_any_trial(tmp_path, monkeypatch, args):
+    monkeypatch.setattr(strategy, "run_trial", _no_trial)
+    out = tmp_path / "runs" / "comparison.csv"
+    assert main(["compare", "--strategy", "fixed:trot", "--trials", "1", *args,
+                 "--out", str(out)]) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_json_strides_keep_their_csv_numbers(tmp_path, monkeypatch):

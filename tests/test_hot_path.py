@@ -43,8 +43,10 @@ from gaitkit.simulation import (
     rotation_matrix,
     StrideLog,
     run_trial,
+    stance_torques,
     step,
     swing_acceleration,
+    swing_torques,
     swing_trajectory,
 )
 from gaitkit.transitions import GaitFsm
@@ -97,7 +99,7 @@ def _reference_step(state, forces, stance, foot_positions, params, dt):
         if stance[leg]:
             moment += np.cross(foot_positions[leg] - state.position, forces[leg])
     accel = params.gravity * np.array([0.0, 0.0, -1.0]) + f_total / params.mass
-    rot = rotation_matrix(state.euler)
+    rot = np.asarray(rotation_matrix(state.euler))
     inertia_w = rot @ np.diag(params.inertia_diag) @ rot.T
     gyro = np.cross(state.omega, inertia_w @ state.omega)
     omega_dot = np.linalg.solve(inertia_w, moment - gyro)
@@ -270,18 +272,11 @@ def _reference_rotation(euler):
     return rz @ ry @ rx
 
 
-def test_body_rotation_is_cached_read_only_rotation_matrix():
+def test_rotation_matrix_matches_elementary_rotation_product():
     rng = np.random.default_rng(5)
     for _ in range(50):
         euler = rng.uniform(-0.6, 0.6, 3)
-        state = BodyState(
-            position=np.zeros(3), velocity=np.zeros(3), euler=euler, omega=np.zeros(3)
-        )
-        assert _close(rotation_matrix(euler), _reference_rotation(euler))
-        assert _same_bits(state.rotation, rotation_matrix(euler))
-        assert state.rotation is state.rotation
-        with pytest.raises(ValueError):
-            state.rotation[0, 0] = 1.0
+        assert _close(np.asarray(rotation_matrix(euler)), _reference_rotation(euler))
 
 
 @pytest.mark.parametrize("size", [3, 6, 9])
@@ -538,7 +533,7 @@ class _ControlLog:
 
         def recorded_acc(s, lift, target, *args):
             acc = swing_acceleration(s, lift, target, *args)
-            self.swing_acc.append((np.array(target), acc.copy()))
+            self.swing_acc.append((np.array(target), np.array(acc)))
             return acc
 
         monkeypatch.setattr(simulation, "distribute_forces", recorded_qp)
@@ -582,7 +577,7 @@ def _reference_torques(pos, euler, feet, stance, qp_forces, swing_acc, config, p
             q = leg_ik(body_targets[leg], leg, params)
         except OutOfWorkspaceError as err:
             q = err.clamped_angles
-        j = leg_jacobian(q, leg, params)
+        j = np.asarray(leg_jacobian(q, leg, params))
         if stance[leg]:
             tau = -j.T @ forces_body[leg]
         else:
@@ -739,6 +734,185 @@ def test_swing_arcs_match_numpy_array_reference(s, lift, target, apex, swing_tim
         swing_acceleration(s, lift, target, apex, swing_time),
         _reference_swing_acceleration(s, lift, target, apex, swing_time),
     )
+
+
+def _array_jacobian(q_leg, leg, params):
+    """leg_jacobian's formula as it was built into an array."""
+    q1, q2, q3 = np.asarray(q_leg, dtype=float)
+    d = params.link_hip * params.side_sign(leg)
+    l1, l2 = params.link_thigh, params.link_shank
+    s2, c2 = math.sin(q2), math.cos(q2)
+    s23, c23 = math.sin(q2 + q3), math.cos(q2 + q3)
+    c1, s1 = math.cos(q1), math.sin(q1)
+    zp = -l1 * c2 - l2 * c23
+    dzp_dq2, dzp_dq3 = l1 * s2 + l2 * s23, l2 * s23
+    return np.array(
+        [
+            [0.0, -l1 * c2 - l2 * c23, -l2 * c23],
+            [-(s1 * d + c1 * zp), -s1 * dzp_dq2, -s1 * dzp_dq3],
+            [c1 * d - s1 * zp, c1 * dzp_dq2, c1 * dzp_dq3],
+        ]
+    )
+
+
+def _array_rotation(euler):
+    """rotation_matrix's closed form as it was built into an array."""
+    roll, pitch, yaw = np.asarray(euler, dtype=float)
+    cr, sr = math.cos(roll), math.sin(roll)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    return np.array(
+        [
+            [cy * cp, -cy * sp * sr - sy * cr, sy * sr - cy * sp * cr],
+            [sy * cp, cy * cr - sy * sp * sr, -sy * sp * cr - cy * sr],
+            [sp, cp * sr, cp * cr],
+        ]
+    )
+
+
+def _array_rate_map(euler):
+    _, pitch, yaw = np.asarray(euler, dtype=float)
+    cp, sp, cy, sy = math.cos(pitch), math.sin(pitch), math.cos(yaw), math.sin(yaw)
+    return np.array([[cy * cp, sy, 0.0], [sy * cp, -cy, 0.0], [sp, 0.0, 1.0]])
+
+
+def _array_euler_rates(euler, omega):
+    _, pitch, yaw = np.asarray(euler, dtype=float)
+    cp = math.cos(pitch)
+    if abs(cp) < 1e-8:
+        return np.zeros(3)
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    w = np.asarray(omega, dtype=float)
+    roll_rate = (cy * w[0] + sy * w[1]) / cp
+    return np.array([roll_rate, sy * w[0] - cy * w[1], w[2] - math.sin(pitch) * roll_rate])
+
+
+def _array_stance_torques(force_body, q_leg, leg, params):
+    """-J^T f as the sum of J's rows scaled by the force, in row order."""
+    j, f = _array_jacobian(q_leg, leg, params), np.asarray(force_body, dtype=float)
+    return -j[0] * f[0] - j[1] * f[1] - j[2] * f[2]
+
+
+def _array_swing_torques(q_leg, foot_accel_body, leg, params):
+    """J^T m a as the sum of J's rows scaled by m a, in row order."""
+    j = _array_jacobian(q_leg, leg, params)
+    a = params.foot_mass * np.asarray(foot_accel_body, dtype=float)
+    return j[0] * a[0] + j[1] * a[1] + j[2] * a[2]
+
+
+def _is_float_tuple(value, depth=1) -> bool:
+    """A tuple of three Python floats, or (depth 2) of three such tuples."""
+    if type(value) is not tuple or len(value) != 3:
+        return False
+    if depth == 1:
+        return all(type(v) is float for v in value)
+    return all(_is_float_tuple(row) for row in value)
+
+
+def _helper_results(rng, params):
+    """Each per-step helper and its array formula on one random draw of
+    Python float inputs: {name: (result, array reference, depth)}."""
+    leg = LegId(int(rng.integers(4)))
+    q = [rng.uniform(-0.6, 0.6), rng.uniform(-0.9, 0.9), rng.uniform(-2.4, -0.25)]
+    foot = leg_fk(q, leg, params).tolist()
+    euler = [rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6), rng.uniform(-math.pi, math.pi)]
+    omega, force = rng.normal(0.0, 2.0, 3).tolist(), rng.normal(0.0, 60.0, 3).tolist()
+    lift, target = rng.normal(0.0, 0.3, 3).tolist(), rng.normal(0.0, 0.3, 3).tolist()
+    s, apex, swing_time = rng.uniform(), rng.uniform(0.0, 0.1), rng.uniform(0.05, 0.4)
+    ik_want, clamped = _reference_leg_ik(foot, leg, params)
+    assert not clamped
+    return {
+        "leg_ik": (leg_ik(foot, leg, params), ik_want, 1),
+        "leg_jacobian": (leg_jacobian(q, leg, params), _array_jacobian(q, leg, params), 2),
+        "rotation_matrix": (rotation_matrix(euler), _array_rotation(euler), 2),
+        "euler_rate_to_omega": (euler_rate_to_omega(euler), _array_rate_map(euler), 2),
+        "omega_to_euler_rates": (
+            omega_to_euler_rates(euler, omega), _array_euler_rates(euler, omega), 1
+        ),
+        "swing_trajectory": (
+            swing_trajectory(s, lift, target, apex),
+            _reference_swing_trajectory(s, lift, target, apex),
+            1,
+        ),
+        "swing_acceleration": (
+            swing_acceleration(s, lift, target, apex, swing_time),
+            _reference_swing_acceleration(s, lift, target, apex, swing_time),
+            1,
+        ),
+        "stance_torques": (
+            stance_torques(force, q, leg, params),
+            _array_stance_torques(force, q, leg, params),
+            1,
+        ),
+        "swing_torques": (
+            swing_torques(q, force, leg, params),
+            _array_swing_torques(q, force, leg, params),
+            1,
+        ),
+    }
+
+
+STEP_HELPERS = (
+    "leg_ik", "leg_jacobian", "rotation_matrix", "euler_rate_to_omega",
+    "omega_to_euler_rates", "swing_trajectory", "swing_acceleration",
+    "stance_torques", "swing_torques",
+)
+_MATRIX_HELPERS = ("leg_jacobian", "rotation_matrix", "euler_rate_to_omega")
+
+
+@pytest.mark.parametrize("link_hip", [0.0, 0.05])
+def test_step_helpers_return_float_tuples_with_the_array_bits(link_hip):
+    params = RobotParams(link_hip=link_hip)
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        results = _helper_results(rng, params)
+        assert tuple(results) == STEP_HELPERS
+        for name, (got, want, depth) in results.items():
+            assert _is_float_tuple(got, depth), name
+            assert _same_bits(np.array(got), want), name
+    # the guard at the pitch singularity
+    singular = omega_to_euler_rates([0.2, math.pi / 2, -0.4], [1.0, -2.0, 3.0])
+    assert _is_float_tuple(singular) and singular == (0.0, 0.0, 0.0)
+
+
+def test_unreachable_leg_ik_target_raises_with_arrays():
+    params = RobotParams()
+    for leg in LegId:
+        hx, hy, hz = params.hip_offsets[leg].tolist()
+        for target in ((hx, hy, hz - 2.0), (hx + 0.5, hy, hz)):
+            with pytest.raises(OutOfWorkspaceError) as err:
+                leg_ik(target, leg, params)
+            for arr in (err.value.target, err.value.clamped_point, err.value.clamped_angles):
+                assert type(arr) is np.ndarray and arr.dtype == np.float64
+                assert arr.shape == (3,)
+            assert _same_bits(
+                err.value.clamped_point, leg_fk(err.value.clamped_angles, leg, params)
+            )
+
+
+def test_control_loop_helpers_hand_it_no_arrays(monkeypatch):
+    # every helper run_trial and step call per step, looked up through the
+    # simulation module's globals, returns tuples of floats (clamped IK
+    # targets raise instead)
+    seen = {name: 0 for name in STEP_HELPERS}
+    arrays = []
+
+    def recorded(name, fn):
+        def wrapper(*args):
+            result = fn(*args)
+            seen[name] += 1
+            if not _is_float_tuple(result, 2 if name in _MATRIX_HELPERS else 1):
+                arrays.append((name, result))
+            return result
+
+        return wrapper
+
+    for name in STEP_HELPERS:
+        monkeypatch.setattr(simulation, name, recorded(name, getattr(simulation, name)))
+    _steady_trot(None)
+    _falling_run(None)
+    assert all(seen.values()), seen
+    assert not arrays, arrays[:3]
 
 
 def test_post_step_bounds_error_ends_the_trial_as_a_fall(monkeypatch):

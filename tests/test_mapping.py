@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from gaitkit.gaits import GaitName
+from gaitkit.gaits import GaitName, standard_gait
 from gaitkit.mapping import (
     HysteresisState,
     MapConfig,
@@ -14,6 +15,7 @@ from gaitkit.mapping import (
 )
 from gaitkit.metrics import COT_BOUND, STB_BOUND
 from gaitkit.robot import terrain_preset
+from gaitkit.simulation import MAX_COMMAND_VELOCITY, SimConfig, run_trial
 
 FLAT = terrain_preset("flat")
 
@@ -202,6 +204,42 @@ def test_map_config_validation():
         MapConfig(c_values=(1.5,)).validate()
     with pytest.raises(ValueError):
         MapConfig(v_min=2.0, v_max=1.0).validate()
+    for overrides in (
+        # trial_outcome would score strides[-1:]
+        {"warmup_strides": -1},
+        {"warmup_strides": 1.5},
+        {"trials": 2.0},
+        {"strides": 0},
+        # run_trial rejects every cell above its velocity limit
+        {"v_max": 3.5},
+        {"v_min": -0.1},
+        # v_max lies inside the limit, but the grid's last point rounds past it
+        {"v_min": 0.3, "v_max": 3.0, "v_step": 0.2},
+        {"v_min": math.nan},
+    ):
+        with pytest.raises(ValueError):
+            MapConfig(**overrides).validate()
+
+
+def test_map_config_grid_may_span_the_whole_command_range():
+    cfg = MapConfig(v_min=0.0, v_max=MAX_COMMAND_VELOCITY, v_step=0.5, warmup_strides=0)
+    cfg.validate()
+    assert cfg.velocity_grid()[-1] == MAX_COMMAND_VELOCITY
+    # the same limit run_trial applies to a command
+    with pytest.raises(ValueError, match="commanded velocity"):
+        run_trial(standard_gait(GaitName.TROT), math.nextafter(MAX_COMMAND_VELOCITY, 4.0),
+                  FLAT, 1.2, SimConfig())
+
+
+def _no_trial(gait, velocity, trial_idx):
+    raise AssertionError("build_map must reject the job count before any trial")
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_build_map_rejects_jobs_below_one(jobs):
+    cfg = MapConfig(v_min=0.5, v_max=0.5, c_values=(0.5,), trials=1, strides=1)
+    with pytest.raises(ValueError, match="jobs"):
+        build_map(FLAT, cfg, trial_runner=_no_trial, jobs=jobs)
 
 
 def test_merge_maps():

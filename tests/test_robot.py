@@ -97,7 +97,7 @@ def test_abduction_column_orthogonal_to_x():
     rng = np.random.default_rng(5)
     for _ in range(20):
         q = _random_reachable_q(rng)
-        jac = leg_jacobian(q, LegId.LH, PARAMS)
+        jac = np.asarray(leg_jacobian(q, LegId.LH, PARAMS))
         assert jac[0, 0] == 0.0
 
 

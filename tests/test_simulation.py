@@ -128,7 +128,7 @@ def test_gyroscopic_term_active():
 
 def test_stance_torque_zero_force():
     q = np.array([0.1, 0.4, -0.9])
-    tau = stance_torques(np.zeros(3), q, LegId.RF, PARAMS)
+    tau = np.asarray(stance_torques(np.zeros(3), q, LegId.RF, PARAMS))
     assert np.all(tau == 0.0)
 
 
@@ -151,7 +151,7 @@ def test_swing_torque_gravity_hold():
     tau = swing_torques(q, -g_vec, LegId.RF, PARAMS)
     from gaitkit.robot import leg_jacobian
 
-    expected = leg_jacobian(q, LegId.RF, PARAMS).T @ (
+    expected = np.asarray(leg_jacobian(q, LegId.RF, PARAMS)).T @ (
         PARAMS.foot_mass * np.array([0.0, 0.0, PARAMS.gravity])
     )
     assert np.allclose(tau, expected)
@@ -159,7 +159,9 @@ def test_swing_torque_gravity_hold():
 
 def test_swing_torque_zero_foot_mass():
     light = dataclasses.replace(PARAMS, foot_mass=0.0)
-    tau = swing_torques(np.array([0.0, 0.5, -1.2]), np.array([1.0, 2.0, 3.0]), LegId.RF, light)
+    tau = np.asarray(
+        swing_torques(np.array([0.0, 0.5, -1.2]), np.array([1.0, 2.0, 3.0]), LegId.RF, light)
+    )
     assert np.all(tau == 0.0)
 
 

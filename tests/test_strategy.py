@@ -195,6 +195,20 @@ def test_multigait_c0_minimizes_cot_on_synthetic_harness():
         assert multi.cot <= row.cot + 1e-12
 
 
+@pytest.mark.parametrize(
+    "velocity_range",
+    [(0.3, 3.5), (-0.1, 1.0), (1.5, 1.0), (float("nan"), 1.0)],
+    ids=["above-limit", "negative", "reversed", "nan"],
+)
+def test_compare_rejects_a_velocity_range_before_its_first_trial(velocity_range):
+    def no_trial(strategy, velocity, trial_idx):
+        raise AssertionError("compare must check its velocity range before any trial")
+
+    with pytest.raises(ValueError, match="velocity range"):
+        compare([FixedGait(GaitName.TROT)], terrain_preset("flat"), trials=2,
+                velocity_range=velocity_range, trial_hook=no_trial)
+
+
 def test_rows_to_csv_layout(tmp_path):
     rows = [
         ComparisonRow("fixed:trot", 0.383, 0.145, 29, 30),
