@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .config import ToolkitConfig, load_config
 from .gaits import GaitName, standard_gait
-from .io import RunManifest, stride_logs_to_csv, stride_summary, write_json
+from .io import RunManifest, stride_logs_to_csv, stride_summary, write_csv, write_json
 from .mapping import VelocityGaitMap, build_map
 from .metrics import UndefinedDisplacementError, stride_metrics
 from .simulation import run_trial
@@ -49,7 +49,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _manifest(args, command: str, outputs: list[str]) -> RunManifest:
+def _manifest(args, cfg: ToolkitConfig, command: str, outputs: list[str]) -> RunManifest:
+    """The run's provenance; ``seed`` is the seed in effect, from ``--seed``
+    or else from the config file."""
     arg_dict = {
         k: v for k, v in vars(args).items() if k not in ("func",) and v is not None
     }
@@ -57,7 +59,7 @@ def _manifest(args, command: str, outputs: list[str]) -> RunManifest:
         command=command,
         args={k: str(v) for k, v in arg_dict.items()},
         config_path=getattr(args, "config", None),
-        seed=getattr(args, "seed", None),
+        seed=cfg.sim.seed,
         outputs=outputs,
         version=__version__,
     ).stamped()
@@ -97,7 +99,7 @@ def cmd_simulate(args) -> int:
         except UndefinedDisplacementError:
             metrics_list.append(None)
 
-    manifest = _manifest(args, "simulate", [str(csv_path), str(json_path)])
+    manifest = _manifest(args, cfg, "simulate", [str(csv_path), str(json_path)])
     summary = stride_summary(result.strides, metrics_list)
     summary["failed"] = result.failed
     summary["v_cmd"] = args.velocity
@@ -162,7 +164,8 @@ def cmd_transition_demo(args) -> int:
     write_transition_trace(trace_path, fsm.trace)
 
     manifest = _manifest(
-        args, "transition-demo", [str(series_path), str(trace_path), str(events_path)]
+        args, cfg, "transition-demo",
+        [str(series_path), str(trace_path), str(events_path)],
     )
     write_json(
         {
@@ -189,40 +192,28 @@ def cmd_transition_demo(args) -> int:
 
 
 def _write_demo_series(result, path) -> None:
-    import csv as _csv
-
     windows = result.action_windows
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(
-            ["time_s", "roll", "pitch", "foot_rf_z", "foot_rh_z", "foot_lf_z",
-             "foot_lh_z", "action"]
-        )
-        for log in result.strides:
-            for i in range(log.time.shape[0]):
-                t = float(log.time[i])
-                action = ""
-                for w in windows:
-                    if w.start <= t <= w.end:
-                        action = w.action
-                        break
-                writer.writerow(
-                    [
-                        repr(t),
-                        repr(float(log.euler[i, 0])),
-                        repr(float(log.euler[i, 1])),
-                        repr(float(log.foot_positions[i, 0, 2])),
-                        repr(float(log.foot_positions[i, 1, 2])),
-                        repr(float(log.foot_positions[i, 2, 2])),
-                        repr(float(log.foot_positions[i, 3, 2])),
-                        action,
-                    ]
-                )
+    rows = []
+    for log in result.strides:
+        feet = log.foot_positions[:, :, 2].tolist()
+        for t, (roll, pitch, _), z in zip(log.time.tolist(), log.euler.tolist(), feet):
+            action = next((w.action for w in windows if w.start <= t <= w.end), "")
+            rows.append([t, roll, pitch, *z, action])
+    write_csv(
+        path,
+        ["time_s", "roll", "pitch", "foot_rf_z", "foot_rh_z", "foot_lf_z", "foot_lh_z",
+         "action"],
+        rows,
+    )
 
 
 def cmd_build_map(args) -> int:
     cfg = _sim_config(load_config(args.config), args)
     terrains = [cfg.terrain(t) for t in (args.terrain or ["flat"])]
+    names = [terrain.name for terrain in terrains]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise CliError(f"terrain repeated in --terrain: {', '.join(repeated)}")
     # each flag named after a map field overrides it; repeated --c flags fill c_values
     overrides = {
         f.name: getattr(args, f.name)
@@ -245,7 +236,7 @@ def cmd_build_map(args) -> int:
     outputs = [str(out)] + ([args.csv] if args.csv else [])
     if args.trial_log:
         outputs.append(args.trial_log)
-    manifest = _manifest(args, "build-map", outputs)
+    manifest = _manifest(args, cfg, "build-map", outputs)
     data = result.to_json_dict()
     data["manifest"] = manifest.embed_dict()
     write_json(data, out)
@@ -307,7 +298,7 @@ def cmd_compare(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     rows_to_csv(rows, out)
-    manifest = _manifest(args, "compare", [str(out)])
+    manifest = _manifest(args, cfg, "compare", [str(out)])
     manifest.write(out.with_suffix(".manifest.json"))
     for row in rows:
         print(

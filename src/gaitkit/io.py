@@ -1,7 +1,9 @@
-"""CSV/JSON exports for stride logs and per-run manifests."""
+"""The writers of every output file: CSV tables, JSON documents, stride logs
+and per-run manifests."""
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -34,8 +36,7 @@ class RunManifest:
         return self
 
     def write(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=1, sort_keys=True)
+        write_json(asdict(self), path)
 
     def embed_dict(self) -> dict:
         # embedded copies omit the timestamp so reruns stay byte-identical
@@ -122,3 +123,17 @@ def stride_summary(strides, metrics_list) -> dict:
 def write_json(data: dict, path) -> None:
     with open(path, "w") as fh:
         json.dump(data, fh, indent=1, sort_keys=True, allow_nan=True)
+
+
+def write_csv(path, header, rows) -> None:
+    """A table in the csv module's default dialect, header row first.
+
+    Cells are Python floats, ints and strings: a float is written as
+    ``str(x)``, which equals ``repr(x)`` (NaN as ``nan``, infinities as
+    ``inf``/``-inf``), and a string is quoted only when it holds a comma, a
+    quote or a line break.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

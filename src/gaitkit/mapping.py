@@ -8,7 +8,6 @@ in c, per-trial CoT/STB are computed once and reused across all c values.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -16,12 +15,16 @@ from functools import partial
 import numpy as np
 
 from .gaits import GaitName, standard_gait
+from .io import write_csv, write_json
 from .metrics import MetricsConfig, UndefinedDisplacementError, j_e, stride_metrics
 from .robot import RobotParams, Terrain
 from .simulation import MAX_COMMAND_VELOCITY, SimConfig, TrialResult, run_trial
 from .transitions import GaitTimingConfig
 
 ALL_GAITS = tuple(GaitName)
+# the keys of a winning cell in the map JSON, which are also the map CSV's
+# columns after its terrain column
+_CELL_KEYS = ("c", "v", "gait", "j_e", "cot", "stb", "success", "trials")
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,15 @@ class GaitCellStats:
         return j_e(self.cot, self.stb, c)
 
 
+def summarize_trials(records) -> GaitCellStats:
+    """Mean CoT, mean STB, successes and count of ``(cot, stb, failed)`` trial
+    records: one map cell of :func:`build_map`, or one strategy's row of
+    :func:`~gaitkit.strategy.compare`."""
+    cots, stbs, failed = zip(*records)
+    return GaitCellStats(float(np.mean(cots)), float(np.mean(stbs)),
+                         sum(not f for f in failed), len(records))
+
+
 @dataclass
 class MapCell:
     """Winning gait and its statistics for one (terrain, c, velocity) bin."""
@@ -114,6 +126,9 @@ class VelocityGaitMap:
     def merge(self, other: "VelocityGaitMap") -> "VelocityGaitMap":
         if tuple(other.c_values) != tuple(self.c_values):
             raise ValueError("cannot merge maps with different c grids")
+        shared = [tid for tid in other.terrain_ids if self.covers(tid)]
+        if shared:
+            raise ValueError(f"cannot merge maps that both cover terrains {shared}")
         merged = VelocityGaitMap(
             c_values=self.c_values,
             v_grids={**self.v_grids, **other.v_grids},
@@ -150,18 +165,10 @@ class VelocityGaitMap:
             for c in self.c_values:
                 for i, v in enumerate(grid):
                     cell = self.cells[(tid, c, i)]
-                    cells.append(
-                        {
-                            "v": v,
-                            "c": c,
-                            "gait": cell.gait.label,
-                            "j_e": cell.j_e,
-                            "cot": cell.cot,
-                            "stb": cell.stb,
-                            "success": cell.successes,
-                            "trials": cell.trials,
-                        }
-                    )
+                    cells.append(dict(zip(_CELL_KEYS, (
+                        c, v, cell.gait.label, cell.j_e, cell.cot, cell.stb,
+                        cell.successes, cell.trials,
+                    ))))
             table = []
             for gait in GaitName:
                 for i, v in enumerate(grid):
@@ -215,8 +222,7 @@ class VelocityGaitMap:
         return out
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
+        write_json(self.to_json_dict(), path)
 
     @classmethod
     def load(cls, path) -> "VelocityGaitMap":
@@ -224,19 +230,13 @@ class VelocityGaitMap:
             return cls.from_json_dict(json.load(fh))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["terrain", "c", "v", "gait", "j_e", "cot", "stb",
-                             "success", "trials"])
-            for tid in self.terrain_ids:
-                for c in self.c_values:
-                    for i, v in enumerate(self.v_grids[tid]):
-                        cell = self.cells[(tid, c, i)]
-                        writer.writerow(
-                            [tid, repr(c), repr(v), cell.gait.label, repr(cell.j_e),
-                             repr(cell.cot), repr(cell.stb), cell.successes,
-                             cell.trials]
-                        )
+        """The winning cells of :meth:`to_json_dict`, one row each, with the
+        terrain in front."""
+        write_csv(path, ["terrain", *_CELL_KEYS], [
+            [block["terrain"], *cell.values()]
+            for block in self.to_json_dict()["terrains"]
+            for cell in block["cells"]
+        ])
 
 
 def trial_outcome(
@@ -295,10 +295,7 @@ def _cell_stats(
     trial_runner, trials: int, gait: GaitName, velocity: float
 ) -> tuple[GaitCellStats, list[tuple[float, float, bool]]]:
     records = [trial_runner(gait, velocity, trial) for trial in range(trials)]
-    cots, stbs, failed = zip(*records)
-    stats = GaitCellStats(float(np.mean(cots)), float(np.mean(stbs)),
-                          sum(not f for f in failed), trials)
-    return stats, records
+    return summarize_trials(records), records
 
 
 def build_map(

@@ -8,17 +8,19 @@ and fires FSM events to transition while moving.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .gaits import GaitName, standard_gait
+from .io import write_csv
 from .mapping import (
     HysteresisState,
     VelocityGaitMap,
     select_gait,
     select_gait_hysteretic,
+    summarize_trials,
     trial_outcome,
 )
 from .metrics import MetricsConfig
@@ -183,9 +185,24 @@ class ComparisonRow:
     successes: int
     trials: int
 
-    @property
-    def success_ratio(self) -> float:
-        return self.successes / self.trials if self.trials else 0.0
+
+def _strategy_trial(
+    terrain: Terrain,
+    sim_cfg: SimConfig,
+    params: RobotParams,
+    seed: int,
+    duration: float,
+    timing: GaitTimingConfig | None,
+    metrics: MetricsConfig,
+    strategy: Strategy,
+    velocity: float,
+    trial_idx: int,
+) -> tuple[float, float, bool]:
+    """Default trial of :func:`compare`: one simulated trial, seeded by its index."""
+    rng = np.random.default_rng((seed, trial_idx, 11))
+    result = run_strategy(strategy, terrain, velocity, sim_cfg, params,
+                          duration=duration, rng=rng, timing=timing)
+    return trial_outcome(result, terrain, params, metrics)
 
 
 def compare(
@@ -204,11 +221,14 @@ def compare(
 ) -> list[ComparisonRow]:
     """Paired-trial comparison: same velocity and initial-state randomness per
     trial index across all strategies; each trial is scored by
-    :func:`~gaitkit.mapping.trial_outcome`, as in :func:`~gaitkit.mapping.build_map`.
+    :func:`~gaitkit.mapping.trial_outcome` and each strategy's trials are
+    summarized by :func:`~gaitkit.mapping.summarize_trials`, as in
+    :func:`~gaitkit.mapping.build_map`.
 
     ``trial_hook(strategy, velocity, trial_idx) -> (cot, stb, failed)`` can be
     injected for synthetic harnesses. The velocity range must lie in the
-    commanded speeds a trial accepts, low end first.
+    commanded speeds a trial accepts, low end first, and the map of every
+    strategy must cover the terrain; both are checked before the first trial.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
@@ -219,9 +239,13 @@ def compare(
             f"velocity range ({v_lo:g}, {v_hi:g}) m/s is not an interval in the "
             f"supported [0, {MAX_COMMAND_VELOCITY:g}] m/s"
         )
-    sim_cfg = sim_cfg or SimConfig()
-    params = params or RobotParams()
-    metrics = metrics or MetricsConfig()
+    for strategy in strategies:
+        _check_coverage(strategy, terrain)
+    if trial_hook is None:
+        trial_hook = partial(
+            _strategy_trial, terrain, sim_cfg or SimConfig(), params or RobotParams(),
+            seed, duration, timing, metrics or MetricsConfig(),
+        )
     velocities = [
         float(np.random.default_rng((seed, i, 7)).uniform(v_lo, v_hi))
         for i in range(trials)
@@ -229,37 +253,14 @@ def compare(
 
     rows = []
     for strategy in strategies:
-        cots, stbs, successes = [], [], 0
-        for i, velocity in enumerate(velocities):
-            if trial_hook is not None:
-                c_val, s_val, failed = trial_hook(strategy, velocity, i)
-            else:
-                rng = np.random.default_rng((seed, i, 11))
-                result = run_strategy(
-                    strategy, terrain, velocity, sim_cfg, params,
-                    duration=duration, rng=rng, timing=timing,
-                )
-                c_val, s_val, failed = trial_outcome(result, terrain, params, metrics)
-            cots.append(c_val)
-            stbs.append(s_val)
-            successes += 0 if failed else 1
-        rows.append(
-            ComparisonRow(
-                label=strategy.label,
-                cot=float(np.mean(cots)),
-                stb=float(np.mean(stbs)),
-                successes=successes,
-                trials=trials,
-            )
+        stats = summarize_trials(
+            [trial_hook(strategy, velocity, i) for i, velocity in enumerate(velocities)]
         )
+        rows.append(ComparisonRow(strategy.label, stats.cot, stats.stb,
+                                  stats.successes, stats.trials))
     return rows
 
 
 def rows_to_csv(rows: list[ComparisonRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "cot", "stb", "success", "trials"])
-        for row in rows:
-            writer.writerow(
-                [row.label, repr(row.cot), repr(row.stb), row.successes, row.trials]
-            )
+    write_csv(path, ["strategy", "cot", "stb", "success", "trials"],
+              [[row.label, row.cot, row.stb, row.successes, row.trials] for row in rows])

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .gaits import DEFAULT_PERIOD, GaitName, GaitPattern, standard_gait
+from .io import write_csv
 
 DEFAULT_SWITCH_TIME = 0.5  # transition duration T_s [s]
 DEFAULT_DWELL_STRIDES = 1
@@ -330,23 +331,9 @@ class GaitFsm:
 def write_transition_trace(path, rows) -> None:
     """CSV export of a parameter schedule: one row of (time, pattern, gait,
     active action id or "") per sample."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["time_s", "beta", "phi_rf", "phi_rh", "phi_lf", "phi_lh", "state", "action"]
-        )
-        for t, pattern, state, action in rows:
-            writer.writerow(
-                [
-                    repr(t),
-                    repr(pattern.beta),
-                    repr(pattern.offsets[0]),
-                    repr(pattern.offsets[1]),
-                    repr(pattern.offsets[2]),
-                    repr(pattern.offsets[3]),
-                    state.label,
-                    action,
-                ]
-            )
+    write_csv(
+        path,
+        ["time_s", "beta", "phi_rf", "phi_rh", "phi_lf", "phi_lh", "state", "action"],
+        [[t, pattern.beta, *pattern.offsets, state.label, action]
+         for t, pattern, state, action in rows],
+    )

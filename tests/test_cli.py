@@ -7,6 +7,8 @@ import pytest
 
 from gaitkit import cli, mapping, strategy
 from gaitkit.cli import main
+from gaitkit.mapping import MapConfig, build_map
+from gaitkit.robot import terrain_preset
 
 
 def test_unknown_gait_exits_one(tmp_path):
@@ -279,7 +281,7 @@ def test_bad_map_c_values_exit_one_before_any_output(tmp_path):
 
 
 def _no_trial(*args, **kwargs):
-    raise AssertionError("a bad config section must fail at load, before any trial")
+    raise AssertionError("the command must exit 1 before its first trial")
 
 
 @pytest.mark.parametrize(
@@ -460,3 +462,59 @@ def test_compare_exits_one_on_a_programming_error(tmp_path, monkeypatch):
         "--out", str(out),
     ]) == 1
     assert not out.exists()
+
+
+def test_compare_rejects_an_uncovered_terrain_before_any_trial(tmp_path, monkeypatch):
+    monkeypatch.setattr(strategy, "run_trial", _no_trial)
+    map_path = tmp_path / "flat-map.json"
+    cfg = MapConfig(v_min=0.5, v_max=0.5, c_values=(0.5,), trials=1, strides=1)
+    build_map(terrain_preset("flat"), cfg,
+              trial_runner=lambda gait, velocity, i: (0.5, 0.5, False)).save(map_path)
+    out = tmp_path / "runs" / "comparison.csv"
+    assert main([
+        "compare", "--terrain", "flat-slope", "--map", str(map_path),
+        "--strategy", "fixed:trot", "--strategy", "multi:0.5", "--trials", "200",
+        "--out", str(out),
+    ]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["flat-map.json"]
+
+
+@pytest.mark.parametrize(
+    "terrains",
+    [["flat", "flat"], ["flat", "slope12", "FLAT"]],
+    ids=["twice", "case-variant"],
+)
+def test_build_map_rejects_a_repeated_terrain(tmp_path, monkeypatch, terrains):
+    monkeypatch.setattr(mapping, "run_trial", _no_trial)
+    out = tmp_path / "maps" / "map.json"
+    flags = [flag for name in terrains for flag in ("--terrain", name)]
+    assert main(_BUILD_MAP + flags + ["--out", str(out)]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--gait", "trot", "--velocity", "1.2", "--duration", "1.2",
+         "--out", "o"],
+        ["transition-demo", "--from", "trot", "--to", "walk", "--out", "o"],
+        ["build-map", "--out", "o/map.json"],
+        ["compare", "--terrain", "flat", "--strategy", "fixed:trot", "--trials", "1",
+         "--duration", "1.2", "--out", "o/comparison.csv"],
+    ],
+    ids=["simulate", "transition-demo", "build-map", "compare"],
+)
+def test_manifest_records_the_config_seed(tmp_path, monkeypatch, command):
+    # with no --seed the run uses the config's seed, and its manifests say so
+    monkeypatch.chdir(tmp_path)
+    small_map = {"v_min": 0.5, "v_max": 0.5, "c_values": [0.5], "trials": 1,
+                 "strides": 1, "warmup_strides": 1, "gaits": ["trot"]}
+    (tmp_path / "cfg.json").write_text(json.dumps({"sim": {"seed": 5}, "map": small_map}))
+    assert main(command + ["--config", "cfg.json"]) == 0
+    manifests = []
+    for path in sorted((tmp_path / "o").glob("*.json")):
+        data = json.loads(path.read_text())
+        manifests.append(data.get("manifest", data))
+    # compare embeds no manifest in its CSV; every other command does in its JSON
+    assert len(manifests) == (1 if command[0] == "compare" else 2)
+    assert [m["seed"] for m in manifests] == [5] * len(manifests)

@@ -253,6 +253,15 @@ def test_merge_maps():
     assert select_gait(merged, "slope12", 0.3, 0.5) is not None
 
 
+def test_merge_rejects_a_terrain_both_maps_cover():
+    # a merge of two maps of one terrain would keep one copy of its cells
+    # but both copies of its trial records
+    m1, _ = _build()
+    m2, _ = _build()
+    with pytest.raises(ValueError, match="flat"):
+        m1.merge(m2)
+
+
 # -- hysteresis ---------------------------------------------------------------
 
 def _two_zone_map(boundary=1.5):

@@ -209,6 +209,22 @@ def test_compare_rejects_a_velocity_range_before_its_first_trial(velocity_range)
                 velocity_range=velocity_range, trial_hook=no_trial)
 
 
+def test_compare_checks_map_coverage_before_its_first_trial():
+    # the flat-only map cannot serve the slope segment, so not even the
+    # fixed:trot trials listed before multi:c=0.5 may run
+    calls = []
+
+    def hook(strategy, velocity, trial_idx):
+        calls.append(strategy.label)
+        raise AssertionError("compare must check map coverage before any trial")
+
+    flat_only = _map_selecting({"flat": GaitName.TROT})
+    with pytest.raises(StrategyError, match="slope12"):
+        compare([FixedGait(GaitName.TROT), MultiGait(flat_only, 0.5)],
+                terrain_preset("flat-slope"), trials=10, trial_hook=hook)
+    assert calls == []
+
+
 def test_rows_to_csv_layout(tmp_path):
     rows = [
         ComparisonRow("fixed:trot", 0.383, 0.145, 29, 30),
