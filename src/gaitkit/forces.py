@@ -66,9 +66,29 @@ f_max) and cached read-only as well. The caches are keyed on the exact bytes
 of the normals as given, so a block is bit for bit the one a fresh build
 would give.
 
-Euclidean norms of 1-D vectors are taken as ``math.sqrt(v.dot(v))``, the
-same dot product and correctly rounded square root that ``np.linalg.norm``
-uses for them, without its dispatch overhead.
+The control loop calls ``distribute_forces`` every step with Python floats:
+the wrench as a 6-tuple, the feet as four 3-tuples, the stance as four flags
+and the centre of mass as a 3-tuple; arrays are taken too, and give the same
+bits. Anything but four stance flags or four rows of three foot coordinates
+is a ValueError. The problem is assembled around read-only skeletons, one per
+stance count: M's weighted force rows (one ``W_f I`` per foot) and its ridge
+rows are fixed, so a copy gets only the three weighted moment rows, products
+of Python floats with the bits ``np.multiply`` gives, and b is zeros with
+``W w`` written in one slice. The achieved wrench, and with it the residual
+and the feasibility verdict, is summed in Python floats from the solution.
+
+In ``solve_qp`` the iterate is exactly 0 until the first step is taken, so
+the first right-hand side is b itself and the first slack is h; nothing of
+the form ``b - M @ 0`` is computed. Each call copies one read-only skeleton
+with room for every working-set row, writes M and M' into it once, and
+takes the KKT matrix of each iteration as its leading block, the augmented
+system itself for an empty working set; only the border rows of the
+working set are rewritten per iteration. No cache is keyed on the working
+set.
+
+Euclidean norms of iterates and steps are taken as ``math.sqrt(v.dot(v))``,
+the same dot product and correctly rounded square root that
+``np.linalg.norm`` uses for them, without its dispatch overhead.
 """
 
 from __future__ import annotations
@@ -95,12 +115,6 @@ _DEPENDENT_RTOL = 1e-9
 # penalized harder; horizontal force errors only cause a fore-aft surge
 # (which pair gaits need anyway to stay pitch-neutral).
 _ROW_WEIGHTS = (0.3, 0.3, 8.0, 30.0, 30.0, 30.0)
-_ROW_WEIGHTS_ARRAY = np.array(_ROW_WEIGHTS)
-_ROW_WEIGHTS_COLUMN = _ROW_WEIGHTS_ARRAY[:, None]
-# force rows of the wrench matrix by stance count: one 3x3 identity per foot
-_FORCE_ROWS = {
-    k: ([1.0, 0.0, 0.0] * k, [0.0, 1.0, 0.0] * k, [0.0, 0.0, 1.0] * k) for k in range(1, 5)
-}
 # raw bytes of the default contact normal, world z (a cone-cache key)
 _UP_BYTES = np.array([0.0, 0.0, 1.0]).tobytes()
 _SQRT_RIDGE = math.sqrt(_RIDGE)
@@ -163,23 +177,28 @@ def _cone_block(normal_bytes: bytes, friction: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _ridge_skeleton(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``M`` and ``b`` of ``k`` stance feet with zero wrench rows:
-    ``[0; sqrt(eps) I]`` and zeros; a copy gets the weighted rows written in."""
+def _ridge_skeleton(k: int) -> np.ndarray:
+    """Read-only ``M`` of ``k`` stance feet with zero moment rows.
+
+    The force rows are the weighted 3x3 identities ``W_f I`` of every foot
+    (``w * 1.0`` and ``w * 0.0`` are ``w`` and ``0.0`` exactly, the entries
+    ``np.multiply`` gives), the ridge ``sqrt(eps) I`` lies below, and a copy
+    gets the three weighted moment rows written in.
+    """
     M = np.zeros((6 + 3 * k, 3 * k))
+    for row, weight in enumerate(_ROW_WEIGHTS[:3]):
+        M[row, row::3] = weight
     np.fill_diagonal(M[6:], _SQRT_RIDGE)
-    b = np.zeros(6 + 3 * k)
     M.flags.writeable = False
-    b.flags.writeable = False
-    return M, b
+    return M
 
 
 @lru_cache(maxsize=8)
 def _augmented_skeleton(rows: int, n: int) -> np.ndarray:
-    """Read-only ``(rows + n)``-square matrix with ``-sqrt(eps)`` on the first
-    ``rows`` diagonal entries and zeros elsewhere; a copy gets ``M`` and its
-    transpose written into the off-diagonal blocks."""
-    aug = np.zeros((rows + n, rows + n))
+    """Read-only ``(rows + 2n)``-square matrix with ``-sqrt(eps)`` on the
+    first ``rows`` diagonal entries and zeros elsewhere: room for ``M``, its
+    transpose and up to ``n`` working-set rows bordering them."""
+    aug = np.zeros((rows + 2 * n, rows + 2 * n))
     np.fill_diagonal(aug[:rows, :rows], -_SQRT_RIDGE)
     aug.flags.writeable = False
     return aug
@@ -274,36 +293,39 @@ def solve_qp(
     rows, n = M.shape
     group_rows = 3 * G.shape[0] // n
     x = np.zeros(n)
+    # x is exactly 0 until the first step is taken: b - M x is then b and
+    # h - G x is h (a +0.0 iterate adds only zeros), so neither is formed
+    at_origin = True
     active: list[int] = []
     for i in working_set:
         if h[i] == 0.0 and _independent(G, i, active, group_rows):
             active.append(i)
-    # the augmented system of the empty working set; C borders it below
+    # the augmented system with room for as many working-set rows as there
+    # are unknowns (a group holds at most three, so at most n): M and M' are
+    # written once, C borders it below and to the right, and the leading
+    # (size + m)-square block is the KKT matrix; with m = 0 it is the
+    # augmented system of the empty working set
     size = rows + n
-    aug = _augmented_skeleton(rows, n).copy()
-    aug[:rows, rows:] = M
-    aug[rows:, :rows] = M.T
+    bordered = _augmented_skeleton(rows, n).copy()
+    bordered[:rows, rows:size] = M
+    bordered[rows:size, :rows] = M.T
     last_it = 0
     for it in range(max_iter):
         last_it = it + 1
         m = len(active)
+        kkt = bordered[: size + m, : size + m]
         if m:
-            kkt = np.zeros((size + m, size + m))
-            kkt[:size, :size] = aug
             C = G[active]
             kkt[size:, rows:size] = C
             kkt[rows:size, size:] = C.T
-        else:
-            kkt = aug
         rhs = np.zeros(size + m)
-        rhs[:rows] = b - M @ x
+        rhs[:rows] = b if at_origin else b - M @ x
         sol = np.linalg.solve(kkt, rhs)
         p = sol[rows:size]
-        lam = _SQRT_RIDGE * sol[size:]
 
         if math.sqrt(p.dot(p)) > 1e-9 * max(1.0, math.sqrt(x.dot(x))):
             Gp = (G @ p).tolist()
-            slack = (h - G @ x).tolist()
+            slack = (h if at_origin else h - G @ x).tolist()
             ratios = []
             for i in range(len(Gp)):
                 if i in active or Gp[i] <= 1e-12:
@@ -320,17 +342,55 @@ def solve_qp(
                     blocking = i
                     break
             x = x + alpha * p
+            at_origin = False
             if blocking >= 0:
                 active.append(blocking)
                 continue
 
         # x minimizes the working-set subproblem (a full step reached it, or
         # the step was negligible) and lam are its multipliers
-        if m and lam.min() < _LAMBDA_TOL:
-            active.pop(int(np.argmin(lam)))
-            continue
+        if m:
+            lam = _SQRT_RIDGE * sol[size:]
+            if lam.min() < _LAMBDA_TOL:
+                active.pop(int(np.argmin(lam)))
+                continue
         return x, last_it, active
     return x, last_it, active
+
+
+def _leg_rows(value, what: str):
+    """Four rows of three numbers, one per leg in leg order.
+
+    An array comes back as nested lists of Python floats; any other sequence
+    comes back as it is. Anything but four rows of three is a ValueError.
+    """
+    if isinstance(value, np.ndarray):
+        value = np.asarray(value, dtype=float)
+        if value.shape != (4, 3):
+            raise ValueError(f"{what} must be 4x3, got shape {value.shape}")
+        return value.tolist()
+    if len(value) == 4:
+        r0, r1, r2, r3 = value
+        if len(r0) == len(r1) == len(r2) == len(r3) == 3:
+            return value
+    raise ValueError(f"{what} must be four rows of three numbers, got {value!r}")
+
+
+def _four_flags(stance) -> np.ndarray:
+    """The stance flags, one per leg in leg order, as a new bool array;
+    anything but four flags is a ValueError."""
+    flags = np.array(stance, dtype=bool)
+    if flags.shape != (4,):
+        raise ValueError(f"stance must be four flags, got shape {flags.shape}")
+    return flags
+
+
+def _floats(value, size: int):
+    """An array's ``size`` entries as a list of Python floats; any other
+    sequence as it is (unpacking it checks its length)."""
+    if isinstance(value, np.ndarray):
+        return np.asarray(value, dtype=float).reshape(size).tolist()
+    return value
 
 
 def distribute_forces(
@@ -346,23 +406,26 @@ def distribute_forces(
     """Distribute a desired (force, moment) wrench over the stance feet.
 
     ``wrench`` is a 6-vector (N, N*m) about the center of mass ``com``;
-    ``foot_positions`` is (4, 3) world frame; ``stance`` is a 4-flag mask.
-    ``normals`` optionally gives a contact normal per foot (world z default).
+    ``foot_positions`` is four world-frame rows of three; ``stance`` is a
+    4-flag mask. Each may be an array or a sequence of Python floats (flags);
+    a stance that is not four flags or feet that are not 4x3 raise
+    ValueError. ``normals`` optionally gives a contact normal per foot
+    (world z default).
     ``working_set`` seeds the QP's working set in leg-face numbering
     ``6 * leg + face`` (the previous step's ``ForceDistribution.working_set``);
     rows of swing feet are dropped, and the empty default is a cold start.
     """
-    wrench = np.asarray(wrench, dtype=float).reshape(6)
-    feet = np.asarray(foot_positions, dtype=float).reshape(4, 3).tolist()
-    stance = np.asarray(stance, dtype=bool).reshape(4)
-    cx, cy, cz = np.asarray(com, dtype=float).reshape(3).tolist()
+    w0, w1, w2, w3, w4, w5 = _floats(wrench, 6)
+    feet = _leg_rows(foot_positions, "foot positions")
+    stance = _four_flags(stance)
+    cx, cy, cz = _floats(com, 3)
     if not friction > 0.0:  # also rejects NaN
         raise ValueError("friction coefficient must be positive")
 
     forces = np.zeros((4, 3))
     legs = [leg for leg, on in enumerate(stance.tolist()) if on]
     k = len(legs)
-    norm_b = math.sqrt(wrench.dot(wrench))
+    norm_b = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2 + w3 * w3 + w4 * w4 + w5 * w5)
     if k == 0:
         rel = norm_b / max(1.0, norm_b)
         return ForceDistribution(
@@ -377,34 +440,47 @@ def distribute_forces(
     if normals is None:
         keys = (_UP_BYTES,) * k
     else:
-        normals = np.asarray(normals, dtype=float).reshape(4, 3)
-        keys = tuple(normals[leg].tobytes() for leg in legs)
+        raw = np.asarray(normals, dtype=float).reshape(4, 3).tobytes()
+        keys = tuple([raw[24 * leg : 24 * leg + 24] for leg in legs])
     G, h = _constraints(keys, friction, f_max)
-    # wrench map: a 3x3 identity (force) over skew(p - com) (moment) per foot
+    # least-squares factor [W A; sqrt(eps) I] and target [W w; 0]. A is a 3x3
+    # identity (force) over skew(p - com) (moment) per foot; the weighted
+    # identities are in the stance count's skeleton, so only the weighted
+    # moment rows are written into its copy (a Python product has the bits
+    # of np.multiply's)
+    W0, W1, W2, W3, W4, W5 = _ROW_WEIGHTS
+    offsets = []
     mx, my, mz = [], [], []
     for leg in legs:
         fx, fy, fz = feet[leg]
         x, y, z = fx - cx, fy - cy, fz - cz
-        mx += (0.0, -z, y)
-        my += (z, 0.0, -x)
-        mz += (-y, x, 0.0)
-    A = np.array([*_FORCE_ROWS[k], mx, my, mz])
-
-    # least-squares factor [W A; sqrt(eps) I] and target [W w; 0], written
-    # into copies of the stance count's skeleton
-    M_skeleton, b_skeleton = _ridge_skeleton(k)
-    M = M_skeleton.copy()
-    np.multiply(A, _ROW_WEIGHTS_COLUMN, out=M[:6])
-    b = b_skeleton.copy()
-    np.multiply(wrench, _ROW_WEIGHTS_ARRAY, out=b[:6])
+        offsets.append((x, y, z))
+        mx += (0.0, -z * W3, y * W3)
+        my += (z * W4, 0.0, -x * W4)
+        mz += (-y * W5, x * W5, 0.0)
+    M = _ridge_skeleton(k).copy()
+    M[3:6] = (mx, my, mz)
+    b = np.zeros(6 + 3 * k)
+    b[:6] = (w0 * W0, w1 * W1, w2 * W2, w3 * W3, w4 * W4, w5 * W5)
     # QP row 6 * j + face belongs to the j-th stance foot
     slot = {leg: j for j, leg in enumerate(legs)}
     seed = [6 * slot[i // 6] + i % 6 for i in working_set if i // 6 in slot]
     x, iterations, active = solve_qp(M, b, G, h, working_set=seed)
 
-    forces[legs] = x.reshape(k, 3)
-    r = A @ x - wrench
-    residual = math.sqrt(r.dot(r))
+    for j, leg in enumerate(legs):
+        forces[leg] = x[3 * j : 3 * j + 3]
+    # the achieved wrench: the force total and the moment of each foot force
+    # about the centre of mass
+    ax = ay = az = ux = uy = uz = 0.0
+    f = x.tolist()
+    for j, (ox, oy, oz) in enumerate(offsets):
+        fx, fy, fz = f[3 * j : 3 * j + 3]
+        ax, ay, az = ax + fx, ay + fy, az + fz
+        ux += oy * fz - oz * fy
+        uy += oz * fx - ox * fz
+        uz += ox * fy - oy * fx
+    r0, r1, r2, r3, r4, r5 = ax - w0, ay - w1, az - w2, ux - w3, uy - w4, uz - w5
+    residual = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3 + r4 * r4 + r5 * r5)
     rel = residual / max(1.0, norm_b)
     return ForceDistribution(
         forces=forces,

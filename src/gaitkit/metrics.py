@@ -91,32 +91,58 @@ def cot(work: float, mass: float, delta_s: float, gravity: float = 9.81) -> floa
 
 
 def stb_samples(log, terrain: Terrain, weights: tuple) -> tuple[np.ndarray, int]:
-    """Per-sample stability index values and the division-guard event count."""
+    """Per-sample stability index values and the division-guard event count.
+
+    Each sample is scored against the terrain segment under its clamped x,
+    one segment at a time: the samples on a segment share its normal,
+    incline and tangent, and their terms are the per-sample scalar formulas
+    applied elementwise, so every value has the bits a loop over the samples
+    gives. A stride whose lowest and highest x lie on one segment takes
+    every row at once; one across a join is split into the rows of each
+    segment it touches.
+    """
     w1, w2, w3, w4 = weights
     pos = np.asarray(log.position, dtype=float)
     vel = np.asarray(log.velocity, dtype=float)
     euler = np.asarray(log.euler, dtype=float)
     rates = np.asarray(log.euler_rates, dtype=float)
-    n = pos.shape[0]
-    values = np.zeros(n)
+    xs = np.clip(pos[:, 0], terrain.start_x, terrain.end_x)
+    values = np.zeros(pos.shape[0])
     guards = 0
-    for i in range(n):
-        samp = terrain.query(min(max(pos[i, 0], terrain.start_x), terrain.end_x))
-        tangent = np.array(
-            [np.cos(samp.incline), 0.0, np.sin(samp.incline)]
-        )
-        v_n = float(vel[i] @ samp.normal)
-        v_b = float(vel[i] @ tangent)
-        if abs(v_b) <= _SPEED_EPS:
-            guards += 1
-            ratio = 0.0 if abs(v_n) <= _SPEED_EPS else 1.0
+    # row groups by segment; a NaN x has no segment and raises, as a query
+    # of it would
+    groups: dict[int, slice | list[int]] = {}
+    if xs.size:
+        first = terrain.segment_index(float(xs.min()))
+        if first == terrain.segment_index(float(xs.max())):
+            groups[first] = slice(None)
         else:
-            ratio = abs(v_n / v_b)
-        values[i] = (
+            for i, x in enumerate(xs.tolist()):
+                groups.setdefault(terrain.segment_index(x), []).append(i)
+    for rows in groups.values():
+        samp = terrain.query(float(xs[rows][0]))
+        tangent = np.array([np.cos(samp.incline), 0.0, np.sin(samp.incline)])
+        v = vel[rows]
+        v_n = v @ samp.normal
+        v_b = v @ tangent
+        # the ratio of every row; a guard row's (possibly a division by
+        # zero) is replaced below, and only a stride with guard rows (NaN
+        # speeds included) looks for them
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.abs(v_n / v_b)
+        speed = np.abs(v_b)
+        if not speed.min() > _SPEED_EPS:
+            for i, (s, n) in enumerate(zip(speed.tolist(), v_n.tolist())):
+                if s <= _SPEED_EPS:
+                    guards += 1
+                    ratio[i] = 0.0 if abs(n) <= _SPEED_EPS else 1.0
+        e = euler[rows]
+        r = rates[rows]
+        values[rows] = (
             w1 * ratio
-            + w2 * abs(euler[i, 1] - samp.incline)
-            + w3 * abs(euler[i, 0])
-            + w4 * (abs(rates[i, 1]) + abs(rates[i, 0]))
+            + w2 * np.abs(e[:, 1] - samp.incline)
+            + w3 * np.abs(e[:, 0])
+            + w4 * (np.abs(r[:, 1]) + np.abs(r[:, 0]))
         )
     return values, guards
 

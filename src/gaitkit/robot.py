@@ -296,6 +296,11 @@ class Terrain:
             )
         return max(bisect.bisect_right(self._starts, x) - 1, 0)
 
+    def segment_index(self, x: float) -> int:
+        """The index of the segment :meth:`query` samples for ``x``;
+        :class:`TerrainBoundsError` outside the extent, NaN included."""
+        return self._index(x)
+
     def segment_at(self, x: float) -> TerrainSegment:
         return self.segments[self._index(x)]
 

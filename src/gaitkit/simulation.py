@@ -13,11 +13,16 @@ the rigid-body integrator :func:`step`.
 
 The control step runs on Python floats. Its vectors have three entries, so a
 numpy call costs far more in dispatch than in arithmetic: :func:`run_trial`
-unpacks the body state once per step with ``tolist()``, works out the
-reference, touchdown targets, frame changes and leg torques on scalars, and
-builds arrays only where they are logged or handed to the force QP, and
-:func:`step` integrates on scalars as well. The helpers they call once or
-more per step (:func:`~gaitkit.robot.leg_ik`,
+unpacks the body state once per step with ``tolist()`` and works out the
+reference, touchdown targets, frame changes and leg torques on scalars. It
+hands the force QP the wrench, feet, stance and centre of mass as Python
+sequences, and :func:`step` the saturated forces as float rows together with
+the rotation it built for the step, so the integrator neither converts them
+nor rebuilds the rotation; :func:`step` integrates on scalars as well. Each
+step is logged as one row write of a tuple of floats into one float64 buffer
+(the stance flags into a bool buffer beside it), whose column views are the
+:class:`~gaitkit.stridelog.StrideLog` fields (:mod:`gaitkit.stridelog` holds
+the log). The helpers they call once or more per step (:func:`~gaitkit.robot.leg_ik`,
 :func:`~gaitkit.robot.leg_jacobian`, :func:`rotation_matrix`,
 :func:`euler_rate_to_omega`, :func:`omega_to_euler_rates`, the swing arc and
 its acceleration, and the stance and swing torques) take sequences of floats
@@ -40,7 +45,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .forces import distribute_forces
+from .forces import _four_flags, _leg_rows, distribute_forces
 from .gaits import GaitPattern, LegId, leg_contact
 from .robot import (
     OutOfWorkspaceError,
@@ -52,6 +57,7 @@ from .robot import (
     leg_ik,
     leg_jacobian,
 )
+from .stridelog import StrideAccumulator, StrideLog, TrialResult
 from .transitions import GaitFsm
 
 _LEGS = tuple(LegId)
@@ -220,15 +226,25 @@ def swing_acceleration(
 
 
 def step(
-    state: BodyState, forces, stance, foot_positions, params: RobotParams, dt: float
+    state: BodyState,
+    forces,
+    stance,
+    foot_positions,
+    params: RobotParams,
+    dt: float,
+    *,
+    rotation: Matrix3 | None = None,
 ) -> BodyState:
     """Semi-implicit Euler update of the trunk rigid-body dynamics.
 
-    ``forces`` are the world-frame foot forces (4, 3), ``stance`` the stance
-    flags (4,) and ``foot_positions`` the world foot points (4, 3); only
-    stance feet add a moment. Swing legs are expected to carry zero force:
-    in :func:`run_trial` they do by construction (the force QP returns zero
-    rows off stance, and torque saturation only scales rows).
+    ``forces`` are the world-frame foot forces and ``foot_positions`` the
+    world foot points, each four rows of three (an array or nested
+    sequences of floats), and ``stance`` holds four flags; any other shape
+    is a ValueError. Only stance feet add a moment. Swing legs are expected
+    to carry zero force: in :func:`run_trial` they do by construction (the
+    force QP returns zero rows off stance, and torque saturation only scales
+    rows). ``rotation`` is ``rotation_matrix(state.euler)``, for a caller
+    that has built it already; by default it is built here.
 
     The update runs on Python floats. The force total, the moment sum and the
     position and velocity updates add in numpy's order (rows in leg order,
@@ -238,8 +254,9 @@ def step(
     """
     if dt <= 0.0 or dt > 0.002 + 1e-12:
         raise ValueError("integration step must lie in (0, 2 ms]")
-    f = np.asarray(forces, dtype=float).reshape(4, 3).tolist()
-    feet = np.asarray(foot_positions, dtype=float).reshape(4, 3).tolist()
+    f = _leg_rows(forces, "forces")
+    feet = _leg_rows(foot_positions, "foot positions")
+    stance = _four_flags(stance).tolist()
     px, py, pz = state.position.tolist()
     (f0x, f0y, f0z), (f1x, f1y, f1z), (f2x, f2y, f2z), (f3x, f3y, f3z) = f
     fx = f0x + f1x + f2x + f3x
@@ -259,7 +276,7 @@ def step(
     # the body inertia I is diagonal, so the world inertia R diag(I) R^T has
     # the inverse R diag(1/I) R^T
     roll, pitch, yaw = state.euler.tolist()
-    rot = rotation_matrix((roll, pitch, yaw))
+    rot = rotation_matrix((roll, pitch, yaw)) if rotation is None else rotation
     i0, i1, i2 = params.inertia_diag
     wx, wy, wz = state.omega.tolist()
     u0, u1, u2 = _unrotate(rot, (wx, wy, wz))
@@ -314,109 +331,6 @@ def swing_torques(q_leg, foot_accel_body, leg: LegId, params: RobotParams) -> Ve
     )
 
 
-@dataclass
-class StrideLog:
-    """Sampled time series over one stride plus per-stride aggregates.
-
-    In the strides :func:`run_trial` returns, each array is a view of one
-    buffer per field that holds every step of the trial, not a copy; the
-    strides of one trial are disjoint row ranges of those buffers, so they
-    never overlap, and writing into one stride changes no other. A stride
-    keeps its trial's whole buffer alive.
-    """
-
-    time: np.ndarray  # (n,)
-    torques: np.ndarray  # (n, 12) per-leg (abduction, hip, knee), LegId order
-    joint_velocities: np.ndarray  # (n, 12)
-    forces: np.ndarray  # (n, 4, 3) world frame
-    stance: np.ndarray  # (n, 4) bool
-    position: np.ndarray  # (n, 3)
-    velocity: np.ndarray  # (n, 3)
-    euler: np.ndarray  # (n, 3)
-    omega: np.ndarray  # (n, 3)
-    euler_rates: np.ndarray  # (n, 3)
-    foot_positions: np.ndarray  # (n, 4, 3)
-    v_cmd: float
-    delta_s: float
-    t_f: float
-    failed: bool
-    complete: bool
-    slip_events: int = 0
-    torque_flags: int = 0
-
-
-@dataclass
-class TrialResult:
-    """Strides and events of one trial; ``finished_course`` means the body
-    passed ``finish_x`` or, without a finish line, survived the duration."""
-
-    strides: list[StrideLog]
-    events: list
-    action_windows: list
-    failed: bool
-    finished_course: bool
-    end_time: float
-
-
-class _StrideAccumulator:
-    """Step rows of one trial, written in place into buffers sized once per
-    trial, with the counters of the open stride; a stride is the row range
-    ``[start, end)``."""
-
-    def __init__(self, n: int) -> None:
-        self.time = np.empty(n)
-        self.torques = np.empty((n, 4, 3))
-        self.joint_velocities = np.empty((n, 4, 3))
-        self.forces = np.empty((n, 4, 3))
-        self.stance = np.empty((n, 4), dtype=bool)
-        self.position = np.empty((n, 3))
-        self.velocity = np.empty((n, 3))
-        self.euler = np.empty((n, 3))
-        self.omega = np.empty((n, 3))
-        self.euler_rates = np.empty((n, 3))
-        self.foot_positions = np.empty((n, 4, 3))
-        self.start = 0
-        self.start_time = 0.0
-        self.start_pos: np.ndarray | None = None
-        self.slips = 0
-        self.flags = 0
-
-    def reset(self, row: int, t: float, pos: np.ndarray) -> None:
-        self.start = row
-        self.start_time = t
-        self.start_pos = pos.copy()
-        self.slips = 0
-        self.flags = 0
-
-    def close(
-        self, end: int, t: float, pos: np.ndarray, v_cmd: float, failed: bool, complete: bool
-    ) -> StrideLog | None:
-        """The stride of rows ``[start, end)`` as views of the trial buffers."""
-        if end <= self.start:
-            return None
-        rows = slice(self.start, end)
-        return StrideLog(
-            time=self.time[rows],
-            torques=self.torques[rows].reshape(-1, 12),
-            joint_velocities=self.joint_velocities[rows].reshape(-1, 12),
-            forces=self.forces[rows],
-            stance=self.stance[rows],
-            position=self.position[rows],
-            velocity=self.velocity[rows],
-            euler=self.euler[rows],
-            omega=self.omega[rows],
-            euler_rates=self.euler_rates[rows],
-            foot_positions=self.foot_positions[rows],
-            v_cmd=v_cmd,
-            delta_s=float(np.linalg.norm(pos - self.start_pos)),
-            t_f=t - self.start_time,
-            failed=failed,
-            complete=complete,
-            slip_events=self.slips,
-            torque_flags=self.flags,
-        )
-
-
 def run_trial(
     gait: GaitPattern | GaitFsm,
     v_cmd: float,
@@ -442,8 +356,8 @@ def run_trial(
     it holds. Logs are segmented per stride; the trial ends early on failure
     (attitude or height threshold) or when the body passes ``finish_x``.
 
-    Every step writes one row of per-trial buffers sized for ``duration``,
-    and each returned :class:`StrideLog` holds views of the rows of its
+    Every step writes one row of the trial's log buffers, and each returned
+    :class:`StrideLog` holds views of the rows of its
     stride: the strides partition the steps run, in order, with no gap, no
     overlap and no empty stride.
     """
@@ -535,8 +449,8 @@ def run_trial(
     finished = False
     strides: list[StrideLog] = []
     n_steps = int(round(duration / dt))
-    acc = _StrideAccumulator(n_steps)
-    acc.reset(0, 0.0, state.position)
+    acc = StrideAccumulator(n_steps)
+    acc.reset(0.0, state.position)
 
     # the ground under the body; after each step it is resampled for the
     # failure check and serves the next step
@@ -546,8 +460,7 @@ def run_trial(
     vx, vy, vz = state.velocity.tolist()
     omega = state.omega.tolist()
     t = 0.0
-    rows = 0  # steps run, each logged in its row
-    for row in range(n_steps):
+    for _ in range(n_steps):
         pattern = gait if fsm is None else fsm.advance(dt)
         beta = pattern.beta
         swing_time_full = (1.0 - beta) * period
@@ -648,33 +561,27 @@ def run_trial(
         ang_x = kp_roll * (0.0 - roll)
         ang_y = kp_pitch * (incline_ref - pitch)
         ang_z = kp_yaw * (0.0 - yaw)
-        wrench = np.array(
-            [
-                kpx * err_x + kdx * (vdx - vx),
-                kpy * (0.0 - py) + kdy * (0.0 - vy),
-                kpz * err_z + kdz * (vdz - vz) + support,
-                e00 * ang_x + e01 * ang_y + e02 * ang_z - kd_roll * wx,
-                e10 * ang_x + e11 * ang_y + e12 * ang_z - kd_pitch * wy,
-                e20 * ang_x + e21 * ang_y + e22 * ang_z - kd_yaw * wz,
-            ]
+        wrench = (
+            kpx * err_x + kdx * (vdx - vx),
+            kpy * (0.0 - py) + kdy * (0.0 - vy),
+            kpz * err_z + kdz * (vdz - vz) + support,
+            e00 * ang_x + e01 * ang_y + e02 * ang_z - kd_roll * wx,
+            e10 * ang_x + e11 * ang_y + e12 * ang_z - kd_pitch * wy,
+            e20 * ang_x + e21 * ang_y + e22 * ang_z - kd_yaw * wz,
         )
 
-        # the log row's arrays are what the force QP and the integrator read
-        feet_row = acc.foot_positions[row]
-        feet_row[...] = foot_pos
         dist = distribute_forces(
-            wrench, feet_row, eff_stance, state.position, body_samp.friction, f_max,
+            wrench, foot_pos, eff_stance, (px, py, pz), body_samp.friction, f_max,
             normals, working_set=working_set,
         )
         working_set = dist.working_set
 
-        applied = acc.forces[row]
-        applied[...] = dist.forces
-        forces = dist.forces.tolist()
-        torques = acc.torques[row]
+        # the forces the integrator applies: the QP's, less saturation
+        applied = dist.forces.tolist()
+        taus = []
         for leg, in_stance in zip(_LEGS, eff_stance):
             if in_stance:
-                tau = stance_torques(_unrotate(rot, forces[leg]), q[leg], leg, params)
+                tau = stance_torques(_unrotate(rot, applied[leg]), q[leg], leg, params)
             else:
                 # the demanded acceleration less gravity (0, 0, -g)
                 ax, ay, az = foot_acc[leg]
@@ -691,23 +598,21 @@ def run_trial(
                 scale = limit / peak
                 tau = (t0 * scale, t1 * scale, t2 * scale)
                 if in_stance:
-                    applied[leg] = dist.forces[leg] * scale
+                    applied[leg] = [f * scale for f in applied[leg]]
                 acc.flags += 1
-            torques[leg] = tau
+            taus.append(tau)
 
-        acc.time[row] = t
-        acc.joint_velocities[row] = [
-            [(a - b) / dt for a, b in zip(new, old)] for new, old in zip(q, q_prev)
-        ]
-        acc.stance[row] = eff_stance
-        acc.position[row] = state.position
-        acc.velocity[row] = state.velocity
-        acc.euler[row] = state.euler
-        acc.omega[row] = state.omega
-        acc.euler_rates[row] = omega_to_euler_rates(euler, omega)
-        rows = row + 1
+        # the step's log row, in _LOG_FIELDS order: what the force QP and
+        # the integrator read
+        (u0, u1, u2, u3), (f0, f1, f2, f3), (p0, p1, p2, p3) = taus, applied, foot_pos
+        acc.write((
+            t, *u0, *u1, *u2, *u3,
+            *[(a - b) / dt for new, old in zip(q, q_prev) for a, b in zip(new, old)],
+            *f0, *f1, *f2, *f3, px, py, pz, vx, vy, vz, *euler, *omega,
+            *omega_to_euler_rates(euler, omega), *p0, *p1, *p2, *p3,
+        ), eff_stance)
 
-        state = step(state, applied, eff_stance, feet_row, params, dt)
+        state = step(state, applied, eff_stance, foot_pos, params, dt, rotation=rot)
         t += dt
         px, py, pz = state.position.tolist()
         vx, vy, vz = state.velocity.tolist()
@@ -730,10 +635,10 @@ def run_trial(
         phase += dt / period
         if phase >= 1.0 - 1e-9:
             phase -= 1.0
-            log = acc.close(rows, t, state.position, v_cmd, failed=False, complete=True)
+            log = acc.close(t, state.position, v_cmd, failed=False, complete=True)
             if log is not None:
                 strides.append(log)
-            acc.reset(rows, t, state.position)
+            acc.reset(t, state.position)
             stride_idx += 1
             if on_stride is not None:
                 on_stride(stride_idx, state, t)
@@ -742,7 +647,7 @@ def run_trial(
             finished = True
             break
 
-    log = acc.close(rows, t, state.position, v_cmd, failed=failed, complete=False)
+    log = acc.close(t, state.position, v_cmd, failed=failed, complete=False)
     if log is not None:
         strides.append(log)
     if failed and strides:

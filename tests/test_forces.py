@@ -400,7 +400,7 @@ def _objective(forces_out, wrench, feet, stance, com):
     """The QP objective of a force split, up to its constant term."""
     A, idx = _wrench_matrix(feet, stance, com)
     x = forces_out[idx].reshape(-1)
-    r = forces._ROW_WEIGHTS_ARRAY * (A @ x - wrench)
+    r = np.array(forces._ROW_WEIGHTS) * (A @ x - wrench)
     return 0.5 * float(r @ r) + 0.5 * forces._RIDGE * float(x @ x)
 
 
@@ -463,3 +463,108 @@ def test_seed_drops_swing_rows_and_f_max_rows(monkeypatch):
         wrench, _standing_feet(), stance, COM, 0.7, 2 * MG, working_set=(18 + 4, 6 + 1)
     )
     assert seeds == [[6 + 4]]
+
+
+def _as_sequences(wrench, feet, stance, com):
+    """run_trial's form of the inputs: a 6-tuple, four 3-tuples, a list of
+    flags and a 3-tuple of Python floats."""
+    return (
+        tuple(np.asarray(wrench, dtype=float).tolist()),
+        [tuple(row) for row in np.asarray(feet, dtype=float).tolist()],
+        [bool(on) for on in stance],
+        tuple(np.asarray(com, dtype=float).tolist()),
+    )
+
+
+def _assert_same_distribution(got, want):
+    assert got.forces.dtype == want.forces.dtype and got.forces.shape == (4, 3)
+    assert got.forces.tobytes() == want.forces.tobytes()
+    assert got.working_set == want.working_set
+    assert got.iterations == want.iterations
+    assert got.stance.dtype == bool and got.stance.tobytes() == want.stance.tobytes()
+
+
+def test_sequence_inputs_give_the_array_bits_on_random_instances():
+    # the instances of test_500_random_instances_constraints_hold, cold and
+    # hot-started from their own working set
+    rng = np.random.default_rng(2024)
+    mu, f_max = 0.7, 2 * MG
+    for _ in range(500):
+        wrench, feet, stance, com = _random_instance(rng)
+        cold = distribute_forces(wrench, feet, stance, com, mu, f_max)
+        w, p, s, c = _as_sequences(wrench, feet, stance, com)
+        _assert_same_distribution(distribute_forces(w, p, s, c, mu, f_max), cold)
+        hot = distribute_forces(wrench, feet, stance, com, mu, f_max,
+                                working_set=cold.working_set)
+        _assert_same_distribution(
+            distribute_forces(w, p, s, c, mu, f_max, working_set=cold.working_set), hot
+        )
+
+
+@pytest.mark.parametrize(
+    "gait, v_cmd, falls",
+    [(GaitName.TROT, 1.2, False), (GaitName.BOUND, 1.7, True)],
+    ids=["trot", "falling-bound"],
+)
+def test_trial_sequence_inputs_give_the_array_bits(monkeypatch, gait, v_cmd, falls):
+    # every QP of a trial, from run_trial's float sequences and from arrays
+    # of the same values
+    calls = []
+    distribute = simulation.distribute_forces
+
+    def recorded(wrench, feet, stance, com, mu, f_max, normals, working_set=()):
+        dist = distribute(wrench, feet, stance, com, mu, f_max, normals,
+                          working_set=working_set)
+        calls.append((tuple(wrench), list(feet), list(stance), tuple(com), mu, f_max,
+                      np.array(normals), working_set, dist))
+        return dist
+
+    monkeypatch.setattr(simulation, "distribute_forces", recorded)
+    result = run_trial(standard_gait(gait), v_cmd, terrain_preset("flat"), 1.2,
+                       SimConfig(seed=3))
+    assert result.failed == falls and len(calls) > 100
+    assert all(type(c[0]) is tuple and type(c[1][0]) is tuple for c in calls)
+    for wrench, feet, stance, com, mu, f_max, normals, seed, dist in calls:
+        arrays = (np.array(wrench), np.array(feet), np.array(stance), np.array(com))
+        _assert_same_distribution(
+            distribute_forces(*arrays, mu, f_max, normals, working_set=seed), dist
+        )
+
+
+_BAD_STANCES = [
+    [True, True, False],
+    [True, False, True, False, True],
+    np.array([True, True, False]),
+    np.array([[True, False], [False, True]]),
+    np.array([[True], [False], [False], [True]]),
+    [[True, False], [False, True], [True, True], [False, False]],
+]
+_BAD_FEET = [
+    _standing_feet()[:3],
+    _standing_feet()[:, :2],
+    _standing_feet().reshape(12),
+    _standing_feet().reshape(2, 6),
+    [tuple(row) for row in _standing_feet().tolist()[:3]],
+    [tuple(row[:2]) for row in _standing_feet().tolist()],
+    [*_standing_feet().tolist(), [0.0, 0.0, 0.0]],
+]
+
+
+@pytest.mark.parametrize("stance", _BAD_STANCES)
+def test_stance_that_is_not_four_flags_is_rejected(stance):
+    wrench = np.array([0.0, 0.0, MG, 0.0, 0.0, 0.0])
+    w, feet, _, com = _as_sequences(wrench, _standing_feet(), [True] * 4, COM)
+    for args in ((wrench, _standing_feet(), stance, COM), (w, feet, stance, com)):
+        with pytest.raises(ValueError):
+            distribute_forces(*args, 0.7, 2 * MG)
+
+
+@pytest.mark.parametrize("feet", _BAD_FEET)
+def test_feet_that_are_not_four_by_three_are_rejected(feet):
+    wrench = np.array([0.0, 0.0, MG, 0.0, 0.0, 0.0])
+    for stance in ([True] * 4, np.ones(4, dtype=bool), [True, False, False, False]):
+        with pytest.raises(ValueError):
+            distribute_forces(wrench, feet, stance, COM, 0.7, 2 * MG)
+        with pytest.raises(ValueError):
+            distribute_forces(tuple(wrench.tolist()), feet, stance, (0.0, 0.0, 0.32),
+                              0.7, 2 * MG)

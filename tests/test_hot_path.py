@@ -19,7 +19,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import gaitkit.forces as forces
 import gaitkit.simulation as simulation
+import gaitkit.stridelog as stridelog
 
 from gaitkit.forces import _cone_block, _independent
 from gaitkit.gaits import GaitName, LegId, standard_gait
@@ -210,6 +212,32 @@ def test_step_matches_per_call_reference():
         assert _close(got.omega, want[3])
 
 
+def test_step_takes_float_rows_and_a_rotation_with_the_array_bits():
+    # run_trial hands step float rows and the rotation it built for the step
+    rng = np.random.default_rng(12)
+    params = RobotParams()
+    for _ in range(200):
+        state = BodyState(
+            position=rng.normal(0.0, 1.0, 3),
+            velocity=rng.normal(0.0, 1.0, 3),
+            euler=rng.uniform(-0.5, 0.5, 3),
+            omega=rng.normal(0.0, 2.0, 3),
+        )
+        stance = rng.random(4) < 0.6
+        forces_in = rng.normal(0.0, 40.0, (4, 3)) * stance[:, None]
+        feet = rng.normal(0.0, 0.3, (4, 3))
+        want = step(state, forces_in, stance, feet, params, 0.002)
+        rows = (forces_in.tolist(), stance.tolist(), [tuple(r) for r in feet.tolist()])
+        rotation = rotation_matrix(state.euler.tolist())
+        for got in (
+            step(state, *rows, params, 0.002),
+            step(state, forces_in, stance, feet, params, 0.002, rotation=rotation),
+            step(state, *rows, params, 0.002, rotation=rotation),
+        ):
+            for f in dataclasses.fields(want):
+                assert _same_bits(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
 def _trot_on(terrain_name, start_x, duration):
     return run_trial(
         standard_gait(GaitName.TROT),
@@ -221,13 +249,26 @@ def _trot_on(terrain_name, start_x, duration):
     )
 
 
+def _force_caches():
+    """Every bounded cache of the forces module, by name."""
+    return {name: fn for name, fn in vars(forces).items() if hasattr(fn, "cache_info")}
+
+
 def test_trial_bits_do_not_depend_on_cone_cache_state():
     # the flat-slope trial crosses its flat -> 12 deg join; the
     # continuous-slope trial crosses flat -> 8 deg -> 12 deg first, so the
-    # second flat-slope trial finds every cone block it needs already cached
-    _cone_block.cache_clear()
+    # second flat-slope trial finds every cone block it needs already cached,
+    # and the constraint sets and the least-squares and augmented-system
+    # skeletons of its stance counts
+    caches = _force_caches()
+    assert {"_cone_block", "_constraints", "_ridge_skeleton", "_augmented_skeleton"} <= set(
+        caches
+    )
+    for cache in caches.values():
+        cache.cache_clear()
     cold = _trot_on("flat-slope", 2.4, 1.2)
-    _cone_block.cache_clear()
+    for cache in caches.values():
+        cache.cache_clear()
     _trot_on("continuous-slope", 1.2, 2.4)
     misses = _cone_block.cache_info().misses
     warm = _trot_on("flat-slope", 2.4, 1.2)
@@ -236,6 +277,36 @@ def test_trial_bits_do_not_depend_on_cone_cache_state():
     for a, b in zip(cold.strides, warm.strides):
         for f in dataclasses.fields(a):
             assert _same_bits(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+def test_force_caches_hold_no_more_entries_than_stance_sets(monkeypatch):
+    # a stance set is the legs in stance with their contact normals, the
+    # constraints of one QP; the caches are keyed on stance sets or stance
+    # counts, never on the working set, of which a stance set sees many
+    caches = _force_caches()
+    for cache in caches.values():
+        cache.cache_clear()
+    stance_sets, working_sets = set(), set()
+    distribute = simulation.distribute_forces
+
+    def recorded(wrench, feet, stance, com, mu, f_max, normals, working_set=()):
+        dist = distribute(wrench, feet, stance, com, mu, f_max, normals,
+                          working_set=working_set)
+        legs = tuple(np.flatnonzero(dist.stance).tolist())
+        if legs:
+            key = (legs, tuple(np.asarray(normals)[leg].tobytes() for leg in legs))
+            stance_sets.add(key)
+            working_sets.add((key, dist.working_set))
+        return dist
+
+    monkeypatch.setattr(simulation, "distribute_forces", recorded)
+    for gait in (GaitName.WALK, GaitName.TROT, GaitName.BOUND, GaitName.RUN):
+        for name, start_x in (("flat", 0.0), ("flat-slope", 2.4)):
+            run_trial(standard_gait(gait), 0.9, terrain_preset(name), 1.5,
+                      SimConfig(seed=3), start_x=start_x)
+    assert len(working_sets) > 2 * len(stance_sets)
+    sizes = {name: cache.cache_info().currsize for name, cache in caches.items()}
+    assert max(sizes.values()) <= len(stance_sets), (sizes, len(stance_sets))
 
 
 def _reference_euler_rates(euler, omega):
@@ -406,7 +477,7 @@ class _IntegratorLog:
         self.rows = []
         integrate = simulation.step
 
-        def recorded(state, forces, stance, feet, params, dt):
+        def recorded(state, forces, stance, feet, params, dt, **kwargs):
             self.rows.append(
                 tuple(
                     np.array(a)
@@ -414,7 +485,7 @@ class _IntegratorLog:
                               forces, stance, feet)
                 )
             )
-            return integrate(state, forces, stance, feet, params, dt)
+            return integrate(state, forces, stance, feet, params, dt, **kwargs)
 
         monkeypatch.setattr(simulation, "step", recorded)
 
@@ -506,6 +577,22 @@ def test_stride_logs_are_the_rows_the_integrator_received(monkeypatch, trial):
     for a, b in itertools.combinations(strides, 2):
         for name in arrays:
             assert not np.shares_memory(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("trial", [_steady_trot, _falling_bound], ids=["steady-trot", "falling-bound"])
+def test_stride_logs_do_not_depend_on_the_log_buffer_size(monkeypatch, trial):
+    # buffers of 7 rows: the open stride moves to a new buffer every 7 steps
+    # and the closed strides stay in the old ones
+    want = trial(None)
+    monkeypatch.setattr(stridelog, "_LOG_BUFFER_ROWS", 7)
+    got = trial(None)
+    assert len(got.strides) == len(want.strides) > 0
+    for a, b in zip(got.strides, want.strides):
+        for f in dataclasses.fields(a):
+            assert _same_bits(getattr(a, f.name), getattr(b, f.name)), f.name
+    for a, b in itertools.combinations(got.strides, 2):
+        assert not np.shares_memory(a.position, b.position)
+        assert not np.shares_memory(a.stance, b.stance)
 
 
 class _ControlLog:

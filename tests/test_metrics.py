@@ -15,10 +15,13 @@ from gaitkit.metrics import (
     cot,
     j_e,
     stb,
+    stb_samples,
     stride_energy,
     stride_metrics,
 )
-from gaitkit.robot import RobotParams, terrain_preset
+from gaitkit.gaits import GaitName, standard_gait
+from gaitkit.robot import RobotParams, TerrainBoundsError, terrain_preset
+from gaitkit.simulation import SimConfig, run_trial
 
 
 @dataclasses.dataclass
@@ -191,6 +194,119 @@ def test_stb_guard_at_zero_speed():
     assert stb(log, terrain) == 0.0  # v_bn also ~ 0 -> term zero, not inf
     log.velocity[:, 2] = 0.5  # vertical motion while v_b ~ 0 -> clamp to 1
     assert stb(log, terrain) == pytest.approx(MetricsConfig().weights[0] * 1.0)
+
+
+PRESETS = ("flat", "slope12", "flat-slope", "continuous-slope", "up-down-slope")
+
+
+def _reference_stb_samples(log, terrain, weights):
+    """STB per sample with one terrain query per sample: the loop that
+    stb_samples vectorises per segment."""
+    w1, w2, w3, w4 = weights
+    pos = np.asarray(log.position, dtype=float)
+    vel = np.asarray(log.velocity, dtype=float)
+    euler = np.asarray(log.euler, dtype=float)
+    rates = np.asarray(log.euler_rates, dtype=float)
+    n = pos.shape[0]
+    values = np.zeros(n)
+    guards = 0
+    for i in range(n):
+        samp = terrain.query(min(max(pos[i, 0], terrain.start_x), terrain.end_x))
+        tangent = np.array([np.cos(samp.incline), 0.0, np.sin(samp.incline)])
+        v_n = float(vel[i] @ samp.normal)
+        v_b = float(vel[i] @ tangent)
+        if abs(v_b) <= 1e-3:
+            guards += 1
+            ratio = 0.0 if abs(v_n) <= 1e-3 else 1.0
+        else:
+            ratio = abs(v_n / v_b)
+        values[i] = (
+            w1 * ratio
+            + w2 * abs(euler[i, 1] - samp.incline)
+            + w3 * abs(euler[i, 0])
+            + w4 * (abs(rates[i, 1]) + abs(rates[i, 0]))
+        )
+    return values, guards
+
+
+def _segment_straddling_log(terrain, rng):
+    """Samples on every segment, at and next to every join, beyond both
+    terrain ends (clamped), with guard rows whose speed along the terrain is
+    at most 1e-3 m/s, some of them also at most 1e-3 m/s off it."""
+    xs = [terrain.start_x - 5.0, terrain.start_x, terrain.end_x, terrain.end_x + 5.0]
+    for seg in terrain.segments:
+        j = seg.start_x
+        xs += [np.nextafter(j, -np.inf), j, np.nextafter(j, np.inf), j - 0.4, j + 0.4]
+    xs += list(rng.uniform(terrain.start_x, terrain.segments[-1].start_x + 3.0, 60))
+    n = len(xs)
+    vel = rng.normal(0.0, 1.0, (n, 3))
+    for i in range(0, n, 3):
+        samp = terrain.query(min(max(xs[i], terrain.start_x), terrain.end_x))
+        tangent = np.array([np.cos(samp.incline), 0.0, np.sin(samp.incline)])
+        off = rng.choice([0.0, rng.uniform(-1e-3, 1e-3), 0.5])
+        vel[i] = rng.uniform(-1e-3, 1e-3) * tangent + off * samp.normal
+    # a view of a wider buffer, as the stride logs of a trial are
+    rows = np.zeros((n, 12))
+    rows[:, 0:3] = np.column_stack([xs, rng.normal(0.0, 0.1, n), np.full(n, 0.32)])
+    rows[:, 3:6] = vel
+    rows[:, 6:9] = rng.uniform(-0.4, 0.4, (n, 3))
+    rows[:, 9:12] = rng.normal(0.0, 1.0, (n, 3))
+    return FakeLog(
+        time=np.arange(n) * 0.002,
+        torques=np.zeros((n, 12)),
+        joint_velocities=np.zeros((n, 12)),
+        position=rows[:, 0:3],
+        velocity=rows[:, 3:6],
+        euler=rows[:, 6:9],
+        euler_rates=rows[:, 9:12],
+    )
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_stb_samples_match_per_sample_loop(name):
+    terrain = terrain_preset(name)
+    rng = np.random.default_rng(16)
+    weights = MetricsConfig().weights
+    checked_guards = 0
+    for _ in range(5):
+        log = _segment_straddling_log(terrain, rng)
+        values, guards = stb_samples(log, terrain, weights)
+        want, want_guards = _reference_stb_samples(log, terrain, weights)
+        assert values.dtype == want.dtype and values.tobytes() == want.tobytes()
+        assert guards == want_guards
+        checked_guards += guards
+    assert checked_guards > 0
+    # integer weights, as a JSON config may give them
+    values, _ = stb_samples(log, terrain, (1, 2, 0, 3))
+    want, _ = _reference_stb_samples(log, terrain, (1, 2, 0, 3))
+    assert values.tobytes() == want.tobytes()
+
+
+def test_stb_samples_match_per_sample_loop_across_the_kink():
+    # trot and walk strides over the flat -> 12 deg join of flat-slope
+    terrain = terrain_preset("flat-slope")
+    weights = MetricsConfig().weights
+    kinked = 0
+    for gait, v_cmd in ((GaitName.TROT, 1.2), (GaitName.WALK, 0.7)):
+        result = run_trial(standard_gait(gait), v_cmd, terrain, 1.5, SimConfig(seed=3),
+                           start_x=2.5)
+        for log in result.strides:
+            values, guards = stb_samples(log, terrain, weights)
+            want, want_guards = _reference_stb_samples(log, terrain, weights)
+            assert values.tobytes() == want.tobytes() and guards == want_guards
+            kinked += log.position[0, 0] < 3.0 < log.position[-1, 0]
+    assert kinked > 0
+
+
+def test_stb_samples_raise_on_a_nan_position_like_the_loop():
+    terrain = terrain_preset("flat-slope")
+    log = _segment_straddling_log(terrain, np.random.default_rng(2))
+    log.position[7, 0] = np.nan
+    with pytest.raises(TerrainBoundsError) as want:
+        _reference_stb_samples(log, terrain, MetricsConfig().weights)
+    with pytest.raises(TerrainBoundsError) as got:
+        stb_samples(log, terrain, MetricsConfig().weights)
+    assert str(got.value) == str(want.value)
 
 
 def test_stb_weights_validation():

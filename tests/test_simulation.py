@@ -117,6 +117,46 @@ def test_step_rejects_large_dt():
         step(_state(), *_no_contact(), PARAMS, 0.01)
 
 
+def _stance_contact():
+    """Forces, stance flags and foot points of a body on all four feet with
+    leg 3 pushing off-centre, as arrays and as run_trial's float rows."""
+    forces = np.array([[1.0, 0.0, 30.0], [0.0, 2.0, 30.0], [0.0, 0.0, 30.0],
+                       [4.0, -3.0, 40.0]])
+    feet = np.array([[0.19, -0.15, 0.0], [-0.19, -0.15, 0.0], [0.19, 0.15, 0.0],
+                     [-0.19, 0.15, 0.0]])
+    arrays = (forces, np.ones(4, dtype=bool), feet)
+    floats = (forces.tolist(), [True] * 4, [tuple(row) for row in feet.tolist()])
+    return {"arrays": arrays, "floats": floats}
+
+
+@pytest.mark.parametrize("form", ["arrays", "floats"])
+def test_step_rejects_a_stance_that_is_not_four_flags(form):
+    # three flags used to pass: zip dropped leg 3's moment while its force
+    # still entered the total
+    forces, stance, feet = _stance_contact()[form]
+    state = _state(pos=(0.0, 0.0, 0.32))
+    step(state, forces, stance, feet, PARAMS, 0.002)
+    bad = [stance[:3], [True] * 5, np.ones(3, dtype=bool), np.ones((2, 2), dtype=bool),
+           np.ones((4, 1), dtype=bool), [[True, False]] * 4]
+    for flags in bad:
+        with pytest.raises(ValueError):
+            step(state, forces, flags, feet, PARAMS, 0.002)
+
+
+@pytest.mark.parametrize("form", ["arrays", "floats"])
+def test_step_rejects_forces_or_feet_that_are_not_four_by_three(form):
+    forces, stance, feet = _stance_contact()[form]
+    state = _state(pos=(0.0, 0.0, 0.32))
+    for name, good in (("forces", forces), ("feet", feet)):
+        rows = np.asarray(good, dtype=float)
+        bad = [good[:3], [*good, good[0]], [tuple(r[:2]) for r in rows.tolist()],
+               rows.reshape(12), rows.reshape(2, 6), rows[:, :2]]
+        for value in bad:
+            args = (value, feet) if name == "forces" else (forces, value)
+            with pytest.raises(ValueError):
+                step(state, args[0], stance, args[1], PARAMS, 0.002)
+
+
 def test_gyroscopic_term_active():
     # spinning about two axes with unequal inertia precesses even with no moment
     s0 = _state(omega=(2.0, 3.0, 0.0))
