@@ -48,6 +48,7 @@ from .simulation import (
     SimConfig,
     StrideLog,
     TrialResult,
+    TrunkState,
     run_trial,
     stance_torques,
     step,

@@ -72,9 +72,10 @@ class ContactPhase(Enum):
 
 
 class ContactState(NamedTuple):
-    """Contact phase of one leg; swing_phase is defined only while airborne.
+    """Contact phase of one leg; swing_phase is defined only while airborne
+    and None in stance.
 
-    An immutable record; a named tuple because the control loop builds one
+    An immutable record; a named tuple because the control loop asks for one
     per leg and step.
     """
 
@@ -133,17 +134,24 @@ def standard_gait(name: GaitName, period: float = DEFAULT_PERIOD) -> GaitPattern
     return GaitPattern(beta=beta, offsets=offsets, period=period)
 
 
+# bound once: the enum attribute lookup costs more than building the record
+_SWING = ContactPhase.SWING
+# every stance leg shares this record: a stance state carries no phase
+_STANCE_STATE = ContactState(ContactPhase.STANCE)
+
+
 def leg_contact(pattern: GaitPattern, phase: float, leg: LegId) -> ContactState:
     """Contact state of ``leg`` at stride phase ``phase``.
 
     The swing window starts at the leg's lift-off offset and spans the swing
-    fraction ``1 - beta`` of the stride; the remainder is stance.
+    fraction ``1 - beta`` of the stride; the remainder is stance, for which
+    every call returns the same immutable record.
     """
     local = (phase - pattern.offsets[leg]) % 1.0
     swing = 1.0 - pattern.beta
     if local < swing:
-        return ContactState(ContactPhase.SWING, swing_phase=local / swing)
-    return ContactState(ContactPhase.STANCE)
+        return ContactState(_SWING, local / swing)
+    return _STANCE_STATE
 
 
 def stance_count(pattern: GaitPattern, phase: float) -> int:

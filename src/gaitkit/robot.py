@@ -219,7 +219,8 @@ class TerrainSegment:
 
 
 class TerrainSample(NamedTuple):
-    """Terrain at one x; ``normal`` is its segment's shared read-only array.
+    """Terrain at one x; ``normal`` is its segment's shared read-only array,
+    and ``segment`` the index of that segment.
 
     An immutable record; a named tuple because the control loop samples the
     terrain several times per step.
@@ -230,6 +231,7 @@ class TerrainSample(NamedTuple):
     incline: float
     friction: float
     kind: str
+    segment: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,26 +291,33 @@ class Terrain:
                 seen.append(seg.kind)
         return tuple(seen)
 
-    def _index(self, x: float) -> int:
-        if not self._starts[0] <= x <= self.end_x:
+    def query(self, x: float) -> TerrainSample:
+        """The terrain at ``x``: the segment that starts last at or before
+        ``x``; :class:`TerrainBoundsError` outside the extent, NaN included.
+
+        The only place the extent is checked: the control loop calls this
+        several times per step, so it does its own lookup.
+        """
+        starts = self._starts
+        if not starts[0] <= x <= self.end_x:
             raise TerrainBoundsError(
                 f"x={x} outside terrain extent [{self.start_x}, {self.end_x}]"
             )
-        return max(bisect.bisect_right(self._starts, x) - 1, 0)
+        # x >= starts[0], so the index is at least 0
+        idx = bisect.bisect_right(starts, x) - 1
+        seg = self.segments[idx]
+        height = self._heights[idx] + self._tans[idx] * (x - seg.start_x)
+        return TerrainSample(
+            height, self._normals[idx], seg.incline, seg.friction, seg.kind, idx
+        )
 
     def segment_index(self, x: float) -> int:
         """The index of the segment :meth:`query` samples for ``x``;
         :class:`TerrainBoundsError` outside the extent, NaN included."""
-        return self._index(x)
+        return self.query(x).segment
 
     def segment_at(self, x: float) -> TerrainSegment:
-        return self.segments[self._index(x)]
-
-    def query(self, x: float) -> TerrainSample:
-        idx = self._index(x)
-        seg = self.segments[idx]
-        height = self._heights[idx] + self._tans[idx] * (x - seg.start_x)
-        return TerrainSample(height, self._normals[idx], seg.incline, seg.friction, seg.kind)
+        return self.segments[self.query(x).segment]
 
     def tangent(self, x: float) -> np.ndarray:
         seg = self.segment_at(x)

@@ -13,16 +13,18 @@ the rigid-body integrator :func:`step`.
 
 The control step runs on Python floats. Its vectors have three entries, so a
 numpy call costs far more in dispatch than in arithmetic: :func:`run_trial`
-unpacks the body state once per step with ``tolist()`` and works out the
-reference, touchdown targets, frame changes and leg torques on scalars. It
-hands the force QP the wrench, feet, stance and centre of mass as Python
-sequences, and :func:`step` the saturated forces as float rows together with
-the rotation it built for the step, so the integrator neither converts them
-nor rebuilds the rotation; :func:`step` integrates on scalars as well. Each
-step is logged as one row write of a tuple of floats into one float64 buffer
-(the stance flags into a bool buffer beside it), whose column views are the
-:class:`~gaitkit.stridelog.StrideLog` fields (:mod:`gaitkit.stridelog` holds
-the log). The helpers they call once or more per step (:func:`~gaitkit.robot.leg_ik`,
+carries the trunk state from step to step as a :class:`TrunkState` of float
+triples and works out the reference, touchdown targets, frame changes and leg
+torques on scalars. It hands the force QP the wrench, feet, stance and centre
+of mass as Python sequences, and :func:`step` the state, the saturated forces
+as float rows and the rotation it built for the step, so the integrator
+neither converts them nor rebuilds the rotation; :func:`step` integrates on
+scalars and returns a new :class:`TrunkState`. A :class:`BodyState` of arrays
+is built only for the start state and for ``on_stride``, once per stride
+boundary. Each step is logged as one row write of a tuple of floats into one
+float64 buffer (the stance flags into a bool buffer beside it), whose column
+views are the :class:`~gaitkit.stridelog.StrideLog` fields
+(:mod:`gaitkit.stridelog` holds the log). The helpers they call once or more per step (:func:`~gaitkit.robot.leg_ik`,
 :func:`~gaitkit.robot.leg_jacobian`, :func:`rotation_matrix`,
 :func:`euler_rate_to_omega`, :func:`omega_to_euler_rates`, the swing arc and
 its acceleration, and the stance and swing torques) take sequences of floats
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,14 +73,49 @@ MAX_COMMAND_VELOCITY = 3.0
 class BodyState:
     """Trunk pose and rates: position/velocity, euler angles, world angular velocity.
 
-    The arrays are never modified in place once a state exists (a new step
-    builds a new state).
+    The public form of the trunk state, as arrays: a trial's
+    ``initial_state`` and the state its ``on_stride`` receives.
+    :func:`run_trial` carries a :class:`TrunkState` from step to step; it
+    builds a body state only for a start state it draws itself and at each
+    stride boundary for ``on_stride``. :func:`step` returns one when it is
+    given one. The arrays are never modified in place once a state exists
+    (a new step builds a new state).
     """
 
     position: np.ndarray
     velocity: np.ndarray
     euler: np.ndarray  # (roll, pitch, yaw), pitch positive nose-up
     omega: np.ndarray  # world frame
+
+
+class TrunkState(NamedTuple):
+    """The fields of :class:`BodyState` as tuples of three Python floats.
+
+    The state :func:`run_trial` hands :func:`step` and gets back on every
+    control step; an immutable record, so a step costs no array.
+    """
+
+    position: Vector3
+    velocity: Vector3
+    euler: Vector3
+    omega: Vector3
+
+
+def _body_state(state: TrunkState) -> BodyState:
+    """``state`` as a :class:`BodyState` of new arrays with the same bits."""
+    return BodyState(
+        np.array(state.position), np.array(state.velocity),
+        np.array(state.euler), np.array(state.omega),
+    )
+
+
+def _trunk_state(state) -> TrunkState:
+    """The four vectors of a :class:`BodyState` (or any record with its
+    fields) as float triples with the same bits."""
+    return TrunkState(*(
+        tuple(np.asarray(v, dtype=float).tolist())
+        for v in (state.position, state.velocity, state.euler, state.omega)
+    ))
 
 
 def rotation_matrix(euler) -> Matrix3:
@@ -187,6 +225,16 @@ class SimConfig:
             raise ValueError("swing clearance and apex must be positive")
         if self.nominal_height <= 0.0:
             raise ValueError("nominal height must be positive")
+        # a bound at or below zero would score every trial as a fall or
+        # stall its actuators; a negative clamp or noise scale has no meaning
+        for name in ("joint_torque_limit", "f_max_scale", "max_roll", "max_pitch"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"sim.{name} must be positive")
+        if not 0.0 < self.min_height_ratio < 1.0:
+            raise ValueError("sim.min_height_ratio must lie in (0, 1)")
+        for name in ("touchdown_noise", "carrot_clamp", "capture_clamp"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"sim.{name} must be non-negative")
 
 
 def swing_trajectory(s: float, lift_point, target_point, apex: float) -> Vector3:
@@ -226,7 +274,7 @@ def swing_acceleration(
 
 
 def step(
-    state: BodyState,
+    state: BodyState | TrunkState,
     forces,
     stance,
     foot_positions,
@@ -234,8 +282,13 @@ def step(
     dt: float,
     *,
     rotation: Matrix3 | None = None,
-) -> BodyState:
+) -> BodyState | TrunkState:
     """Semi-implicit Euler update of the trunk rigid-body dynamics.
+
+    ``state`` is any record with the four fields of :class:`BodyState`. With
+    arrays there, the result is a new :class:`BodyState`; with tuples of
+    three floats (a :class:`TrunkState`, the form :func:`run_trial`
+    carries), a new :class:`TrunkState`. Both kinds give the same bits.
 
     ``forces`` are the world-frame foot forces and ``foot_positions`` the
     world foot points, each four rows of three (an array or nested
@@ -257,7 +310,10 @@ def step(
     f = _leg_rows(forces, "forces")
     feet = _leg_rows(foot_positions, "foot positions")
     stance = _four_flags(stance).tolist()
-    px, py, pz = state.position.tolist()
+    arrays = isinstance(state.position, np.ndarray)
+    if arrays:
+        state = _trunk_state(state)
+    px, py, pz = state.position
     (f0x, f0y, f0z), (f1x, f1y, f1z), (f2x, f2y, f2z), (f3x, f3y, f3z) = f
     fx = f0x + f1x + f2x + f3x
     fy = f0y + f1y + f2y + f3y
@@ -275,26 +331,27 @@ def step(
     ax, ay, az = 0.0 + fx / mass, 0.0 + fy / mass, fz / mass - gravity
     # the body inertia I is diagonal, so the world inertia R diag(I) R^T has
     # the inverse R diag(1/I) R^T
-    roll, pitch, yaw = state.euler.tolist()
+    roll, pitch, yaw = state.euler
     rot = rotation_matrix((roll, pitch, yaw)) if rotation is None else rotation
     i0, i1, i2 = params.inertia_diag
-    wx, wy, wz = state.omega.tolist()
+    wx, wy, wz = state.omega
     u0, u1, u2 = _unrotate(rot, (wx, wy, wz))
     hx, hy, hz = _rotate(rot, (u0 * i0, u1 * i1, u2 * i2))
     gx, gy, gz = wy * hz - wz * hy, wz * hx - wx * hz, wx * hy - wy * hx
     e0, e1, e2 = _unrotate(rot, (mx - gx, my - gy, mz - gz))
     dx, dy, dz = _rotate(rot, (e0 / i0, e1 / i1, e2 / i2))
 
-    vx, vy, vz = state.velocity.tolist()
+    vx, vy, vz = state.velocity
     vx, vy, vz = vx + ax * dt, vy + ay * dt, vz + az * dt
     omega = (wx + dx * dt, wy + dy * dt, wz + dz * dt)
     r0, r1, r2 = omega_to_euler_rates((roll, pitch, yaw), omega)
-    return BodyState(
-        position=np.array([px + vx * dt, py + vy * dt, pz + vz * dt]),
-        velocity=np.array([vx, vy, vz]),
-        euler=np.array([roll + r0 * dt, pitch + r1 * dt, yaw + r2 * dt]),
-        omega=np.array(omega),
+    new = TrunkState(
+        (px + vx * dt, py + vy * dt, pz + vz * dt),
+        (vx, vy, vz),
+        (roll + r0 * dt, pitch + r1 * dt, yaw + r2 * dt),
+        omega,
     )
+    return _body_state(new) if arrays else new
 
 
 def stance_torques(force_body, q_leg, leg: LegId, params: RobotParams) -> Vector3:
@@ -389,7 +446,7 @@ def run_trial(
         jit_att = rng.uniform(-1.0, 1.0, size=2) * config.attitude_jitter
         jit_vel = rng.uniform(-1.0, 1.0, size=2) * config.velocity_jitter
         tangent = terrain.tangent(start_x)
-        state = BodyState(
+        initial_state = BodyState(
             position=np.array(
                 [start_x, 0.0, samp0.height + config.nominal_height]
             ),
@@ -397,12 +454,10 @@ def run_trial(
             euler=np.array([jit_att[0], samp0.incline + jit_att[1], 0.0]),
             omega=np.zeros(3),
         )
-    else:
-        state = initial_state
+    state = _trunk_state(initial_state)
 
     hips = params.hip_offsets.tolist()
-    px, py, pz = state.position.tolist()
-    euler = state.euler.tolist()
+    (px, py, pz), (vx, vy, vz), euler, omega = state
     rot = rotation_matrix(euler)
     # foot points in LegId order; an entry is replaced, never changed in place,
     # so the lift point of a swing can share it
@@ -457,8 +512,6 @@ def run_trial(
     body_samp = terrain.query(px)
     # the force QP's final working set seeds the next step's QP
     working_set: tuple[int, ...] = ()
-    vx, vy, vz = state.velocity.tolist()
-    omega = state.omega.tolist()
     t = 0.0
     for _ in range(n_steps):
         pattern = gait if fsm is None else fsm.advance(dt)
@@ -492,9 +545,8 @@ def run_trial(
         q_prev = q
         q = list(q)
         for leg in _LEGS:
-            cs = leg_contact(pattern, phase, leg)
-            if cs.is_swing:
-                s = cs.swing_phase
+            s = leg_contact(pattern, phase, leg).swing_phase
+            if s is not None:
                 if not was_swing[leg]:
                     lift_pos[leg] = foot_pos[leg]
                     swing_entry_s[leg] = s
@@ -614,10 +666,7 @@ def run_trial(
 
         state = step(state, applied, eff_stance, foot_pos, params, dt, rotation=rot)
         t += dt
-        px, py, pz = state.position.tolist()
-        vx, vy, vz = state.velocity.tolist()
-        euler = state.euler.tolist()
-        omega = state.omega.tolist()
+        (px, py, pz), (vx, vy, vz), euler, omega = state
 
         try:
             body_samp = terrain.query(px)
@@ -641,7 +690,7 @@ def run_trial(
             acc.reset(t, state.position)
             stride_idx += 1
             if on_stride is not None:
-                on_stride(stride_idx, state, t)
+                on_stride(stride_idx, _body_state(state), t)
 
         if finish_x is not None and px >= finish_x:
             finished = True

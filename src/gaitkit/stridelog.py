@@ -132,16 +132,17 @@ class StrideAccumulator:
         self.count += 1
         self.remaining -= 1
 
-    def reset(self, t: float, pos: np.ndarray) -> None:
-        """Open a stride at the next step."""
+    def reset(self, t: float, pos) -> None:
+        """Open a stride at the next step; ``pos`` is the body position, three
+        floats."""
         self.start = self.count
         self.start_time = t
-        self.start_pos = pos.copy()
+        self.start_pos = np.array(pos, dtype=float)
         self.slips = 0
         self.flags = 0
 
     def close(
-        self, t: float, pos: np.ndarray, v_cmd: float, failed: bool, complete: bool
+        self, t: float, pos, v_cmd: float, failed: bool, complete: bool
     ) -> StrideLog | None:
         """The open stride as views of the buffers; None if it has no step."""
         if self.count <= self.start:
@@ -151,7 +152,7 @@ class StrideAccumulator:
             **{name: view[rows] for name, view in self.fields.items()},
             stance=self.stance[rows],
             v_cmd=v_cmd,
-            delta_s=float(np.linalg.norm(pos - self.start_pos)),
+            delta_s=float(np.linalg.norm(np.subtract(pos, self.start_pos))),
             t_f=t - self.start_time,
             failed=failed,
             complete=complete,

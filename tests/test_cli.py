@@ -310,6 +310,41 @@ def test_bad_metrics_config_exits_one_before_simulating(tmp_path, monkeypatch, s
 
 
 @pytest.mark.parametrize(
+    "section",
+    [
+        # each of these ran: a torque limit, force bound or attitude bound at
+        # or below zero scored the trial as a fall (exit 2), a negative noise
+        # scale failed inside the trial, a negative clamp pinned the error
+        {"joint_torque_limit": -5},
+        {"joint_torque_limit": 0.0},
+        {"f_max_scale": -1},
+        {"f_max_scale": 0},
+        {"max_roll": -0.1},
+        {"max_pitch": -0.1},
+        {"min_height_ratio": 0.0},
+        {"min_height_ratio": 1.0},
+        {"min_height_ratio": 1.5},
+        {"touchdown_noise": -0.01},
+        {"carrot_clamp": -0.2},
+        {"capture_clamp": -0.5},
+    ],
+    ids=["negative-torque-limit", "zero-torque-limit", "negative-f-max", "zero-f-max",
+         "negative-max-roll", "negative-max-pitch", "zero-height-ratio", "unit-height-ratio",
+         "large-height-ratio", "negative-noise", "negative-carrot-clamp",
+         "negative-capture-clamp"],
+)
+def test_out_of_domain_sim_value_exits_one_before_simulating(tmp_path, monkeypatch, section):
+    monkeypatch.setattr(cli, "run_trial", _no_trial)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sim": section}))
+    assert main([
+        "simulate", "--gait", "trot", "--velocity", "1.2", "--duration", "1.2",
+        "--out", str(tmp_path / "o"), "--config", str(cfg_path),
+    ]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
     "command, gait",
     [
         (["simulate", "--gait", "trot", "--velocity", "1.2", "--duration", "1.2"],

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from gaitkit.gaits import (
     ContactPhase,
+    ContactState,
     GaitName,
     GaitPattern,
     LegId,
@@ -74,6 +75,39 @@ def test_liftoff_instant_is_swing(name, leg):
     state = leg_contact(pattern, pattern.offsets[leg], leg)
     assert state.is_swing
     assert state.swing_phase == 0.0
+
+
+def _per_call_contact(pattern, phase, leg):
+    """leg_contact's record, built anew on every call."""
+    local = (phase - pattern.offsets[leg]) % 1.0
+    swing = 1.0 - pattern.beta
+    if local < swing:
+        return ContactState(ContactPhase.SWING, swing_phase=local / swing)
+    return ContactState(ContactPhase.STANCE)
+
+
+@pytest.mark.parametrize("name", list(GaitName))
+def test_leg_contact_matches_per_call_records_across_the_edges(name):
+    pattern = standard_gait(name)
+    phases = set(np.linspace(0.0, 1.0, 401).tolist())
+    for leg in LegId:
+        lift = pattern.offsets[leg]
+        touchdown = (lift + 1.0 - pattern.beta) % 1.0
+        for edge in (lift, touchdown):
+            phases.update(
+                (edge, float(np.nextafter(edge, -np.inf)), float(np.nextafter(edge, np.inf)))
+            )
+    stance = []
+    for phase in sorted(phases):
+        for leg in LegId:
+            got, want = leg_contact(pattern, phase, leg), _per_call_contact(pattern, phase, leg)
+            assert type(got) is ContactState
+            assert got.phase is want.phase and got.swing_phase == want.swing_phase
+            assert got.is_swing == (got.swing_phase is not None)
+            if got.is_stance:
+                stance.append(got)
+    # every stance leg shares one immutable record
+    assert stance and all(state is stance[0] for state in stance)
 
 
 def test_walk_always_three_in_stance():

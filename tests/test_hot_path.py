@@ -44,6 +44,7 @@ from gaitkit.simulation import (
     omega_to_euler_rates,
     rotation_matrix,
     StrideLog,
+    TrunkState,
     run_trial,
     stance_torques,
     step,
@@ -234,8 +235,19 @@ def test_step_takes_float_rows_and_a_rotation_with_the_array_bits():
             step(state, forces_in, stance, feet, params, 0.002, rotation=rotation),
             step(state, *rows, params, 0.002, rotation=rotation),
         ):
+            assert type(got) is BodyState
             for f in dataclasses.fields(want):
                 assert _same_bits(getattr(got, f.name), getattr(want, f.name)), f.name
+        # the float state run_trial carries gives a float state of the same bits
+        floats = TrunkState(*(tuple(getattr(state, f).tolist()) for f in TrunkState._fields))
+        for got in (
+            step(floats, forces_in, stance, feet, params, 0.002),
+            step(floats, *rows, params, 0.002, rotation=rotation),
+        ):
+            assert type(got) is TrunkState
+            for f, value in zip(TrunkState._fields, got):
+                assert type(value) is tuple and all(type(v) is float for v in value), f
+                assert _same_bits(np.array(value), getattr(want, f)), f
 
 
 def _trot_on(terrain_name, start_x, duration):
@@ -577,6 +589,46 @@ def test_stride_logs_are_the_rows_the_integrator_received(monkeypatch, trial):
     for a, b in itertools.combinations(strides, 2):
         for name in arrays:
             assert not np.shares_memory(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize(
+    "trial",
+    [_steady_trot, _falling_bound, _fsm_trot_to_walk, _finish_on_stride_boundary,
+     _one_step_nan_fall],
+    ids=["steady-trot", "falling-bound", "fsm-trot-walk", "finish-on-boundary", "nan-fall"],
+)
+def test_a_trial_builds_at_most_strides_plus_two_body_states(monkeypatch, trial):
+    # run_trial carries float triples from step to step; a BodyState is built
+    # only where one is read, such as for on_stride at a stride boundary
+    built = []
+
+    def counted(*args, **kwargs):
+        state = BodyState(*args, **kwargs)
+        built.append(state)
+        return state
+
+    log = _IntegratorLog(monkeypatch)
+    monkeypatch.setattr(simulation, "BodyState", counted)
+    result = trial(log)
+    assert len(built) <= len(result.strides) + 2
+
+
+def test_on_stride_gets_the_body_state_that_opens_the_next_stride():
+    bodies = []
+    result = run_trial(
+        standard_gait(GaitName.TROT), 1.2, terrain_preset("flat"), 1.2, SimConfig(seed=3),
+        on_stride=lambda idx, body, t: bodies.append((idx, body, t)),
+    )
+    assert [idx for idx, _, _ in bodies] == list(range(1, len(bodies) + 1))
+    assert len(bodies) >= len(result.strides) - 1 >= 2
+    for idx, body, t in bodies:
+        assert type(body) is BodyState
+        if idx == len(result.strides):
+            continue  # the trial ended on this boundary
+        stride = result.strides[idx]
+        assert stride.time[0] == t
+        for name in ("position", "velocity", "euler", "omega"):
+            assert _same_bits(getattr(body, name), getattr(stride, name)[0]), name
 
 
 @pytest.mark.parametrize("trial", [_steady_trot, _falling_bound], ids=["steady-trot", "falling-bound"])

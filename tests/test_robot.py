@@ -159,6 +159,41 @@ def test_nan_position_is_out_of_bounds(name):
         terrain.segment_at(float("nan"))
 
 
+@pytest.mark.parametrize(
+    "name", ["flat", "slope12", "flat-slope", "continuous-slope", "up-down-slope"]
+)
+def test_query_is_its_segment_and_the_height_formula(name):
+    terrain = terrain_preset(name)
+    rng = np.random.default_rng(17)
+    # the whole extent, and the course where the joins are
+    xs = rng.uniform(terrain.start_x, terrain.end_x, 200).tolist()
+    xs += rng.uniform(-1.0, (terrain.course_end or 0.0) + 1.0, 300).tolist()
+    xs += [terrain.start_x, terrain.end_x]
+    for seg in terrain.segments[1:]:
+        xs += [seg.start_x, float(np.nextafter(seg.start_x, -np.inf)),
+               float(np.nextafter(seg.start_x, np.inf))]
+    for x in xs:
+        # the segment that starts last at or before x, found by a scan
+        want = max(i for i, seg in enumerate(terrain.segments) if seg.start_x <= x)
+        assert terrain.segment_index(x) == want
+        seg = terrain.segments[want]
+        assert terrain.segment_at(x) is seg
+        got = terrain.query(x)
+        assert got.segment == want
+        assert got.height == terrain._heights[want] + math.tan(seg.incline) * (x - seg.start_x)
+        assert got.normal is terrain._normals[want]
+        assert (got.incline, got.friction, got.kind) == (seg.incline, seg.friction, seg.kind)
+    outside = (
+        float(np.nextafter(terrain.start_x, -np.inf)),
+        float(np.nextafter(terrain.end_x, np.inf)),
+        -math.inf, math.inf, math.nan,
+    )
+    for x in outside:
+        for lookup in (terrain.query, terrain.segment_index, terrain.segment_at):
+            with pytest.raises(TerrainBoundsError, match="outside terrain extent"):
+                lookup(x)
+
+
 def test_terrain_validation():
     with pytest.raises(ValueError):
         Terrain("bad", ())
