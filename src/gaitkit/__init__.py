@@ -44,7 +44,6 @@ from .robot import (
 )
 from .forces import ForceDistribution, distribute_forces
 from .simulation import (
-    BodyState,
     SimConfig,
     StrideLog,
     TrialResult,

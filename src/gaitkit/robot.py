@@ -319,10 +319,6 @@ class Terrain:
     def segment_at(self, x: float) -> TerrainSegment:
         return self.segments[self.query(x).segment]
 
-    def tangent(self, x: float) -> np.ndarray:
-        seg = self.segment_at(x)
-        return np.array([math.cos(seg.incline), 0.0, math.sin(seg.incline)])
-
 
 _DEG = math.pi / 180.0
 

@@ -12,19 +12,19 @@ gaits when it is asked to at a stride boundary. Every step ends in one call of
 the rigid-body integrator :func:`step`.
 
 The control step runs on Python floats. Its vectors have three entries, so a
-numpy call costs far more in dispatch than in arithmetic: :func:`run_trial`
-carries the trunk state from step to step as a :class:`TrunkState` of float
-triples and works out the reference, touchdown targets, frame changes and leg
-torques on scalars. It hands the force QP the wrench, feet, stance and centre
-of mass as Python sequences, and :func:`step` the state, the saturated forces
-as float rows and the rotation it built for the step, so the integrator
-neither converts them nor rebuilds the rotation; :func:`step` integrates on
-scalars and returns a new :class:`TrunkState`. A :class:`BodyState` of arrays
-is built only for the start state and for ``on_stride``, once per stride
-boundary. Each step is logged as one row write of a tuple of floats into one
-float64 buffer (the stance flags into a bool buffer beside it), whose column
-views are the :class:`~gaitkit.stridelog.StrideLog` fields
-(:mod:`gaitkit.stridelog` holds the log). The helpers they call once or more per step (:func:`~gaitkit.robot.leg_ik`,
+numpy call costs far more in dispatch than in arithmetic: the trunk state is a
+:class:`TrunkState` of float triples everywhere, from a trial's
+``initial_state`` through every :func:`step` to the state ``on_stride``
+receives. :func:`run_trial` works out the reference, touchdown targets, frame
+changes and leg torques on scalars. It hands the force QP the wrench, feet,
+stance and centre of mass as Python sequences, and :func:`step` the state,
+the saturated forces as float rows and the rotation it built for the step, so
+the integrator neither converts them nor rebuilds the rotation; :func:`step`
+integrates on scalars and returns a new :class:`TrunkState`. Each step is
+logged as one row write of a tuple of floats into one float64 buffer (the
+stance flags into a bool buffer beside it), whose column views are the
+:class:`~gaitkit.stridelog.StrideLog` fields (:mod:`gaitkit.stridelog` holds
+the log). The helpers they call once or more per step (:func:`~gaitkit.robot.leg_ik`,
 :func:`~gaitkit.robot.leg_jacobian`, :func:`rotation_matrix`,
 :func:`euler_rate_to_omega`, :func:`omega_to_euler_rates`, the swing arc and
 its acceleration, and the stance and swing torques) take sequences of floats
@@ -69,49 +69,25 @@ _LEGS = tuple(LegId)
 MAX_COMMAND_VELOCITY = 3.0
 
 
-@dataclass(frozen=True, eq=False)
-class BodyState:
-    """Trunk pose and rates: position/velocity, euler angles, world angular velocity.
-
-    The public form of the trunk state, as arrays: a trial's
-    ``initial_state`` and the state its ``on_stride`` receives.
-    :func:`run_trial` carries a :class:`TrunkState` from step to step; it
-    builds a body state only for a start state it draws itself and at each
-    stride boundary for ``on_stride``. :func:`step` returns one when it is
-    given one. The arrays are never modified in place once a state exists
-    (a new step builds a new state).
-    """
-
-    position: np.ndarray
-    velocity: np.ndarray
-    euler: np.ndarray  # (roll, pitch, yaw), pitch positive nose-up
-    omega: np.ndarray  # world frame
-
-
 class TrunkState(NamedTuple):
-    """The fields of :class:`BodyState` as tuples of three Python floats.
+    """Trunk pose and rates, each a tuple of three Python floats: position
+    and velocity, euler angles and world angular velocity.
 
-    The state :func:`run_trial` hands :func:`step` and gets back on every
-    control step; an immutable record, so a step costs no array.
+    The one form of the trunk state: a trial's ``initial_state``, the state
+    :func:`run_trial` hands :func:`step` and gets back on every control step,
+    and the state its ``on_stride`` receives. An immutable record, so a step
+    costs no array and a state handed out is never changed.
     """
 
     position: Vector3
     velocity: Vector3
-    euler: Vector3
-    omega: Vector3
+    euler: Vector3  # (roll, pitch, yaw), pitch positive nose-up
+    omega: Vector3  # world frame
 
 
-def _body_state(state: TrunkState) -> BodyState:
-    """``state`` as a :class:`BodyState` of new arrays with the same bits."""
-    return BodyState(
-        np.array(state.position), np.array(state.velocity),
-        np.array(state.euler), np.array(state.omega),
-    )
-
-
-def _trunk_state(state) -> TrunkState:
-    """The four vectors of a :class:`BodyState` (or any record with its
-    fields) as float triples with the same bits."""
+def _trunk_state(state: TrunkState) -> TrunkState:
+    """The four vectors of ``state`` (sequences or arrays of three numbers)
+    as float triples with the same bits."""
     return TrunkState(*(
         tuple(np.asarray(v, dtype=float).tolist())
         for v in (state.position, state.velocity, state.euler, state.omega)
@@ -274,7 +250,7 @@ def swing_acceleration(
 
 
 def step(
-    state: BodyState | TrunkState,
+    state: TrunkState,
     forces,
     stance,
     foot_positions,
@@ -282,13 +258,9 @@ def step(
     dt: float,
     *,
     rotation: Matrix3 | None = None,
-) -> BodyState | TrunkState:
-    """Semi-implicit Euler update of the trunk rigid-body dynamics.
-
-    ``state`` is any record with the four fields of :class:`BodyState`. With
-    arrays there, the result is a new :class:`BodyState`; with tuples of
-    three floats (a :class:`TrunkState`, the form :func:`run_trial`
-    carries), a new :class:`TrunkState`. Both kinds give the same bits.
+) -> TrunkState:
+    """Semi-implicit Euler update of the trunk rigid-body dynamics: the
+    :class:`TrunkState` one ``dt`` after ``state``.
 
     ``forces`` are the world-frame foot forces and ``foot_positions`` the
     world foot points, each four rows of three (an array or nested
@@ -310,9 +282,6 @@ def step(
     f = _leg_rows(forces, "forces")
     feet = _leg_rows(foot_positions, "foot positions")
     stance = _four_flags(stance).tolist()
-    arrays = isinstance(state.position, np.ndarray)
-    if arrays:
-        state = _trunk_state(state)
     px, py, pz = state.position
     (f0x, f0y, f0z), (f1x, f1y, f1z), (f2x, f2y, f2z), (f3x, f3y, f3z) = f
     fx = f0x + f1x + f2x + f3x
@@ -345,13 +314,12 @@ def step(
     vx, vy, vz = vx + ax * dt, vy + ay * dt, vz + az * dt
     omega = (wx + dx * dt, wy + dy * dt, wz + dz * dt)
     r0, r1, r2 = omega_to_euler_rates((roll, pitch, yaw), omega)
-    new = TrunkState(
+    return TrunkState(
         (px + vx * dt, py + vy * dt, pz + vz * dt),
         (vx, vy, vz),
         (roll + r0 * dt, pitch + r1 * dt, yaw + r2 * dt),
         omega,
     )
-    return _body_state(new) if arrays else new
 
 
 def stance_torques(force_body, q_leg, leg: LegId, params: RobotParams) -> Vector3:
@@ -399,7 +367,7 @@ def run_trial(
     rng: np.random.Generator | None = None,
     start_x: float = 0.0,
     finish_x: float | None = None,
-    initial_state: BodyState | None = None,
+    initial_state: TrunkState | None = None,
     on_stride=None,
 ) -> TrialResult:
     """Closed-loop trial: track ``v_cmd`` along the terrain under ``gait``.
@@ -407,10 +375,15 @@ def run_trial(
     ``gait`` is a :class:`GaitPattern`, held for the whole trial, or a
     :class:`GaitFsm`, advanced by one ``dt`` per step; the trial's events and
     action windows are the machine's (none for a pattern). Any other source
-    is a :class:`TypeError`. ``on_stride(stride_idx, state, t)``, when given,
-    is called at every stride boundary with the index of the stride that
-    starts, the body state and the time; it may request a gait from a machine
-    it holds. Logs are segmented per stride; the trial ends early on failure
+    is a :class:`TypeError`. The trial starts from ``initial_state``, a
+    :class:`TrunkState` whose vectors are turned into float triples once here;
+    by default it stands at ``start_x`` at the nominal height, moving at
+    ``v_cmd`` along the terrain, with ``rng`` jitter on roll, pitch and the
+    horizontal velocity. ``duration`` must be finite and cover three strides.
+    ``on_stride(stride_idx, state, t)``, when given, is called at every
+    stride boundary with the index of the stride that starts, the loop's own
+    :class:`TrunkState` and the time; it may request a gait from a machine it
+    holds. Logs are segmented per stride; the trial ends early on failure
     (attitude or height threshold) or when the body passes ``finish_x``.
 
     Every step writes one row of the trial's log buffers, and each returned
@@ -435,24 +408,27 @@ def run_trial(
         raise TypeError(f"gait must be a GaitPattern or a GaitFsm, not {type(gait)}")
     period = gait.period
 
-    if duration < 3.0 * period - 1e-9:
-        raise ValueError("trial duration must cover at least three strides")
+    # NaN and inf fail the test
+    if not 3.0 * period - 1e-9 <= duration < math.inf:
+        raise ValueError(
+            f"trial duration {duration} s must be finite and cover at least three strides"
+        )
 
     dt = config.dt
     rng = rng if rng is not None else np.random.default_rng(config.seed)
 
     samp0 = terrain.query(start_x)
     if initial_state is None:
-        jit_att = rng.uniform(-1.0, 1.0, size=2) * config.attitude_jitter
-        jit_vel = rng.uniform(-1.0, 1.0, size=2) * config.velocity_jitter
-        tangent = terrain.tangent(start_x)
-        initial_state = BodyState(
-            position=np.array(
-                [start_x, 0.0, samp0.height + config.nominal_height]
-            ),
-            velocity=v_cmd * tangent + np.array([jit_vel[0], jit_vel[1], 0.0]),
-            euler=np.array([jit_att[0], samp0.incline + jit_att[1], 0.0]),
-            omega=np.zeros(3),
+        roll0, pitch0 = (rng.uniform(-1.0, 1.0, size=2) * config.attitude_jitter).tolist()
+        vx0, vy0 = (rng.uniform(-1.0, 1.0, size=2) * config.velocity_jitter).tolist()
+        # v_cmd along the terrain tangent plus the jitter; the 0.0 terms keep
+        # the sign of zero of the vector sum
+        initial_state = TrunkState(
+            (start_x, 0.0, samp0.height + config.nominal_height),
+            (v_cmd * math.cos(samp0.incline) + vx0, 0.0 + vy0,
+             v_cmd * math.sin(samp0.incline) + 0.0),
+            (roll0, samp0.incline + pitch0, 0.0),
+            (0.0, 0.0, 0.0),
         )
     state = _trunk_state(initial_state)
 
@@ -690,7 +666,7 @@ def run_trial(
             acc.reset(t, state.position)
             stride_idx += 1
             if on_stride is not None:
-                on_stride(stride_idx, _body_state(state), t)
+                on_stride(stride_idx, state, t)
 
         if finish_x is not None and px >= finish_x:
             finished = True

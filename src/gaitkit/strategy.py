@@ -26,7 +26,7 @@ from .mapping import (
 from .metrics import MetricsConfig
 from .metrics import stride_metrics  # noqa: F401  (wrapped by perfbench/tracing.py)
 from .robot import RobotParams, Terrain
-from .simulation import MAX_COMMAND_VELOCITY, SimConfig, TrialResult, run_trial
+from .simulation import MAX_COMMAND_VELOCITY, SimConfig, TrialResult, TrunkState, run_trial
 from .transitions import GaitFsm, GaitTimingConfig
 
 
@@ -73,11 +73,17 @@ class MultiGait:
 Strategy = FixedGait | PerVelocityFixed | MultiGait
 
 
-def _check_coverage(strategy: Strategy, terrain: Terrain) -> None:
+def _check_coverage(strategy: Strategy, terrain: Terrain, start_x: float) -> None:
+    """The map of ``strategy`` holds its blend ratio and covers the terrain
+    its trials starting at ``start_x`` select from."""
     if isinstance(strategy, FixedGait):
         return
+    if strategy.c not in strategy.map.c_values:
+        raise StrategyError(
+            f"c={strategy.c} not present in the map (has {strategy.map.c_values})"
+        )
     if isinstance(strategy, PerVelocityFixed):
-        start_kind = terrain.segment_at(0.0).kind
+        start_kind = terrain.segment_at(start_x).kind
         if not strategy.map.covers(start_kind):
             raise StrategyError(f"map does not cover starting terrain {start_kind!r}")
         return
@@ -87,16 +93,14 @@ def _check_coverage(strategy: Strategy, terrain: Terrain) -> None:
 
 
 def _standing_state(terrain: Terrain, start_x: float, sim_cfg: SimConfig,
-                    rng: np.random.Generator):
-    from .simulation import BodyState
-
-    jitter = rng.uniform(-1.0, 1.0, size=2) * sim_cfg.attitude_jitter
+                    rng: np.random.Generator) -> TrunkState:
+    roll, pitch = (rng.uniform(-1.0, 1.0, size=2) * sim_cfg.attitude_jitter).tolist()
     samp = terrain.query(start_x)
-    return BodyState(
-        position=np.array([start_x, 0.0, samp.height + sim_cfg.nominal_height]),
-        velocity=np.zeros(3),
-        euler=np.array([jitter[0], samp.incline + jitter[1], 0.0]),
-        omega=np.zeros(3),
+    return TrunkState(
+        (start_x, 0.0, samp.height + sim_cfg.nominal_height),
+        (0.0, 0.0, 0.0),
+        (roll, samp.incline + pitch, 0.0),
+        (0.0, 0.0, 0.0),
     )
 
 
@@ -125,7 +129,7 @@ def run_strategy(
     """
     sim_cfg = sim_cfg or SimConfig()
     params = params or RobotParams()
-    _check_coverage(strategy, terrain)
+    _check_coverage(strategy, terrain, start_x)
     if finish_x is None:
         finish_x = terrain.course_end
     rng = rng if rng is not None else np.random.default_rng(seed)
@@ -147,15 +151,16 @@ def run_strategy(
         fsm = GaitFsm(initial, period=period, switch_time=timing.switch_time,
                       dwell_strides=timing.dwell_strides)
         hyst = HysteresisState(initial, v0, start_kind)
-        prev_mark = [0.0, np.array([start_x, 0.0, terrain.query(start_x).height
-                                    + sim_cfg.nominal_height])]
+        prev_t = 0.0
+        prev = (start_x, 0.0, terrain.query(start_x).height + sim_cfg.nominal_height)
 
         def on_stride(stride_idx, body, t):
-            nonlocal hyst
-            dt = t - prev_mark[0]
-            v_meas = float(np.linalg.norm(body.position - prev_mark[1]) / dt) if dt > 0 else 0.0
-            prev_mark[0] = t
-            prev_mark[1] = body.position.copy()
+            nonlocal hyst, prev_t, prev
+            dt = t - prev_t
+            v_meas = (
+                float(np.linalg.norm(np.subtract(body.position, prev)) / dt) if dt > 0 else 0.0
+            )
+            prev_t, prev = t, body.position
             kind = terrain.segment_at(
                 min(max(body.position[0], terrain.start_x), terrain.end_x)
             ).kind
@@ -240,7 +245,7 @@ def compare(
             f"supported [0, {MAX_COMMAND_VELOCITY:g}] m/s"
         )
     for strategy in strategies:
-        _check_coverage(strategy, terrain)
+        _check_coverage(strategy, terrain, 0.0)  # every trial starts at x = 0
     if trial_hook is None:
         trial_hook = partial(
             _strategy_trial, terrain, sim_cfg or SimConfig(), params or RobotParams(),

@@ -420,6 +420,22 @@ def test_compare_bad_velocity_range_exits_one_before_any_trial(tmp_path, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("duration", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--gait", "trot", "--velocity", "1.2", "--out"],
+     ["compare", "--terrain", "flat", "--strategy", "fixed:trot", "--trials", "2", "--out"]],
+    ids=["simulate", "compare"],
+)
+def test_non_finite_duration_exits_one_without_output(tmp_path, capsys, command, duration):
+    # inf used to end in an OverflowError traceback, NaN in "cannot convert
+    # float NaN to integer"
+    out = tmp_path / "runs" / "out"
+    assert main([*command, str(out), "--duration", duration]) == 1
+    assert list(tmp_path.iterdir()) == []
+    assert "duration" in capsys.readouterr().err
+
+
 def test_simulate_json_strides_keep_their_csv_numbers(tmp_path, monkeypatch):
     # stride 0 covers no distance, so it has no CoT and is left out of the
     # JSON; the strides after it keep the numbers the CSV gives them

@@ -38,7 +38,6 @@ from gaitkit.robot import (
     terrain_preset,
 )
 from gaitkit.simulation import (
-    BodyState,
     SimConfig,
     euler_rate_to_omega,
     omega_to_euler_rates,
@@ -96,21 +95,22 @@ def _reference_query(terrain, x):
 def _reference_step(state, forces, stance, foot_positions, params, dt):
     """Reference step: world inertia built per call and solved against, and
     Euler rates from a solve."""
+    position, velocity, euler, omega = (np.array(v) for v in state)
     f_total = forces.sum(axis=0)
     moment = np.zeros(3)
     for leg in range(4):
         if stance[leg]:
-            moment += np.cross(foot_positions[leg] - state.position, forces[leg])
+            moment += np.cross(foot_positions[leg] - position, forces[leg])
     accel = params.gravity * np.array([0.0, 0.0, -1.0]) + f_total / params.mass
-    rot = np.asarray(rotation_matrix(state.euler))
+    rot = np.asarray(rotation_matrix(euler))
     inertia_w = rot @ np.diag(params.inertia_diag) @ rot.T
-    gyro = np.cross(state.omega, inertia_w @ state.omega)
+    gyro = np.cross(omega, inertia_w @ omega)
     omega_dot = np.linalg.solve(inertia_w, moment - gyro)
-    velocity = state.velocity + accel * dt
-    position = state.position + velocity * dt
-    omega = state.omega + omega_dot * dt
-    euler = state.euler + _reference_euler_rates(state.euler, omega) * dt
-    return position, velocity, euler, omega
+    velocity = velocity + accel * dt
+    position = position + velocity * dt
+    new_omega = omega + omega_dot * dt
+    euler = euler + _reference_euler_rates(euler, new_omega) * dt
+    return position, velocity, euler, new_omega
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -191,16 +191,28 @@ def test_query_matches_per_call_values_at_joins(name):
             assert got.incline == incline
 
 
+def _random_state(rng):
+    return TrunkState(
+        position=tuple(rng.normal(0.0, 1.0, 3).tolist()),
+        velocity=tuple(rng.normal(0.0, 1.0, 3).tolist()),
+        euler=tuple(rng.uniform(-0.5, 0.5, 3).tolist()),
+        omega=tuple(rng.normal(0.0, 2.0, 3).tolist()),
+    )
+
+
+def _is_float_state(state) -> bool:
+    """A TrunkState whose four fields are tuples of three Python floats."""
+    return type(state) is TrunkState and all(
+        type(v) is tuple and len(v) == 3 and all(type(x) is float for x in v)
+        for v in state
+    )
+
+
 def test_step_matches_per_call_reference():
     rng = np.random.default_rng(11)
     params = RobotParams()
     for _ in range(200):
-        state = BodyState(
-            position=rng.normal(0.0, 1.0, 3),
-            velocity=rng.normal(0.0, 1.0, 3),
-            euler=rng.uniform(-0.5, 0.5, 3),
-            omega=rng.normal(0.0, 2.0, 3),
-        )
+        state = _random_state(rng)
         stance = rng.random(4) < 0.6
         forces = rng.normal(0.0, 40.0, (4, 3)) * stance[:, None]
         feet = rng.normal(0.0, 0.3, (4, 3))
@@ -218,36 +230,22 @@ def test_step_takes_float_rows_and_a_rotation_with_the_array_bits():
     rng = np.random.default_rng(12)
     params = RobotParams()
     for _ in range(200):
-        state = BodyState(
-            position=rng.normal(0.0, 1.0, 3),
-            velocity=rng.normal(0.0, 1.0, 3),
-            euler=rng.uniform(-0.5, 0.5, 3),
-            omega=rng.normal(0.0, 2.0, 3),
-        )
+        state = _random_state(rng)
         stance = rng.random(4) < 0.6
         forces_in = rng.normal(0.0, 40.0, (4, 3)) * stance[:, None]
         feet = rng.normal(0.0, 0.3, (4, 3))
         want = step(state, forces_in, stance, feet, params, 0.002)
+        assert _is_float_state(want)
         rows = (forces_in.tolist(), stance.tolist(), [tuple(r) for r in feet.tolist()])
-        rotation = rotation_matrix(state.euler.tolist())
+        rotation = rotation_matrix(state.euler)
         for got in (
             step(state, *rows, params, 0.002),
             step(state, forces_in, stance, feet, params, 0.002, rotation=rotation),
             step(state, *rows, params, 0.002, rotation=rotation),
         ):
-            assert type(got) is BodyState
-            for f in dataclasses.fields(want):
-                assert _same_bits(getattr(got, f.name), getattr(want, f.name)), f.name
-        # the float state run_trial carries gives a float state of the same bits
-        floats = TrunkState(*(tuple(getattr(state, f).tolist()) for f in TrunkState._fields))
-        for got in (
-            step(floats, forces_in, stance, feet, params, 0.002),
-            step(floats, *rows, params, 0.002, rotation=rotation),
-        ):
-            assert type(got) is TrunkState
+            assert _is_float_state(got)
             for f, value in zip(TrunkState._fields, got):
-                assert type(value) is tuple and all(type(v) is float for v in value), f
-                assert _same_bits(np.array(value), getattr(want, f)), f
+                assert _same_bits(value, getattr(want, f)), f
 
 
 def _trot_on(terrain_name, start_x, duration):
@@ -544,11 +542,11 @@ def _finish_on_stride_boundary(log):
 
 
 def _one_step_nan_fall(log):
-    bad = BodyState(
-        position=np.array([0.0, 0.0, 0.32]),
-        velocity=np.array([math.nan, 0.0, 0.0]),
-        euler=np.zeros(3),
-        omega=np.zeros(3),
+    bad = TrunkState(
+        position=(0.0, 0.0, 0.32),
+        velocity=(math.nan, 0.0, 0.0),
+        euler=(0.0, 0.0, 0.0),
+        omega=(0.0, 0.0, 0.0),
     )
     quiet = dataclasses.replace(SimConfig(), attitude_jitter=0.0, velocity_jitter=0.0)
     result = run_trial(
@@ -591,28 +589,6 @@ def test_stride_logs_are_the_rows_the_integrator_received(monkeypatch, trial):
             assert not np.shares_memory(getattr(a, name), getattr(b, name)), name
 
 
-@pytest.mark.parametrize(
-    "trial",
-    [_steady_trot, _falling_bound, _fsm_trot_to_walk, _finish_on_stride_boundary,
-     _one_step_nan_fall],
-    ids=["steady-trot", "falling-bound", "fsm-trot-walk", "finish-on-boundary", "nan-fall"],
-)
-def test_a_trial_builds_at_most_strides_plus_two_body_states(monkeypatch, trial):
-    # run_trial carries float triples from step to step; a BodyState is built
-    # only where one is read, such as for on_stride at a stride boundary
-    built = []
-
-    def counted(*args, **kwargs):
-        state = BodyState(*args, **kwargs)
-        built.append(state)
-        return state
-
-    log = _IntegratorLog(monkeypatch)
-    monkeypatch.setattr(simulation, "BodyState", counted)
-    result = trial(log)
-    assert len(built) <= len(result.strides) + 2
-
-
 def test_on_stride_gets_the_body_state_that_opens_the_next_stride():
     bodies = []
     result = run_trial(
@@ -622,13 +598,41 @@ def test_on_stride_gets_the_body_state_that_opens_the_next_stride():
     assert [idx for idx, _, _ in bodies] == list(range(1, len(bodies) + 1))
     assert len(bodies) >= len(result.strides) - 1 >= 2
     for idx, body, t in bodies:
-        assert type(body) is BodyState
+        assert _is_float_state(body)
         if idx == len(result.strides):
             continue  # the trial ended on this boundary
         stride = result.strides[idx]
         assert stride.time[0] == t
-        for name in ("position", "velocity", "euler", "omega"):
-            assert _same_bits(getattr(body, name), getattr(stride, name)[0]), name
+        for name, value in zip(TrunkState._fields, body):
+            assert _same_bits(value, getattr(stride, name)[0]), name
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_the_default_start_state_is_the_first_log_row(preset):
+    # v_cmd along the terrain tangent at start_x plus the velocity jitter,
+    # roll and pitch jitter on the terrain incline, from the trial's rng: two
+    # attitude draws, then two velocity draws
+    terrain = terrain_preset(preset)
+    config = SimConfig(attitude_jitter=0.04, velocity_jitter=0.06)
+    start_x, v_cmd = 2.5, 1.1
+    result = run_trial(
+        standard_gait(GaitName.TROT), v_cmd, terrain, 1.2, config,
+        rng=np.random.default_rng(41), start_x=start_x,
+    )
+    rng = np.random.default_rng(41)
+    att = rng.uniform(-1.0, 1.0, size=2) * config.attitude_jitter
+    jit = rng.uniform(-1.0, 1.0, size=2) * config.velocity_jitter
+    samp = terrain.query(start_x)
+    tangent = np.array([math.cos(samp.incline), 0.0, math.sin(samp.incline)])
+    first = result.strides[0]
+    want = {
+        "position": np.array([start_x, 0.0, samp.height + config.nominal_height]),
+        "velocity": v_cmd * tangent + np.array([jit[0], jit[1], 0.0]),
+        "euler": np.array([att[0], samp.incline + att[1], 0.0]),
+        "omega": np.zeros(3),
+    }
+    for name, value in want.items():
+        assert _same_bits(getattr(first, name)[0], value), name
 
 
 @pytest.mark.parametrize("trial", [_steady_trot, _falling_bound], ids=["steady-trot", "falling-bound"])

@@ -10,8 +10,8 @@ from gaitkit.gaits import GaitName, LegId, standard_gait
 from gaitkit.mapping import MapConfig, build_map
 from gaitkit.robot import RobotParams, terrain_preset
 from gaitkit.simulation import (
-    BodyState,
     SimConfig,
+    TrunkState,
     run_trial,
     stance_torques,
     step,
@@ -26,12 +26,7 @@ QUIET = dataclasses.replace(SimConfig(), attitude_jitter=0.0, velocity_jitter=0.
 
 
 def _state(pos=(0, 0, 1.0), vel=(0, 0, 0), euler=(0, 0, 0), omega=(0, 0, 0)):
-    return BodyState(
-        position=np.array(pos, dtype=float),
-        velocity=np.array(vel, dtype=float),
-        euler=np.array(euler, dtype=float),
-        omega=np.array(omega, dtype=float),
-    )
+    return TrunkState(*(tuple(float(x) for x in v) for v in (pos, vel, euler, omega)))
 
 
 def _no_contact():
@@ -105,7 +100,7 @@ def test_ballistic_energy_conservation_staggered():
         states.append(s)
     energies = []
     for a, b in zip(states[:-1], states[1:]):
-        v_mid = 0.5 * (a.velocity + b.velocity)
+        v_mid = 0.5 * np.add(a.velocity, b.velocity)
         e = 0.5 * PARAMS.mass * v_mid @ v_mid + PARAMS.mass * PARAMS.gravity * a.position[2]
         energies.append(e)
     energies = np.array(energies)
@@ -244,11 +239,11 @@ def test_trot_stable_at_1ms_for_25_strides():
 def test_forced_pitch_failure():
     # 0.5 rad pitch offset plus a fast nose-down tumble while already dropping
     terrain = terrain_preset("flat")
-    bad = BodyState(
-        position=np.array([0.0, 0.0, 0.25]),
-        velocity=np.array([1.0, 0.0, -1.0]),
-        euler=np.array([0.0, 0.5, 0.0]),
-        omega=np.array([0.0, 8.0, 0.0]),
+    bad = TrunkState(
+        position=(0.0, 0.0, 0.25),
+        velocity=(1.0, 0.0, -1.0),
+        euler=(0.0, 0.5, 0.0),
+        omega=(0.0, 8.0, 0.0),
     )
     res = run_trial(
         standard_gait(GaitName.TROT), 1.0, terrain, 4.0, QUIET, PARAMS,

@@ -26,9 +26,8 @@ QUIET = dataclasses.replace(
 )
 
 
-def _map_selecting(selection):
+def _map_selecting(selection, c_values=(0.1, 0.5, 0.9)):
     """Build a map over given terrains where `selection[kind]` always wins."""
-    c_values = (0.1, 0.5, 0.9)
     merged = None
     for kind, winner in selection.items():
         terrain = terrain_preset("flat")
@@ -104,6 +103,20 @@ def test_multigait_requires_full_coverage():
         run_strategy(MultiGait(m, 0.5), terrain, 1.0, QUIET, duration=4.0)
 
 
+def test_per_velocity_fixed_checks_the_terrain_at_its_start(monkeypatch):
+    # flat-slope turns to slope12 at x = 3: a trial from x = 4 selects on slope12
+    terrain = terrain_preset("flat-slope")
+    ran = []
+    monkeypatch.setattr(strategy, "run_trial", lambda gait, *args, **kwargs: ran.append(gait))
+    slope_only = _map_selecting({"slope12": GaitName.TROT})
+    run_strategy(PerVelocityFixed(slope_only, 0.5), terrain, 0.5, QUIET, start_x=4.0)
+    assert ran == [standard_gait(GaitName.TROT)]
+    flat_only = _map_selecting({"flat": GaitName.TROT})
+    with pytest.raises(StrategyError, match="slope12"):
+        run_strategy(PerVelocityFixed(flat_only, 0.5), terrain, 0.5, QUIET, start_x=4.0)
+    assert len(ran) == 1
+
+
 def test_per_velocity_fixed_selects_once():
     terrain = terrain_preset("flat-slope")
     m = _map_selecting({"flat": GaitName.WALK, "slope12": GaitName.TROT_RUN})
@@ -174,7 +187,8 @@ def test_compare_clamped_metrics_within_bounds():
 
 
 def test_multigait_c0_minimizes_cot_on_synthetic_harness():
-    # by construction the multi-gait argmin at c=0 beats every fixed gait
+    # by construction the multi-gait argmin at c=0 beats every fixed gait;
+    # the map must hold c=0, or compare rejects the strategy
     terrain = terrain_preset("flat")
     hooks = {
         "fixed:trot": (0.5, 0.1),
@@ -183,7 +197,7 @@ def test_multigait_c0_minimizes_cot_on_synthetic_harness():
     }
     rows = compare(
         [FixedGait(GaitName.TROT), FixedGait(GaitName.WALK),
-         MultiGait(_map_selecting({"flat": GaitName.TROT}), 0.0)],
+         MultiGait(_map_selecting({"flat": GaitName.TROT}, c_values=(0.0, 0.5, 1.0)), 0.0)],
         terrain,
         trials=4,
         velocity_range=(0.3, 2.7),
@@ -314,3 +328,17 @@ def test_compare_propagates_other_value_errors(monkeypatch):
     monkeypatch.setattr(strategy, "run_strategy", broken)
     with pytest.raises(ValueError, match="a programming error"):
         compare([FixedGait(GaitName.TROT)], terrain_preset("flat"), 1, (0.8, 1.0))
+
+
+@pytest.mark.parametrize("flavor", [PerVelocityFixed, MultiGait], ids=["per-velocity", "multi"])
+def test_compare_rejects_a_blend_ratio_missing_from_the_map_before_any_trial(
+    monkeypatch, flavor
+):
+    # the map holds c = 0.1, 0.5 and 0.9; not even the fixed:trot trials
+    # listed first may run
+    calls = []
+    monkeypatch.setattr(strategy, "run_strategy", lambda *args, **kwargs: calls.append(args))
+    m = _map_selecting({"flat": GaitName.TROT})
+    with pytest.raises(StrategyError, match="c=0.3 not present"):
+        compare([FixedGait(GaitName.TROT), flavor(m, 0.3)], terrain_preset("flat"), 10)
+    assert calls == []
