@@ -86,6 +86,18 @@ system itself for an empty working set; only the border rows of the
 working set are rewritten per iteration. No cache is keyed on the working
 set.
 
+Each KKT system is solved by the LAPACK gesv gufunc that ``np.linalg.solve``
+calls for a vector right-hand side (``numpy.linalg._umath_linalg.solve1``),
+called directly: the same LAPACK call and the same bits, without the
+wrapper's array conversion, type resolution and ``errstate`` context. Only
+the wrapper turns a singular system into ``LinAlgError``; the gufunc returns
+NaN for it (with numpy's invalid-value warning). So a solution that is not
+finite is solved again by ``np.linalg.solve``: a singular system still
+raises ``LinAlgError``, and a system with NaN entries, which is not singular
+to LAPACK, still gives NaN. Independence tests read the rows of G as Python
+floats, converted once per ``solve_qp`` call and only when a seeded or a
+blocking row is first tested.
+
 Euclidean norms of iterates and steps are taken as ``math.sqrt(v.dot(v))``,
 the same dot product and correctly rounded square root that
 ``np.linalg.norm`` uses for them, without its dispatch overhead.
@@ -98,6 +110,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # Weight of the norm-minimization term relative to the wrench penalty. Small
 # enough that the wrench residual stays far below the 1e-6 feasibility
@@ -121,6 +134,9 @@ _SQRT_RIDGE = math.sqrt(_RIDGE)
 # the multiplier below which a working-set row is dropped, in the units of
 # the objective (multipliers of feasible splits are eps * |f|, about 1e-7)
 _LAMBDA_TOL = -1e-12
+# the LAPACK gesv gufunc that np.linalg.solve calls for a vector right-hand
+# side, without the wrapper's array conversion, type resolution and errstate
+_lapack_solve = _umath_linalg.solve1
 
 
 @dataclass
@@ -225,9 +241,10 @@ def _constraints(
     return G, h
 
 
-def _independent(G: np.ndarray, i: int, active: list[int], group_rows: int) -> bool:
+def _independent(rows: list, i: int, active: list[int], group_rows: int) -> bool:
     """Whether row ``i`` of G is independent of the active rows of its group.
 
+    ``rows`` holds the rows of G as lists of Python floats (``G.tolist()``).
     The active rows of a group are independent themselves (only independent
     rows are added), so three of them span the group's three columns.
     """
@@ -237,13 +254,13 @@ def _independent(G: np.ndarray, i: int, active: list[int], group_rows: int) -> b
         return True
     if len(basis) == 3:
         return False
-    cols = slice(3 * b, 3 * b + 3)
-    r0, r1, r2 = G[i, cols].tolist()
-    a0, a1, a2 = G[basis[0], cols].tolist()
+    c = 3 * b
+    r0, r1, r2 = rows[i][c : c + 3]
+    a0, a1, a2 = rows[basis[0]][c : c + 3]
     if len(basis) == 2:
         # independent unless the row lies in the plane of the two: the
         # triple product against their normal vanishes
-        b0, b1, b2 = G[basis[1], cols].tolist()
+        b0, b1, b2 = rows[basis[1]][c : c + 3]
         n0, n1, n2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
         dot = n0 * r0 + n1 * r1 + n2 * r2
         scale = (n0 * n0 + n1 * n1 + n2 * n2) * (r0 * r0 + r1 * r1 + r2 * r2)
@@ -289,6 +306,11 @@ def solve_qp(
     exact); each group then holds at most three active rows and the
     augmented system stays nonsingular. Returns the iterate, the number of
     solves that ran (at most ``max_iter``) and the final working set.
+
+    Each solve calls LAPACK's gesv gufunc directly, with the bits
+    ``np.linalg.solve`` gives; a result that is not finite is solved again
+    by ``np.linalg.solve``, so a singular system raises ``LinAlgError`` (after
+    the gufunc's invalid-value warning) and NaN inputs give NaN.
     """
     rows, n = M.shape
     group_rows = 3 * G.shape[0] // n
@@ -297,9 +319,15 @@ def solve_qp(
     # h - G x is h (a +0.0 iterate adds only zeros), so neither is formed
     at_origin = True
     active: list[int] = []
+    # the rows of G as Python floats, converted once, for the first
+    # independence test that needs them
+    rows_G = None
     for i in working_set:
-        if h[i] == 0.0 and _independent(G, i, active, group_rows):
-            active.append(i)
+        if h[i] == 0.0:
+            if rows_G is None:
+                rows_G = G.tolist()
+            if _independent(rows_G, i, active, group_rows):
+                active.append(i)
     # the augmented system with room for as many working-set rows as there
     # are unknowns (a group holds at most three, so at most n): M and M' are
     # written once, C borders it below and to the right, and the leading
@@ -320,7 +348,11 @@ def solve_qp(
             kkt[rows:size, size:] = C.T
         rhs = np.zeros(size + m)
         rhs[:rows] = b if at_origin else b - M @ x
-        sol = np.linalg.solve(kkt, rhs)
+        sol = _lapack_solve(kkt, rhs)
+        if not math.isfinite(sol.dot(sol)):
+            # a singular system (NaN, with the gufunc's invalid-value
+            # warning) raises LinAlgError here; NaN-bearing inputs give NaN
+            sol = np.linalg.solve(kkt, rhs)
         p = sol[rows:size]
 
         if math.sqrt(p.dot(p)) > 1e-9 * max(1.0, math.sqrt(x.dot(x))):
@@ -336,8 +368,10 @@ def solve_qp(
             # the nearest independent row blocks (lowest index on ties)
             alpha = 1.0
             blocking = -1
+            if ratios and rows_G is None:
+                rows_G = G.tolist()
             for step, i in sorted(ratios):
-                if _independent(G, i, active, group_rows):
+                if _independent(rows_G, i, active, group_rows):
                     alpha = step
                     blocking = i
                     break

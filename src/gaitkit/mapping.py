@@ -9,6 +9,7 @@ in c, per-trial CoT/STB are computed once and reused across all c values.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -56,6 +57,10 @@ class MapConfig:
                 raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
         if any(not 0.0 <= c <= 1.0 for c in self.c_values):
             raise ValueError("c values must lie in [0, 1]")
+        for name in ("v_min", "v_max", "v_step"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"map.{name} must be finite, got {value}")
         grid = self.velocity_grid()
         # the grid rises, so its ends bound it; NaN fails the test
         if not (0.0 <= grid[0] and grid[-1] <= MAX_COMMAND_VELOCITY):
@@ -139,9 +144,12 @@ class VelocityGaitMap:
         return merged
 
     def bin_index(self, terrain_id: str, velocity: float) -> tuple[int, bool]:
-        """Nearest bin (round half up); flags when the query was clamped."""
+        """Nearest bin (round half up); flags when the query was clamped. A
+        non-finite velocity is a ValueError."""
         if terrain_id not in self.v_grids:
             raise ValueError(f"map does not cover terrain {terrain_id!r}")
+        if not math.isfinite(velocity):
+            raise ValueError(f"velocity must be finite, got {velocity}")
         grid = self.v_grids[terrain_id]
         if len(grid) == 1:
             idx = 0

@@ -249,6 +249,15 @@ def swing_acceleration(
     )
 
 
+def _four_bools(stance) -> bool:
+    """Whether ``stance`` is a list of four Python bools, the form
+    :func:`run_trial` passes, which :func:`step` reads as it is."""
+    if type(stance) is not list or len(stance) != 4:
+        return False
+    s0, s1, s2, s3 = stance
+    return type(s0) is type(s1) is type(s2) is type(s3) is bool
+
+
 def step(
     state: TrunkState,
     forces,
@@ -265,11 +274,13 @@ def step(
     ``forces`` are the world-frame foot forces and ``foot_positions`` the
     world foot points, each four rows of three (an array or nested
     sequences of floats), and ``stance`` holds four flags; any other shape
-    is a ValueError. Only stance feet add a moment. Swing legs are expected
-    to carry zero force: in :func:`run_trial` they do by construction (the
-    force QP returns zero rows off stance, and torque saturation only scales
-    rows). ``rotation`` is ``rotation_matrix(state.euler)``, for a caller
-    that has built it already; by default it is built here.
+    is a ValueError; a list of four Python bools, the form :func:`run_trial`
+    passes, is read without building an array. Only stance feet add a
+    moment. Swing legs are expected to carry zero force: in :func:`run_trial`
+    they do by construction (the force QP returns zero rows off stance, and
+    torque saturation only scales rows). ``rotation`` is
+    ``rotation_matrix(state.euler)``, for a caller that has built it already;
+    by default it is built here.
 
     The update runs on Python floats. The force total, the moment sum and the
     position and velocity updates add in numpy's order (rows in leg order,
@@ -281,7 +292,8 @@ def step(
         raise ValueError("integration step must lie in (0, 2 ms]")
     f = _leg_rows(forces, "forces")
     feet = _leg_rows(foot_positions, "foot positions")
-    stance = _four_flags(stance).tolist()
+    if not _four_bools(stance):
+        stance = _four_flags(stance).tolist()
     px, py, pz = state.position
     (f0x, f0y, f0z), (f1x, f1y, f1z), (f2x, f2y, f2z), (f3x, f3y, f3z) = f
     fx = f0x + f1x + f2x + f3x
@@ -480,7 +492,7 @@ def run_trial(
     finished = False
     strides: list[StrideLog] = []
     n_steps = int(round(duration / dt))
-    acc = StrideAccumulator(n_steps)
+    acc = StrideAccumulator(n_steps, dt, q)
     acc.reset(0.0, state.position)
 
     # the ground under the body; after each step it is resampled for the
@@ -518,8 +530,6 @@ def run_trial(
 
         eff_stance = [False] * 4
         foot_acc = [(0.0, 0.0, 0.0)] * 4
-        q_prev = q
-        q = list(q)
         for leg in _LEGS:
             s = leg_contact(pattern, phase, leg).swing_phase
             if s is not None:
@@ -631,11 +641,12 @@ def run_trial(
             taus.append(tau)
 
         # the step's log row, in _LOG_FIELDS order: what the force QP and
-        # the integrator read
+        # the integrator read, and the joint angles, which the stride log
+        # turns into joint rates when the stride closes
         (u0, u1, u2, u3), (f0, f1, f2, f3), (p0, p1, p2, p3) = taus, applied, foot_pos
+        q0, q1, q2, q3 = q
         acc.write((
-            t, *u0, *u1, *u2, *u3,
-            *[(a - b) / dt for new, old in zip(q, q_prev) for a, b in zip(new, old)],
+            t, *u0, *u1, *u2, *u3, *q0, *q1, *q2, *q3,
             *f0, *f1, *f2, *f3, px, py, pz, vx, vy, vz, *euler, *omega,
             *omega_to_euler_rates(euler, omega), *p0, *p1, *p2, *p3,
         ), eff_stance)

@@ -4,7 +4,10 @@
 :meth:`StrideAccumulator.write` of a tuple of floats into one float64 buffer
 (the stance flags into a bool buffer beside it) and closes a
 :class:`StrideLog` at each stride boundary; the log fields are column views
-of those buffers, not copies.
+of those buffers, not copies. A step row carries the joint angles in the
+``joint_velocities`` columns; :meth:`StrideAccumulator.close` turns the
+stride's rows into joint rates in place, with one subtraction and one
+division over the stride.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ class StrideLog:
 
     time: np.ndarray  # (n,)
     torques: np.ndarray  # (n, 12) per-leg (abduction, hip, knee), LegId order
-    joint_velocities: np.ndarray  # (n, 12)
+    # (n, 12) per-step joint rates (q - q_prev) / dt, q_prev the angles of
+    # the step before (of the start pose for a trial's first step)
+    joint_velocities: np.ndarray
     forces: np.ndarray  # (n, 4, 3) world frame
     stance: np.ndarray  # (n, 4) bool
     position: np.ndarray  # (n, 3)
@@ -61,6 +66,8 @@ class TrialResult:
 
 # The float fields of a step's log row, in row order, with their shapes per
 # step; run_trial writes them in this order as one row of one float64 buffer.
+# A row's joint_velocities columns hold the step's joint angles until its
+# stride closes.
 _LOG_FIELDS = (
     ("time", ()),
     ("torques", (12,)),
@@ -92,10 +99,20 @@ class StrideAccumulator:
     buffers of at most ``_LOG_BUFFER_ROWS`` new rows each: a full buffer is
     replaced by one for the steps still to come, the open stride's rows move
     along, and the strides closed before stay views of the old one.
+
+    Until its stride closes, a row holds the step's joint angles in the
+    ``joint_velocities`` columns; :meth:`close` differences them against the
+    angles of the row before, carried over from the last stride (the start
+    pose's angles ``q0`` for the first), and divides by ``dt``. IEEE
+    subtraction and division give numpy the bits that ``(q - q_prev) / dt``
+    on Python floats gives, step by step.
     """
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, dt: float, q0) -> None:
         self.remaining = n
+        self.dt = dt
+        # the joint angles of the step before the open stride, 12 floats
+        self.q_prev = np.array(q0, dtype=float).reshape(12)
         self.count = 0
         self.start = 0
         self._allocate(0)
@@ -144,10 +161,16 @@ class StrideAccumulator:
     def close(
         self, t: float, pos, v_cmd: float, failed: bool, complete: bool
     ) -> StrideLog | None:
-        """The open stride as views of the buffers; None if it has no step."""
+        """The open stride as views of the buffers, its joint angles turned
+        into joint rates; None if it has no step."""
         if self.count <= self.start:
             return None
         rows = slice(self.start, self.count)
+        q = self.fields["joint_velocities"][rows]
+        prev = np.concatenate((self.q_prev[None], q[:-1]))
+        self.q_prev = q[-1].copy()
+        np.subtract(q, prev, out=q)
+        np.divide(q, self.dt, out=q)
         return StrideLog(
             **{name: view[rows] for name, view in self.fields.items()},
             stance=self.stance[rows],

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -434,6 +435,38 @@ def test_non_finite_duration_exits_one_without_output(tmp_path, capsys, command,
     assert main([*command, str(out), "--duration", duration]) == 1
     assert list(tmp_path.iterdir()) == []
     assert "duration" in capsys.readouterr().err
+
+
+_DEMO_MAP = str(Path(__file__).resolve().parent.parent / "maps" / "demo-map.json")
+
+
+@pytest.mark.parametrize("velocity", ["inf", "nan"])
+def test_select_non_finite_velocity_exits_one_with_a_message(tmp_path, capsys, velocity):
+    # inf used to end in an OverflowError traceback, NaN in "cannot convert
+    # float NaN to integer"
+    assert main(["select", "--map", _DEMO_MAP, "--velocity", velocity, "--c", "0.5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    assert f"velocity must be finite, got {velocity}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--v-step", "nan"), ("--v-min", "nan"), ("--v-max", "nan"), ("--v-max", "inf")],
+)
+def test_build_map_non_finite_grid_exits_one_without_output(
+    tmp_path, monkeypatch, capsys, flag, value
+):
+    monkeypatch.setattr(mapping, "run_trial", _no_trial)
+    out = tmp_path / "maps" / "map.json"
+    assert main(_BUILD_MAP + [flag, value, "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert "Traceback" not in err
+    assert f"map.{flag[2:].replace('-', '_')} must be finite, got {value}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_json_strides_keep_their_csv_numbers(tmp_path, monkeypatch):

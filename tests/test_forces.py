@@ -568,3 +568,55 @@ def test_feet_that_are_not_four_by_three_are_rejected(feet):
         with pytest.raises(ValueError):
             distribute_forces(tuple(wrench.tolist()), feet, stance, (0.0, 0.0, 0.32),
                               0.7, 2 * MG)
+
+
+def _record_direct_solves(monkeypatch):
+    """Wrap the LAPACK gufunc solve_qp calls; each call's result is kept with
+    np.linalg.solve's on the same system, taken before the loop rewrites it."""
+    solves = []
+    direct = forces._lapack_solve
+
+    def recorded(kkt, rhs):
+        sol = direct(kkt, rhs)
+        solves.append((sol.tobytes(), np.linalg.solve(kkt, rhs).tobytes()))
+        return sol
+
+    monkeypatch.setattr(forces, "_lapack_solve", recorded)
+    return solves
+
+
+def test_direct_solve_gives_the_numpy_solve_bits_on_random_instances(monkeypatch):
+    # the instances of test_500_random_instances_constraints_hold, cold and
+    # hot-started from the previous instance's working set
+    solves = _record_direct_solves(monkeypatch)
+    rng = np.random.default_rng(2024)
+    working_set = ()
+    for _ in range(500):
+        wrench, feet, stance, com = _random_instance(rng)
+        distribute_forces(wrench, feet, stance, com, 0.7, 2 * MG)
+        d = distribute_forces(wrench, feet, stance, com, 0.7, 2 * MG, working_set=working_set)
+        working_set = d.working_set
+    assert len(solves) >= 1000
+    assert all(got == want for got, want in solves)
+
+
+def test_singular_kkt_raises_linalgerror():
+    # M = 0 leaves the augmented system's lower-right block zero; the gufunc
+    # returns NaN with its invalid-value warning, and the np.linalg.solve
+    # fallback raises
+    G, h = forces._constraints((forces._UP_BYTES,) * 2, 0.7, 2 * MG)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        with pytest.raises(np.linalg.LinAlgError):
+            forces.solve_qp(np.zeros((12, 6)), np.ones(12), G, h)
+
+
+def test_nan_wrench_gives_the_numpy_solve_bits(monkeypatch):
+    # a NaN-bearing system is not singular: the fallback returns NaN as
+    # np.linalg.solve does, and the QP returns instead of raising
+    solves = _record_direct_solves(monkeypatch)
+    wrench = np.array([0.0, 0.0, MG, math.nan, 0.0, 0.0])
+    d = distribute_forces(wrench, _standing_feet(), [True, False, False, True], COM,
+                          0.7, 2 * MG)
+    assert not d.feasible
+    assert solves and all(got == want for got, want in solves)
+    assert any(np.isnan(np.frombuffer(got)).any() for got, _ in solves)

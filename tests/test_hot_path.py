@@ -144,7 +144,7 @@ def test_independence_test_matches_matrix_rank():
                 # rows of the first foot never count against the second's
                 active = [0, 4, *basis]
                 rank = np.linalg.matrix_rank(np.vstack([rows, G[i]]))
-                assert _independent(G, i, active, 6) == (rank == size + 1)
+                assert _independent(G.tolist(), i, active, 6) == (rank == size + 1)
                 dependent += rank == size
     # e.g. {+-t1 faces, -n}, {+-t2 faces, n}, {n, -n} and any 4th row
     assert dependent > 0
@@ -451,7 +451,7 @@ def test_trot_step_makes_at_most_eight_terrain_queries(monkeypatch):
 
 
 def test_trot_step_makes_one_solve_no_lstsq_and_one_euler_rate_map(monkeypatch):
-    counts = {"solve": 0, "lstsq": 0, "rate_map": 0}
+    counts = {"direct": 0, "solve": 0, "lstsq": 0, "rate_map": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -460,6 +460,7 @@ def test_trot_step_makes_one_solve_no_lstsq_and_one_euler_rate_map(monkeypatch):
 
         return wrapper
 
+    monkeypatch.setattr(forces, "_lapack_solve", counted("direct", forces._lapack_solve))
     monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
     monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", np.linalg.lstsq))
     monkeypatch.setattr(
@@ -470,9 +471,11 @@ def test_trot_step_makes_one_solve_no_lstsq_and_one_euler_rate_map(monkeypatch):
     )
     assert not result.failed
     n_steps = round(1.2 / SimConfig().dt)
-    # the 2-foot QP's one augmented-system solve; omega_dot and the Euler
-    # rates are closed forms, and the forces need no least-squares clean-up
-    assert counts["solve"] / n_steps <= 1.0
+    # the 2-foot QP's one augmented-system solve, by the LAPACK gufunc with
+    # no np.linalg.solve fallback; omega_dot and the Euler rates are closed
+    # forms, and the forces need no least-squares clean-up
+    assert 0 < counts["direct"] / n_steps <= 1.0
+    assert counts["solve"] == 0
     assert counts["lstsq"] == 0
     assert counts["rate_map"] / n_steps <= 1.0
 
@@ -649,6 +652,54 @@ def test_stride_logs_do_not_depend_on_the_log_buffer_size(monkeypatch, trial):
     for a, b in itertools.combinations(got.strides, 2):
         assert not np.shares_memory(a.position, b.position)
         assert not np.shares_memory(a.stance, b.stance)
+
+
+class _AngleLog:
+    """Wraps the leg IK that run_trial calls and keeps, in call order, the
+    angles each call gave it: the solution, or the clamped angles of an
+    out-of-workspace foot."""
+
+    def __init__(self, monkeypatch):
+        self.angles = []
+        ik = simulation.leg_ik
+
+        def recorded(*args):
+            try:
+                q = ik(*args)
+            except OutOfWorkspaceError as err:
+                self.angles.append(err.clamped_angles.tolist())
+                raise
+            self.angles.append(q)
+            return q
+
+        monkeypatch.setattr(simulation, "leg_ik", recorded)
+
+    def rates(self, dt: float) -> np.ndarray:
+        """(q - q_prev) / dt per step in Python floats, from the start pose's
+        four calls and each step's four."""
+        steps = [[a for leg in self.angles[i : i + 4] for a in leg]
+                 for i in range(0, len(self.angles), 4)]
+        return np.array([[(a - b) / dt for a, b in zip(q, prev)]
+                         for prev, q in zip(steps, steps[1:])])
+
+
+def _long_trot(log):
+    # past the first log buffer of _LOG_BUFFER_ROWS steps
+    result = _trot_on("flat", 0.0, 8.4)
+    assert sum(s.time.shape[0] for s in result.strides) > stridelog._LOG_BUFFER_ROWS
+    return result
+
+
+@pytest.mark.parametrize(
+    "trial", [_steady_trot, _long_trot, _falling_bound],
+    ids=["steady-trot", "buffer-reallocation", "falling-bound"],
+)
+def test_joint_velocities_are_the_differenced_ik_angles(monkeypatch, trial):
+    angles = _AngleLog(monkeypatch)
+    result = trial(None)
+    got = np.concatenate([s.joint_velocities for s in result.strides])
+    assert result.strides and len(angles.angles) % 4 == 0
+    assert _same_bits(got, angles.rates(SimConfig().dt))
 
 
 class _ControlLog:
