@@ -70,21 +70,31 @@ The control loop calls ``distribute_forces`` every step with Python floats:
 the wrench as a 6-tuple, the feet as four 3-tuples, the stance as four flags
 and the centre of mass as a 3-tuple; arrays are taken too, and give the same
 bits. Anything but four stance flags or four rows of three foot coordinates
-is a ValueError. The problem is assembled around read-only skeletons, one per
-stance count: M's weighted force rows (one ``W_f I`` per foot) and its ridge
-rows are fixed, so a copy gets only the three weighted moment rows, products
-of Python floats with the bits ``np.multiply`` gives, and b is zeros with
-``W w`` written in one slice. The achieved wrench, and with it the residual
-and the feasibility verdict, is summed in Python floats from the solution.
+is a ValueError, and so is a friction coefficient or a normal-force bound
+that is not positive. Each stance count has one workspace per thread, kept
+between calls: one buffer for the augmented system below, built once with
+``-sqrt(eps) I`` and the constant rows of M and M' (the weighted force
+identities, one ``W_f I`` per foot, and the ridge), and one for b, whose
+ridge rows stay zero. A call writes only the three weighted moment rows of
+M and M', products of Python floats with the bits ``np.multiply`` gives,
+and ``W w`` into b; nothing is copied. The achieved wrench, and with it the
+residual and the feasibility verdict, is summed in Python floats from the
+solution, and the forces array is filled in one write.
 
 In ``solve_qp`` the iterate is exactly 0 until the first step is taken, so
 the first right-hand side is b itself and the first slack is h; nothing of
-the form ``b - M @ 0`` is computed. Each call copies one read-only skeleton
-with room for every working-set row, writes M and M' into it once, and
-takes the KKT matrix of each iteration as its leading block, the augmented
-system itself for an empty working set; only the border rows of the
-working set are rewritten per iteration. No cache is keyed on the working
-set.
+the form ``b - M @ 0`` is computed. When M is the workspace's own (the
+``distribute_forces`` path) the solve works in that workspace as it stands;
+any other M gets a new workspace with M and M' written in. The workspace
+has room for every working-set row, and the KKT matrix of each iteration is
+its leading block, the augmented system itself for an empty working set.
+The working-set rows border it, written only when the constraints or the
+leading rows of the working set differ from what the border already holds.
+The workspace also keeps G and h as Python floats, converted when it first
+meets a constraint set, for the seed, ratio and independence tests, and
+the multiplier test reads the solution as Python floats. numpy still forms
+``G p``, ``b - M x`` and every dot product whose bits decide a step. No
+cache is keyed on the working set.
 
 Each KKT system is solved by the LAPACK gesv gufunc that ``np.linalg.solve``
 calls for a vector right-hand side (``numpy.linalg._umath_linalg.solve1``),
@@ -94,9 +104,7 @@ the wrapper turns a singular system into ``LinAlgError``; the gufunc returns
 NaN for it (with numpy's invalid-value warning). So a solution that is not
 finite is solved again by ``np.linalg.solve``: a singular system still
 raises ``LinAlgError``, and a system with NaN entries, which is not singular
-to LAPACK, still gives NaN. Independence tests read the rows of G as Python
-floats, converted once per ``solve_qp`` call and only when a seeded or a
-blocking row is first tested.
+to LAPACK, still gives NaN.
 
 Euclidean norms of iterates and steps are taken as ``math.sqrt(v.dot(v))``,
 the same dot product and correctly rounded square root that
@@ -108,6 +116,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from threading import get_ident
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -192,32 +202,66 @@ def _cone_block(normal_bytes: bytes, friction: float) -> np.ndarray:
     return block
 
 
-@lru_cache(maxsize=8)
-def _ridge_skeleton(k: int) -> np.ndarray:
-    """Read-only ``M`` of ``k`` stance feet with zero moment rows.
+class _Workspace:
+    """The augmented system of one least-squares factor, kept between solves.
 
-    The force rows are the weighted 3x3 identities ``W_f I`` of every foot
-    (``w * 1.0`` and ``w * 0.0`` are ``w`` and ``0.0`` exactly, the entries
-    ``np.multiply`` gives), the ridge ``sqrt(eps) I`` lies below, and a copy
-    gets the three weighted moment rows written in.
+    ``aug`` is ``(rows + 2n)``-square: ``-sqrt(eps) I`` on its first ``rows``
+    diagonal entries, the factor ``M`` (the view ``self.M``) to the right of
+    that block and ``M'`` (``self.MT``) below it, zeros elsewhere, and room
+    for up to ``n`` working-set rows of ``G`` bordering ``M'`` below and to
+    the right. The KKT matrix with ``m`` working-set rows is the leading
+    ``(rows + n + m)``-square block, and ``rhs`` is zero beyond ``rows``, so
+    its leading entries are the right-hand side; ``kkt[m]`` holds both views.
+    ``held`` lists the rows of ``G`` in the border, in order; ``G_rows`` and
+    ``h_list`` are ``G`` and ``h`` as Python floats.
     """
-    M = np.zeros((6 + 3 * k, 3 * k))
+
+    __slots__ = (
+        "aug", "M", "MT", "moments", "b", "rhs", "kkt", "G", "h", "G_rows", "h_list", "held"
+    )
+
+    def __init__(self, rows: int, n: int) -> None:
+        size = rows + n
+        self.aug = np.zeros((size + n, size + n))
+        np.fill_diagonal(self.aug[:rows, :rows], -_SQRT_RIDGE)
+        self.M = self.aug[:rows, rows:size]
+        self.MT = self.aug[rows:size, :rows]
+        self.moments = None
+        self.b = np.zeros(rows)
+        self.rhs = np.zeros(size + n)
+        self.kkt = [
+            (self.aug[: size + m, : size + m], self.rhs[: size + m]) for m in range(n + 1)
+        ]
+        self.G = self.h = self.G_rows = self.h_list = None
+        self.held: list[int] = []
+
+
+@lru_cache(maxsize=16)
+def _workspace(k: int, thread: int) -> _Workspace:
+    """The workspace that ``distribute_forces`` reuses for ``k`` stance feet
+    in one thread (``threading.get_ident()``), so that concurrent calls
+    never write into the same one.
+
+    ``M`` and ``M'`` are built with their constant entries, the weighted
+    force identities ``W_f I`` of every foot (``w * 1.0`` and ``w * 0.0``
+    are ``w`` and ``0.0`` exactly, the entries ``np.multiply`` gives) and the
+    ridge ``sqrt(eps) I`` below them; each call writes the three weighted
+    moment rows, in ``M`` and ``M'``, and the wrench rows of ``b``, whose
+    ridge rows stay zero. ``moments`` holds the flat positions in ``aug`` of
+    the moment rows of M, row by row, then of the same entries in ``M'``.
+    """
+    n = 3 * k
+    rows = 6 + n
+    ws = _Workspace(rows, n)
     for row, weight in enumerate(_ROW_WEIGHTS[:3]):
-        M[row, row::3] = weight
-    np.fill_diagonal(M[6:], _SQRT_RIDGE)
-    M.flags.writeable = False
-    return M
-
-
-@lru_cache(maxsize=8)
-def _augmented_skeleton(rows: int, n: int) -> np.ndarray:
-    """Read-only ``(rows + 2n)``-square matrix with ``-sqrt(eps)`` on the
-    first ``rows`` diagonal entries and zeros elsewhere: room for ``M``, its
-    transpose and up to ``n`` working-set rows bordering them."""
-    aug = np.zeros((rows + 2 * n, rows + 2 * n))
-    np.fill_diagonal(aug[:rows, :rows], -_SQRT_RIDGE)
-    aug.flags.writeable = False
-    return aug
+        ws.M[row, row::3] = weight
+    np.fill_diagonal(ws.M[6:], _SQRT_RIDGE)
+    ws.MT[...] = ws.M.T
+    at = np.arange(ws.aug.size).reshape(ws.aug.shape)
+    ws.moments = np.array(
+        [at[3:6, rows : rows + n].ravel(), at[rows : rows + n, 3:6].T.ravel()]
+    )
+    return ws
 
 
 @lru_cache(maxsize=256)
@@ -307,76 +351,78 @@ def solve_qp(
     augmented system stays nonsingular. Returns the iterate, the number of
     solves that ran (at most ``max_iter``) and the final working set.
 
+    The augmented systems are assembled in a workspace (the module
+    docstring): the one ``distribute_forces`` fills for this stance count
+    when ``M`` is its view ``M``, whose ``M'`` and border rows are then
+    trusted as they stand, and a new one around ``M`` otherwise. A
+    workspace knows ``G`` and ``h`` by identity, so a ``G`` or ``h`` changed
+    in place between two calls that pass its ``M`` goes unseen;
+    ``distribute_forces`` passes read-only cached ones.
+
     Each solve calls LAPACK's gesv gufunc directly, with the bits
     ``np.linalg.solve`` gives; a result that is not finite is solved again
-    by ``np.linalg.solve``, so a singular system raises ``LinAlgError`` (after
-    the gufunc's invalid-value warning) and NaN inputs give NaN.
+    by ``np.linalg.solve``, so a singular system raises ``LinAlgError``
+    (after the gufunc's invalid-value warning) and NaN inputs give NaN.
     """
     rows, n = M.shape
     group_rows = 3 * G.shape[0] // n
-    x = np.zeros(n)
-    # x is exactly 0 until the first step is taken: b - M x is then b and
-    # h - G x is h (a +0.0 iterate adds only zeros), so neither is formed
-    at_origin = True
-    active: list[int] = []
-    # the rows of G as Python floats, converted once, for the first
-    # independence test that needs them
-    rows_G = None
-    for i in working_set:
-        if h[i] == 0.0:
-            if rows_G is None:
-                rows_G = G.tolist()
-            if _independent(rows_G, i, active, group_rows):
-                active.append(i)
-    # the augmented system with room for as many working-set rows as there
-    # are unknowns (a group holds at most three, so at most n): M and M' are
-    # written once, C borders it below and to the right, and the leading
-    # (size + m)-square block is the KKT matrix; with m = 0 it is the
-    # augmented system of the empty working set
     size = rows + n
-    bordered = _augmented_skeleton(rows, n).copy()
-    bordered[:rows, rows:size] = M
-    bordered[rows:size, :rows] = M.T
+    ws = _workspace(n // 3, get_ident())
+    if M is not ws.M:
+        # a factor of the caller's own: a new workspace around it
+        ws = _Workspace(rows, n)
+        ws.M[...] = M
+        ws.MT[...] = M.T
+    if G is not ws.G or h is not ws.h:
+        # other constraints: their float forms, and no border rows yet
+        ws.G, ws.h, ws.G_rows, ws.h_list, ws.held = G, h, G.tolist(), h.tolist(), []
+    aug, rhs, G_rows, h_list = ws.aug, ws.rhs, ws.G_rows, ws.h_list
+    active: list[int] = []
+    for i in working_set:
+        if h_list[i] == 0.0 and _independent(G_rows, i, active, group_rows):
+            active.append(i)
+    # x is exactly 0 until the first step is taken (None here): b - M x is
+    # then b and h - G x is h, so neither is formed
+    x = None
     last_it = 0
     for it in range(max_iter):
         last_it = it + 1
         m = len(active)
-        kkt = bordered[: size + m, : size + m]
-        if m:
+        if ws.held[:m] != active:
             C = G[active]
-            kkt[size:, rows:size] = C
-            kkt[rows:size, size:] = C.T
-        rhs = np.zeros(size + m)
-        rhs[:rows] = b if at_origin else b - M @ x
-        sol = _lapack_solve(kkt, rhs)
-        if not math.isfinite(sol.dot(sol)):
+            aug[size : size + m, rows:size] = C
+            aug[rows:size, size : size + m] = C.T
+            ws.held = active.copy()
+        rhs[:rows] = b if x is None else b - M @ x
+        kkt, kkt_rhs = ws.kkt[m]
+        sol = _lapack_solve(kkt, kkt_rhs)
+        finite = math.isfinite(sol.dot(sol))
+        if not finite:
             # a singular system (NaN, with the gufunc's invalid-value
             # warning) raises LinAlgError here; NaN-bearing inputs give NaN
-            sol = np.linalg.solve(kkt, rhs)
+            sol = np.linalg.solve(kkt, kkt_rhs)
         p = sol[rows:size]
 
-        if math.sqrt(p.dot(p)) > 1e-9 * max(1.0, math.sqrt(x.dot(x))):
+        scale = 1.0 if x is None else max(1.0, math.sqrt(x.dot(x)))
+        if math.sqrt(p.dot(p)) > 1e-9 * scale:
             Gp = (G @ p).tolist()
-            slack = (h if at_origin else h - G @ x).tolist()
+            slack = h_list if x is None else (h - G @ x).tolist()
             ratios = []
-            for i in range(len(Gp)):
-                if i in active or Gp[i] <= 1e-12:
-                    continue
-                step = slack[i] / Gp[i]
-                if step < 1.0:
-                    ratios.append((step, i))
+            for i, g in enumerate(Gp):
+                if g > 1e-12 and i not in active:
+                    step = slack[i] / g
+                    if step < 1.0:
+                        ratios.append((step, i))
             # the nearest independent row blocks (lowest index on ties)
             alpha = 1.0
             blocking = -1
-            if ratios and rows_G is None:
-                rows_G = G.tolist()
             for step, i in sorted(ratios):
-                if _independent(rows_G, i, active, group_rows):
+                if _independent(G_rows, i, active, group_rows):
                     alpha = step
                     blocking = i
                     break
-            x = x + alpha * p
-            at_origin = False
+            # 1.0 * p is p; the zero iterate adds 0.0, so -0.0 becomes +0.0
+            x = (0.0 if x is None else x) + (p if alpha == 1.0 else alpha * p)
             if blocking >= 0:
                 active.append(blocking)
                 continue
@@ -384,12 +430,33 @@ def solve_qp(
         # x minimizes the working-set subproblem (a full step reached it, or
         # the step was negligible) and lam are its multipliers
         if m:
-            lam = _SQRT_RIDGE * sol[size:]
-            if lam.min() < _LAMBDA_TOL:
-                active.pop(int(np.argmin(lam)))
+            lam = [_SQRT_RIDGE * v for v in sol[size:].tolist()]
+            low = min(lam)
+            # a NaN multiplier returns, as numpy's NaN minimum would
+            if low < _LAMBDA_TOL and (finite or not any(v != v for v in lam)):
+                active.pop(lam.index(low))
                 continue
-        return x, last_it, active
-    return x, last_it, active
+        break
+    return (np.zeros(n) if x is None else x), last_it, active
+
+
+def _layout(flags: tuple[bool, ...]):
+    """The QP layout of one stance pattern: the stance legs in leg order,
+    the flags as a read-only bool array, the entries of the flattened 4x3
+    force array that the QP's unknowns fill, the QP row of each stance
+    foot's leg-face row ``6 * leg + face``, and the leg-face row of each QP
+    row."""
+    legs = tuple(leg for leg, on in enumerate(flags) if on)
+    pattern = np.array(flags, dtype=bool)
+    pattern.flags.writeable = False
+    columns = np.array([3 * leg + c for leg in legs for c in range(3)], dtype=np.intp)
+    columns.flags.writeable = False
+    leg_face = tuple(6 * leg + face for leg in legs for face in range(6))
+    qp_row = {row: i for i, row in enumerate(leg_face)}
+    return legs, pattern, columns, qp_row, leg_face
+
+
+_LAYOUTS = {flags: _layout(flags) for flags in product((False, True), repeat=4)}
 
 
 def _leg_rows(value, what: str):
@@ -408,6 +475,15 @@ def _leg_rows(value, what: str):
         if len(r0) == len(r1) == len(r2) == len(r3) == 3:
             return value
     raise ValueError(f"{what} must be four rows of three numbers, got {value!r}")
+
+
+def _four_bools(stance) -> bool:
+    """Whether ``stance`` is a list of four Python bools, the form
+    ``run_trial`` passes, which is read as it is."""
+    if type(stance) is not list or len(stance) != 4:
+        return False
+    s0, s1, s2, s3 = stance
+    return type(s0) is type(s1) is type(s2) is type(s3) is bool
 
 
 def _four_flags(stance) -> np.ndarray:
@@ -443,22 +519,26 @@ def distribute_forces(
     ``foot_positions`` is four world-frame rows of three; ``stance`` is a
     4-flag mask. Each may be an array or a sequence of Python floats (flags);
     a stance that is not four flags or feet that are not 4x3 raise
-    ValueError. ``normals`` optionally gives a contact normal per foot
-    (world z default).
+    ValueError, as do a ``friction`` or an ``f_max`` (the bound on each
+    normal force) that is not positive, NaN included. ``normals``
+    optionally gives a contact normal per foot (world z default).
     ``working_set`` seeds the QP's working set in leg-face numbering
     ``6 * leg + face`` (the previous step's ``ForceDistribution.working_set``);
     rows of swing feet are dropped, and the empty default is a cold start.
     """
     w0, w1, w2, w3, w4, w5 = _floats(wrench, 6)
     feet = _leg_rows(foot_positions, "foot positions")
-    stance = _four_flags(stance)
+    flags = stance if _four_bools(stance) else _four_flags(stance).tolist()
     cx, cy, cz = _floats(com, 3)
     if not friction > 0.0:  # also rejects NaN
         raise ValueError("friction coefficient must be positive")
+    if not f_max > 0.0:  # also rejects NaN
+        raise ValueError("normal force bound f_max must be positive")
 
-    forces = np.zeros((4, 3))
-    legs = [leg for leg, on in enumerate(stance.tolist()) if on]
+    legs, pattern, columns, qp_row, leg_face = _LAYOUTS[tuple(flags)]
+    stance = pattern.copy()
     k = len(legs)
+    forces = np.zeros((4, 3))
     norm_b = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2 + w3 * w3 + w4 * w4 + w5 * w5)
     if k == 0:
         rel = norm_b / max(1.0, norm_b)
@@ -479,9 +559,9 @@ def distribute_forces(
     G, h = _constraints(keys, friction, f_max)
     # least-squares factor [W A; sqrt(eps) I] and target [W w; 0]. A is a 3x3
     # identity (force) over skew(p - com) (moment) per foot; the weighted
-    # identities are in the stance count's skeleton, so only the weighted
-    # moment rows are written into its copy (a Python product has the bits
-    # of np.multiply's)
+    # identities and the ridge are in the stance count's workspace already,
+    # so only the weighted moment rows are written, in M and M' (a Python
+    # product has the bits of np.multiply's)
     W0, W1, W2, W3, W4, W5 = _ROW_WEIGHTS
     offsets = []
     mx, my, mz = [], [], []
@@ -492,17 +572,15 @@ def distribute_forces(
         mx += (0.0, -z * W3, y * W3)
         my += (z * W4, 0.0, -x * W4)
         mz += (-y * W5, x * W5, 0.0)
-    M = _ridge_skeleton(k).copy()
-    M[3:6] = (mx, my, mz)
-    b = np.zeros(6 + 3 * k)
+    ws = _workspace(k, get_ident())
+    M, b = ws.M, ws.b
+    # put repeats the 3k moment entries over their M and M' positions
+    ws.aug.put(ws.moments, mx + my + mz)
     b[:6] = (w0 * W0, w1 * W1, w2 * W2, w3 * W3, w4 * W4, w5 * W5)
-    # QP row 6 * j + face belongs to the j-th stance foot
-    slot = {leg: j for j, leg in enumerate(legs)}
-    seed = [6 * slot[i // 6] + i % 6 for i in working_set if i // 6 in slot]
+    seed = [qp_row[i] for i in working_set if i in qp_row]
     x, iterations, active = solve_qp(M, b, G, h, working_set=seed)
 
-    for j, leg in enumerate(legs):
-        forces[leg] = x[3 * j : 3 * j + 3]
+    forces.ravel()[columns] = x
     # the achieved wrench: the force total and the moment of each foot force
     # about the centre of mass
     ax = ay = az = ux = uy = uz = 0.0
@@ -523,5 +601,5 @@ def distribute_forces(
         relative_residual=rel,
         feasible=rel <= _FEASIBLE_RTOL,
         iterations=iterations,
-        working_set=tuple(6 * legs[i // 6] + i % 6 for i in active),
+        working_set=tuple([leg_face[i] for i in active]),
     )

@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forces import _four_flags, _leg_rows, distribute_forces
+from .forces import _four_bools, _four_flags, _leg_rows, distribute_forces
 from .gaits import GaitPattern, LegId, leg_contact
 from .robot import (
     OutOfWorkspaceError,
@@ -249,15 +249,6 @@ def swing_acceleration(
     )
 
 
-def _four_bools(stance) -> bool:
-    """Whether ``stance`` is a list of four Python bools, the form
-    :func:`run_trial` passes, which :func:`step` reads as it is."""
-    if type(stance) is not list or len(stance) != 4:
-        return False
-    s0, s1, s2, s3 = stance
-    return type(s0) is type(s1) is type(s2) is type(s3) is bool
-
-
 def step(
     state: TrunkState,
     forces,
@@ -288,7 +279,7 @@ def step(
     position and velocity are the bits a numpy build gives; the rotations are
     scalar sums.
     """
-    if dt <= 0.0 or dt > 0.002 + 1e-12:
+    if not 0.0 < dt <= 0.002 + 1e-12:  # also rejects NaN
         raise ValueError("integration step must lie in (0, 2 ms]")
     f = _leg_rows(forces, "forces")
     feet = _leg_rows(foot_positions, "foot positions")

@@ -11,6 +11,7 @@ tests compute by their own linear algebra.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -154,6 +155,16 @@ def test_non_positive_or_nan_friction_is_rejected(mu):
         distribute_forces(wrench, _standing_feet(), [True] * 4, COM, mu, 2 * MG)
 
 
+@pytest.mark.parametrize("f_max", [-10.0, 0.0, math.nan])
+def test_non_positive_or_nan_f_max_is_rejected(f_max):
+    # a negative bound leaves x = 0 infeasible and the feet pulling on the
+    # ground; NaN compares false against every force, so it bounds nothing
+    wrench = np.array([0.0, 0.0, MG, 0.0, 0.0, 0.0])
+    for stance in ([True] * 4, [False] * 4):
+        with pytest.raises(ValueError, match="f_max"):
+            distribute_forces(wrench, _standing_feet(), stance, COM, 0.7, f_max)
+
+
 def _random_instance(rng):
     k = int(rng.integers(1, 5))
     legs = rng.choice(4, size=k, replace=False)
@@ -241,13 +252,18 @@ def _aligned_pair_instance(rng):
 
 
 def _record_qps(monkeypatch):
-    """Wrap forces.solve_qp; return the list of its calls and results."""
+    """Wrap forces.solve_qp; return the list of its calls and results.
+
+    M and b are recorded as copies: distribute_forces passes views of its
+    reused workspace, which later calls overwrite.
+    """
     calls = []
     solve = forces.solve_qp
 
     def recorded(M, b, G, h, working_set=()):
         x, iterations, active = solve(M, b, G, h, working_set=working_set)
-        calls.append((M, b, G, h, tuple(working_set), x, iterations, list(active)))
+        calls.append((M.copy(), b.copy(), G, h, tuple(working_set), x, iterations,
+                      list(active)))
         return x, iterations, active
 
     monkeypatch.setattr(forces, "solve_qp", recorded)
@@ -620,3 +636,84 @@ def test_nan_wrench_gives_the_numpy_solve_bits(monkeypatch):
     assert not d.feasible
     assert solves and all(got == want for got, want in solves)
     assert any(np.isnan(np.frombuffer(got)).any() for got, _ in solves)
+
+
+# contact normals of flat ground and of 8 and 12 degree slopes
+_NORMALS = np.array(
+    [[-math.sin(a), 0.0, math.cos(a)] for a in np.radians([0.0, 8.0, 12.0])]
+)
+
+
+def _instance_on_slopes(rng):
+    """A random instance with each foot on one of three ground slopes."""
+    return (*_random_instance(rng), _NORMALS[rng.integers(3, size=4)])
+
+
+def _instances_by_stance_count(rng):
+    """One random instance of each stance count 1 to 4, in random order."""
+    by_count = {}
+    while len(by_count) < 4:
+        instance = _instance_on_slopes(rng)
+        by_count.setdefault(int(instance[2].sum()), instance)
+    return [by_count[k] for k in rng.permutation([1, 2, 3, 4])]
+
+
+def _memory_ranges(arrays):
+    return sorted(
+        (a.__array_interface__["data"][0], a.__array_interface__["data"][0] + a.nbytes)
+        for a in arrays
+    )
+
+
+def test_results_do_not_depend_on_workspace_state():
+    # 500 random instances with feet on three slopes, so that consecutive
+    # solves of one stance count meet other constraint sets, cold and
+    # hot-started from their cold working set: each solved alone after every
+    # cache of the forces module (workspaces included) is cleared, then all
+    # again in shuffled order, each after one instance of every stance count
+    rng = np.random.default_rng(2024)
+    mu, f_max = 0.7, 2 * MG
+    instances = [_instance_on_slopes(rng) for _ in range(500)]
+    caches = [fn for fn in vars(forces).values() if hasattr(fn, "cache_clear")]
+    assert forces._workspace in caches
+
+    def solve(instance, seed):
+        wrench, feet, stance, com, normals = instance
+        return distribute_forces(wrench, feet, stance, com, mu, f_max, normals,
+                                 working_set=seed)
+
+    alone = []
+    for instance in instances:
+        for cache in caches:
+            cache.cache_clear()
+        cold = solve(instance, ())
+        for cache in caches:
+            cache.cache_clear()
+        alone.append((cold, solve(instance, cold.working_set)))
+
+    mix_rng = np.random.default_rng(11)
+    returned = []
+    hot_starts = 0
+    for n in mix_rng.permutation(len(instances)):
+        cold, hot = alone[n]
+        for seed, want in (((), cold), (cold.working_set, hot)):
+            for other in _instances_by_stance_count(mix_rng):
+                other_seed = tuple(int(i) for i in mix_rng.permutation(24)[:4])
+                returned.append(solve(other, other_seed))
+            got = solve(instances[n], seed)
+            returned.append(got)
+            _assert_same_distribution(got, want)
+            assert got.residual == want.residual
+            assert got.relative_residual == want.relative_residual
+            assert got.feasible == want.feasible
+            hot_starts += bool(seed)
+    assert hot_starts > 100
+
+    # every returned array owns memory of its own, apart from the others and
+    # from the workspaces
+    ranges = _memory_ranges([a for d in returned for a in (d.forces, d.stance)])
+    assert all(end <= start for (_, end), (start, _) in zip(ranges, ranges[1:]))
+    for k in range(1, 5):
+        ws = forces._workspace(k, threading.get_ident())
+        for buffer in (ws.aug, ws.b, ws.rhs):
+            assert not any(np.shares_memory(d.forces, buffer) for d in returned)

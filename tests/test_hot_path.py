@@ -268,12 +268,10 @@ def test_trial_bits_do_not_depend_on_cone_cache_state():
     # the flat-slope trial crosses its flat -> 12 deg join; the
     # continuous-slope trial crosses flat -> 8 deg -> 12 deg first, so the
     # second flat-slope trial finds every cone block it needs already cached,
-    # and the constraint sets and the least-squares and augmented-system
-    # skeletons of its stance counts
+    # and the constraint sets of its stance sets and the reused workspaces
+    # of its stance counts, left as the other trial's last solves wrote them
     caches = _force_caches()
-    assert {"_cone_block", "_constraints", "_ridge_skeleton", "_augmented_skeleton"} <= set(
-        caches
-    )
+    assert {"_cone_block", "_constraints", "_workspace"} <= set(caches)
     for cache in caches.values():
         cache.cache_clear()
     cold = _trot_on("flat-slope", 2.4, 1.2)

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -110,6 +111,13 @@ def test_ballistic_energy_conservation_staggered():
 def test_step_rejects_large_dt():
     with pytest.raises(ValueError):
         step(_state(), *_no_contact(), PARAMS, 0.01)
+
+
+def test_step_rejects_nan_dt():
+    # NaN fails every comparison, so only a range test that must hold
+    # rejects it; integrating it would give an all-NaN state
+    with pytest.raises(ValueError, match="integration step"):
+        step(_state(), *_no_contact(), PARAMS, math.nan)
 
 
 def _stance_contact():
