@@ -102,7 +102,7 @@ class GaitPattern:
     def __post_init__(self) -> None:
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"duty factor must lie in (0, 1), got {self.beta}")
-        if self.period <= 0.0:
+        if not self.period > 0.0:  # NaN fails the test
             raise ValueError(f"stride period must be positive, got {self.period}")
         if len(self.offsets) != 4:
             raise ValueError("expected one phase offset per leg")
@@ -128,7 +128,7 @@ def standard_gait(name: GaitName, period: float = DEFAULT_PERIOD) -> GaitPattern
     Memoized: a :class:`GaitPattern` is frozen, and the gait machine asks for
     the pattern in effect on every control step.
     """
-    if period <= 0.0:
+    if not period > 0.0:  # NaN fails the test
         raise ValueError(f"stride period must be positive, got {period}")
     beta, offsets = _CANONICAL[name]
     return GaitPattern(beta=beta, offsets=offsets, period=period)

@@ -81,7 +81,7 @@ def stride_energy(log) -> float:
 
 def cot(work: float, mass: float, delta_s: float, gravity: float = 9.81) -> float:
     """Cost of transport: work per unit weight per unit travel distance."""
-    if mass <= 0.0:
+    if not mass > 0.0:  # NaN fails the test
         raise ValueError("mass must be positive")
     if delta_s <= _DISPLACEMENT_EPS:
         raise UndefinedDisplacementError(

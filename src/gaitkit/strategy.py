@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,6 +105,55 @@ def _standing_state(terrain: Terrain, start_x: float, sim_cfg: SimConfig,
     )
 
 
+def _single_gait(
+    strategy: FixedGait | PerVelocityFixed, terrain: Terrain, v_cmd: float, start_x: float
+) -> GaitName:
+    """The one gait of a fixed or per-velocity trial: the fixed gait, or the
+    map's pick on the start segment at the commanded speed."""
+    if isinstance(strategy, FixedGait):
+        return strategy.gait
+    return select_gait(strategy.map, terrain.segment_at(start_x).kind, v_cmd, strategy.c)
+
+
+class _StrideLaw:
+    """The multi-gait decision of one trial: the gait it starts in and the gait
+    it asks for at each stride boundary.
+
+    A trial starts in the map's pick on the start segment at its start speed:
+    0 m/s from rest, else the command. At a boundary it selects, with
+    hysteresis, for the segment under the body at the speed measured over the
+    stride just ended, capped at the command. The decision reads only the
+    boundary's position and time.
+    """
+
+    def __init__(self, strategy: MultiGait, terrain: Terrain, v_cmd: float,
+                 sim_cfg: SimConfig, start_x: float = 0.0,
+                 standing_start: bool = True) -> None:
+        self.strategy, self.terrain, self.v_cmd = strategy, terrain, v_cmd
+        v0 = 0.0 if standing_start else v_cmd
+        start_kind = terrain.segment_at(start_x).kind
+        self.initial = select_gait(strategy.map, start_kind, v0, strategy.c)
+        self.hyst = HysteresisState(self.initial, v0, start_kind)
+        self.prev_t = 0.0
+        self.prev = (start_x, 0.0, terrain.query(start_x).height + sim_cfg.nominal_height)
+
+    def next_gait(self, position, t: float) -> GaitName:
+        """The gait wanted at the boundary reached at ``position`` (three
+        floats) and time ``t``."""
+        dt = t - self.prev_t
+        v_meas = (
+            float(np.linalg.norm(np.subtract(position, self.prev)) / dt) if dt > 0 else 0.0
+        )
+        self.prev_t, self.prev = t, position
+        terrain, strategy = self.terrain, self.strategy
+        kind = terrain.segment_at(min(max(position[0], terrain.start_x), terrain.end_x)).kind
+        desired, self.hyst = select_gait_hysteretic(
+            strategy.map, kind, min(v_meas, self.v_cmd), strategy.c, self.hyst,
+            strategy.hysteresis_band,
+        )
+        return desired
+
+
 def run_strategy(
     strategy: Strategy,
     terrain: Terrain,
@@ -139,39 +189,20 @@ def run_strategy(
         _standing_state(terrain, start_x, sim_cfg, rng) if standing_start else None
     )
 
-    start_kind = terrain.segment_at(start_x).kind
-    on_stride = None
-    if isinstance(strategy, FixedGait):
-        gait = standard_gait(strategy.gait, period)
-    elif isinstance(strategy, PerVelocityFixed):
-        gait = standard_gait(select_gait(strategy.map, start_kind, v_cmd, strategy.c), period)
-    else:
-        v0 = 0.0 if standing_start else v_cmd
-        initial = select_gait(strategy.map, start_kind, v0, strategy.c)
-        fsm = GaitFsm(initial, period=period, switch_time=timing.switch_time,
+    if isinstance(strategy, MultiGait):
+        law = _StrideLaw(strategy, terrain, v_cmd, sim_cfg, start_x, standing_start)
+        fsm = GaitFsm(law.initial, period=period, switch_time=timing.switch_time,
                       dwell_strides=timing.dwell_strides)
-        hyst = HysteresisState(initial, v0, start_kind)
-        prev_t = 0.0
-        prev = (start_x, 0.0, terrain.query(start_x).height + sim_cfg.nominal_height)
 
         def on_stride(stride_idx, body, t):
-            nonlocal hyst, prev_t, prev
-            dt = t - prev_t
-            v_meas = (
-                float(np.linalg.norm(np.subtract(body.position, prev)) / dt) if dt > 0 else 0.0
-            )
-            prev_t, prev = t, body.position
-            kind = terrain.segment_at(
-                min(max(body.position[0], terrain.start_x), terrain.end_x)
-            ).kind
-            desired, hyst = select_gait_hysteretic(
-                strategy.map, kind, min(v_meas, v_cmd), strategy.c, hyst,
-                strategy.hysteresis_band,
-            )
+            desired = law.next_gait(body.position, t)
             if desired != fsm.current and not fsm.busy:
                 fsm.request(desired)
 
         gait = fsm
+    else:
+        gait = standard_gait(_single_gait(strategy, terrain, v_cmd, start_x), period)
+        on_stride = None
 
     return run_trial(
         gait, v_cmd, terrain, duration, sim_cfg, params,
@@ -191,6 +222,15 @@ class ComparisonRow:
     trials: int
 
 
+class _SharedTrial(NamedTuple):
+    """What :func:`compare` keeps of a trial that ran one gait throughout:
+    its outcome, and the time and body position at each stride boundary
+    that a later stride starts from."""
+
+    outcome: tuple[float, float, bool]
+    boundaries: tuple[tuple[float, tuple[float, float, float]], ...]
+
+
 def _strategy_trial(
     terrain: Terrain,
     sim_cfg: SimConfig,
@@ -199,15 +239,42 @@ def _strategy_trial(
     duration: float,
     timing: GaitTimingConfig | None,
     metrics: MetricsConfig,
+    shared: dict[tuple[int, GaitName], _SharedTrial],
     strategy: Strategy,
     velocity: float,
     trial_idx: int,
 ) -> tuple[float, float, bool]:
-    """Default trial of :func:`compare`: one simulated trial, seeded by its index."""
+    """Default trial of :func:`compare`: one simulated trial, seeded by its
+    index, unless ``shared`` already holds the same trial.
+
+    ``shared`` maps (trial index, gait) to a trial that ran that gait
+    throughout. A fixed or per-velocity trial is that trial. So is a
+    multi-gait trial that starts in the gait and whose stride law, replayed
+    over the shared boundaries, asks for no switch: until it asks, its state
+    is the shared trial's, bit for bit. A boundary that ends a trial has no
+    stride after it, so no request made there can change the outcome.
+    """
+    if isinstance(strategy, MultiGait):
+        law = _StrideLaw(strategy, terrain, velocity, sim_cfg)
+        gait = law.initial
+    else:
+        law = None
+        gait = _single_gait(strategy, terrain, velocity, 0.0)
+    entry = shared.get((trial_idx, gait))
+    if entry is not None and (
+        law is None
+        or all(law.next_gait(position, t) == gait for t, position in entry.boundaries)
+    ):
+        return entry.outcome
     rng = np.random.default_rng((seed, trial_idx, 11))
     result = run_strategy(strategy, terrain, velocity, sim_cfg, params,
                           duration=duration, rng=rng, timing=timing)
-    return trial_outcome(result, terrain, params, metrics)
+    outcome = trial_outcome(result, terrain, params, metrics)
+    if not result.events:
+        shared[trial_idx, gait] = _SharedTrial(outcome, tuple(
+            (float(s.time[0]), tuple(s.position[0].tolist())) for s in result.strides[1:]
+        ))
+    return outcome
 
 
 def compare(
@@ -230,6 +297,14 @@ def compare(
     summarized by :func:`~gaitkit.mapping.summarize_trials`, as in
     :func:`~gaitkit.mapping.build_map`.
 
+    Without a hook, each distinct trial is simulated once per call. Trial
+    ``i`` of every strategy has the same velocity and random stream, so a
+    per-velocity trial is the trial of the fixed gait it picks, and a
+    multi-gait trial that never asks for a switch is the trial of the gait it
+    starts in; such trials are served, to the last bit, from the same trial
+    already run by another strategy, in whichever order the strategies are
+    listed. A multi-gait trial that would switch is simulated.
+
     ``trial_hook(strategy, velocity, trial_idx) -> (cot, stb, failed)`` can be
     injected for synthetic harnesses. The velocity range must lie in the
     commanded speeds a trial accepts, low end first, and the map of every
@@ -249,7 +324,7 @@ def compare(
     if trial_hook is None:
         trial_hook = partial(
             _strategy_trial, terrain, sim_cfg or SimConfig(), params or RobotParams(),
-            seed, duration, timing, metrics or MetricsConfig(),
+            seed, duration, timing, metrics or MetricsConfig(), {},
         )
     velocities = [
         float(np.random.default_rng((seed, i, 7)).uniform(v_lo, v_hi))

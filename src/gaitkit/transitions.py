@@ -82,7 +82,7 @@ def transition_action(
         )
     if source == target:
         duration = 0.0
-    elif duration <= 0.0:
+    elif not duration > 0.0:  # NaN fails the test
         raise ValueError(f"switching time must be positive, got {duration}")
     return TransitionAction(
         id=f"a{source.value}{target.value}",
@@ -202,7 +202,7 @@ def advance(
     queued, the machine dwells for ``dwell_strides`` full strides at the
     intermediate gait before starting the next link.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:  # NaN fails the test
         raise ValueError(f"dt must be positive, got {dt}")
     remaining = dt
     while True:

@@ -40,6 +40,14 @@ def test_standard_gait_rejects_bad_period():
         standard_gait(GaitName.TROT, -1.0)
 
 
+@pytest.mark.parametrize("period", [float("nan"), float("-inf")])
+def test_standard_gait_and_pattern_reject_a_nan_period(period):
+    with pytest.raises(ValueError, match="stride period must be positive"):
+        standard_gait(GaitName.TROT, period)
+    with pytest.raises(ValueError, match="stride period must be positive"):
+        GaitPattern(beta=0.5, offsets=(0, 0, 0, 0), period=period)
+
+
 def test_standard_gait_is_memoized():
     # the gait machine asks for the pattern in effect on every control step
     assert standard_gait(GaitName.WALK, 0.4) is standard_gait(GaitName.WALK, 0.4)

@@ -153,6 +153,12 @@ def test_cot_undefined_for_standing():
         cot(1.0, 12.0, 0.0005)
 
 
+@pytest.mark.parametrize("mass", [float("nan"), 0.0, -12.0])
+def test_cot_rejects_a_mass_that_is_not_positive(mass):
+    with pytest.raises(ValueError, match="mass must be positive"):
+        cot(1.0, mass, 1.0)
+
+
 # -- stb ----------------------------------------------------------------------
 
 def test_stb_zero_for_clean_motion():

@@ -1,10 +1,13 @@
 import dataclasses
+from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gaitkit import strategy
 from gaitkit.gaits import GaitName, standard_gait
-from gaitkit.mapping import MapConfig, build_map
+from gaitkit.mapping import MapConfig, VelocityGaitMap, build_map
 from gaitkit.metrics import COT_BOUND, STB_BOUND, MetricsConfig
 from gaitkit.robot import RobotParams, terrain_preset
 from gaitkit.simulation import SimConfig, run_trial
@@ -342,3 +345,110 @@ def test_compare_rejects_a_blend_ratio_missing_from_the_map_before_any_trial(
     with pytest.raises(StrategyError, match="c=0.3 not present"):
         compare([FixedGait(GaitName.TROT), flavor(m, 0.3)], terrain_preset("flat"), 10)
     assert calls == []
+
+
+# -- trials shared across strategies ------------------------------------------
+
+DEMO_MAP = Path(__file__).resolve().parent.parent / "maps" / "demo-map.json"
+SHARED_BANDS = {"1.62-1.68": (1.62, 1.68), "0.3-0.9": (0.3, 0.9)}
+SHARED_SEED = 5
+
+
+def _acceptance_strategies():
+    demo = VelocityGaitMap.load(DEMO_MAP)
+    return [
+        FixedGait(GaitName.TROT), FixedGait(GaitName.TROT_RUN), PerVelocityFixed(demo, 0.5),
+        MultiGait(demo, 0.1), MultiGait(demo, 0.5), MultiGait(demo, 0.9),
+    ]
+
+
+def _row_bits(row):
+    return row.label, float.hex(row.cot), float.hex(row.stb), row.successes, row.trials
+
+
+@pytest.fixture(scope="module", params=list(SHARED_BANDS))
+def unshared_rows(request):
+    """The acceptance strategies' rows on flat-slope with every (strategy,
+    trial) simulated and scored by a hook of their own."""
+    band = SHARED_BANDS[request.param]
+    terrain, params = terrain_preset("flat-slope"), RobotParams()
+
+    def every_trial(s, velocity, trial_idx):
+        rng = np.random.default_rng((SHARED_SEED, trial_idx, 11))
+        result = run_strategy(s, terrain, velocity, SimConfig(), params, rng=rng)
+        return trial_outcome(result, terrain, params)
+
+    rows = compare(_acceptance_strategies(), terrain, 2, band, seed=SHARED_SEED,
+                   trial_hook=every_trial)
+    return band, {row.label: _row_bits(row) for row in rows}
+
+
+@pytest.mark.parametrize("order", ["acceptance", "reversed", "listed-twice"])
+def test_compare_shares_trials_and_keeps_the_rows_of_the_unshared_path(
+    monkeypatch, unshared_rows, order
+):
+    # a fixed, per-velocity or switch-free multi-gait trial is served from the
+    # same trial of another strategy, in either listing order, bit for bit
+    band, want = unshared_rows
+    runs = []
+    run = strategy.run_strategy
+    monkeypatch.setattr(strategy, "run_strategy",
+                        lambda *args, **kwargs: runs.append(args) or run(*args, **kwargs))
+    strategies = _acceptance_strategies()
+    listed = {
+        "acceptance": strategies,
+        "reversed": strategies[::-1],
+        "listed-twice": [strategies[5], *strategies],
+    }[order]
+    rows = compare(listed, terrain_preset("flat-slope"), 2, band, seed=SHARED_SEED)
+    assert [_row_bits(row) for row in rows] == [want[s.label] for s in listed]
+    assert len(runs) < 2 * len(listed)
+
+
+def test_compare_simulates_each_distinct_trial_once(monkeypatch):
+    # per-velocity:0.5 picks trot-run and multi:0.9 keeps trot, so both are
+    # served; multi:0.1 and multi:0.5 start in trot but switch, so they run
+    runs = []
+    run = strategy.run_strategy
+
+    def counted(s, terrain, velocity, *args, **kwargs):
+        result = run(s, terrain, velocity, *args, **kwargs)
+        runs.append((s.label, velocity, [e.source for e in result.events]))
+        return result
+
+    monkeypatch.setattr(strategy, "run_strategy", counted)
+    compare(_acceptance_strategies(), terrain_preset("flat-slope"), 2,
+            SHARED_BANDS["1.62-1.68"], seed=SHARED_SEED)
+    assert sorted(Counter(velocity for _, velocity, _ in runs).values()) == [4, 4]
+    by_label = Counter(label for label, _, _ in runs)
+    assert by_label == {"fixed:trot": 2, "fixed:trot-run": 2, "multi:c=0.1": 2,
+                        "multi:c=0.5": 2}
+    # fixed:trot ran first, yet each multi:0.1 trial left trot and was simulated
+    assert [sources for label, _, sources in runs if label == "multi:c=0.1"] == [
+        [GaitName.TROT], [GaitName.TROT]
+    ]
+
+
+
+def test_a_shared_trial_keeps_the_boundaries_its_stride_law_reads(monkeypatch):
+    # the kept boundaries are the times and positions that on_stride receives
+    # at every boundary a stride follows
+    seen = []
+    trial = strategy.run_trial
+
+    def recording(*args, on_stride=None, **kwargs):
+        assert on_stride is None  # a fixed trial
+        return trial(*args, on_stride=lambda idx, body, t: seen.append((t, body.position)),
+                     **kwargs)
+
+    monkeypatch.setattr(strategy, "run_trial", recording)
+    shared = {}
+    outcome = strategy._strategy_trial(
+        terrain_preset("flat-slope"), SimConfig(), RobotParams(), SHARED_SEED, 30.0, None,
+        MetricsConfig(), shared, FixedGait(GaitName.TROT), 1.65, 0,
+    )
+    (key, entry), = shared.items()
+    assert key == (0, GaitName.TROT) and entry.outcome == outcome
+    assert len(entry.boundaries) >= 5
+    assert entry.boundaries == tuple(seen[:len(entry.boundaries)])
+    assert len(seen) - len(entry.boundaries) in (0, 1)  # a trial may end on a boundary

@@ -130,6 +130,12 @@ def test_invalid_edges_rejected():
         transition_action(GaitName.WALK, GaitName.RUN)
 
 
+@pytest.mark.parametrize("duration", [float("nan"), 0.0, -0.5])
+def test_transition_action_rejects_a_switching_time_that_is_not_positive(duration):
+    with pytest.raises(ValueError, match="switching time must be positive"):
+        transition_action(GaitName.TROT, GaitName.WALK, duration)
+
+
 def test_self_loops_are_zero_duration_identity():
     for g in GaitName:
         action = transition_action(g, g, 123.0)
@@ -201,6 +207,21 @@ def test_advance_steady_is_identity():
     new_state, pattern = advance(state, 0.01)
     assert new_state == state
     assert pattern == standard_gait(GaitName.TROT)
+
+
+@pytest.mark.parametrize("dt", [float("nan"), 0.0, -0.002])
+def test_advance_rejects_a_step_that_is_not_positive(dt):
+    # a NaN step must not finish the action in progress at once
+    state = fsm_dispatch(initial_state(GaitName.TROT), GaitEvent(GaitName.WALK), TS)
+    state, _ = advance(state, 0.002)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        advance(state, dt)
+    fsm = GaitFsm(GaitName.TROT, switch_time=TS)
+    fsm.request(GaitName.WALK)
+    fsm.advance(0.002)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        fsm.advance(dt)
+    assert fsm.busy and fsm.current is GaitName.TROT
 
 
 def test_single_action_endpoint_via_millisecond_steps():
