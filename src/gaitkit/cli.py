@@ -25,7 +25,6 @@ from .strategy import (
     FixedGait,
     MultiGait,
     PerVelocityFixed,
-    StrategyError,
     compare,
     rows_to_csv,
 )
@@ -312,29 +311,30 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="gaitkit", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # the flags of every command that simulates
+    run = _Parser(add_help=False)
+    run.add_argument("--seed", type=int)
+    run.add_argument("--dt", type=float)
+    run.add_argument("--config")
 
-    p = sub.add_parser("simulate", help="run one steady-gait trial")
+    p = sub.add_parser("simulate", parents=[run], help="run one steady-gait trial")
     p.add_argument("--gait", required=True)
     p.add_argument("--velocity", type=float, required=True)
     p.add_argument("--terrain", default="flat")
     p.add_argument("--duration", type=float, default=10.0)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--config")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("transition-demo", help="switch gaits mid-run and log foot heights")
+    p = sub.add_parser("transition-demo", parents=[run],
+                       help="switch gaits mid-run and log foot heights")
     p.add_argument("--from", dest="from_gait", required=True)
     p.add_argument("--to", dest="to_gait", required=True)
     p.add_argument("--velocity", type=float, default=1.2)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--config")
     p.set_defaults(func=cmd_transition_demo)
 
-    p = sub.add_parser("build-map", help="sweep gaits x velocities into a gait map")
+    p = sub.add_parser("build-map", parents=[run],
+                       help="sweep gaits x velocities into a gait map")
     p.add_argument("--terrain", action="append",
                    help="terrain preset; repeat to merge several into one map")
     p.add_argument("--out", required=True)
@@ -347,9 +347,6 @@ def build_parser() -> _Parser:
     p.add_argument("--strides", type=int)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--trial-log", help="write per-trial metric records as JSON")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--config")
     p.set_defaults(func=cmd_build_map)
 
     p = sub.add_parser("select", help="query a gait map")
@@ -359,7 +356,7 @@ def build_parser() -> _Parser:
     p.add_argument("--terrain")
     p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("compare", help="paired-trial strategy comparison")
+    p = sub.add_parser("compare", parents=[run], help="paired-trial strategy comparison")
     p.add_argument("--terrain", default="flat-slope")
     p.add_argument("--map")
     p.add_argument("--strategy", action="append", required=True)
@@ -368,9 +365,6 @@ def build_parser() -> _Parser:
     p.add_argument("--v-max", type=float, default=2.7)
     p.add_argument("--duration", type=float, default=30.0)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--config")
     p.set_defaults(func=cmd_compare)
 
     return parser
@@ -381,10 +375,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError, StrategyError, KeyError) as err:
+    except (CliError, ValueError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,16 +1,18 @@
 """Single JSON configuration for the whole toolkit.
 
 Every numeric parameter lives here; CLI flags override individual fields.
-The schema mirrors the dataclasses section by section (see README for the
-documented schema):
+The JSON mirrors the dataclasses, which are its only schema (see README):
 
     {"robot": {...}, "sim": {...}, "gait": {...}, "metrics": {...},
      "map": {...}, "terrains": {...}}
 
-The optional ``terrains`` section defines custom piecewise-planar profiles by
-name (inclinations in degrees); they resolve exactly like the built-in
-presets everywhere a terrain name is accepted. Unknown keys are rejected so
-typos fail loudly.
+One loader builds every section, custom terrain and terrain segment, taking
+the keys and defaults from the record's fields: a list becomes a tuple where
+the default is one, ``gaits`` holds gait names, and a segment's inclination
+is ``incline_deg``, in degrees. An unknown key, a missing one or a value of
+the wrong JSON type is a :class:`ValueError` that names the key; each record
+runs its own checks as it is built. Custom terrains resolve by name exactly
+like the built-in presets.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 
 from .gaits import GaitName
 from .mapping import MapConfig
@@ -44,75 +46,72 @@ class ToolkitConfig:
         return terrain_preset(name)
 
 
-_SECTIONS = {
-    "robot": RobotParams,
-    "sim": SimConfig,
-    "gait": GaitTimingConfig,
-    "metrics": MetricsConfig,
-    "map": MapConfig,
-}
-
-_TUPLE_FIELDS = {
-    "inertia_diag",
-    "kp_lin",
-    "kd_lin",
-    "kp_ang",
-    "kd_ang",
-    "weights",
-    "c_values",
-}
+# the one field given in other units: a segment's inclination, in degrees
+_JSON_KEYS = {"incline": "incline_deg"}
 
 
-def _coerce(cls, name: str, value):
-    if name == "gaits":
-        return tuple(GaitName.parse(g) for g in value)
-    if name in _TUPLE_FIELDS:
-        return tuple(value)
+def _expect(where: str, value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise ValueError(f"{where or 'the config'} must be {what}, got {value!r}")
     return value
 
 
-def _terrain_from_dict(name: str, data: dict) -> Terrain:
-    segments = tuple(
-        TerrainSegment(
-            start_x=float(seg["start_x"]),
-            incline=math.radians(float(seg.get("incline_deg", 0.0))),
-            friction=float(seg.get("friction", 0.7)),
-            kind=str(seg.get("kind", "flat")),
-        )
-        for seg in data["segments"]
-    )
-    return Terrain(
-        name=name,
-        segments=segments,
-        end_x=float(data.get("end_x", 1000.0)),
-        base_height=float(data.get("base_height", 0.0)),
-        course_end=data.get("course_end"),
-    )
+def _scalar(where: str, value, default):
+    """``value`` if it has the JSON type of ``default``: a number for a
+    number, a missing default or None (which also takes null)."""
+    if isinstance(default, (bool, str)):
+        return _expect(where, value, type(default), f"a {type(default).__name__}")
+    if value is None and default is None:
+        return value
+    return _expect(where, value, (int, float), "a number")
+
+
+def _field_value(where: str, f: dataclasses.Field, value):
+    """The value of field ``f`` for the JSON ``value`` found at ``where``."""
+    default = f.default if f.default_factory is MISSING else f.default_factory()
+    if f.name == "terrains":
+        return {name: _record(Terrain, block, f"{where}.{name}", name=name)
+                for name, block in _expect(where, value, dict, "an object").items()}
+    if f.name == "segments":
+        return tuple(_record(TerrainSegment, seg, f"{where}[{i}]")
+                     for i, seg in enumerate(_expect(where, value, list, "a list")))
+    if dataclasses.is_dataclass(default):
+        return _record(type(default), value, where)
+    if f.name == "gaits":
+        return tuple(GaitName.parse(_scalar(f"{where}[{i}]", name, ""))
+                     for i, name in enumerate(_expect(where, value, list, "a list")))
+    if isinstance(default, tuple):
+        return tuple(_scalar(f"{where}[{i}]", v, default[0])
+                     for i, v in enumerate(_expect(where, value, list, "a list")))
+    if f.name == "incline":
+        return math.radians(_scalar(where, value, default))
+    return _scalar(where, value, default)
+
+
+def _record(cls, data, where: str, **given):
+    """``cls`` built from the JSON object ``data`` found at ``where``.
+
+    The keys are the init fields of ``cls`` other than those ``given``; a
+    key left out takes its field's default.
+    """
+    _expect(where, data, dict, "an object")
+    fields = {_JSON_KEYS.get(f.name, f.name): f
+              for f in dataclasses.fields(cls) if f.init and f.name not in given}
+    unknown = sorted(set(data) - set(fields))
+    if unknown:
+        raise ValueError(f"unknown keys in {where or 'the config'}: {unknown}")
+    kwargs = dict(given)
+    for key, f in fields.items():
+        path = f"{where}.{key}" if where else key
+        if key in data:
+            kwargs[f.name] = _field_value(path, f, data[key])
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"missing key {key!r} in {where}")
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> ToolkitConfig:
-    cfg = ToolkitConfig()
-    unknown = set(data) - set(_SECTIONS) - {"terrains"}
-    if unknown:
-        raise ValueError(f"unknown config sections: {sorted(unknown)}")
-    sections = {}
-    for section, cls in _SECTIONS.items():
-        defaults = getattr(cfg, section)
-        overrides = data.get(section, {})
-        names = {f.name for f in dataclasses.fields(cls)}
-        bad = set(overrides) - names
-        if bad:
-            raise ValueError(f"unknown keys in config section {section!r}: {sorted(bad)}")
-        kwargs = {k: _coerce(cls, k, v) for k, v in overrides.items()}
-        # each section's own checks run here, so a bad value fails at load
-        sections[section] = dataclasses.replace(defaults, **kwargs)
-    sections["sim"].validate()
-    sections["map"].validate()
-    terrains = {
-        name: _terrain_from_dict(name, block)
-        for name, block in data.get("terrains", {}).items()
-    }
-    return ToolkitConfig(**sections, terrains=terrains)
+    return _record(ToolkitConfig, data, "")
 
 
 def load_config(path: str | None) -> ToolkitConfig:

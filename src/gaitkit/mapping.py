@@ -30,7 +30,7 @@ _CELL_KEYS = ("c", "v", "gait", "j_e", "cot", "stb", "success", "trials")
 
 @dataclass(frozen=True)
 class MapConfig:
-    """Sweep grid and batch sizes for map construction."""
+    """Sweep grid and batch sizes for map construction; checked when built."""
 
     v_min: float = 0.3
     v_max: float = 2.7
@@ -47,7 +47,7 @@ class MapConfig:
         count = int(round((self.v_max - self.v_min) / self.v_step)) + 1
         return tuple(self.v_min + i * self.v_step for i in range(count))
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """Reject a config that :func:`build_map` could not run to the end."""
         if not self.gaits:
             raise ValueError("candidate gait set must not be empty")
@@ -68,6 +68,9 @@ class MapConfig:
                 f"velocity grid {grid[0]:g}..{grid[-1]:g} m/s leaves the supported "
                 f"[0, {MAX_COMMAND_VELOCITY:g}] m/s"
             )
+
+    # a built config has passed its checks; checking it again is harmless
+    validate = __post_init__
 
 
 @dataclass
@@ -330,7 +333,6 @@ def build_map(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    map_cfg.validate()
     if trial_runner is None:
         trial_runner = partial(
             _simulated_trial, terrain, map_cfg, sim_cfg or SimConfig(),

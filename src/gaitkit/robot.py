@@ -70,13 +70,6 @@ class RobotParams:
 
     __reduce__ = _rebuild
 
-    @cached_property
-    def inertia(self) -> np.ndarray:
-        """Body-frame inertia matrix; built once, read-only."""
-        inertia = np.diag(self.inertia_diag)
-        inertia.flags.writeable = False
-        return inertia
-
     @property
     def leg_reach(self) -> float:
         return self.link_thigh + self.link_shank
@@ -213,7 +206,7 @@ class TerrainBoundsError(ValueError):
 @dataclass(frozen=True)
 class TerrainSegment:
     start_x: float
-    incline: float  # [rad], positive rises with x
+    incline: float = 0.0  # [rad], positive rises with x
     friction: float = 0.7
     kind: str = "flat"
 

@@ -164,7 +164,8 @@ def _unrotate(rot, v) -> Vector3:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Control gains, swing geometry, failure thresholds, and seeding."""
+    """Control gains, swing geometry, failure thresholds, and seeding;
+    checked when built, so a trial never checks it again."""
 
     dt: float = 0.002
     kp_lin: tuple[float, float, float] = (400.0, 400.0, 400.0)
@@ -187,7 +188,7 @@ class SimConfig:
     touchdown_noise: float = 0.01  # [m] std of per-swing landing scatter
     joint_torque_limit: float = 33.5  # [N*m] actuator saturation per joint
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if not all(math.isfinite(v) for v in np.ravel(value)):
@@ -396,7 +397,6 @@ def run_trial(
     """
     config = config or SimConfig()
     params = params or RobotParams()
-    config.validate()
     if not 0.0 <= v_cmd <= MAX_COMMAND_VELOCITY:
         raise ValueError(
             f"commanded velocity {v_cmd} outside the supported "

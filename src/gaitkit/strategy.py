@@ -31,6 +31,11 @@ from .simulation import MAX_COMMAND_VELOCITY, SimConfig, TrialResult, TrunkState
 from .transitions import GaitFsm, GaitTimingConfig
 
 
+# the speed margin [m/s] a multi-gait trial's hysteretic selection keeps
+# before it leaves the gait it is in
+HYSTERESIS_BAND = 0.1
+
+
 class StrategyError(ValueError):
     pass
 
@@ -64,7 +69,6 @@ class MultiGait:
 
     map: VelocityGaitMap
     c: float
-    hysteresis_band: float = 0.1
 
     @property
     def label(self) -> str:
@@ -119,21 +123,18 @@ class _StrideLaw:
     """The multi-gait decision of one trial: the gait it starts in and the gait
     it asks for at each stride boundary.
 
-    A trial starts in the map's pick on the start segment at its start speed:
-    0 m/s from rest, else the command. At a boundary it selects, with
-    hysteresis, for the segment under the body at the speed measured over the
-    stride just ended, capped at the command. The decision reads only the
-    boundary's position and time.
+    A trial starts from rest, in the map's pick on the start segment at
+    0 m/s. At a boundary it selects, with hysteresis, for the segment under
+    the body at the speed measured over the stride just ended, capped at the
+    command. The decision reads only the boundary's position and time.
     """
 
     def __init__(self, strategy: MultiGait, terrain: Terrain, v_cmd: float,
-                 sim_cfg: SimConfig, start_x: float = 0.0,
-                 standing_start: bool = True) -> None:
+                 sim_cfg: SimConfig, start_x: float = 0.0) -> None:
         self.strategy, self.terrain, self.v_cmd = strategy, terrain, v_cmd
-        v0 = 0.0 if standing_start else v_cmd
         start_kind = terrain.segment_at(start_x).kind
-        self.initial = select_gait(strategy.map, start_kind, v0, strategy.c)
-        self.hyst = HysteresisState(self.initial, v0, start_kind)
+        self.initial = select_gait(strategy.map, start_kind, 0.0, strategy.c)
+        self.hyst = HysteresisState(self.initial, 0.0, start_kind)
         self.prev_t = 0.0
         self.prev = (start_x, 0.0, terrain.query(start_x).height + sim_cfg.nominal_height)
 
@@ -149,7 +150,7 @@ class _StrideLaw:
         kind = terrain.segment_at(min(max(position[0], terrain.start_x), terrain.end_x)).kind
         desired, self.hyst = select_gait_hysteretic(
             strategy.map, kind, min(v_meas, self.v_cmd), strategy.c, self.hyst,
-            strategy.hysteresis_band,
+            HYSTERESIS_BAND,
         )
         return desired
 
@@ -162,35 +163,32 @@ def run_strategy(
     params: RobotParams | None = None,
     *,
     duration: float = 30.0,
-    seed: int = 0,
     rng: np.random.Generator | None = None,
     start_x: float = 0.0,
     finish_x: float | None = None,
     timing: GaitTimingConfig | None = None,
-    standing_start: bool = True,
 ) -> TrialResult:
     """Run one full test under a strategy; returns strides plus the event trace.
 
-    Trials begin from rest by default (the speed command then forces the
-    robot forward); the multi-gait strategy re-selects at stride boundaries
-    from the measured stride speed and the terrain segment under the body,
-    so it walks the gait graph as the robot accelerates and the terrain
-    changes.
+    Trials begin from rest (the speed command then forces the robot forward),
+    with ``rng`` jitter on roll and pitch; without ``rng`` the stream is
+    seeded by ``sim_cfg.seed``, as in :func:`run_trial`. The multi-gait
+    strategy re-selects at stride boundaries from the measured stride speed
+    and the terrain segment under the body, so it walks the gait graph as the
+    robot accelerates and the terrain changes.
     """
     sim_cfg = sim_cfg or SimConfig()
     params = params or RobotParams()
     _check_coverage(strategy, terrain, start_x)
     if finish_x is None:
         finish_x = terrain.course_end
-    rng = rng if rng is not None else np.random.default_rng(seed)
+    rng = rng if rng is not None else np.random.default_rng(sim_cfg.seed)
     timing = timing or GaitTimingConfig()
     period = timing.period
-    initial_state = (
-        _standing_state(terrain, start_x, sim_cfg, rng) if standing_start else None
-    )
+    initial_state = _standing_state(terrain, start_x, sim_cfg, rng)
 
     if isinstance(strategy, MultiGait):
-        law = _StrideLaw(strategy, terrain, v_cmd, sim_cfg, start_x, standing_start)
+        law = _StrideLaw(strategy, terrain, v_cmd, sim_cfg, start_x)
         fsm = GaitFsm(law.initial, period=period, switch_time=timing.switch_time,
                       dwell_strides=timing.dwell_strides)
 

@@ -107,7 +107,8 @@ def transition_params(
     target gait, bit for bit, because ``b - a`` is exact for the canonical
     values of every pair of neighbours.
     """
-    if t < 0.0 or t > action.duration:
+    # NaN fails the test
+    if not 0.0 <= t <= action.duration:
         raise ValueError(
             f"time {t} outside the switching window [0, {action.duration}]"
         )

@@ -2,11 +2,15 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from gaitkit import cli, mapping, strategy
+from gaitkit import __version__, cli, mapping, strategy
 from gaitkit.cli import main
 from gaitkit.mapping import MapConfig, build_map
 from gaitkit.robot import terrain_preset
@@ -90,6 +94,18 @@ def test_transition_demo_trot_to_run_chain(tmp_path):
     events = json.loads((out / "events.json").read_text())
     assert events["events"][0]["chain"] == ["a12", "a23"]
     assert (out / "sim_series.csv").exists()
+
+
+def test_transition_demo_runs_a_derived_chain(tmp_path):
+    # trot-run -> walk has no direct edge: it runs trot-run -> trot -> walk
+    out = tmp_path / "demo"
+    assert main(["transition-demo", "--from", "trot-run", "--to", "walk",
+                 "--out", str(out)]) == 0
+    with open(out / "transition_trace.csv", newline="") as fh:
+        actions = [row["action"] for row in csv.DictReader(fh) if row["action"]]
+    assert [a for i, a in enumerate(actions) if i == 0 or a != actions[i - 1]] == [
+        "a41", "a10"
+    ]
 
 
 @pytest.mark.parametrize("target, code", [("walk", 0), ("run", 2)])
@@ -229,13 +245,30 @@ def test_config_defined_terrain(tmp_path):
     assert data["terrain"] == "bump"
 
 
-def test_config_rejects_unknown_keys(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"sim": {"dtt": 0.001}}))
-    assert main([
-        "simulate", "--gait", "trot", "--velocity", "1.0",
-        "--out", str(tmp_path / "o"), "--config", str(cfg_path),
-    ]) == 1
+def test_config_rejects_unknown_keys(tmp_path, capsys):
+    segment = {"start_x": -100.0, "friction": 0.1}
+    for cfg, terrain, key in [
+        ({"sim": {"dtt": 0.001}}, "flat", "dtt"),
+        # a misspelled segment or terrain key used to be dropped: the run
+        # exited 0 with friction 0.7
+        ({"terrains": {"t": {"segments": [{"start_x": -100.0, "frction": 0.1}]}}},
+         "t", "frction"),
+        ({"terrains": {"t": {"segments": [segment], "endx": 50.0}}}, "t", "endx"),
+        # a scalar where a list belongs used to end in a TypeError traceback
+        ({"sim": {"kp_lin": 5}}, "flat", "kp_lin"),
+        ({"terrains": {"t": {"segments": [segment, {"incline_deg": 5.0}]}}}, "t", "start_x"),
+    ]:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([
+            "simulate", "--gait", "trot", "--velocity", "1.0", "--terrain", terrain,
+            "--out", str(tmp_path / "o"), "--config", str(cfg_path),
+        ]) == 1, cfg
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and key in err, err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize(
@@ -253,11 +286,19 @@ def test_config_rejects_unknown_keys(tmp_path):
         ({"sim": {"max_roll": math.nan}}, "flat"),
         ({"sim": {"max_pitch": math.nan}}, "flat"),
         ({"sim": {"min_height_ratio": math.nan}}, "flat"),
+        # a NaN under a misspelled key was dropped and the run exited 0
+        ({"terrains": {"slick": {"segments": [{"start_x": -100, "frction": math.nan}]}}},
+         "slick"),
+        ({"terrains": {"slick": {"segments": [{"start_x": -100}], "endx": math.nan}}},
+         "slick"),
+        ({"sim": {"kp_lin": math.nan}}, "flat"),
+        ({"terrains": {"slick": {"segments": [{"incline_deg": math.nan}]}}}, "slick"),
     ],
     ids=["friction", "mass", "inertia", "gravity", "foot_mass", "gain", "max_roll",
-         "max_pitch", "min_height_ratio"],
+         "max_pitch", "min_height_ratio", "misspelled-segment-key",
+         "misspelled-terrain-key", "scalar-gain", "segment-without-start-x"],
 )
-def test_nan_in_config_exits_one(tmp_path, cfg, terrain):
+def test_nan_in_config_exits_one(tmp_path, capsys, cfg, terrain):
     # json.dumps writes NaN, which json.load accepts
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -267,6 +308,8 @@ def test_nan_in_config_exits_one(tmp_path, cfg, terrain):
         "--duration", "1.2", "--out", str(tmp_path / "o"), "--config", str(cfg_path),
     ]) == 1
     assert not (tmp_path / "o").exists()
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
 def test_bad_map_c_values_exit_one_before_any_output(tmp_path):
@@ -602,3 +645,30 @@ def test_manifest_records_the_config_seed(tmp_path, monkeypatch, command):
     # compare embeds no manifest in its CSV; every other command does in its JSON
     assert len(manifests) == (1 if command[0] == "compare" else 2)
     assert [m["seed"] for m in manifests] == [5] * len(manifests)
+
+
+def test_module_entry_point_is_the_console_script(tmp_path):
+    # pyproject.toml installs main as the gaitkit command; python -m runs the
+    # same main in a fresh interpreter, as the installed command does
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert re.search(r'^\[project\.scripts\]\ngaitkit = "gaitkit\.cli:main"$',
+                     pyproject, re.M)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def gaitkit(*args):
+        return subprocess.run([sys.executable, "-m", "gaitkit.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    version = gaitkit("--version")
+    assert (version.returncode, version.stdout.strip()) == (0, __version__)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sim": {"kp_lin": 5}}))
+    out = tmp_path / "o"
+    bad = gaitkit("simulate", "--gait", "trot", "--velocity", "1.2", "--duration", "1.2",
+                  "--out", str(out), "--config", str(cfg_path))
+    assert bad.returncode == 1
+    assert bad.stdout == ""
+    assert bad.stderr == "error: sim.kp_lin must be a list, got 5\n"
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -196,14 +197,17 @@ def test_parallel_build_matches_sequential():
 
 
 def test_map_config_validation():
+    # the checks run when the config is built
     with pytest.raises(ValueError):
-        MapConfig(gaits=()).validate()
+        MapConfig(gaits=())
     with pytest.raises(ValueError):
-        MapConfig(trials=0).validate()
+        MapConfig(trials=0)
     with pytest.raises(ValueError):
-        MapConfig(c_values=(1.5,)).validate()
+        MapConfig(c_values=(1.5,))
     with pytest.raises(ValueError):
-        MapConfig(v_min=2.0, v_max=1.0).validate()
+        MapConfig(v_min=2.0, v_max=1.0)
+    with pytest.raises(ValueError):
+        dataclasses.replace(MapConfig(), v_max=3.5)
     for overrides in (
         # trial_outcome would score strides[-1:]
         {"warmup_strides": -1},
@@ -218,7 +222,7 @@ def test_map_config_validation():
         {"v_min": math.nan},
     ):
         with pytest.raises(ValueError):
-            MapConfig(**overrides).validate()
+            MapConfig(**overrides)
 
 
 def test_map_config_grid_may_span_the_whole_command_range():

@@ -50,7 +50,7 @@ def _map_selecting(selection, c_values=(0.1, 0.5, 0.9)):
 def test_fixed_gait_no_events():
     terrain = terrain_preset("flat")
     res = run_strategy(
-        FixedGait(GaitName.TROT), terrain, 1.0, QUIET, duration=2.0, seed=0,
+        FixedGait(GaitName.TROT), terrain, 1.0, QUIET, duration=2.0,
     )
     assert res.events == []
     assert not res.failed
@@ -61,7 +61,7 @@ def test_multigait_terrain_switch_fires_table_chain():
     m = _map_selecting({"flat": GaitName.TROT, "slope12": GaitName.TROT_RUN})
     strategy = MultiGait(m, 0.1)
     res = run_strategy(
-        strategy, terrain, 1.8, QUIET, duration=12.0, seed=0, finish_x=5.0,
+        strategy, terrain, 1.8, QUIET, duration=12.0, finish_x=5.0,
     )
     chains = [e.chain for e in res.events]
     assert chains.count(("a14",)) == 1
@@ -90,11 +90,23 @@ def test_run_to_trotrun_selection_chain_matches_table():
     assert fsm.current is GaitName.TROT_RUN
 
 
+def test_run_strategy_seeds_from_the_sim_config():
+    # without an rng the standing start's jitter comes from sim_cfg.seed
+    terrain = terrain_preset("flat")
+    starts = [
+        run_strategy(FixedGait(GaitName.TROT), terrain, 1.0, SimConfig(seed=seed),
+                     duration=1.2).strides[0].euler[0].tolist()
+        for seed in (5, 6, 5)
+    ]
+    assert starts[0] != starts[1]
+    assert starts[0] == starts[2]
+
+
 def test_multigait_uniform_map_never_switches():
     terrain = terrain_preset("flat-slope")
     m = _map_selecting({"flat": GaitName.TROT, "slope12": GaitName.TROT})
     res = run_strategy(
-        MultiGait(m, 0.5), terrain, 1.2, QUIET, duration=10.0, seed=0, finish_x=5.0,
+        MultiGait(m, 0.5), terrain, 1.2, QUIET, duration=10.0, finish_x=5.0,
     )
     assert res.events == []
 
@@ -124,7 +136,7 @@ def test_per_velocity_fixed_selects_once():
     terrain = terrain_preset("flat-slope")
     m = _map_selecting({"flat": GaitName.WALK, "slope12": GaitName.TROT_RUN})
     res = run_strategy(
-        PerVelocityFixed(m, 0.5), terrain, 0.5, QUIET, duration=4.0, seed=0,
+        PerVelocityFixed(m, 0.5), terrain, 0.5, QUIET, duration=4.0,
     )
     assert res.events == []  # never switches even across the join
 
@@ -133,7 +145,7 @@ def test_event_chains_replay_against_table():
     terrain = terrain_preset("flat-slope")
     m = _map_selecting({"flat": GaitName.RUN, "slope12": GaitName.TROT_RUN})
     res = run_strategy(
-        MultiGait(m, 0.1), terrain, 1.8, QUIET, duration=12.0, seed=0, finish_x=5.0,
+        MultiGait(m, 0.1), terrain, 1.8, QUIET, duration=12.0, finish_x=5.0,
     )
     for event in res.events:
         assert TRANSITION_TABLE[(event.source, event.target)] == event.chain
@@ -277,8 +289,8 @@ def test_trial_outcome_scores_at_most_strides_usable_strides():
     from gaitkit.metrics import stride_metrics
 
     terrain = terrain_preset("flat")
-    res = run_strategy(FixedGait(GaitName.TROT), terrain, 0.9, QUIET, duration=3.0,
-                       seed=1, standing_start=False)
+    res = run_trial(standard_gait(GaitName.TROT), 0.9, terrain, 3.0, QUIET,
+                    rng=np.random.default_rng(1))
     assert not res.failed and res.finished_course
     first = next(s for s in res.strides[3:] if s.complete)
     expected = stride_metrics(first, terrain, RobotParams())

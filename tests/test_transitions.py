@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -119,6 +120,14 @@ def test_transition_params_rejects_out_of_window():
         transition_params(a12, -0.01)
     with pytest.raises(ValueError):
         transition_params(a12, TS + 0.01)
+    # NaN lies in no window: it used to fail on the duty factor, or pass a
+    # self loop through
+    a10 = transition_action(GaitName.TROT, GaitName.WALK, TS)
+    with pytest.raises(ValueError, match="outside the switching window"):
+        transition_params(a10, math.nan)
+    loop = transition_action(GaitName.TROT, GaitName.TROT)
+    with pytest.raises(ValueError, match="outside the switching window"):
+        transition_params(loop, math.nan)
 
 
 def test_invalid_edges_rejected():
