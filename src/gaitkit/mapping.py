@@ -55,6 +55,8 @@ class MapConfig:
             value = getattr(self, name)
             if type(value) is not int or value < least:
                 raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+        if not self.c_values:
+            raise ValueError("map.c_values must not be empty")
         if any(not 0.0 <= c <= 1.0 for c in self.c_values):
             raise ValueError("c values must lie in [0, 1]")
         for name in ("v_min", "v_max", "v_step"):

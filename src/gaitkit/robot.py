@@ -49,24 +49,20 @@ class RobotParams:
     link_shank: float = 0.22
     foot_mass: float = 0.3  # effective swing foot mass [m]
     gravity: float = GRAVITY
-    n_motors: int = 12
 
     def __post_init__(self) -> None:
-        # written as "not x > 0" so that NaN (from a JSON config) is rejected
-        if not self.mass > 0.0:
-            raise ValueError("mass must be positive")
-        if not all(i > 0.0 for i in self.inertia_diag):
-            raise ValueError("inertia must be positive definite")
-        if not (self.link_thigh > 0.0 and self.link_shank > 0.0 and self.link_hip >= 0.0):
-            raise ValueError("link lengths must be positive (hip offset >= 0)")
-        for name in ("gravity", "hip_length", "hip_width"):
+        # written as "not 0 < x < inf" so that NaN (from a JSON config) is rejected
+        for name in ("mass", "link_thigh", "link_shank", "gravity", "hip_length", "hip_width"):
             if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+                raise ValueError(f"robot.{name} must be positive and finite")
         for name in ("foot_mass", "link_hip"):
             if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
-        if self.n_motors != 12:
-            raise ValueError("the toolkit models 12 motors, 3 per leg")
+                raise ValueError(f"robot.{name} must be non-negative and finite")
+        inertia = self.inertia_diag
+        if len(inertia) != 3 or not all(0.0 < i < math.inf for i in inertia):
+            raise ValueError(
+                f"robot.inertia_diag must be three finite positive numbers, got {inertia}"
+            )
 
     __reduce__ = _rebuild
 

@@ -21,10 +21,11 @@ stance and centre of mass as Python sequences, and :func:`step` the state,
 the saturated forces as float rows and the rotation it built for the step, so
 the integrator neither converts them nor rebuilds the rotation; :func:`step`
 integrates on scalars and returns a new :class:`TrunkState`. Each step is
-logged as one row write of a tuple of floats into one float64 buffer (the
-stance flags into a bool buffer beside it), whose column views are the
-:class:`~gaitkit.stridelog.StrideLog` fields (:mod:`gaitkit.stridelog` holds
-the log). The helpers they call once or more per step (:func:`~gaitkit.robot.leg_ik`,
+logged as one tuple of floats and its stance flags; each stride builds one
+float64 array of its rows (and one bool array of its flags), whose column
+views are the :class:`~gaitkit.stridelog.StrideLog` fields
+(:mod:`gaitkit.stridelog` holds the log). The helpers they call once or
+more per step (:func:`~gaitkit.robot.leg_ik`,
 :func:`~gaitkit.robot.leg_jacobian`, :func:`rotation_matrix`,
 :func:`euler_rate_to_omega`, :func:`omega_to_euler_rates`, the swing arc and
 its acceleration, and the stance and swing torques) take sequences of floats
@@ -189,6 +190,13 @@ class SimConfig:
     joint_torque_limit: float = 33.5  # [N*m] actuator saturation per joint
 
     def __post_init__(self) -> None:
+        # numpy's seeding takes a non-negative int; a bool is not a seed
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"sim.seed must be a non-negative int, got {self.seed!r}")
+        for name in ("kp_lin", "kd_lin", "kp_ang", "kd_ang"):
+            gains = getattr(self, name)
+            if len(gains) != 3:
+                raise ValueError(f"sim.{name} must have 3 entries, got {gains}")
         for f in fields(self):
             value = getattr(self, f.name)
             if not all(math.isfinite(v) for v in np.ravel(value)):
@@ -390,10 +398,10 @@ def run_trial(
     holds. Logs are segmented per stride; the trial ends early on failure
     (attitude or height threshold) or when the body passes ``finish_x``.
 
-    Every step writes one row of the trial's log buffers, and each returned
-    :class:`StrideLog` holds views of the rows of its
-    stride: the strides partition the steps run, in order, with no gap, no
-    overlap and no empty stride.
+    Every step logs one row, and each returned :class:`StrideLog` holds
+    column views of one array of the rows of its stride: the strides
+    partition the steps run, in order, with no gap, no overlap and no empty
+    stride.
     """
     config = config or SimConfig()
     params = params or RobotParams()
@@ -482,8 +490,7 @@ def run_trial(
     failed = False
     finished = False
     strides: list[StrideLog] = []
-    n_steps = int(round(duration / dt))
-    acc = StrideAccumulator(n_steps, dt, q)
+    acc = StrideAccumulator(dt, q)
     acc.reset(0.0, state.position)
 
     # the ground under the body; after each step it is resampled for the
@@ -492,7 +499,7 @@ def run_trial(
     # the force QP's final working set seeds the next step's QP
     working_set: tuple[int, ...] = ()
     t = 0.0
-    for _ in range(n_steps):
+    for _ in range(int(round(duration / dt))):
         pattern = gait if fsm is None else fsm.advance(dt)
         beta = pattern.beta
         swing_time_full = (1.0 - beta) * period
@@ -677,8 +684,6 @@ def run_trial(
     log = acc.close(t, state.position, v_cmd, failed=failed, complete=False)
     if log is not None:
         strides.append(log)
-    if failed and strides:
-        strides[-1].failed = True
 
     return TrialResult(
         strides=strides,

@@ -257,6 +257,12 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
         # a scalar where a list belongs used to end in a TypeError traceback
         ({"sim": {"kp_lin": 5}}, "flat", "kp_lin"),
         ({"terrains": {"t": {"segments": [segment, {"incline_deg": 5.0}]}}}, "t", "start_x"),
+        # a gain list of another length, or a seed that is not an int, used
+        # to end in an unpacking or TypeError traceback
+        ({"sim": {"kp_lin": [400.0, 400.0]}}, "flat", "sim.kp_lin"),
+        ({"sim": {"kd_ang": [8.0, 8.0, 8.0, 8.0]}}, "flat", "sim.kd_ang"),
+        ({"sim": {"seed": 1.5}}, "flat", "sim.seed"),
+        ({"sim": {"seed": True}}, "flat", "sim.seed"),
     ]:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -310,6 +316,31 @@ def test_nan_in_config_exits_one(tmp_path, capsys, cfg, terrain):
     assert not (tmp_path / "o").exists()
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "robot, key",
+    [
+        # an infinite mass passed the load and the run was scored as a fall (exit 2)
+        ({"mass": math.inf}, "robot.mass"),
+        ({"link_thigh": math.inf}, "robot.link_thigh"),
+        ({"link_shank": math.inf}, "robot.link_shank"),
+        ({"inertia_diag": [0.05, math.inf, 0.18]}, "robot.inertia_diag"),
+        ({"inertia_diag": [0.05, 0.15]}, "robot.inertia_diag"),
+    ],
+    ids=["inf-mass", "inf-thigh", "inf-shank", "inf-inertia", "two-inertia"],
+)
+def test_bad_robot_value_exits_one_naming_the_key(tmp_path, capsys, robot, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"robot": robot}))
+    assert main([
+        "simulate", "--gait", "trot", "--velocity", "1.2", "--duration", "1.2",
+        "--out", str(tmp_path / "o"), "--config", str(cfg_path),
+    ]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and key in err, err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_bad_map_c_values_exit_one_before_any_output(tmp_path):
@@ -411,27 +442,33 @@ _BUILD_MAP = ["build-map", "--v-min", "0.5", "--v-max", "0.5", "--c", "0.5",
               "--trials", "1", "--strides", "1"]
 
 
+_SIMULATE = ["simulate", "--gait", "trot", "--velocity", "1.2", "--duration", "1.2"]
+
+
 @pytest.mark.parametrize(
-    "command, section",
+    "command, section, message",
     [
-        (["simulate", "--gait", "trot", "--velocity", "1.2", "--duration", "1.2"],
-         {"warmup_strides": -1}),
-        (["simulate", "--gait", "trot", "--velocity", "1.2", "--duration", "1.2"],
-         {"v_max": 3.5}),
+        (_SIMULATE, {"warmup_strides": -1}, "warmup_strides"),
+        (_SIMULATE, {"v_max": 3.5}, "velocity grid"),
         # build-map used to simulate every cell up to 2.9 m/s and then exit 1
-        (["build-map"], {"v_max": 3.5}),
-        (["build-map"], {"warmup_strides": -1}),
+        (["build-map"], {"v_max": 3.5}, "velocity grid"),
+        (["build-map"], {"warmup_strides": -1}, "warmup_strides"),
+        # simulate used to exit 0 with no blend ratio scored
+        (_SIMULATE, {"c_values": []}, "map.c_values"),
     ],
     ids=["simulate-negative-warmup", "simulate-v-max", "build-map-v-max",
-         "build-map-negative-warmup"],
+         "build-map-negative-warmup", "simulate-empty-c-values"],
 )
-def test_bad_map_section_exits_one_at_load(tmp_path, monkeypatch, command, section):
+def test_bad_map_section_exits_one_at_load(tmp_path, monkeypatch, capsys, command, section,
+                                           message):
     monkeypatch.setattr(cli, "run_trial", _no_trial)
     monkeypatch.setattr(mapping, "run_trial", _no_trial)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"map": section}))
     out = tmp_path / "o"
     assert main(command + ["--out", str(out), "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 

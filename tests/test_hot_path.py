@@ -21,7 +21,6 @@ from hypothesis import given, strategies as st
 
 import gaitkit.forces as forces
 import gaitkit.simulation as simulation
-import gaitkit.stridelog as stridelog
 
 from gaitkit.forces import _cone_block, _independent
 from gaitkit.gaits import GaitName, LegId, standard_gait
@@ -635,22 +634,6 @@ def test_the_default_start_state_is_the_first_log_row(preset):
         assert _same_bits(getattr(first, name)[0], value), name
 
 
-@pytest.mark.parametrize("trial", [_steady_trot, _falling_bound], ids=["steady-trot", "falling-bound"])
-def test_stride_logs_do_not_depend_on_the_log_buffer_size(monkeypatch, trial):
-    # buffers of 7 rows: the open stride moves to a new buffer every 7 steps
-    # and the closed strides stay in the old ones
-    want = trial(None)
-    monkeypatch.setattr(stridelog, "_LOG_BUFFER_ROWS", 7)
-    got = trial(None)
-    assert len(got.strides) == len(want.strides) > 0
-    for a, b in zip(got.strides, want.strides):
-        for f in dataclasses.fields(a):
-            assert _same_bits(getattr(a, f.name), getattr(b, f.name)), f.name
-    for a, b in itertools.combinations(got.strides, 2):
-        assert not np.shares_memory(a.position, b.position)
-        assert not np.shares_memory(a.stance, b.stance)
-
-
 class _AngleLog:
     """Wraps the leg IK that run_trial calls and keeps, in call order, the
     angles each call gave it: the solution, or the clamped angles of an
@@ -680,16 +663,8 @@ class _AngleLog:
                          for prev, q in zip(steps, steps[1:])])
 
 
-def _long_trot(log):
-    # past the first log buffer of _LOG_BUFFER_ROWS steps
-    result = _trot_on("flat", 0.0, 8.4)
-    assert sum(s.time.shape[0] for s in result.strides) > stridelog._LOG_BUFFER_ROWS
-    return result
-
-
 @pytest.mark.parametrize(
-    "trial", [_steady_trot, _long_trot, _falling_bound],
-    ids=["steady-trot", "buffer-reallocation", "falling-bound"],
+    "trial", [_steady_trot, _falling_bound], ids=["steady-trot", "falling-bound"]
 )
 def test_joint_velocities_are_the_differenced_ik_angles(monkeypatch, trial):
     angles = _AngleLog(monkeypatch)

@@ -251,7 +251,7 @@ def _segment_straddling_log(terrain, rng):
         tangent = np.array([np.cos(samp.incline), 0.0, np.sin(samp.incline)])
         off = rng.choice([0.0, rng.uniform(-1e-3, 1e-3), 0.5])
         vel[i] = rng.uniform(-1e-3, 1e-3) * tangent + off * samp.normal
-    # a view of a wider buffer, as the stride logs of a trial are
+    # column views of a wider array, as a stride's log fields are
     rows = np.zeros((n, 12))
     rows[:, 0:3] = np.column_stack([xs, rng.normal(0.0, 0.1, n), np.full(n, 0.32)])
     rows[:, 3:6] = vel

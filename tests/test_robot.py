@@ -106,8 +106,6 @@ def test_robot_params_validation():
         RobotParams(mass=-1.0)
     with pytest.raises(ValueError):
         RobotParams(inertia_diag=(0.0, 0.1, 0.1))
-    with pytest.raises(ValueError):
-        RobotParams(n_motors=8)
 
 
 # -- terrain -----------------------------------------------------------------
@@ -221,10 +219,22 @@ def test_robot_params_reject_nan(kwargs):
 
 
 @pytest.mark.parametrize("value", [math.nan, 0.0, -1.0, math.inf])
-@pytest.mark.parametrize("name", ["gravity", "hip_length", "hip_width"])
+@pytest.mark.parametrize(
+    "name", ["gravity", "hip_length", "hip_width", "mass", "link_thigh", "link_shank"]
+)
 def test_robot_params_reject_non_positive_or_non_finite_geometry(name, value):
     with pytest.raises(ValueError, match=name):
         RobotParams(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "inertia",
+    [(0.05, 0.15), (0.05, 0.15, 0.18, 0.1), (0.05, math.inf, 0.18), (0.0, 0.15, 0.18)],
+    ids=["two", "four", "inf", "zero"],
+)
+def test_robot_params_reject_an_inertia_that_is_not_three_finite_positive_numbers(inertia):
+    with pytest.raises(ValueError, match="inertia_diag"):
+        RobotParams(inertia_diag=inertia)
 
 
 @pytest.mark.parametrize("value", [math.nan, -0.01, math.inf])
