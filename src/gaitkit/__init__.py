@@ -46,6 +46,7 @@ from .forces import ForceDistribution, distribute_forces
 from .simulation import (
     SimConfig,
     StrideLog,
+    TrialCheckpoint,
     TrialResult,
     TrunkState,
     run_trial,

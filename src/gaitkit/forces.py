@@ -104,7 +104,9 @@ the wrapper turns a singular system into ``LinAlgError``; the gufunc returns
 NaN for it (with numpy's invalid-value warning). So a solution that is not
 finite is solved again by ``np.linalg.solve``: a singular system still
 raises ``LinAlgError``, and a system with NaN entries, which is not singular
-to LAPACK, still gives NaN.
+to LAPACK, still gives NaN. The gufunc's name is private to numpy; where a
+numpy release lacks it, ``np.linalg.solve`` is called instead, with the same
+bits.
 
 Euclidean norms of iterates and steps are taken as ``math.sqrt(v.dot(v))``,
 the same dot product and correctly rounded square root that
@@ -120,7 +122,6 @@ from itertools import product
 from threading import get_ident
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 # Weight of the norm-minimization term relative to the wrench penalty. Small
 # enough that the wrench residual stays far below the 1e-6 feasibility
@@ -145,8 +146,13 @@ _SQRT_RIDGE = math.sqrt(_RIDGE)
 # the objective (multipliers of feasible splits are eps * |f|, about 1e-7)
 _LAMBDA_TOL = -1e-12
 # the LAPACK gesv gufunc that np.linalg.solve calls for a vector right-hand
-# side, without the wrapper's array conversion, type resolution and errstate
-_lapack_solve = _umath_linalg.solve1
+# side, without the wrapper's array conversion, type resolution and errstate;
+# the name is private to numpy, so where it is missing, the wrapper itself,
+# which gives the same bits
+try:
+    from numpy.linalg._umath_linalg import solve1 as _lapack_solve
+except ImportError:
+    _lapack_solve = np.linalg.solve
 
 
 @dataclass

@@ -50,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .forces import _four_bools, _four_flags, _leg_rows, distribute_forces
-from .gaits import GaitPattern, LegId, leg_contact
+from .gaits import GaitPattern, LegId, leg_contact, standard_gait
 from .robot import (
     OutOfWorkspaceError,
     Matrix3,
@@ -93,6 +93,66 @@ def _trunk_state(state: TrunkState) -> TrunkState:
         tuple(np.asarray(v, dtype=float).tolist())
         for v in (state.position, state.velocity, state.euler, state.omega)
     ))
+
+
+@dataclass(frozen=True, eq=False)
+class TrialCheckpoint:
+    """What :func:`run_trial`'s loop carries across one stride boundary, taken
+    after the stride closes and before ``on_stride`` runs.
+
+    ``run_trial(..., resume=checkpoint)`` continues the trial from here, bit
+    for bit. ``dt``, ``v_cmd``, ``pattern`` (the gait of the stride that
+    closed) and ``terrain`` are the trial's, and a resume must match them.
+    ``strides`` are the strides closed so far; the joint angles ``q`` are also
+    those of the last logged step, from which the next stride's joint rates
+    are differenced.
+    """
+
+    dt: float
+    v_cmd: float
+    pattern: GaitPattern
+    terrain: Terrain
+    steps: int  # control steps run
+    t: float
+    phase: float
+    stride_idx: int  # the index of the stride that starts here
+    carrot_x: float
+    state: TrunkState
+    foot_pos: tuple[Vector3, ...]
+    lift_pos: tuple[Vector3, ...]
+    normals: tuple[Vector3, ...]
+    swing_entry_s: tuple[float, ...]
+    was_swing: tuple[bool, ...]
+    touchdown_scatter: tuple[tuple[float, float], ...]
+    q: tuple[Vector3, ...]
+    working_set: tuple[int, ...]
+    rng_state: dict
+    strides: tuple[StrideLog, ...]
+
+
+def _check_resume(resume: TrialCheckpoint, gait, fsm: GaitFsm | None, v_cmd: float,
+                  terrain: Terrain, dt: float, n_steps: int) -> None:
+    """A ValueError unless the trial ``resume`` was taken in is the one this
+    call runs: the same step, command, gait, period and terrain, and a machine
+    idle in that gait with its clock at the checkpoint's time."""
+    if resume.dt != dt:
+        raise ValueError(f"checkpoint taken at dt={resume.dt}, not {dt}")
+    if resume.v_cmd != v_cmd:
+        raise ValueError(f"checkpoint taken at v_cmd={resume.v_cmd}, not {v_cmd}")
+    # a pattern holds its period, so this also compares the periods
+    source = gait if fsm is None else standard_gait(fsm.current, fsm.period)
+    if source != resume.pattern:
+        raise ValueError(f"checkpoint taken under {resume.pattern}, not {source}")
+    if fsm is not None and (fsm.busy or fsm.time != resume.t):
+        raise ValueError("a resumed machine must be idle, its time at the checkpoint's")
+    mine, theirs = resume.terrain, terrain
+    if mine is not theirs and (mine.segments, mine.end_x, mine.base_height) != (
+        theirs.segments, theirs.end_x, theirs.base_height
+    ):
+        raise ValueError(f"checkpoint taken on terrain {mine.name!r}, not {theirs.name!r}")
+    if resume.steps > n_steps:
+        raise ValueError(f"checkpoint at step {resume.steps} lies past the trial's "
+                         f"{n_steps} steps")
 
 
 def rotation_matrix(euler) -> Matrix3:
@@ -368,6 +428,54 @@ def swing_torques(q_leg, foot_accel_body, leg: LegId, params: RobotParams) -> Ve
     )
 
 
+def _start_pose(v_cmd: float, terrain: Terrain, config: SimConfig, params: RobotParams,
+                rng: np.random.Generator, start_x: float,
+                initial_state: TrunkState | None, hips) -> tuple:
+    """A trial's start: its :class:`TrunkState`, foot points, contact normals
+    (a (4, 3) array) and joint angles, each of the last two a list in LegId
+    order. Without ``initial_state`` the body stands at ``start_x`` at the
+    nominal height, moving at ``v_cmd`` along the terrain, with ``rng``
+    jitter on roll, pitch and the horizontal velocity."""
+    samp0 = terrain.query(start_x)
+    if initial_state is None:
+        roll0, pitch0 = (rng.uniform(-1.0, 1.0, size=2) * config.attitude_jitter).tolist()
+        vx0, vy0 = (rng.uniform(-1.0, 1.0, size=2) * config.velocity_jitter).tolist()
+        # v_cmd along the terrain tangent plus the jitter; the 0.0 terms keep
+        # the sign of zero of the vector sum
+        initial_state = TrunkState(
+            (start_x, 0.0, samp0.height + config.nominal_height),
+            (v_cmd * math.cos(samp0.incline) + vx0, 0.0 + vy0,
+             v_cmd * math.sin(samp0.incline) + 0.0),
+            (roll0, samp0.incline + pitch0, 0.0),
+            (0.0, 0.0, 0.0),
+        )
+    state = _trunk_state(initial_state)
+
+    (px, py, pz), _, euler, _ = state
+    rot = rotation_matrix(euler)
+    # foot points in LegId order; an entry is replaced, never changed in place,
+    # so the lift point of a swing can share it
+    foot_pos = []
+    # contact normal under each foot; a stance foot keeps its x, so this is
+    # sampled at the start and at every touchdown. distribute_forces reads the
+    # rows of stance feet only.
+    normals = np.zeros((4, 3))
+    for leg in _LEGS:
+        hx, hy, _ = _rotate(rot, hips[leg])
+        samp = terrain.query(px + hx)
+        foot_pos.append((px + hx, py + hy, samp.height))
+        normals[leg] = samp.normal
+
+    q = []
+    for leg in _LEGS:
+        fx, fy, fz = foot_pos[leg]
+        try:
+            q.append(leg_ik(_unrotate(rot, (fx - px, fy - py, fz - pz)), leg, params))
+        except OutOfWorkspaceError as err:
+            q.append(err.clamped_angles.tolist())
+    return state, foot_pos, normals, q
+
+
 def run_trial(
     gait: GaitPattern | GaitFsm,
     v_cmd: float,
@@ -381,6 +489,7 @@ def run_trial(
     finish_x: float | None = None,
     initial_state: TrunkState | None = None,
     on_stride=None,
+    resume: TrialCheckpoint | None = None,
 ) -> TrialResult:
     """Closed-loop trial: track ``v_cmd`` along the terrain under ``gait``.
 
@@ -402,6 +511,18 @@ def run_trial(
     column views of one array of the rows of its stride: the strides
     partition the steps run, in order, with no gap, no overlap and no empty
     stride.
+
+    At each stride boundary before the machine's first event (at every
+    boundary of a pattern), the trial records a :class:`TrialCheckpoint`.
+    ``resume=checkpoint`` continues the trial from one instead of starting
+    it: ``on_stride`` is called for the checkpoint's boundary, the finish line
+    is checked, and the remaining steps of ``duration`` run, with ``rng`` set
+    to the checkpoint's stream state (``start_x`` and ``initial_state`` have
+    no part). With the same config and robot, the result is the uninterrupted
+    trial's, to the last bit, its strides beginning with the checkpoint's own;
+    its checkpoints are those of the later boundaries. A checkpoint of
+    another ``dt``, ``v_cmd``, gait, period or terrain is a ValueError; a
+    machine must be idle, its ``time`` at the checkpoint's.
     """
     config = config or SimConfig()
     params = params or RobotParams()
@@ -427,49 +548,37 @@ def run_trial(
 
     dt = config.dt
     rng = rng if rng is not None else np.random.default_rng(config.seed)
-
-    samp0 = terrain.query(start_x)
-    if initial_state is None:
-        roll0, pitch0 = (rng.uniform(-1.0, 1.0, size=2) * config.attitude_jitter).tolist()
-        vx0, vy0 = (rng.uniform(-1.0, 1.0, size=2) * config.velocity_jitter).tolist()
-        # v_cmd along the terrain tangent plus the jitter; the 0.0 terms keep
-        # the sign of zero of the vector sum
-        initial_state = TrunkState(
-            (start_x, 0.0, samp0.height + config.nominal_height),
-            (v_cmd * math.cos(samp0.incline) + vx0, 0.0 + vy0,
-             v_cmd * math.sin(samp0.incline) + 0.0),
-            (roll0, samp0.incline + pitch0, 0.0),
-            (0.0, 0.0, 0.0),
-        )
-    state = _trunk_state(initial_state)
-
+    n_steps = int(round(duration / dt))
     hips = params.hip_offsets.tolist()
-    (px, py, pz), (vx, vy, vz), euler, omega = state
-    rot = rotation_matrix(euler)
-    # foot points in LegId order; an entry is replaced, never changed in place,
-    # so the lift point of a swing can share it
-    foot_pos = []
-    # contact normal under each foot; a stance foot keeps its x, so this is
-    # sampled at the start and at every touchdown. distribute_forces reads the
-    # rows of stance feet only.
-    normals = np.zeros((4, 3))
-    for leg in _LEGS:
-        hx, hy, _ = _rotate(rot, hips[leg])
-        samp = terrain.query(px + hx)
-        foot_pos.append((px + hx, py + hy, samp.height))
-        normals[leg] = samp.normal
-    lift_pos = list(foot_pos)
-    swing_entry_s = [0.0] * 4
-    was_swing = [False] * 4
-    touchdown_scatter = [(0.0, 0.0)] * 4
 
-    q = []
-    for leg in _LEGS:
-        fx, fy, fz = foot_pos[leg]
-        try:
-            q.append(leg_ik(_unrotate(rot, (fx - px, fy - py, fz - pz)), leg, params))
-        except OutOfWorkspaceError as err:
-            q.append(err.clamped_angles.tolist())
+    if resume is not None:
+        _check_resume(resume, gait, fsm, v_cmd, terrain, dt, n_steps)
+        if initial_state is not None:
+            raise ValueError("a resumed trial starts from its checkpoint's state")
+        rng.bit_generator.state = resume.rng_state
+        state, t, phase, stride_idx = resume.state, resume.t, resume.phase, resume.stride_idx
+        carrot_x, working_set = resume.carrot_x, resume.working_set
+        foot_pos, lift_pos = list(resume.foot_pos), list(resume.lift_pos)
+        normals = np.array(resume.normals)
+        swing_entry_s, was_swing = list(resume.swing_entry_s), list(resume.was_swing)
+        touchdown_scatter, q = list(resume.touchdown_scatter), list(resume.q)
+        strides = list(resume.strides)
+    else:
+        state, foot_pos, normals, q = _start_pose(
+            v_cmd, terrain, config, params, rng, start_x, initial_state, hips
+        )
+        t, phase, stride_idx, carrot_x = 0.0, 0.0, 0, start_x
+        # the force QP's final working set seeds the next step's QP
+        working_set = ()
+        lift_pos = list(foot_pos)
+        swing_entry_s = [0.0] * 4
+        was_swing = [False] * 4
+        touchdown_scatter = [(0.0, 0.0)] * 4
+        strides = []
+    (px, py, pz), (vx, vy, vz), euler, omega = state
+    acc = StrideAccumulator(dt, q)
+    acc.reset(t, state.position)
+    checkpoints: list[TrialCheckpoint] = []
 
     kpx, kpy, kpz = config.kp_lin
     kdx, kdy, kdz = config.kd_lin
@@ -484,22 +593,19 @@ def run_trial(
     x_lo, x_hi = terrain.start_x, terrain.end_x
     min_height = config.min_height_ratio * config.nominal_height
 
-    carrot_x = start_x
-    phase = 0.0
-    stride_idx = 0
-    failed = False
-    finished = False
-    strides: list[StrideLog] = []
-    acc = StrideAccumulator(dt, q)
-    acc.reset(0.0, state.position)
-
     # the ground under the body; after each step it is resampled for the
     # failure check and serves the next step
     body_samp = terrain.query(px)
-    # the force QP's final working set seeds the next step's QP
-    working_set: tuple[int, ...] = ()
-    t = 0.0
-    for _ in range(int(round(duration / dt))):
+    failed = False
+    finished = False
+    first = 0
+    if resume is not None:
+        # re-enter the loop at the checkpoint's boundary, after its stride closed
+        if on_stride is not None:
+            on_stride(stride_idx, state, t)
+        finished = finish_x is not None and px >= finish_x
+        first = n_steps if finished else resume.steps
+    for k in range(first, n_steps):
         pattern = gait if fsm is None else fsm.advance(dt)
         beta = pattern.beta
         swing_time_full = (1.0 - beta) * period
@@ -674,6 +780,15 @@ def run_trial(
                 strides.append(log)
             acc.reset(t, state.position)
             stride_idx += 1
+            if fsm is None or not fsm.events:
+                checkpoints.append(TrialCheckpoint(
+                    dt, v_cmd, pattern, terrain, k + 1, t, phase, stride_idx, carrot_x,
+                    state, tuple(foot_pos), tuple(lift_pos),
+                    tuple(map(tuple, normals.tolist())), tuple(swing_entry_s),
+                    tuple(was_swing), tuple(map(tuple, touchdown_scatter)),
+                    tuple(map(tuple, q)), working_set, rng.bit_generator.state,
+                    tuple(strides),
+                ))
             if on_stride is not None:
                 on_stride(stride_idx, state, t)
 
@@ -692,4 +807,5 @@ def run_trial(
         failed=failed,
         finished_course=finished or (finish_x is None and not failed),
         end_time=t,
+        checkpoints=checkpoints,
     )

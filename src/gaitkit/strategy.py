@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,7 +27,14 @@ from .mapping import (
 from .metrics import MetricsConfig
 from .metrics import stride_metrics  # noqa: F401  (wrapped by perfbench/tracing.py)
 from .robot import RobotParams, Terrain
-from .simulation import MAX_COMMAND_VELOCITY, SimConfig, TrialResult, TrunkState, run_trial
+from .simulation import (
+    MAX_COMMAND_VELOCITY,
+    SimConfig,
+    TrialCheckpoint,
+    TrialResult,
+    TrunkState,
+    run_trial,
+)
 from .transitions import GaitFsm, GaitTimingConfig
 
 
@@ -155,6 +162,23 @@ class _StrideLaw:
         return desired
 
 
+def _boundaries(strides) -> tuple[tuple[float, tuple[float, float, float]], ...]:
+    """The time and body position at each stride boundary that a stride
+    follows: the first row of every stride but the first, which is what
+    ``on_stride`` received there."""
+    return tuple((float(s.time[0]), tuple(s.position[0].tolist())) for s in strides[1:])
+
+
+def _first_switch(law: _StrideLaw, boundaries) -> int | None:
+    """The index of the first of ``boundaries`` (counted from 1, the index of
+    the stride that starts there) at which ``law`` asks to leave its start
+    gait; None if it never does."""
+    for j, (t, position) in enumerate(boundaries, 1):
+        if law.next_gait(position, t) != law.initial:
+            return j
+    return None
+
+
 def run_strategy(
     strategy: Strategy,
     terrain: Terrain,
@@ -167,6 +191,7 @@ def run_strategy(
     start_x: float = 0.0,
     finish_x: float | None = None,
     timing: GaitTimingConfig | None = None,
+    resume: TrialCheckpoint | None = None,
 ) -> TrialResult:
     """Run one full test under a strategy; returns strides plus the event trace.
 
@@ -176,6 +201,13 @@ def run_strategy(
     strategy re-selects at stride boundaries from the measured stride speed
     and the terrain segment under the body, so it walks the gait graph as the
     robot accelerates and the terrain changes.
+
+    ``resume`` continues the trial from a checkpoint of a trial in the same
+    gait (see :func:`~gaitkit.simulation.run_trial`). A multi-gait trial may
+    resume at a boundary up to which it holds its start gait: its stride law
+    is replayed over the earlier boundaries, and its machine starts idle in
+    that gait with its clock at the checkpoint's time; a law that asks to
+    leave the gait before the checkpoint is a ValueError.
     """
     sim_cfg = sim_cfg or SimConfig()
     params = params or RobotParams()
@@ -185,12 +217,16 @@ def run_strategy(
     rng = rng if rng is not None else np.random.default_rng(sim_cfg.seed)
     timing = timing or GaitTimingConfig()
     period = timing.period
-    initial_state = _standing_state(terrain, start_x, sim_cfg, rng)
+    initial_state = None if resume else _standing_state(terrain, start_x, sim_cfg, rng)
 
     if isinstance(strategy, MultiGait):
         law = _StrideLaw(strategy, terrain, v_cmd, sim_cfg, start_x)
         fsm = GaitFsm(law.initial, period=period, switch_time=timing.switch_time,
                       dwell_strides=timing.dwell_strides)
+        if resume is not None:
+            if _first_switch(law, _boundaries(resume.strides)) is not None:
+                raise ValueError("the stride law leaves its start gait before the checkpoint")
+            fsm.time = resume.t
 
         def on_stride(stride_idx, body, t):
             desired = law.next_gait(body.position, t)
@@ -205,7 +241,7 @@ def run_strategy(
     return run_trial(
         gait, v_cmd, terrain, duration, sim_cfg, params,
         rng=rng, start_x=start_x, finish_x=finish_x,
-        initial_state=initial_state, on_stride=on_stride,
+        initial_state=initial_state, on_stride=on_stride, resume=resume,
     )
 
 
@@ -222,11 +258,13 @@ class ComparisonRow:
 
 class _SharedTrial(NamedTuple):
     """What :func:`compare` keeps of a trial that ran one gait throughout:
-    its outcome, and the time and body position at each stride boundary
-    that a later stride starts from."""
+    its outcome, the time and body position at each stride boundary that a
+    later stride starts from, and its checkpoints at the boundaries where a
+    multi-gait strategy listed later first asks to switch, by stride index."""
 
     outcome: tuple[float, float, bool]
     boundaries: tuple[tuple[float, tuple[float, float, float]], ...]
+    checkpoints: dict[int, TrialCheckpoint]
 
 
 def _strategy_trial(
@@ -241,16 +279,22 @@ def _strategy_trial(
     strategy: Strategy,
     velocity: float,
     trial_idx: int,
+    *,
+    strategies: Sequence[Strategy] = (),
 ) -> tuple[float, float, bool]:
     """Default trial of :func:`compare`: one simulated trial, seeded by its
-    index, unless ``shared`` already holds the same trial.
+    index, unless ``shared`` already holds the same trial or its start.
 
     ``shared`` maps (trial index, gait) to a trial that ran that gait
     throughout. A fixed or per-velocity trial is that trial. So is a
     multi-gait trial that starts in the gait and whose stride law, replayed
     over the shared boundaries, asks for no switch: until it asks, its state
     is the shared trial's, bit for bit. A boundary that ends a trial has no
-    stride after it, so no request made there can change the outcome.
+    stride after it, so no request made there can change the outcome. A
+    multi-gait trial that first asks at boundary j resumes from the shared
+    trial's checkpoint j. ``strategies`` are the strategies of the call, in
+    order: a trial kept in ``shared`` keeps the checkpoints that the
+    multi-gait strategies listed after ``strategy`` resume from.
     """
     if isinstance(strategy, MultiGait):
         law = _StrideLaw(strategy, terrain, velocity, sim_cfg)
@@ -259,19 +303,25 @@ def _strategy_trial(
         law = None
         gait = _single_gait(strategy, terrain, velocity, 0.0)
     entry = shared.get((trial_idx, gait))
-    if entry is not None and (
-        law is None
-        or all(law.next_gait(position, t) == gait for t, position in entry.boundaries)
-    ):
-        return entry.outcome
+    resume = None
+    if entry is not None:
+        switch = None if law is None else _first_switch(law, entry.boundaries)
+        if switch is None:
+            return entry.outcome
+        resume = entry.checkpoints.get(switch)
     rng = np.random.default_rng((seed, trial_idx, 11))
     result = run_strategy(strategy, terrain, velocity, sim_cfg, params,
-                          duration=duration, rng=rng, timing=timing)
+                          duration=duration, rng=rng, timing=timing, resume=resume)
     outcome = trial_outcome(result, terrain, params, metrics)
     if not result.events:
-        shared[trial_idx, gait] = _SharedTrial(outcome, tuple(
-            (float(s.time[0]), tuple(s.position[0].tolist())) for s in result.strides[1:]
-        ))
+        boundaries = _boundaries(result.strides)
+        later = next((strategies[i + 1:] for i, s in enumerate(strategies) if s is strategy), ())
+        laws = [_StrideLaw(s, terrain, velocity, sim_cfg)
+                for s in later if isinstance(s, MultiGait)]
+        wanted = {_first_switch(other, boundaries) for other in laws if other.initial == gait}
+        shared[trial_idx, gait] = _SharedTrial(outcome, boundaries, {
+            c.stride_idx: c for c in result.checkpoints if c.stride_idx in wanted
+        })
     return outcome
 
 
@@ -301,7 +351,9 @@ def compare(
     multi-gait trial that never asks for a switch is the trial of the gait it
     starts in; such trials are served, to the last bit, from the same trial
     already run by another strategy, in whichever order the strategies are
-    listed. A multi-gait trial that would switch is simulated.
+    listed. A multi-gait trial that would switch resumes from that trial at
+    the boundary of its first switch, so only the strides after it are
+    simulated (when a strategy listed earlier ran the trial).
 
     ``trial_hook(strategy, velocity, trial_idx) -> (cot, stb, failed)`` can be
     injected for synthetic harnesses. The velocity range must lie in the
@@ -322,7 +374,7 @@ def compare(
     if trial_hook is None:
         trial_hook = partial(
             _strategy_trial, terrain, sim_cfg or SimConfig(), params or RobotParams(),
-            seed, duration, timing, metrics or MetricsConfig(), {},
+            seed, duration, timing, metrics or MetricsConfig(), {}, strategies=strategies,
         )
     velocities = [
         float(np.random.default_rng((seed, i, 7)).uniform(v_lo, v_hi))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -54,7 +55,10 @@ class StrideLog:
 @dataclass
 class TrialResult:
     """Strides and events of one trial; ``finished_course`` means the body
-    passed ``finish_x`` or, without a finish line, survived the duration."""
+    passed ``finish_x`` or, without a finish line, survived the duration.
+    ``checkpoints`` are the :class:`~gaitkit.simulation.TrialCheckpoint` of
+    each stride boundary the call ran through before the trial's first gait
+    event, in order."""
 
     strides: list[StrideLog]
     events: list
@@ -62,6 +66,7 @@ class TrialResult:
     failed: bool
     finished_course: bool
     end_time: float
+    checkpoints: list
 
 
 # The float fields of a step's log row, in row order, with their shapes per
@@ -131,8 +136,9 @@ class StrideAccumulator:
         turned into joint rates; None if it has no step."""
         if not self.rows:
             return None
-        rows = np.array(self.rows, dtype=float)
-        n = rows.shape[0]
+        n, width = len(self.rows), len(self.rows[0])
+        # one flat pass over the floats, without np.array's walk of nested sequences
+        rows = np.fromiter(chain.from_iterable(self.rows), float, n * width).reshape(n, width)
         fields = {}
         col = 0
         for name, shape in _LOG_FIELDS:

@@ -10,8 +10,11 @@ optimality conditions, with multipliers and a working-set minimizer that the
 tests compute by their own linear algebra.
 """
 
+import importlib.util
 import math
+import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -717,3 +720,38 @@ def test_results_do_not_depend_on_workspace_state():
         ws = forces._workspace(k, threading.get_ident())
         for buffer in (ws.aug, ws.b, ws.rhs):
             assert not any(np.shares_memory(d.forces, buffer) for d in returned)
+
+
+def test_a_numpy_without_the_gufunc_name_solves_with_the_wrapper_bit_for_bit(monkeypatch):
+    # the gufunc's name is private to numpy: a copy of the forces module
+    # loaded where numpy lacks it solves with np.linalg.solve, and gives the
+    # forces of the direct call for 2, 3 and 4 stance feet, cold and hot-started.
+    # np.linalg keeps its own handle on the gufunc module, so only the import
+    # is left without the name.
+    import numpy.linalg._umath_linalg as gufuncs
+
+    without = types.ModuleType(gufuncs.__name__)
+    without.__dict__.update({k: v for k, v in vars(gufuncs).items() if k != "solve1"})
+    monkeypatch.setitem(sys.modules, gufuncs.__name__, without)
+    name = "gaitkit.forces_without_solve1"
+    spec = importlib.util.spec_from_file_location(name, forces.__file__)
+    fallback = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, fallback)
+    spec.loader.exec_module(fallback)
+    assert fallback._lapack_solve is np.linalg.solve
+    assert forces._lapack_solve is gufuncs.solve1
+
+    rng = np.random.default_rng(24)
+    counts = []
+    for _ in range(30):
+        for wrench, feet, stance, com, normals in _instances_by_stance_count(rng):
+            if stance.sum() < 2:
+                continue
+            counts.append(int(stance.sum()))
+            args = (wrench, feet, stance, com, 0.7, 2 * MG, normals)
+            cold = distribute_forces(*args)
+            _assert_same_distribution(fallback.distribute_forces(*args), cold)
+            hot = distribute_forces(*args, working_set=cold.working_set)
+            _assert_same_distribution(
+                fallback.distribute_forces(*args, working_set=cold.working_set), hot)
+    assert sorted(set(counts)) == [2, 3, 4]

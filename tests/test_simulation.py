@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -459,3 +460,149 @@ def test_on_stride_is_called_at_every_boundary_of_a_pattern():
 def test_run_trial_rejects_other_gait_sources():
     with pytest.raises(TypeError):
         run_trial(GaitName.TROT, 1.0, terrain_preset("flat"), 2.0, QUIET, PARAMS)
+
+
+# -- checkpoints and resumed trials --------------------------------------------
+
+_STRIDE_ARRAYS = ("time", "torques", "joint_velocities", "forces", "stance", "position",
+                  "velocity", "euler", "omega", "euler_rates", "foot_positions")
+_STRIDE_SCALARS = ("v_cmd", "delta_s", "t_f", "failed", "complete", "slip_events",
+                   "torque_flags")
+
+
+def _assert_same_trial(got, want):
+    """Every stride array byte for byte, every stride scalar, and the trial's
+    end, failure and finish."""
+    assert len(got.strides) == len(want.strides)
+    for a, b in zip(got.strides, want.strides):
+        for name in _STRIDE_ARRAYS:
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+        for name in _STRIDE_SCALARS:
+            assert getattr(a, name) == getattr(b, name), name
+    assert (got.end_time, got.failed, got.finished_course) == (
+        want.end_time, want.failed, want.finished_course)
+
+
+def _checkpoint_bits(c):
+    """A checkpoint's loop state, with its strides by identity."""
+    return (c.steps, c.t, c.phase, c.stride_idx, c.carrot_x, c.state, c.foot_pos,
+            c.lift_pos, c.normals, c.swing_entry_s, c.was_swing, c.touchdown_scatter,
+            c.q, c.working_set, c.rng_state, tuple(map(id, c.strides)))
+
+
+@pytest.mark.parametrize(
+    "gait, v_cmd, terrain, duration, finish_x",
+    [
+        (GaitName.TROT, 1.4, "flat-slope", 4.0, 5.0),  # finishes across the kink
+        (GaitName.TROT_RUN, 2.0, "flat-slope", 4.0, 6.0),
+        (GaitName.WALK, 0.7, "slope12", 2.0, None),  # survives its duration
+    ],
+    ids=["trot-finishes", "trot-run", "walk-survives"],
+)
+def test_a_pattern_trial_resumed_from_each_checkpoint_is_the_uninterrupted_trial(
+    gait, v_cmd, terrain, duration, finish_x
+):
+    terrain = terrain_preset(terrain)
+    pattern = standard_gait(gait)
+
+    def trial(rng, resume=None):
+        return run_trial(pattern, v_cmd, terrain, duration, SimConfig(), PARAMS, rng=rng,
+                         finish_x=finish_x, resume=resume)
+
+    full = trial(np.random.default_rng(8))
+    # one checkpoint per stride boundary, each holding the strides closed so far
+    assert [c.stride_idx for c in full.checkpoints] == list(
+        range(1, len(full.checkpoints) + 1))
+    assert len(full.checkpoints) >= 4
+    for c in full.checkpoints:
+        assert list(map(id, c.strides)) == list(map(id, full.strides[:c.stride_idx]))
+        assert c.steps == sum(len(s.time) for s in c.strides)
+        # the stream is the checkpoint's, whatever the generator held before
+        resumed = trial(np.random.default_rng(1234), resume=c)
+        _assert_same_trial(resumed, full)
+        assert list(map(id, resumed.strides[:c.stride_idx])) == list(map(id, c.strides))
+        later = [cc for cc in full.checkpoints if cc.steps > c.steps]
+        assert list(map(_checkpoint_bits, resumed.checkpoints)) == [
+            (*_checkpoint_bits(cc)[:-1], tuple(map(id, resumed.strides[:cc.stride_idx])))
+            for cc in later
+        ]
+
+
+def test_an_idle_machine_trial_resumed_from_each_checkpoint_is_the_uninterrupted_trial():
+    # the machine holds trot until a switch to trot-run at the third boundary;
+    # checkpoints stop at the first event, and a resumed trial dispatches it
+    terrain = terrain_preset("flat")
+
+    def trial(resume=None):
+        fsm = GaitFsm(GaitName.TROT)
+        if resume is not None:
+            fsm.time = resume.t
+        calls = []
+
+        def on_stride(idx, body, t):
+            calls.append((idx, t, body.position))
+            if idx == 3:
+                fsm.request(GaitName.TROT_RUN)
+
+        res = run_trial(fsm, 1.3, terrain, 3.0, SimConfig(), PARAMS,
+                        rng=np.random.default_rng(3), on_stride=on_stride, resume=resume)
+        return res, calls
+
+    full, calls = trial()
+    assert [e.chain for e in full.events] == [("a14",)] and len(full.action_windows) == 1
+    assert [c.stride_idx for c in full.checkpoints] == [1, 2, 3]
+    for c in full.checkpoints:
+        resumed, resumed_calls = trial(c)
+        _assert_same_trial(resumed, full)
+        assert resumed.events == full.events
+        assert resumed.action_windows == full.action_windows
+        # on_stride runs for the checkpoint's boundary and every later one
+        assert resumed_calls == calls[c.stride_idx - 1:]
+        assert [cc.stride_idx for cc in resumed.checkpoints] == [
+            cc.stride_idx for cc in full.checkpoints[c.stride_idx:]]
+
+
+def test_a_trial_resumed_at_the_boundary_it_finishes_on_runs_no_step(monkeypatch):
+    terrain = terrain_preset("flat")
+    pattern = standard_gait(GaitName.TROT)
+    c = run_trial(pattern, 1.2, terrain, 3.0, QUIET, PARAMS).checkpoints[2]
+    finish_x = c.state.position[0]
+    full = run_trial(pattern, 1.2, terrain, 3.0, QUIET, PARAMS, finish_x=finish_x)
+    assert full.finished_course and full.end_time == c.t
+    assert full.checkpoints[-1].steps == c.steps
+    steps = []
+    monkeypatch.setattr(simulation, "step", lambda *args, **kwargs: steps.append(1))
+    calls = []
+    resumed = run_trial(pattern, 1.2, terrain, 3.0, QUIET, PARAMS, finish_x=finish_x,
+                        resume=c, on_stride=lambda *args: calls.append(args))
+    assert steps == [] and calls == [(3, c.state, c.t)]
+    _assert_same_trial(resumed, full)
+    assert resumed.checkpoints == []
+
+
+_REJECTED_RESUMES = {
+    "dt": (dict(config=dataclasses.replace(QUIET, dt=0.001)), "dt=0.002, not 0.001"),
+    "v_cmd": (dict(v_cmd=1.3), "v_cmd=1.2, not 1.3"),
+    "period": (dict(gait=standard_gait(GaitName.TROT, 0.5)), "period=0.5"),
+    "terrain": (dict(terrain=terrain_preset("slope12")), "terrain 'flat', not 'slope12'"),
+    "gait": (dict(gait=standard_gait(GaitName.TROT_RUN)), "beta=0.3"),
+    "machine-clock": (dict(gait=GaitFsm(GaitName.TROT)), "machine must be idle"),  # time 0
+    # 600 steps; the checkpoint is at step 800
+    "duration": (dict(duration=1.2), "step 800 lies past the trial's 600 steps"),
+    "initial-state": (dict(initial_state=TrunkState((0.0, 0.0, 0.32), (0.0,) * 3, (0.0,) * 3,
+                                                     (0.0,) * 3)), "checkpoint's state"),
+}
+
+
+@pytest.mark.parametrize("change", list(_REJECTED_RESUMES))
+def test_a_checkpoint_of_another_trial_is_rejected(change):
+    terrain = terrain_preset("flat")
+    c = run_trial(standard_gait(GaitName.TROT), 1.2, terrain, 2.0, QUIET, PARAMS).checkpoints[3]
+    call = dict(gait=standard_gait(GaitName.TROT), v_cmd=1.2, terrain=terrain_preset("flat"),
+                duration=2.0, config=QUIET)
+    # the same trial, on an equal terrain built again, resumes
+    run_trial(**call, params=PARAMS, resume=c)
+    other, message = _REJECTED_RESUMES[change]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_trial(**{**call, **other}, params=PARAMS, resume=c)

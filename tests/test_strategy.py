@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaitkit import strategy
+from gaitkit import simulation, strategy
 from gaitkit.gaits import GaitName, standard_gait
 from gaitkit.mapping import MapConfig, VelocityGaitMap, build_map
 from gaitkit.metrics import COT_BOUND, STB_BOUND, MetricsConfig
@@ -420,25 +420,38 @@ def test_compare_shares_trials_and_keeps_the_rows_of_the_unshared_path(
 def test_compare_simulates_each_distinct_trial_once(monkeypatch):
     # per-velocity:0.5 picks trot-run and multi:0.9 keeps trot, so both are
     # served; multi:0.1 and multi:0.5 start in trot but switch, so they run
+    # from the fixed:trot trial's checkpoint at their first switch
     runs = []
     run = strategy.run_strategy
+    steps = []
+    integrate = simulation.step
+    monkeypatch.setattr(simulation, "step",
+                        lambda *args, **kwargs: steps.append(1) or integrate(*args, **kwargs))
 
     def counted(s, terrain, velocity, *args, **kwargs):
+        before = len(steps)
         result = run(s, terrain, velocity, *args, **kwargs)
-        runs.append((s.label, velocity, [e.source for e in result.events]))
+        rows = sum(len(stride.time) for stride in result.strides)
+        runs.append((s.label, velocity, [e.source for e in result.events],
+                     len(steps) - before, rows))
         return result
 
     monkeypatch.setattr(strategy, "run_strategy", counted)
     compare(_acceptance_strategies(), terrain_preset("flat-slope"), 2,
             SHARED_BANDS["1.62-1.68"], seed=SHARED_SEED)
-    assert sorted(Counter(velocity for _, velocity, _ in runs).values()) == [4, 4]
-    by_label = Counter(label for label, _, _ in runs)
+    assert sorted(Counter(velocity for _, velocity, *_ in runs).values()) == [4, 4]
+    by_label = Counter(label for label, *_ in runs)
     assert by_label == {"fixed:trot": 2, "fixed:trot-run": 2, "multi:c=0.1": 2,
                         "multi:c=0.5": 2}
     # fixed:trot ran first, yet each multi:0.1 trial left trot and was simulated
-    assert [sources for label, _, sources in runs if label == "multi:c=0.1"] == [
+    assert [sources for label, _, sources, *_ in runs if label == "multi:c=0.1"] == [
         [GaitName.TROT], [GaitName.TROT]
     ]
+    # a trial logs one row per step: a fixed trial integrates every one, and
+    # a switching multi-gait trial all but the 200 of each stride before its
+    # first switch, at the first (multi:0.1) or second (multi:0.5) boundary
+    skipped = {"fixed:trot": 0, "fixed:trot-run": 0, "multi:c=0.1": 200, "multi:c=0.5": 400}
+    assert all(rows - stepped == skipped[label] for label, _, _, stepped, rows in runs)
 
 
 
@@ -464,3 +477,112 @@ def test_a_shared_trial_keeps_the_boundaries_its_stride_law_reads(monkeypatch):
     assert len(entry.boundaries) >= 5
     assert entry.boundaries == tuple(seen[:len(entry.boundaries)])
     assert len(seen) - len(entry.boundaries) in (0, 1)  # a trial may end on a boundary
+
+
+# -- multi-gait trials resumed at their first switch ----------------------------
+
+def _assert_same_result(got, want, resumed_at):
+    """Every field of two results of one trial, the strides byte for byte;
+    ``got`` resumed at stride boundary ``resumed_at`` and holds only the
+    checkpoints of the boundaries after it."""
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "strides":
+            assert len(a) == len(b)
+            for x, y in zip(a, b):
+                for f in dataclasses.fields(y):
+                    u, v = getattr(x, f.name), getattr(y, f.name)
+                    if isinstance(v, np.ndarray):
+                        assert (u.dtype, u.shape, u.tobytes()) == (v.dtype, v.shape, v.tobytes())
+                    else:
+                        assert u == v, f.name
+        elif field.name == "checkpoints":
+            assert [(c.stride_idx, c.steps, c.t, c.state) for c in a] == [
+                (c.stride_idx, c.steps, c.t, c.state) for c in b if c.stride_idx > resumed_at]
+        else:
+            assert a == b, field.name
+
+
+def _resume_case(terrain_name, band, trial_idx):
+    """The terrain, velocity, map and fixed start-gait trial of one compare
+    trial; the demo map gains winners for the other segment kinds of
+    continuous-slope and up-down-slope (trot-run on slope8)."""
+    terrain = terrain_preset(terrain_name)
+    demo = VelocityGaitMap.load(DEMO_MAP).merge(_map_selecting(
+        {"slope8": GaitName.TROT_RUN, "slope18": GaitName.TROT, "down12": GaitName.TROT}))
+    velocity = float(np.random.default_rng((SHARED_SEED, trial_idx, 7)).uniform(*band))
+    start = run_strategy(FixedGait(GaitName.TROT), terrain, velocity, SimConfig(),
+                         rng=np.random.default_rng((SHARED_SEED, trial_idx, 11)))
+    return terrain, velocity, demo, start
+
+
+# on flat-slope no trial of the 0.3-0.9 band leaves trot; on continuous-slope
+# it switches at slope8, at the fifth boundary; trial 2 on up-down-slope falls
+@pytest.mark.parametrize("terrain_name, band, trial_idx", [
+    ("flat-slope", "1.62-1.68", 0),
+    ("continuous-slope", "0.3-0.9", 1),
+    ("continuous-slope", "1.62-1.68", 0),
+    ("up-down-slope", "1.62-1.68", 2),
+])
+@pytest.mark.parametrize("c", [0.1, 0.5])
+def test_a_multi_gait_trial_resumed_at_its_first_switch_is_the_trial_from_rest(
+    terrain_name, band, trial_idx, c
+):
+    terrain, velocity, demo, start = _resume_case(terrain_name, SHARED_BANDS[band], trial_idx)
+    multi = MultiGait(demo, c)
+    law = strategy._StrideLaw(multi, terrain, velocity, SimConfig())
+    assert law.initial is GaitName.TROT
+    j = strategy._first_switch(law, strategy._boundaries(start.strides))
+    assert j is not None
+    checkpoint = start.checkpoints[j - 1]
+    assert checkpoint.stride_idx == j
+
+    def trial(resume=None):
+        return run_strategy(multi, terrain, velocity, SimConfig(),
+                            rng=np.random.default_rng((SHARED_SEED, trial_idx, 11)),
+                            resume=resume)
+
+    from_rest = trial()
+    assert from_rest.events and from_rest.events[0].time == checkpoint.t
+    _assert_same_result(trial(checkpoint), from_rest, j)
+    # a checkpoint after the first switch is refused
+    with pytest.raises(ValueError, match="before the checkpoint"):
+        trial(start.checkpoints[j])
+
+
+def test_a_multi_gait_trial_resumed_on_its_finish_boundary_is_the_trial_from_rest():
+    # multi:0.5 asks to leave trot at the second boundary; with the finish
+    # line at the body's x there, the trial ends on that boundary's step, with
+    # the request dispatched and no stride after it
+    terrain, velocity, demo, start = _resume_case("flat-slope", SHARED_BANDS["1.62-1.68"], 0)
+    checkpoint = start.checkpoints[1]
+    multi = MultiGait(demo, 0.5)
+
+    def trial(resume=None):
+        return run_strategy(multi, terrain, velocity, SimConfig(),
+                            rng=np.random.default_rng((SHARED_SEED, 0, 11)),
+                            finish_x=checkpoint.state.position[0], resume=resume)
+
+    from_rest = trial()
+    assert from_rest.finished_course and from_rest.end_time == checkpoint.t
+    assert [e.time for e in from_rest.events] == [checkpoint.t]
+    assert len(from_rest.strides) == 2
+    _assert_same_result(trial(checkpoint), from_rest, 2)
+
+
+def test_a_shared_trial_keeps_only_the_checkpoints_a_later_strategy_resumes_from():
+    strategies = _acceptance_strategies()
+    fixed_trot, multi_01, multi_05 = strategies[0], strategies[3], strategies[4]
+    kept = []
+    for listed in ([fixed_trot, multi_01, multi_05], [multi_05, fixed_trot, multi_01],
+                   [fixed_trot], [multi_01, multi_05, fixed_trot]):
+        shared = {}
+        strategy._strategy_trial(
+            terrain_preset("flat-slope"), SimConfig(), RobotParams(), SHARED_SEED, 30.0,
+            None, MetricsConfig(), shared, fixed_trot, 1.65, 0, strategies=listed,
+        )
+        (entry,) = shared.values()
+        assert all(c.stride_idx == j for j, c in entry.checkpoints.items())
+        kept.append(sorted(entry.checkpoints))
+    # multi:0.1 switches at the first boundary and multi:0.5 at the second
+    assert kept == [[1, 2], [1], [], []]
