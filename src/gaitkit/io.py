@@ -27,8 +27,8 @@ class RunManifest:
     args: dict
     config_path: str | None
     seed: int | None
+    version: str  # gaitkit.__version__
     outputs: list[str] = field(default_factory=list)
-    version: str = "0.1.0"
     timestamp: str = ""
 
     def stamped(self) -> "RunManifest":

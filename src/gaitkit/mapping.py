@@ -59,6 +59,8 @@ class MapConfig:
             raise ValueError("map.c_values must not be empty")
         if any(not 0.0 <= c <= 1.0 for c in self.c_values):
             raise ValueError("c values must lie in [0, 1]")
+        if len(set(self.c_values)) != len(self.c_values):
+            raise ValueError(f"map.c_values holds a value twice: {list(self.c_values)}")
         for name in ("v_min", "v_max", "v_step"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -208,8 +210,9 @@ class VelocityGaitMap:
     @classmethod
     def from_json_dict(cls, data: dict) -> "VelocityGaitMap":
         terrains = data["terrains"]
-        c_values = tuple(terrains[0]["c"]) if terrains else ()
-        out = cls(c_values=c_values)
+        if not terrains:
+            raise ValueError("the map covers no terrain")
+        out = cls(c_values=tuple(terrains[0]["c"]))
         for block in terrains:
             tid = block["terrain"]
             grid = tuple(float(v) for v in block["v_grid"])

@@ -245,8 +245,23 @@ class Terrain:
         if not self.segments:
             raise ValueError("terrain needs at least one segment")
         starts = [s.start_x for s in self.segments]
+        for key, values in (("start_x", starts), ("end_x", (self.end_x,)),
+                            ("base_height", (self.base_height,))):
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"terrain {self.name!r}: {key} must be finite")
         if sorted(starts) != starts or len(set(starts)) != len(starts):
             raise ValueError("segments must be ordered by start_x without overlap")
+        if not self.end_x > starts[-1]:
+            raise ValueError(
+                f"terrain {self.name!r}: end_x {self.end_x:g} must lie past the last "
+                f"segment's start_x {starts[-1]:g}"
+            )
+        # NaN fails the test
+        if self.course_end is not None and not starts[0] < self.course_end <= self.end_x:
+            raise ValueError(
+                f"terrain {self.name!r}: course_end {self.course_end:g} must lie in "
+                f"({starts[0]:g}, {self.end_x:g}]"
+            )
         # NaN fails both tests (a JSON config may hold NaN)
         if not all(s.friction > 0.0 for s in self.segments):
             raise ValueError("friction coefficients must be positive")

@@ -764,10 +764,11 @@ def run_trial(
         except TerrainBoundsError:
             failed = True
             break
+        # written as "not x <= limit" so that a NaN attitude or height fails
         if (
-            abs(euler[0]) > config.max_roll
-            or abs(euler[1]) > config.max_pitch
-            or pz - body_samp.height < min_height
+            not abs(euler[0]) <= config.max_roll
+            or not abs(euler[1]) <= config.max_pitch
+            or not pz - body_samp.height >= min_height
         ):
             failed = True
             break

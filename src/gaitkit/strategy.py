@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -256,18 +256,8 @@ class ComparisonRow:
     trials: int
 
 
-class _SharedTrial(NamedTuple):
-    """What :func:`compare` keeps of a trial that ran one gait throughout:
-    its outcome, the time and body position at each stride boundary that a
-    later stride starts from, and its checkpoints at the boundaries where a
-    multi-gait strategy listed later first asks to switch, by stride index."""
-
-    outcome: tuple[float, float, bool]
-    boundaries: tuple[tuple[float, tuple[float, float, float]], ...]
-    checkpoints: dict[int, TrialCheckpoint]
-
-
-def _strategy_trial(
+def _index_outcomes(
+    strategies: Sequence[Strategy],
     terrain: Terrain,
     sim_cfg: SimConfig,
     params: RobotParams,
@@ -275,54 +265,57 @@ def _strategy_trial(
     duration: float,
     timing: GaitTimingConfig | None,
     metrics: MetricsConfig,
-    shared: dict[tuple[int, GaitName], _SharedTrial],
-    strategy: Strategy,
     velocity: float,
     trial_idx: int,
-    *,
-    strategies: Sequence[Strategy] = (),
-) -> tuple[float, float, bool]:
-    """Default trial of :func:`compare`: one simulated trial, seeded by its
-    index, unless ``shared`` already holds the same trial or its start.
+) -> list[tuple[float, float, bool]]:
+    """Default trials of :func:`compare`: the outcome of trial ``trial_idx``
+    of every strategy, in listing order, each distinct trial simulated once.
 
-    ``shared`` maps (trial index, gait) to a trial that ran that gait
-    throughout. A fixed or per-velocity trial is that trial. So is a
-    multi-gait trial that starts in the gait and whose stride law, replayed
-    over the shared boundaries, asks for no switch: until it asks, its state
-    is the shared trial's, bit for bit. A boundary that ends a trial has no
-    stride after it, so no request made there can change the outcome. A
-    multi-gait trial that first asks at boundary j resumes from the shared
-    trial's checkpoint j. ``strategies`` are the strategies of the call, in
-    order: a trial kept in ``shared`` keeps the checkpoints that the
-    multi-gait strategies listed after ``strategy`` resume from.
+    The fixed and per-velocity trials run first, one per gait. A multi-gait
+    trial that starts in one of those gaits is that gait's trial, bit for
+    bit, until its stride law, replayed over the trial's boundaries, asks for
+    a switch. If the law never asks, it is served that trial's outcome (a
+    request on the boundary that ends a trial changes nothing); if it first
+    asks at boundary j, it resumes from the trial's checkpoint j. Any other
+    multi-gait trial runs from rest. Only the checkpoints resumed from are
+    kept, and only for the call.
     """
-    if isinstance(strategy, MultiGait):
-        law = _StrideLaw(strategy, terrain, velocity, sim_cfg)
-        gait = law.initial
-    else:
-        law = None
-        gait = _single_gait(strategy, terrain, velocity, 0.0)
-    entry = shared.get((trial_idx, gait))
-    resume = None
-    if entry is not None:
-        switch = None if law is None else _first_switch(law, entry.boundaries)
-        if switch is None:
-            return entry.outcome
-        resume = entry.checkpoints.get(switch)
-    rng = np.random.default_rng((seed, trial_idx, 11))
-    result = run_strategy(strategy, terrain, velocity, sim_cfg, params,
-                          duration=duration, rng=rng, timing=timing, resume=resume)
-    outcome = trial_outcome(result, terrain, params, metrics)
-    if not result.events:
+    laws = [_StrideLaw(s, terrain, velocity, sim_cfg) if isinstance(s, MultiGait) else None
+            for s in strategies]
+    gaits = [_single_gait(s, terrain, velocity, 0.0) if law is None else law.initial
+             for s, law in zip(strategies, laws)]
+    switches: dict[int, int | None] = {}  # first switch of each replayed law, by position
+
+    def simulate(s: Strategy, resume: TrialCheckpoint | None = None) -> TrialResult:
+        rng = np.random.default_rng((seed, trial_idx, 11))
+        return run_strategy(s, terrain, velocity, sim_cfg, params,
+                            duration=duration, rng=rng, timing=timing, resume=resume)
+
+    def shared_trial(s: Strategy, gait: GaitName):
+        """The outcome of the trial of ``gait`` and, by stride index, the
+        checkpoints the multi-gait trials starting in ``gait`` resume from."""
+        result = simulate(s)
         boundaries = _boundaries(result.strides)
-        later = next((strategies[i + 1:] for i, s in enumerate(strategies) if s is strategy), ())
-        laws = [_StrideLaw(s, terrain, velocity, sim_cfg)
-                for s in later if isinstance(s, MultiGait)]
-        wanted = {_first_switch(other, boundaries) for other in laws if other.initial == gait}
-        shared[trial_idx, gait] = _SharedTrial(outcome, boundaries, {
+        served = [k for k, law in enumerate(laws) if law is not None and gaits[k] == gait]
+        switches.update((k, _first_switch(laws[k], boundaries)) for k in served)
+        wanted = {switches[k] for k in served}
+        return trial_outcome(result, terrain, params, metrics), {
             c.stride_idx: c for c in result.checkpoints if c.stride_idx in wanted
-        })
-    return outcome
+        }
+
+    shared = {}  # (outcome, checkpoints) by gait
+    for s, gait, law in zip(strategies, gaits, laws):
+        if law is None and gait not in shared:
+            shared[gait] = shared_trial(s, gait)
+    outcomes = []
+    for k, s in enumerate(strategies):
+        outcome, checkpoints = shared.get(gaits[k], (None, {}))
+        switch = switches.get(k)
+        if outcome is None or switch is not None:
+            outcome = trial_outcome(simulate(s, checkpoints.get(switch)), terrain, params,
+                                    metrics)
+        outcomes.append(outcome)
+    return outcomes
 
 
 def compare(
@@ -345,20 +338,19 @@ def compare(
     summarized by :func:`~gaitkit.mapping.summarize_trials`, as in
     :func:`~gaitkit.mapping.build_map`.
 
-    Without a hook, each distinct trial is simulated once per call. Trial
-    ``i`` of every strategy has the same velocity and random stream, so a
-    per-velocity trial is the trial of the fixed gait it picks, and a
-    multi-gait trial that never asks for a switch is the trial of the gait it
-    starts in; such trials are served, to the last bit, from the same trial
-    already run by another strategy, in whichever order the strategies are
-    listed. A multi-gait trial that would switch resumes from that trial at
-    the boundary of its first switch, so only the strides after it are
-    simulated (when a strategy listed earlier ran the trial).
+    The trials run one index at a time. Without a hook, trial ``i`` of every
+    strategy has the same velocity and random stream, so the trials of an
+    index are shared, in any listing order (see :func:`_index_outcomes`):
+    each distinct trial is simulated once, and a multi-gait trial that
+    switches out of a gait some fixed or per-velocity strategy runs
+    simulates only the strides after its first switch. Nothing of an index
+    is kept past it.
 
     ``trial_hook(strategy, velocity, trial_idx) -> (cot, stb, failed)`` can be
     injected for synthetic harnesses. The velocity range must lie in the
-    commanded speeds a trial accepts, low end first, and the map of every
-    strategy must cover the terrain; both are checked before the first trial.
+    commanded speeds a trial accepts, low end first, the terrain's finish
+    line ahead of x = 0, where every trial starts, and the map of every
+    strategy must cover the terrain; all are checked before the first trial.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
@@ -369,23 +361,26 @@ def compare(
             f"velocity range ({v_lo:g}, {v_hi:g}) m/s is not an interval in the "
             f"supported [0, {MAX_COMMAND_VELOCITY:g}] m/s"
         )
+    if terrain.course_end is not None and terrain.course_end <= 0.0:
+        raise ValueError(f"terrain course_end {terrain.course_end:g} is not past x = 0")
     for strategy in strategies:
         _check_coverage(strategy, terrain, 0.0)  # every trial starts at x = 0
     if trial_hook is None:
-        trial_hook = partial(
-            _strategy_trial, terrain, sim_cfg or SimConfig(), params or RobotParams(),
-            seed, duration, timing, metrics or MetricsConfig(), {}, strategies=strategies,
+        index_outcomes = partial(
+            _index_outcomes, strategies, terrain, sim_cfg or SimConfig(),
+            params or RobotParams(), seed, duration, timing, metrics or MetricsConfig(),
         )
-    velocities = [
-        float(np.random.default_rng((seed, i, 7)).uniform(v_lo, v_hi))
+    else:
+        def index_outcomes(velocity, trial_idx):
+            return [trial_hook(s, velocity, trial_idx) for s in strategies]
+
+    outcomes = [
+        index_outcomes(float(np.random.default_rng((seed, i, 7)).uniform(v_lo, v_hi)), i)
         for i in range(trials)
     ]
-
     rows = []
-    for strategy in strategies:
-        stats = summarize_trials(
-            [trial_hook(strategy, velocity, i) for i, velocity in enumerate(velocities)]
-        )
+    for strategy, records in zip(strategies, zip(*outcomes)):
+        stats = summarize_trials(records)
         rows.append(ComparisonRow(strategy.label, stats.cot, stats.stb,
                                   stats.successes, stats.trials))
     return rows

@@ -318,6 +318,41 @@ def test_nan_in_config_exits_one(tmp_path, capsys, cfg, terrain):
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
+_EDGE = {"segments": [{"start_x": -100.0}], "end_x": 1000.0}
+
+
+@pytest.mark.parametrize(
+    "command, terrain, key",
+    [
+        # compare used to exit 0 with 0/1 successes, and simulate to exit 0
+        (["compare", "--strategy", "fixed:trot", "--trials", "1"],
+         {**_EDGE, "course_end": math.nan}, "course_end"),
+        (["compare", "--strategy", "fixed:trot", "--trials", "1"],
+         {**_EDGE, "course_end": math.inf}, "course_end"),
+        (["compare", "--strategy", "fixed:trot", "--trials", "1"],
+         {**_EDGE, "course_end": -5.0}, "course_end"),
+        (["compare", "--strategy", "fixed:trot", "--trials", "1"],
+         {**_EDGE, "course_end": 2000.0}, "course_end"),
+        (["simulate", "--gait", "trot", "--velocity", "1.2", "--duration", "1.2"],
+         {**_EDGE, "base_height": math.nan}, "base_height"),
+    ],
+    ids=["compare-nan-course-end", "compare-inf-course-end", "compare-course-end-behind-start",
+         "compare-course-end-past-end", "simulate-nan-base-height"],
+)
+def test_bad_terrain_extent_exits_one_naming_the_key(tmp_path, monkeypatch, capsys, command,
+                                                     terrain, key):
+    monkeypatch.setattr(cli, "run_trial", _no_trial)
+    monkeypatch.setattr(strategy, "run_trial", _no_trial)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"terrains": {"edge": terrain}}))
+    assert main(command + ["--terrain", "edge", "--out", str(tmp_path / "o"),
+                           "--config", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and key in err, err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 @pytest.mark.parametrize(
     "robot, key",
     [
@@ -455,9 +490,11 @@ _SIMULATE = ["simulate", "--gait", "trot", "--velocity", "1.2", "--duration", "1
         (["build-map"], {"warmup_strides": -1}, "warmup_strides"),
         # simulate used to exit 0 with no blend ratio scored
         (_SIMULATE, {"c_values": []}, "map.c_values"),
+        # build-map used to write every map row and cell twice
+        (["build-map"], {"c_values": [0.5, 0.5]}, "map.c_values"),
     ],
     ids=["simulate-negative-warmup", "simulate-v-max", "build-map-v-max",
-         "build-map-negative-warmup", "simulate-empty-c-values"],
+         "build-map-negative-warmup", "simulate-empty-c-values", "build-map-repeated-c"],
 )
 def test_bad_map_section_exits_one_at_load(tmp_path, monkeypatch, capsys, command, section,
                                            message):
@@ -478,8 +515,9 @@ def test_bad_map_section_exits_one_at_load(tmp_path, monkeypatch, capsys, comman
         ["--v-max", "3.5"],
         ["--jobs", "0"],
         ["--jobs", "-1"],
+        ["--c", "0.5"],
     ],
-    ids=["v-max-flag", "zero-jobs", "negative-jobs"],
+    ids=["v-max-flag", "zero-jobs", "negative-jobs", "repeated-c"],
 )
 def test_build_map_bad_flag_exits_one_without_output(tmp_path, monkeypatch, args):
     monkeypatch.setattr(mapping, "run_trial", _no_trial)
@@ -530,6 +568,16 @@ def test_select_non_finite_velocity_exits_one_with_a_message(tmp_path, capsys, v
     assert "Traceback" not in err
     assert f"velocity must be finite, got {velocity}" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_select_on_a_map_without_terrain_exits_one_with_a_message(tmp_path, capsys):
+    # this used to end in an IndexError traceback
+    map_path = tmp_path / "empty.json"
+    map_path.write_text(json.dumps({"terrains": []}))
+    assert main(["select", "--map", str(map_path), "--velocity", "1.0", "--c", "0.5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "no terrain" in err, err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

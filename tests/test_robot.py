@@ -259,6 +259,36 @@ def test_terrain_rejects_nan_friction_and_non_finite_incline(segment):
         Terrain("bad", (segment,))
 
 
+@pytest.mark.parametrize(
+    "segments, kwargs, key",
+    [
+        ((TerrainSegment(math.nan),), {}, "start_x"),
+        ((TerrainSegment(-1.0), TerrainSegment(math.inf)), {}, "start_x"),
+        ((TerrainSegment(-1.0),), {"end_x": math.nan}, "end_x"),
+        ((TerrainSegment(-1.0),), {"end_x": math.inf}, "end_x"),
+        ((TerrainSegment(-1.0),), {"base_height": math.nan}, "base_height"),
+        ((TerrainSegment(-1.0),), {"base_height": -math.inf}, "base_height"),
+        ((TerrainSegment(-1.0), TerrainSegment(5.0)), {"end_x": 5.0}, "end_x"),
+        ((TerrainSegment(-1.0),), {"end_x": -2.0}, "end_x"),
+        ((TerrainSegment(-1.0),), {"course_end": math.nan}, "course_end"),
+        ((TerrainSegment(-1.0),), {"course_end": math.inf}, "course_end"),
+        ((TerrainSegment(-1.0),), {"course_end": -1.0}, "course_end"),
+        ((TerrainSegment(-1.0),), {"course_end": 1000.5}, "course_end"),
+    ],
+    ids=["nan-start", "inf-start", "nan-end", "inf-end", "nan-base", "inf-base",
+         "end-on-last-start", "end-behind-start", "nan-course-end", "inf-course-end",
+         "course-end-on-first-start", "course-end-past-end"],
+)
+def test_terrain_rejects_an_extent_it_cannot_sample(segments, kwargs, key):
+    with pytest.raises(ValueError, match=key):
+        Terrain("bad", segments, **kwargs)
+
+
+def test_terrain_accepts_a_course_end_on_its_end():
+    terrain = Terrain("edge", (TerrainSegment(-1.0),), end_x=5.0, course_end=5.0)
+    assert terrain.query(terrain.course_end).height == 0.0
+
+
 def test_preset_kinds():
     assert terrain_preset("flat").kinds == ("flat",)
     assert terrain_preset("slope12").kinds == ("slope12",)

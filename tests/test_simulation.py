@@ -275,6 +275,19 @@ def test_nan_state_ends_the_trial_as_a_fall():
     assert res.strides[-1].failed
 
 
+def test_nan_height_ends_the_trial_as_a_fall():
+    # a NaN height passes every terrain query; the height check itself must
+    # fail it, or the trial ran on with NaN heights to the end of its time
+    bad = _state(pos=(0.0, 0.0, float("nan")), vel=(1.0, 0.0, 0.0))
+    res = run_trial(
+        standard_gait(GaitName.TROT), 1.0, terrain_preset("flat"), 1.2, QUIET, PARAMS,
+        rng=np.random.default_rng(0), initial_state=bad,
+    )
+    assert res.failed and not res.finished_course
+    assert res.end_time == pytest.approx(QUIET.dt)
+    assert res.strides[-1].failed
+
+
 @pytest.mark.parametrize(
     "gait, v_cmd, falls",
     [

@@ -1,4 +1,7 @@
 import dataclasses
+import gc
+import itertools
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -455,11 +458,21 @@ def test_compare_simulates_each_distinct_trial_once(monkeypatch):
 
 
 
-def test_a_shared_trial_keeps_the_boundaries_its_stride_law_reads(monkeypatch):
-    # the kept boundaries are the times and positions that on_stride receives
-    # at every boundary a stride follows
-    seen = []
+def _index_outcomes(listed, velocity, trial_idx):
+    """The default outcomes of one trial index of a flat-slope comparison."""
+    return strategy._index_outcomes(
+        listed, terrain_preset("flat-slope"), SimConfig(), RobotParams(), SHARED_SEED, 30.0,
+        None, MetricsConfig(), velocity, trial_idx,
+    )
+
+
+def test_a_served_multi_gait_law_replays_the_boundaries_on_stride_receives(monkeypatch):
+    # multi:0.9 keeps trot, so it is served from the fixed:trot trial; its law
+    # replays the times and positions that on_stride receives at every
+    # boundary a stride follows
+    seen, replayed = [], []
     trial = strategy.run_trial
+    next_gait = strategy._StrideLaw.next_gait
 
     def recording(*args, on_stride=None, **kwargs):
         assert on_stride is None  # a fixed trial
@@ -467,16 +480,14 @@ def test_a_shared_trial_keeps_the_boundaries_its_stride_law_reads(monkeypatch):
                      **kwargs)
 
     monkeypatch.setattr(strategy, "run_trial", recording)
-    shared = {}
-    outcome = strategy._strategy_trial(
-        terrain_preset("flat-slope"), SimConfig(), RobotParams(), SHARED_SEED, 30.0, None,
-        MetricsConfig(), shared, FixedGait(GaitName.TROT), 1.65, 0,
-    )
-    (key, entry), = shared.items()
-    assert key == (0, GaitName.TROT) and entry.outcome == outcome
-    assert len(entry.boundaries) >= 5
-    assert entry.boundaries == tuple(seen[:len(entry.boundaries)])
-    assert len(seen) - len(entry.boundaries) in (0, 1)  # a trial may end on a boundary
+    monkeypatch.setattr(strategy._StrideLaw, "next_gait", lambda law, position, t: (
+        replayed.append((t, position)) or next_gait(law, position, t)))
+    strategies = _acceptance_strategies()
+    served, shared = _index_outcomes([strategies[5], strategies[0]], 1.65, 0)
+    assert served == shared
+    assert len(replayed) >= 5
+    assert replayed == seen[:len(replayed)]
+    assert len(seen) - len(replayed) in (0, 1)  # a trial may end on a boundary
 
 
 # -- multi-gait trials resumed at their first switch ----------------------------
@@ -570,19 +581,72 @@ def test_a_multi_gait_trial_resumed_on_its_finish_boundary_is_the_trial_from_res
     _assert_same_result(trial(checkpoint), from_rest, 2)
 
 
-def test_a_shared_trial_keeps_only_the_checkpoints_a_later_strategy_resumes_from():
+def _watch_trials(monkeypatch):
+    """Wrap ``strategy.run_strategy``: each call appends, after a garbage
+    collection, the velocity, the resumed checkpoint's stride index, and the
+    results and checkpoints of the earlier calls still alive."""
+    calls, results, checkpoints = [], [], []
+    run = strategy.run_strategy
+
+    def watched(s, terrain, velocity, *args, resume=None, **kwargs):
+        gc.collect()
+        calls.append((velocity, None if resume is None else resume.stride_idx,
+                      sum(ref() is not None for ref in results),
+                      sorted(c.stride_idx for c in (ref() for ref in checkpoints) if c)))
+        result = run(s, terrain, velocity, *args, resume=resume, **kwargs)
+        results.append(weakref.ref(result))
+        checkpoints.extend(map(weakref.ref, result.checkpoints))
+        return result
+
+    monkeypatch.setattr(strategy, "run_strategy", watched)
+    return calls
+
+
+def test_an_index_keeps_only_the_checkpoints_its_multi_gait_trials_resume_from(monkeypatch):
+    # multi:0.1 switches at the first boundary and multi:0.5 at the second,
+    # so the fixed:trot trial keeps checkpoints 1 and 2 in every listing order
     strategies = _acceptance_strategies()
-    fixed_trot, multi_01, multi_05 = strategies[0], strategies[3], strategies[4]
-    kept = []
-    for listed in ([fixed_trot, multi_01, multi_05], [multi_05, fixed_trot, multi_01],
-                   [fixed_trot], [multi_01, multi_05, fixed_trot]):
-        shared = {}
-        strategy._strategy_trial(
-            terrain_preset("flat-slope"), SimConfig(), RobotParams(), SHARED_SEED, 30.0,
-            None, MetricsConfig(), shared, fixed_trot, 1.65, 0, strategies=listed,
-        )
-        (entry,) = shared.values()
-        assert all(c.stride_idx == j for j, c in entry.checkpoints.items())
-        kept.append(sorted(entry.checkpoints))
-    # multi:0.1 switches at the first boundary and multi:0.5 at the second
-    assert kept == [[1, 2], [1], [], []]
+    fixed_trot, multi_01 = strategies[0], strategies[3]
+    calls = _watch_trials(monkeypatch)
+    for listed in itertools.permutations([fixed_trot, multi_01, strategies[4]]):
+        calls.clear()
+        _index_outcomes(listed, 1.65, 0)
+        resumed = [1 if s is multi_01 else 2 for s in listed if isinstance(s, MultiGait)]
+        assert [(j, alive) for _, j, _, alive in calls] == [
+            (None, []), (resumed[0], [1, 2]), (resumed[1], [1, 2])]
+    # with no multi-gait strategy, the trials keep no checkpoint
+    calls.clear()
+    _index_outcomes(strategies[:2], 1.65, 0)
+    assert [(j, alive) for _, j, _, alive in calls] == [(None, []), (None, [])]
+
+
+def test_no_trial_result_or_checkpoint_outlives_its_index(monkeypatch):
+    # a result dies before the next trial starts, and the checkpoints of
+    # index 0 before the first trial of index 1
+    strategies = _acceptance_strategies()
+    calls = _watch_trials(monkeypatch)
+    compare([strategies[0], strategies[3], strategies[4]], terrain_preset("flat-slope"), 2,
+            SHARED_BANDS["1.62-1.68"], seed=SHARED_SEED)
+    velocities = [velocity for velocity, *_ in calls]
+    assert len(set(velocities)) == 2 and len(calls) == 6
+    first_of_index_1 = velocities.index(velocities[-1])
+    assert calls[first_of_index_1][3] == []
+    assert [results for _, _, results, _ in calls] == [0] * 6
+
+
+def test_compare_integrates_the_same_steps_in_any_listing_order(monkeypatch):
+    # listed before fixed:trot, the multi-gait trials used to run from rest
+    steps = []
+    integrate = simulation.step
+    monkeypatch.setattr(simulation, "step",
+                        lambda *args, **kwargs: steps.append(1) or integrate(*args, **kwargs))
+    s = _acceptance_strategies()
+    counts, rows = [], []
+    for listed in ([s[3], s[4], s[0]], [s[0], s[3], s[4]]):
+        before = len(steps)
+        rows.append({row.label: _row_bits(row) for row in compare(
+            listed, terrain_preset("flat-slope"), 4, SHARED_BANDS["1.62-1.68"],
+            seed=SHARED_SEED)})
+        counts.append(len(steps) - before)
+    assert counts[0] == counts[1]
+    assert rows[0] == rows[1]
