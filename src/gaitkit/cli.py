@@ -293,6 +293,7 @@ def cmd_compare(args) -> int:
         duration=args.duration,
         timing=cfg.gait,
         metrics=cfg.metrics,
+        jobs=args.jobs,
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -364,6 +365,8 @@ def build_parser() -> _Parser:
     p.add_argument("--v-min", type=float, default=0.3)
     p.add_argument("--v-max", type=float, default=2.7)
     p.add_argument("--duration", type=float, default=30.0)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes; each takes whole trial indices")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
 

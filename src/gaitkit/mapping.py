@@ -255,6 +255,21 @@ class VelocityGaitMap:
         ])
 
 
+def fan_out(fn, *iterables, jobs: int = 1) -> list:
+    """``list(map(fn, *iterables))``: the results in input order. ``jobs`` > 1
+    makes the calls in that many worker processes, so ``fn`` and the items
+    must pickle; ``jobs`` below 1 is a :class:`ValueError`, raised before any
+    call."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1:
+        return list(map(fn, *iterables))
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, *iterables))
+
+
 def trial_outcome(
     result: TrialResult,
     terrain: Terrain,
@@ -332,12 +347,10 @@ def build_map(
     ``trial_runner(gait, velocity, trial_idx) -> (cot, stb, failed)`` may be
     injected for testing; the default runs the simulator. ``jobs`` is at
     least 1 (a :class:`ValueError` otherwise); ``jobs`` > 1 fans the
-    independent cells out to worker processes (the runner must then pickle);
-    per-trial seeding depends only on the cell key, so the result is
-    identical either way.
+    independent cells out to worker processes through :func:`fan_out` (the
+    runner must then pickle); per-trial seeding depends only on the cell key,
+    so the result is identical either way.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if trial_runner is None:
         trial_runner = partial(
             _simulated_trial, terrain, map_cfg, sim_cfg or SimConfig(),
@@ -348,14 +361,8 @@ def build_map(
     grid = map_cfg.velocity_grid()
     gaits = [gait for gait in map_cfg.gaits for _ in grid]
     velocities = [velocity for _ in map_cfg.gaits for velocity in grid]
-    cell = partial(_cell_stats, trial_runner, map_cfg.trials)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(cell, gaits, velocities))
-    else:
-        results = list(map(cell, gaits, velocities))
+    results = fan_out(partial(_cell_stats, trial_runner, map_cfg.trials), gaits, velocities,
+                      jobs=jobs)
 
     out = VelocityGaitMap(c_values=tuple(map_cfg.c_values))
     out.v_grids[tid] = grid

@@ -21,9 +21,10 @@ stance and centre of mass as Python sequences, and :func:`step` the state,
 the saturated forces as float rows and the rotation it built for the step, so
 the integrator neither converts them nor rebuilds the rotation; :func:`step`
 integrates on scalars and returns a new :class:`TrunkState`. Each step is
-logged as one tuple of floats and its stance flags; each stride builds one
-float64 array of its rows (and one bool array of its flags), whose column
-views are the :class:`~gaitkit.stridelog.StrideLog` fields
+logged as one tuple of floats, appended to its stride's own float64
+buffer, and its stance flags; each stride views that buffer as one array of
+its rows (and builds one bool array of its flags), whose column views are
+the :class:`~gaitkit.stridelog.StrideLog` fields
 (:mod:`gaitkit.stridelog` holds the log). The helpers they call once or
 more per step (:func:`~gaitkit.robot.leg_ik`,
 :func:`~gaitkit.robot.leg_jacobian`, :func:`rotation_matrix`,
@@ -98,7 +99,7 @@ def _trunk_state(state: TrunkState) -> TrunkState:
 @dataclass(frozen=True, eq=False)
 class TrialCheckpoint:
     """What :func:`run_trial`'s loop carries across one stride boundary, taken
-    after the stride closes and before ``on_stride`` runs.
+    after the stride closes, where ``on_stride`` asks for it.
 
     ``run_trial(..., resume=checkpoint)`` continues the trial from here, bit
     for bit. ``dt``, ``v_cmd``, ``pattern`` (the gait of the stride that
@@ -435,7 +436,8 @@ def _start_pose(v_cmd: float, terrain: Terrain, config: SimConfig, params: Robot
     (a (4, 3) array) and joint angles, each of the last two a list in LegId
     order. Without ``initial_state`` the body stands at ``start_x`` at the
     nominal height, moving at ``v_cmd`` along the terrain, with ``rng``
-    jitter on roll, pitch and the horizontal velocity."""
+    jitter on roll, pitch and the horizontal velocity. A state with a
+    non-finite entry is a ValueError that names its field."""
     samp0 = terrain.query(start_x)
     if initial_state is None:
         roll0, pitch0 = (rng.uniform(-1.0, 1.0, size=2) * config.attitude_jitter).tolist()
@@ -450,6 +452,9 @@ def _start_pose(v_cmd: float, terrain: Terrain, config: SimConfig, params: Robot
             (0.0, 0.0, 0.0),
         )
     state = _trunk_state(initial_state)
+    for name, v in zip(state._fields, state):
+        if not all(map(math.isfinite, v)):
+            raise ValueError(f"initial_state {name} {v} is not finite")
 
     (px, py, pz), _, euler, _ = state
     rot = rotation_matrix(euler)
@@ -504,7 +509,8 @@ def run_trial(
     ``on_stride(stride_idx, state, t)``, when given, is called at every
     stride boundary with the index of the stride that starts, the loop's own
     :class:`TrunkState` and the time; it may request a gait from a machine it
-    holds. Logs are segmented per stride; the trial ends early on failure
+    holds, and it asks for a checkpoint of the boundary by returning a truthy
+    value. Logs are segmented per stride; the trial ends early on failure
     (attitude or height threshold) or when the body passes ``finish_x``.
 
     Every step logs one row, and each returned :class:`StrideLog` holds
@@ -512,16 +518,20 @@ def run_trial(
     partition the steps run, in order, with no gap, no overlap and no empty
     stride.
 
-    At each stride boundary before the machine's first event (at every
-    boundary of a pattern), the trial records a :class:`TrialCheckpoint`.
-    ``resume=checkpoint`` continues the trial from one instead of starting
-    it: ``on_stride`` is called for the checkpoint's boundary, the finish line
-    is checked, and the remaining steps of ``duration`` run, with ``rng`` set
-    to the checkpoint's stream state (``start_x`` and ``initial_state`` have
-    no part). With the same config and robot, the result is the uninterrupted
+    At a stride boundary where ``on_stride`` asks for one, the trial records
+    a :class:`TrialCheckpoint`, if the machine has had no event before that
+    call (a pattern never has one); a trial that asks for none keeps none.
+    The checkpoint holds the loop's state at the boundary, and the stream
+    state of ``rng`` after ``on_stride`` returns, so a hook that asks must
+    not draw from ``rng``. ``resume=checkpoint`` continues the trial from one
+    instead of starting it: ``on_stride`` is called for the checkpoint's
+    boundary (what it returns there is ignored), the finish line is checked,
+    and the remaining steps of ``duration`` run, with ``rng`` set to the
+    checkpoint's stream state (``start_x`` and ``initial_state`` have no
+    part). With the same config and robot, the result is the uninterrupted
     trial's, to the last bit, its strides beginning with the checkpoint's own;
-    its checkpoints are those of the later boundaries. A checkpoint of
-    another ``dt``, ``v_cmd``, gait, period or terrain is a ValueError; a
+    its checkpoints are those asked for at the later boundaries. A checkpoint
+    of another ``dt``, ``v_cmd``, gait, period or terrain is a ValueError; a
     machine must be idle, its ``time`` at the checkpoint's.
     """
     config = config or SimConfig()
@@ -781,17 +791,19 @@ def run_trial(
                 strides.append(log)
             acc.reset(t, state.position)
             stride_idx += 1
-            if fsm is None or not fsm.events:
-                checkpoints.append(TrialCheckpoint(
-                    dt, v_cmd, pattern, terrain, k + 1, t, phase, stride_idx, carrot_x,
-                    state, tuple(foot_pos), tuple(lift_pos),
-                    tuple(map(tuple, normals.tolist())), tuple(swing_entry_s),
-                    tuple(was_swing), tuple(map(tuple, touchdown_scatter)),
-                    tuple(map(tuple, q)), working_set, rng.bit_generator.state,
-                    tuple(strides),
-                ))
             if on_stride is not None:
-                on_stride(stride_idx, state, t)
+                # read before on_stride, which may dispatch the machine's first
+                # event: a checkpoint resumes an idle machine only
+                idle = fsm is None or not fsm.events
+                if on_stride(stride_idx, state, t) and idle:
+                    checkpoints.append(TrialCheckpoint(
+                        dt, v_cmd, pattern, terrain, k + 1, t, phase, stride_idx, carrot_x,
+                        state, tuple(foot_pos), tuple(lift_pos),
+                        tuple(map(tuple, normals.tolist())), tuple(swing_entry_s),
+                        tuple(was_swing), tuple(map(tuple, touchdown_scatter)),
+                        tuple(map(tuple, q)), working_set, rng.bit_generator.state,
+                        tuple(strides),
+                    ))
 
         if finish_x is not None and px >= finish_x:
             finished = True

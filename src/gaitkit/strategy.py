@@ -19,6 +19,7 @@ from .io import write_csv
 from .mapping import (
     HysteresisState,
     VelocityGaitMap,
+    fan_out,
     select_gait,
     select_gait_hysteretic,
     summarize_trials,
@@ -165,7 +166,8 @@ class _StrideLaw:
 def _boundaries(strides) -> tuple[tuple[float, tuple[float, float, float]], ...]:
     """The time and body position at each stride boundary that a stride
     follows: the first row of every stride but the first, which is what
-    ``on_stride`` received there."""
+    ``on_stride`` received there. A resumed multi-gait trial replays its law
+    over these."""
     return tuple((float(s.time[0]), tuple(s.position[0].tolist())) for s in strides[1:])
 
 
@@ -192,6 +194,7 @@ def run_strategy(
     finish_x: float | None = None,
     timing: GaitTimingConfig | None = None,
     resume: TrialCheckpoint | None = None,
+    on_stride=None,
 ) -> TrialResult:
     """Run one full test under a strategy; returns strides plus the event trace.
 
@@ -208,6 +211,11 @@ def run_strategy(
     is replayed over the earlier boundaries, and its machine starts idle in
     that gait with its clock at the checkpoint's time; a law that asks to
     leave the gait before the checkpoint is a ValueError.
+
+    ``on_stride`` is handed to :func:`~gaitkit.simulation.run_trial` for a
+    fixed or per-velocity trial, to watch its boundaries and ask for
+    checkpoints; a multi-gait trial has its own, and one given is a
+    ValueError.
     """
     sim_cfg = sim_cfg or SimConfig()
     params = params or RobotParams()
@@ -220,6 +228,8 @@ def run_strategy(
     initial_state = None if resume else _standing_state(terrain, start_x, sim_cfg, rng)
 
     if isinstance(strategy, MultiGait):
+        if on_stride is not None:
+            raise ValueError("a multi-gait trial takes no on_stride")
         law = _StrideLaw(strategy, terrain, v_cmd, sim_cfg, start_x)
         fsm = GaitFsm(law.initial, period=period, switch_time=timing.switch_time,
                       dwell_strides=timing.dwell_strides)
@@ -236,7 +246,6 @@ def run_strategy(
         gait = fsm
     else:
         gait = standard_gait(_single_gait(strategy, terrain, v_cmd, start_x), period)
-        on_stride = None
 
     return run_trial(
         gait, v_cmd, terrain, duration, sim_cfg, params,
@@ -273,34 +282,46 @@ def _index_outcomes(
 
     The fixed and per-velocity trials run first, one per gait. A multi-gait
     trial that starts in one of those gaits is that gait's trial, bit for
-    bit, until its stride law, replayed over the trial's boundaries, asks for
-    a switch. If the law never asks, it is served that trial's outcome (a
-    request on the boundary that ends a trial changes nothing); if it first
-    asks at boundary j, it resumes from the trial's checkpoint j. Any other
-    multi-gait trial runs from rest. Only the checkpoints resumed from are
-    kept, and only for the call.
+    bit, until its stride law asks for a switch. The law is fed each boundary
+    of that trial as it runs, and the trial takes a checkpoint where the law
+    first asks. If the law never asks before the trial's last stride, it is
+    served that trial's outcome (a request on the boundary that ends a trial
+    changes nothing); if it first asks at boundary j, it resumes from
+    checkpoint j. Any other multi-gait trial runs from rest. A trial keeps
+    only the checkpoints resumed from, and only for the call.
     """
     laws = [_StrideLaw(s, terrain, velocity, sim_cfg) if isinstance(s, MultiGait) else None
             for s in strategies]
     gaits = [_single_gait(s, terrain, velocity, 0.0) if law is None else law.initial
              for s, law in zip(strategies, laws)]
-    switches: dict[int, int | None] = {}  # first switch of each replayed law, by position
+    switches: dict[int, int] = {}  # first switch of each fed law, by position
 
-    def simulate(s: Strategy, resume: TrialCheckpoint | None = None) -> TrialResult:
+    def simulate(s: Strategy, resume: TrialCheckpoint | None = None,
+                 on_stride=None) -> TrialResult:
         rng = np.random.default_rng((seed, trial_idx, 11))
-        return run_strategy(s, terrain, velocity, sim_cfg, params,
-                            duration=duration, rng=rng, timing=timing, resume=resume)
+        return run_strategy(s, terrain, velocity, sim_cfg, params, duration=duration,
+                            rng=rng, timing=timing, resume=resume, on_stride=on_stride)
 
     def shared_trial(s: Strategy, gait: GaitName):
         """The outcome of the trial of ``gait`` and, by stride index, the
         checkpoints the multi-gait trials starting in ``gait`` resume from."""
-        result = simulate(s)
-        boundaries = _boundaries(result.strides)
         served = [k for k, law in enumerate(laws) if law is not None and gaits[k] == gait]
-        switches.update((k, _first_switch(laws[k], boundaries)) for k in served)
-        wanted = {switches[k] for k in served}
+
+        def on_stride(stride_idx, body, t):
+            first = [k for k in served if k not in switches
+                     and laws[k].next_gait(body.position, t) != laws[k].initial]
+            switches.update(dict.fromkeys(first, stride_idx))
+            return first
+
+        result = simulate(s, on_stride=on_stride if served else None)
+        # a switch on the boundary that ends the trial, which no stride
+        # follows, is no switch
+        last = len(result.strides)
+        for k in served:
+            if switches.get(k) == last:
+                del switches[k]
         return trial_outcome(result, terrain, params, metrics), {
-            c.stride_idx: c for c in result.checkpoints if c.stride_idx in wanted
+            c.stride_idx: c for c in result.checkpoints if c.stride_idx < last
         }
 
     shared = {}  # (outcome, checkpoints) by gait
@@ -318,6 +339,12 @@ def _index_outcomes(
     return outcomes
 
 
+def _hook_outcomes(trial_hook, strategies, velocity: float, trial_idx: int) -> list:
+    """The outcome of trial ``trial_idx`` of every strategy from
+    ``trial_hook``, in listing order."""
+    return [trial_hook(s, velocity, trial_idx) for s in strategies]
+
+
 def compare(
     strategies: list[Strategy],
     terrain: Terrain,
@@ -331,6 +358,7 @@ def compare(
     trial_hook=None,
     timing: GaitTimingConfig | None = None,
     metrics: MetricsConfig | None = None,
+    jobs: int = 1,
 ) -> list[ComparisonRow]:
     """Paired-trial comparison: same velocity and initial-state randomness per
     trial index across all strategies; each trial is scored by
@@ -338,19 +366,22 @@ def compare(
     summarized by :func:`~gaitkit.mapping.summarize_trials`, as in
     :func:`~gaitkit.mapping.build_map`.
 
-    The trials run one index at a time. Without a hook, trial ``i`` of every
+    The unit of work is one trial index. Without a hook, trial ``i`` of every
     strategy has the same velocity and random stream, so the trials of an
     index are shared, in any listing order (see :func:`_index_outcomes`):
     each distinct trial is simulated once, and a multi-gait trial that
     switches out of a gait some fixed or per-velocity strategy runs
     simulates only the strides after its first switch. Nothing of an index
-    is kept past it.
+    is kept past it. ``jobs`` > 1 runs the indices in that many worker
+    processes (:func:`~gaitkit.mapping.fan_out`); every trial is seeded by
+    its index, so the rows are the same, bit for bit, for any ``jobs``.
 
     ``trial_hook(strategy, velocity, trial_idx) -> (cot, stb, failed)`` can be
-    injected for synthetic harnesses. The velocity range must lie in the
-    commanded speeds a trial accepts, low end first, the terrain's finish
-    line ahead of x = 0, where every trial starts, and the map of every
-    strategy must cover the terrain; all are checked before the first trial.
+    injected for synthetic harnesses; with ``jobs`` > 1 it must pickle. The
+    velocity range must lie in the commanded speeds a trial accepts, low end
+    first, the terrain's finish line ahead of x = 0, where every trial
+    starts, the map of every strategy must cover the terrain, and ``jobs``
+    must be at least 1; all are checked before the first trial.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
@@ -371,13 +402,10 @@ def compare(
             params or RobotParams(), seed, duration, timing, metrics or MetricsConfig(),
         )
     else:
-        def index_outcomes(velocity, trial_idx):
-            return [trial_hook(s, velocity, trial_idx) for s in strategies]
-
-    outcomes = [
-        index_outcomes(float(np.random.default_rng((seed, i, 7)).uniform(v_lo, v_hi)), i)
-        for i in range(trials)
-    ]
+        index_outcomes = partial(_hook_outcomes, trial_hook, strategies)
+    velocities = [float(np.random.default_rng((seed, i, 7)).uniform(v_lo, v_hi))
+                  for i in range(trials)]
+    outcomes = fan_out(index_outcomes, velocities, range(trials), jobs=jobs)
     rows = []
     for strategy, records in zip(strategies, zip(*outcomes)):
         stats = summarize_trials(records)

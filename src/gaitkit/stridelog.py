@@ -3,10 +3,12 @@
 :func:`~gaitkit.simulation.run_trial` logs every step with one
 :meth:`StrideAccumulator.write` of a tuple of floats and the step's four
 stance flags, and closes a :class:`StrideLog` at each stride boundary. A
-stride owns its rows: :meth:`StrideAccumulator.close` builds one float64
-array of the stride's rows (and one bool array of its stance flags), and
-the log fields are column views of that array, not copies. A step row
-carries the joint angles in the ``joint_velocities`` columns;
+stride owns its rows: :meth:`StrideAccumulator.write` appends each step's
+floats to the open stride's own ``array('d')``, and
+:meth:`StrideAccumulator.close` views that buffer as one float64 array of
+the stride's rows (and builds one bool array of its stance flags); the log
+fields are column views of that array, not copies. A step row carries the
+joint angles in the ``joint_velocities`` columns;
 :meth:`StrideAccumulator.close` turns the stride's rows into joint rates in
 place, with one subtraction and one division over the stride.
 """
@@ -14,8 +16,8 @@ place, with one subtraction and one division over the stride.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -57,8 +59,9 @@ class TrialResult:
     """Strides and events of one trial; ``finished_course`` means the body
     passed ``finish_x`` or, without a finish line, survived the duration.
     ``checkpoints`` are the :class:`~gaitkit.simulation.TrialCheckpoint` of
-    each stride boundary the call ran through before the trial's first gait
-    event, in order."""
+    the stride boundaries at which the trial's ``on_stride`` asked for one
+    before the trial's first gait event, in order; empty when it asked for
+    none."""
 
     strides: list[StrideLog]
     events: list
@@ -90,9 +93,12 @@ _LOG_FIELDS = (
 class StrideAccumulator:
     """Step rows of the open stride of one trial, with its counters.
 
-    :meth:`write` keeps each step's row tuple and stance flags as given;
-    :meth:`close` turns the open stride's rows into one float64 array whose
-    column views are the float fields, and its flags into one bool array.
+    :meth:`write` appends each step's floats to the open stride's
+    ``array('d')``, 8 bytes a float, and keeps its stance flags;
+    :meth:`close` views that buffer as one float64 array of rows, whose
+    column views are the float fields, and turns the flags into one bool
+    array. :meth:`reset` opens a new buffer, so the closed stride keeps its
+    own.
 
     Until its stride closes, a row holds the step's joint angles in the
     ``joint_velocities`` columns; :meth:`close` differences them against the
@@ -106,7 +112,7 @@ class StrideAccumulator:
         self.dt = dt
         # the joint angles of the step before the open stride, 12 floats
         self.q_prev = np.array(q0, dtype=float).reshape(12)
-        self.rows: list = []
+        self.rows = array("d")
         self.stance: list = []
         self.start_time = 0.0
         self.start_pos: np.ndarray | None = None
@@ -116,13 +122,13 @@ class StrideAccumulator:
     def write(self, values, stance) -> None:
         """Log one step: its float fields in ``_LOG_FIELDS`` order, and its
         four stance flags."""
-        self.rows.append(values)
+        self.rows.extend(values)
         self.stance.append(stance)
 
     def reset(self, t: float, pos) -> None:
         """Open a stride at the next step; ``pos`` is the body position, three
         floats."""
-        self.rows = []
+        self.rows = array("d")
         self.stance = []
         self.start_time = t
         self.start_pos = np.array(pos, dtype=float)
@@ -134,11 +140,11 @@ class StrideAccumulator:
     ) -> StrideLog | None:
         """The open stride as views of its own row array, its joint angles
         turned into joint rates; None if it has no step."""
-        if not self.rows:
+        n = len(self.stance)
+        if not n:
             return None
-        n, width = len(self.rows), len(self.rows[0])
-        # one flat pass over the floats, without np.array's walk of nested sequences
-        rows = np.fromiter(chain.from_iterable(self.rows), float, n * width).reshape(n, width)
+        # the buffer itself, no copy; the array holds it past the next reset
+        rows = np.frombuffer(self.rows, dtype=float).reshape(n, -1)
         fields = {}
         col = 0
         for name, shape in _LOG_FIELDS:

@@ -528,8 +528,9 @@ def test_build_map_bad_flag_exits_one_without_output(tmp_path, monkeypatch, args
 
 @pytest.mark.parametrize(
     "args",
-    [["--v-max", "3.5"], ["--v-min", "-0.2"], ["--v-min", "2.0", "--v-max", "1.0"]],
-    ids=["above-limit", "negative", "reversed"],
+    [["--v-max", "3.5"], ["--v-min", "-0.2"], ["--v-min", "2.0", "--v-max", "1.0"],
+     ["--jobs", "0"], ["--jobs", "-1"]],
+    ids=["above-limit", "negative", "reversed", "zero-jobs", "negative-jobs"],
 )
 def test_compare_bad_velocity_range_exits_one_before_any_trial(tmp_path, monkeypatch, args):
     monkeypatch.setattr(strategy, "run_trial", _no_trial)
@@ -644,6 +645,25 @@ def test_build_map_honours_config_gait_period(tmp_path):
     assert _build_map_json(tmp_path, "parallel", slow, jobs=2) == serial
 
 
+def test_compare_jobs_two_writes_the_bytes_of_jobs_one(tmp_path, capsys):
+    def run(jobs):
+        out = tmp_path / f"jobs-{jobs}.csv"
+        assert main([
+            "compare", "--terrain", "flat-slope", "--map", _DEMO_MAP,
+            "--strategy", "fixed:trot", "--strategy", "fixed:trot-run",
+            "--strategy", "per-velocity:0.5", "--strategy", "multi:0.1",
+            "--trials", "3", "--v-min", "1.2", "--v-max", "2.0", "--duration", "8",
+            "--seed", "99", "--jobs", str(jobs), "--out", str(out),
+        ]) == 0
+        return out.read_bytes(), capsys.readouterr().out
+
+    serial = run(1)
+    assert run(2) == serial
+    # some trials finish the course, so the rows hold more than the fall bounds
+    with open(tmp_path / "jobs-1.csv", newline="") as fh:
+        assert any(int(row["success"]) > 0 for row in csv.DictReader(fh))
+
+
 def test_compare_honours_config_metrics_weights(tmp_path):
     def run(name, cfg):
         cfg_path = tmp_path / f"{name}.cfg.json"
@@ -730,6 +750,18 @@ def test_manifest_records_the_config_seed(tmp_path, monkeypatch, command):
     # compare embeds no manifest in its CSV; every other command does in its JSON
     assert len(manifests) == (1 if command[0] == "compare" else 2)
     assert [m["seed"] for m in manifests] == [5] * len(manifests)
+
+
+def test_the_package_version_is_read_from_gaitkit():
+    # one version string: pyproject.toml names none of its own, so the
+    # package metadata and the manifests' version cannot disagree
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    sections = re.split(r"^(\[[^\]\n]+\])$", pyproject, flags=re.M)
+    tables = dict(zip(sections[1::2], sections[2::2]))
+    assert not re.search(r"^version\s*=", tables["[project]"], re.M)
+    assert re.search(r'^dynamic = \[[^\]]*"version"', tables["[project]"], re.M)
+    assert re.search(r'^version = \{ ?attr = "gaitkit\.__version__" ?\}$',
+                     tables["[tool.setuptools.dynamic]"], re.M)
 
 
 def test_module_entry_point_is_the_console_script(tmp_path):

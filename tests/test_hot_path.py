@@ -484,6 +484,7 @@ class _IntegratorLog:
 
     def __init__(self, monkeypatch):
         self.rows = []
+        self.monkeypatch = monkeypatch
         integrate = simulation.step
 
         def recorded(state, forces, stance, feet, params, dt, **kwargs):
@@ -541,16 +542,24 @@ def _finish_on_stride_boundary(log):
 
 
 def _one_step_nan_fall(log):
-    bad = TrunkState(
+    # the first step returns a NaN body position, as a state gone NaN
+    integrate = simulation.step
+
+    def nan_step(*args, **kwargs):
+        state = integrate(*args, **kwargs)
+        return state._replace(position=(math.nan, *state.position[1:]))
+
+    log.monkeypatch.setattr(simulation, "step", nan_step)
+    start = TrunkState(
         position=(0.0, 0.0, 0.32),
-        velocity=(math.nan, 0.0, 0.0),
+        velocity=(1.0, 0.0, 0.0),
         euler=(0.0, 0.0, 0.0),
         omega=(0.0, 0.0, 0.0),
     )
     quiet = dataclasses.replace(SimConfig(), attitude_jitter=0.0, velocity_jitter=0.0)
     result = run_trial(
         standard_gait(GaitName.TROT), 1.0, terrain_preset("flat"), 2.0, quiet,
-        rng=np.random.default_rng(0), initial_state=bad,
+        rng=np.random.default_rng(0), initial_state=start,
     )
     assert result.failed and len(log.rows) == 1
     return result

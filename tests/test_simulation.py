@@ -262,30 +262,61 @@ def test_forced_pitch_failure():
     assert res.strides[-1].failed
 
 
-def test_nan_state_ends_the_trial_as_a_fall():
+def _nan_position_after_each_step(monkeypatch, axis):
+    """Make the rigid-body step return its body position with coordinate
+    ``axis`` NaN: a state that turns NaN inside a trial."""
+    integrate = simulation.step
+
+    def nan_step(*args, **kwargs):
+        state = integrate(*args, **kwargs)
+        position = list(state.position)
+        position[axis] = math.nan
+        return state._replace(position=tuple(position))
+
+    monkeypatch.setattr(simulation, "step", nan_step)
+
+
+def test_nan_state_ends_the_trial_as_a_fall(monkeypatch):
     # a NaN body position is outside every terrain, so the first post-step
     # ground sample ends the trial instead of simulating on from NaN
-    bad = _state(pos=(0.0, 0.0, 0.32), vel=(float("nan"), 0.0, 0.0))
+    _nan_position_after_each_step(monkeypatch, 0)
+    start = _state(pos=(0.0, 0.0, 0.32), vel=(1.0, 0.0, 0.0))
     res = run_trial(
         standard_gait(GaitName.TROT), 1.0, terrain_preset("flat"), 2.0, QUIET, PARAMS,
-        rng=np.random.default_rng(0), initial_state=bad,
+        rng=np.random.default_rng(0), initial_state=start,
     )
     assert res.failed and not res.finished_course
     assert res.end_time == pytest.approx(QUIET.dt)
     assert res.strides[-1].failed
 
 
-def test_nan_height_ends_the_trial_as_a_fall():
+def test_nan_height_ends_the_trial_as_a_fall(monkeypatch):
     # a NaN height passes every terrain query; the height check itself must
     # fail it, or the trial ran on with NaN heights to the end of its time
-    bad = _state(pos=(0.0, 0.0, float("nan")), vel=(1.0, 0.0, 0.0))
+    _nan_position_after_each_step(monkeypatch, 2)
+    start = _state(pos=(0.0, 0.0, 0.32), vel=(1.0, 0.0, 0.0))
     res = run_trial(
         standard_gait(GaitName.TROT), 1.0, terrain_preset("flat"), 1.2, QUIET, PARAMS,
-        rng=np.random.default_rng(0), initial_state=bad,
+        rng=np.random.default_rng(0), initial_state=start,
     )
     assert res.failed and not res.finished_course
     assert res.end_time == pytest.approx(QUIET.dt)
     assert res.strides[-1].failed
+
+
+@pytest.mark.parametrize("field, start", [
+    ("position", _state(pos=(math.nan, 0.0, 0.32), vel=(1.0, 0.0, 0.0))),
+    ("velocity", _state(pos=(0.0, 0.0, 0.32), vel=(math.inf, 0.0, 0.0))),
+], ids=["nan-position", "inf-velocity"])
+def test_run_trial_rejects_a_non_finite_initial_state(monkeypatch, field, start):
+    # the start state is checked before the start pose queries the terrain,
+    # so the error names the state's field, not a terrain extent
+    steps = []
+    monkeypatch.setattr(simulation, "step", lambda *args, **kwargs: steps.append(1))
+    with pytest.raises(ValueError, match=f"initial_state {field} .* is not finite"):
+        run_trial(standard_gait(GaitName.TROT), 1.0, terrain_preset("flat"), 1.2, QUIET,
+                  PARAMS, rng=np.random.default_rng(0), initial_state=start)
+    assert steps == []
 
 
 @pytest.mark.parametrize(
@@ -497,6 +528,11 @@ def _assert_same_trial(got, want):
         want.end_time, want.failed, want.finished_course)
 
 
+def _every_boundary(idx, body, t):
+    """An ``on_stride`` that asks for a checkpoint at every boundary."""
+    return True
+
+
 def _checkpoint_bits(c):
     """A checkpoint's loop state, with its strides by identity."""
     return (c.steps, c.t, c.phase, c.stride_idx, c.carrot_x, c.state, c.foot_pos,
@@ -521,7 +557,7 @@ def test_a_pattern_trial_resumed_from_each_checkpoint_is_the_uninterrupted_trial
 
     def trial(rng, resume=None):
         return run_trial(pattern, v_cmd, terrain, duration, SimConfig(), PARAMS, rng=rng,
-                         finish_x=finish_x, resume=resume)
+                         finish_x=finish_x, resume=resume, on_stride=_every_boundary)
 
     full = trial(np.random.default_rng(8))
     # one checkpoint per stride boundary, each holding the strides closed so far
@@ -557,6 +593,7 @@ def test_an_idle_machine_trial_resumed_from_each_checkpoint_is_the_uninterrupted
             calls.append((idx, t, body.position))
             if idx == 3:
                 fsm.request(GaitName.TROT_RUN)
+            return True
 
         res = run_trial(fsm, 1.3, terrain, 3.0, SimConfig(), PARAMS,
                         rng=np.random.default_rng(3), on_stride=on_stride, resume=resume)
@@ -579,9 +616,11 @@ def test_an_idle_machine_trial_resumed_from_each_checkpoint_is_the_uninterrupted
 def test_a_trial_resumed_at_the_boundary_it_finishes_on_runs_no_step(monkeypatch):
     terrain = terrain_preset("flat")
     pattern = standard_gait(GaitName.TROT)
-    c = run_trial(pattern, 1.2, terrain, 3.0, QUIET, PARAMS).checkpoints[2]
+    c = run_trial(pattern, 1.2, terrain, 3.0, QUIET, PARAMS,
+                  on_stride=_every_boundary).checkpoints[2]
     finish_x = c.state.position[0]
-    full = run_trial(pattern, 1.2, terrain, 3.0, QUIET, PARAMS, finish_x=finish_x)
+    full = run_trial(pattern, 1.2, terrain, 3.0, QUIET, PARAMS, finish_x=finish_x,
+                     on_stride=_every_boundary)
     assert full.finished_course and full.end_time == c.t
     assert full.checkpoints[-1].steps == c.steps
     steps = []
@@ -592,6 +631,23 @@ def test_a_trial_resumed_at_the_boundary_it_finishes_on_runs_no_step(monkeypatch
     assert steps == [] and calls == [(3, c.state, c.t)]
     _assert_same_trial(resumed, full)
     assert resumed.checkpoints == []
+
+
+def test_a_trial_keeps_the_checkpoints_its_on_stride_asks_for():
+    terrain, pattern = terrain_preset("flat"), standard_gait(GaitName.TROT)
+
+    def trial(on_stride=None):
+        return run_trial(pattern, 1.2, terrain, 3.0, QUIET, PARAMS, on_stride=on_stride)
+
+    assert trial().checkpoints == []
+    assert trial(lambda idx, body, t: None).checkpoints == []
+    asked = trial(lambda idx, body, t: idx in (2, 5))
+    assert [c.stride_idx for c in asked.checkpoints] == [2, 5]
+    # the checkpoints of those boundaries in a trial that asks at every one
+    every = trial(_every_boundary)
+    assert len(every.checkpoints) > 5
+    assert [_checkpoint_bits(c)[:-1] for c in asked.checkpoints] == [
+        _checkpoint_bits(c)[:-1] for c in every.checkpoints if c.stride_idx in (2, 5)]
 
 
 _REJECTED_RESUMES = {
@@ -611,7 +667,8 @@ _REJECTED_RESUMES = {
 @pytest.mark.parametrize("change", list(_REJECTED_RESUMES))
 def test_a_checkpoint_of_another_trial_is_rejected(change):
     terrain = terrain_preset("flat")
-    c = run_trial(standard_gait(GaitName.TROT), 1.2, terrain, 2.0, QUIET, PARAMS).checkpoints[3]
+    c = run_trial(standard_gait(GaitName.TROT), 1.2, terrain, 2.0, QUIET, PARAMS,
+                  on_stride=_every_boundary).checkpoints[3]
     call = dict(gait=standard_gait(GaitName.TROT), v_cmd=1.2, terrain=terrain_preset("flat"),
                 duration=2.0, config=QUIET)
     # the same trial, on an equal terrain built again, resumes

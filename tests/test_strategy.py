@@ -458,6 +458,26 @@ def test_compare_simulates_each_distinct_trial_once(monkeypatch):
 
 
 
+def _synthetic_outcome(s, velocity, trial_idx):
+    """A trial hook that pickles: a made-up outcome from the strategy's
+    label, the velocity and the trial index."""
+    return len(s.label) * velocity, 0.1 * trial_idx, trial_idx % 3 == 0
+
+
+@pytest.mark.parametrize("hook", [None, _synthetic_outcome], ids=["simulated", "hook"])
+def test_compare_rows_are_the_same_for_any_number_of_jobs(hook):
+    # the worker processes take whole trial indices and return their
+    # outcomes in index order
+    def rows(jobs):
+        return [_row_bits(row) for row in compare(
+            _acceptance_strategies(), terrain_preset("flat-slope"), 3, (0.3, 2.7),
+            seed=SHARED_SEED, trial_hook=hook, jobs=jobs)]
+
+    serial = rows(1)
+    assert rows(2) == serial
+    assert any(successes for _, _, _, successes, _ in serial)
+
+
 def _index_outcomes(listed, velocity, trial_idx):
     """The default outcomes of one trial index of a flat-slope comparison."""
     return strategy._index_outcomes(
@@ -466,28 +486,31 @@ def _index_outcomes(listed, velocity, trial_idx):
     )
 
 
-def test_a_served_multi_gait_law_replays_the_boundaries_on_stride_receives(monkeypatch):
+def test_a_served_multi_gait_law_is_fed_the_boundaries_on_stride_receives(monkeypatch):
     # multi:0.9 keeps trot, so it is served from the fixed:trot trial; its law
-    # replays the times and positions that on_stride receives at every
-    # boundary a stride follows
-    seen, replayed = [], []
+    # is fed the time and position of every boundary as that trial runs, and
+    # the trial, asked for no checkpoint, keeps none
+    seen, fed, results = [], [], []
     trial = strategy.run_trial
     next_gait = strategy._StrideLaw.next_gait
 
-    def recording(*args, on_stride=None, **kwargs):
-        assert on_stride is None  # a fixed trial
-        return trial(*args, on_stride=lambda idx, body, t: seen.append((t, body.position)),
-                     **kwargs)
+    def recording(*args, on_stride, **kwargs):
+        def watched(idx, body, t):
+            seen.append((t, body.position))
+            return on_stride(idx, body, t)
+
+        results.append(trial(*args, on_stride=watched, **kwargs))
+        return results[-1]
 
     monkeypatch.setattr(strategy, "run_trial", recording)
     monkeypatch.setattr(strategy._StrideLaw, "next_gait", lambda law, position, t: (
-        replayed.append((t, position)) or next_gait(law, position, t)))
+        fed.append((t, position)) or next_gait(law, position, t)))
     strategies = _acceptance_strategies()
     served, shared = _index_outcomes([strategies[5], strategies[0]], 1.65, 0)
     assert served == shared
-    assert len(replayed) >= 5
-    assert replayed == seen[:len(replayed)]
-    assert len(seen) - len(replayed) in (0, 1)  # a trial may end on a boundary
+    assert len(fed) >= 5
+    assert fed == seen
+    assert [result.checkpoints for result in results] == [[]]
 
 
 # -- multi-gait trials resumed at their first switch ----------------------------
@@ -523,7 +546,8 @@ def _resume_case(terrain_name, band, trial_idx):
         {"slope8": GaitName.TROT_RUN, "slope18": GaitName.TROT, "down12": GaitName.TROT}))
     velocity = float(np.random.default_rng((SHARED_SEED, trial_idx, 7)).uniform(*band))
     start = run_strategy(FixedGait(GaitName.TROT), terrain, velocity, SimConfig(),
-                         rng=np.random.default_rng((SHARED_SEED, trial_idx, 11)))
+                         rng=np.random.default_rng((SHARED_SEED, trial_idx, 11)),
+                         on_stride=lambda idx, body, t: True)
     return terrain, velocity, demo, start
 
 
