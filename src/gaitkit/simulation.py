@@ -101,12 +101,16 @@ class TrialCheckpoint:
     """What :func:`run_trial`'s loop carries across one stride boundary, taken
     after the stride closes, where ``on_stride`` asks for it.
 
+    Every trial starts from one: a fresh trial from its step-0 checkpoint (no
+    step run, no stride closed, lift points at the feet, no leg in swing, no
+    landing scatter, an empty working set, the carrot at the state's x).
+
     ``run_trial(..., resume=checkpoint)`` continues the trial from here, bit
     for bit. ``dt``, ``v_cmd``, ``pattern`` (the gait of the stride that
-    closed) and ``terrain`` are the trial's, and a resume must match them.
-    ``strides`` are the strides closed so far; the joint angles ``q`` are also
-    those of the last logged step, from which the next stride's joint rates
-    are differenced.
+    closed, at step 0 the start gait) and ``terrain`` are the trial's, and a
+    resume must match them. ``strides`` are the strides closed so far; the
+    joint angles ``q`` are also those of the last logged step, from which the
+    next stride's joint rates are differenced.
     """
 
     dt: float
@@ -131,17 +135,16 @@ class TrialCheckpoint:
     strides: tuple[StrideLog, ...]
 
 
-def _check_resume(resume: TrialCheckpoint, gait, fsm: GaitFsm | None, v_cmd: float,
-                  terrain: Terrain, dt: float, n_steps: int) -> None:
+def _check_resume(resume: TrialCheckpoint, source: GaitPattern, fsm: GaitFsm | None,
+                  v_cmd: float, terrain: Terrain, dt: float, n_steps: int) -> None:
     """A ValueError unless the trial ``resume`` was taken in is the one this
-    call runs: the same step, command, gait, period and terrain, and a machine
-    idle in that gait with its clock at the checkpoint's time."""
+    call runs: the same step, command, gait and period (``source``) and
+    terrain, and a machine idle in that gait with its clock at its time."""
     if resume.dt != dt:
         raise ValueError(f"checkpoint taken at dt={resume.dt}, not {dt}")
     if resume.v_cmd != v_cmd:
         raise ValueError(f"checkpoint taken at v_cmd={resume.v_cmd}, not {v_cmd}")
     # a pattern holds its period, so this also compares the periods
-    source = gait if fsm is None else standard_gait(fsm.current, fsm.period)
     if source != resume.pattern:
         raise ValueError(f"checkpoint taken under {resume.pattern}, not {source}")
     if fsm is not None and (fsm.busy or fsm.time != resume.t):
@@ -429,17 +432,16 @@ def swing_torques(q_leg, foot_accel_body, leg: LegId, params: RobotParams) -> Ve
     )
 
 
-def _start_pose(v_cmd: float, terrain: Terrain, config: SimConfig, params: RobotParams,
-                rng: np.random.Generator, start_x: float,
-                initial_state: TrunkState | None, hips) -> tuple:
-    """A trial's start: its :class:`TrunkState`, foot points, contact normals
-    (a (4, 3) array) and joint angles, each of the last two a list in LegId
-    order. Without ``initial_state`` the body stands at ``start_x`` at the
-    nominal height, moving at ``v_cmd`` along the terrain, with ``rng``
-    jitter on roll, pitch and the horizontal velocity. A state with a
-    non-finite entry is a ValueError that names its field."""
-    samp0 = terrain.query(start_x)
+def _start(pattern: GaitPattern, v_cmd: float, terrain: Terrain, config: SimConfig,
+           params: RobotParams, rng: np.random.Generator, start_x: float,
+           initial_state: TrunkState | None, hips) -> TrialCheckpoint:
+    """A fresh trial's step-0 :class:`TrialCheckpoint`. Without
+    ``initial_state`` the body stands at ``start_x`` at the nominal height,
+    moving at ``v_cmd`` along the terrain, with ``rng`` jitter on roll, pitch
+    and the horizontal velocity, drawn before the checkpoint takes the stream
+    state. A state with a non-finite entry is a ValueError naming its field."""
     if initial_state is None:
+        samp0 = terrain.query(start_x)
         roll0, pitch0 = (rng.uniform(-1.0, 1.0, size=2) * config.attitude_jitter).tolist()
         vx0, vy0 = (rng.uniform(-1.0, 1.0, size=2) * config.velocity_jitter).tolist()
         # v_cmd along the terrain tangent plus the jitter; the 0.0 terms keep
@@ -458,27 +460,24 @@ def _start_pose(v_cmd: float, terrain: Terrain, config: SimConfig, params: Robot
 
     (px, py, pz), _, euler, _ = state
     rot = rotation_matrix(euler)
-    # foot points in LegId order; an entry is replaced, never changed in place,
-    # so the lift point of a swing can share it
-    foot_pos = []
-    # contact normal under each foot; a stance foot keeps its x, so this is
-    # sampled at the start and at every touchdown. distribute_forces reads the
-    # rows of stance feet only.
-    normals = np.zeros((4, 3))
+    # foot points, contact normals and joint angles in LegId order
+    feet, normals, q = [], [], []
     for leg in _LEGS:
         hx, hy, _ = _rotate(rot, hips[leg])
         samp = terrain.query(px + hx)
-        foot_pos.append((px + hx, py + hy, samp.height))
-        normals[leg] = samp.normal
-
-    q = []
-    for leg in _LEGS:
-        fx, fy, fz = foot_pos[leg]
+        feet.append((px + hx, py + hy, samp.height))
+        normals.append(tuple(samp.normal.tolist()))
+        fx, fy, fz = feet[leg]
         try:
             q.append(leg_ik(_unrotate(rot, (fx - px, fy - py, fz - pz)), leg, params))
         except OutOfWorkspaceError as err:
-            q.append(err.clamped_angles.tolist())
-    return state, foot_pos, normals, q
+            q.append(tuple(err.clamped_angles.tolist()))
+    feet = tuple(feet)
+    return TrialCheckpoint(
+        config.dt, v_cmd, pattern, terrain, 0, 0.0, 0.0, 0, px, state, feet, feet,
+        tuple(normals), (0.0,) * 4, (False,) * 4, ((0.0, 0.0),) * 4, tuple(q), (),
+        rng.bit_generator.state, (),
+    )
 
 
 def run_trial(
@@ -501,11 +500,14 @@ def run_trial(
     ``gait`` is a :class:`GaitPattern`, held for the whole trial, or a
     :class:`GaitFsm`, advanced by one ``dt`` per step; the trial's events and
     action windows are the machine's (none for a pattern). Any other source
-    is a :class:`TypeError`. The trial starts from ``initial_state``, a
-    :class:`TrunkState` whose vectors are turned into float triples once here;
-    by default it stands at ``start_x`` at the nominal height, moving at
-    ``v_cmd`` along the terrain, with ``rng`` jitter on roll, pitch and the
-    horizontal velocity. ``duration`` must be finite and cover three strides.
+    is a :class:`TypeError`. A fresh trial starts from its step-0
+    :class:`TrialCheckpoint`, built from ``initial_state``, a
+    :class:`TrunkState` whose vectors are turned into float triples once
+    here, with the position reference (the carrot) at its x. ``start_x``
+    places only the default start state, which stands there at the nominal
+    height, moving at ``v_cmd`` along the terrain, with ``rng`` jitter on
+    roll, pitch and the horizontal velocity; beside an ``initial_state`` it
+    has no part. ``duration`` must be finite and cover three strides.
     ``on_stride(stride_idx, state, t)``, when given, is called at every
     stride boundary with the index of the stride that starts, the loop's own
     :class:`TrunkState` and the time; it may request a gait from a machine it
@@ -524,13 +526,14 @@ def run_trial(
     The checkpoint holds the loop's state at the boundary, and the stream
     state of ``rng`` after ``on_stride`` returns, so a hook that asks must
     not draw from ``rng``. ``resume=checkpoint`` continues the trial from one
-    instead of starting it: ``on_stride`` is called for the checkpoint's
-    boundary (what it returns there is ignored), the finish line is checked,
-    and the remaining steps of ``duration`` run, with ``rng`` set to the
-    checkpoint's stream state (``start_x`` and ``initial_state`` have no
-    part). With the same config and robot, the result is the uninterrupted
-    trial's, to the last bit, its strides beginning with the checkpoint's own;
-    its checkpoints are those asked for at the later boundaries. A checkpoint
+    instead of its step-0 checkpoint: ``on_stride`` is called for the
+    checkpoint's boundary (what it returns there is ignored), the finish line
+    is checked, and the remaining steps of ``duration`` run, with ``rng`` set
+    to the checkpoint's stream state (``start_x`` has no part, and an
+    ``initial_state`` is a ValueError). With the same config and robot, the
+    result is the uninterrupted trial's, to the last bit, its strides
+    beginning with the checkpoint's own; its checkpoints are those asked for
+    at the later boundaries. A checkpoint
     of another ``dt``, ``v_cmd``, gait, period or terrain is a ValueError; a
     machine must be idle, its ``time`` at the checkpoint's.
     """
@@ -561,30 +564,28 @@ def run_trial(
     n_steps = int(round(duration / dt))
     hips = params.hip_offsets.tolist()
 
-    if resume is not None:
-        _check_resume(resume, gait, fsm, v_cmd, terrain, dt, n_steps)
+    # the pattern the trial starts in; a pattern holds its period
+    source = gait if fsm is None else standard_gait(fsm.current, fsm.period)
+    if resume is None:
+        start = _start(source, v_cmd, terrain, config, params, rng, start_x, initial_state,
+                       hips)
+    else:
+        _check_resume(resume, source, fsm, v_cmd, terrain, dt, n_steps)
         if initial_state is not None:
             raise ValueError("a resumed trial starts from its checkpoint's state")
-        rng.bit_generator.state = resume.rng_state
-        state, t, phase, stride_idx = resume.state, resume.t, resume.phase, resume.stride_idx
-        carrot_x, working_set = resume.carrot_x, resume.working_set
-        foot_pos, lift_pos = list(resume.foot_pos), list(resume.lift_pos)
-        normals = np.array(resume.normals)
-        swing_entry_s, was_swing = list(resume.swing_entry_s), list(resume.was_swing)
-        touchdown_scatter, q = list(resume.touchdown_scatter), list(resume.q)
-        strides = list(resume.strides)
-    else:
-        state, foot_pos, normals, q = _start_pose(
-            v_cmd, terrain, config, params, rng, start_x, initial_state, hips
-        )
-        t, phase, stride_idx, carrot_x = 0.0, 0.0, 0, start_x
-        # the force QP's final working set seeds the next step's QP
-        working_set = ()
-        lift_pos = list(foot_pos)
-        swing_entry_s = [0.0] * 4
-        was_swing = [False] * 4
-        touchdown_scatter = [(0.0, 0.0)] * 4
-        strides = []
+        start = resume
+    rng.bit_generator.state = start.rng_state
+    state, t, phase, stride_idx = start.state, start.t, start.phase, start.stride_idx
+    # the force QP's final working set seeds the next step's QP
+    carrot_x, working_set = start.carrot_x, start.working_set
+    # a foot point is replaced, never changed in place, so a lift point can share it
+    foot_pos, lift_pos = list(start.foot_pos), list(start.lift_pos)
+    # a stance foot keeps its x, so its contact normal is sampled at the start and
+    # at every touchdown; distribute_forces reads the rows of stance feet only
+    normals = np.array(start.normals)
+    swing_entry_s, was_swing = list(start.swing_entry_s), list(start.was_swing)
+    touchdown_scatter, q = list(start.touchdown_scatter), list(start.q)
+    strides = list(start.strides)
     (px, py, pz), (vx, vy, vz), euler, omega = state
     acc = StrideAccumulator(dt, q)
     acc.reset(t, state.position)
@@ -607,15 +608,12 @@ def run_trial(
     # failure check and serves the next step
     body_samp = terrain.query(px)
     failed = False
-    finished = False
-    first = 0
-    if resume is not None:
-        # re-enter the loop at the checkpoint's boundary, after its stride closed
-        if on_stride is not None:
-            on_stride(stride_idx, state, t)
-        finished = finish_x is not None and px >= finish_x
-        first = n_steps if finished else resume.steps
-    for k in range(first, n_steps):
+    # a resumed trial re-enters the loop at its checkpoint's boundary, after
+    # its stride closed
+    finished = resume is not None and finish_x is not None and px >= finish_x
+    if resume is not None and on_stride is not None:
+        on_stride(stride_idx, state, t)
+    for k in range(start.steps, start.steps if finished else n_steps):
         pattern = gait if fsm is None else fsm.advance(dt)
         beta = pattern.beta
         swing_time_full = (1.0 - beta) * period

@@ -43,6 +43,9 @@ from .transitions import GaitFsm, GaitTimingConfig
 # before it leaves the gait it is in
 HYSTERESIS_BAND = 0.1
 
+# the x [m] where every strategy trial starts, from rest
+START_X = 0.0
+
 
 class StrategyError(ValueError):
     pass
@@ -86,9 +89,9 @@ class MultiGait:
 Strategy = FixedGait | PerVelocityFixed | MultiGait
 
 
-def _check_coverage(strategy: Strategy, terrain: Terrain, start_x: float) -> None:
+def _check_coverage(strategy: Strategy, terrain: Terrain) -> None:
     """The map of ``strategy`` holds its blend ratio and covers the terrain
-    its trials starting at ``start_x`` select from."""
+    its trials select from."""
     if isinstance(strategy, FixedGait):
         return
     if strategy.c not in strategy.map.c_values:
@@ -96,7 +99,7 @@ def _check_coverage(strategy: Strategy, terrain: Terrain, start_x: float) -> Non
             f"c={strategy.c} not present in the map (has {strategy.map.c_values})"
         )
     if isinstance(strategy, PerVelocityFixed):
-        start_kind = terrain.segment_at(start_x).kind
+        start_kind = terrain.segment_at(START_X).kind
         if not strategy.map.covers(start_kind):
             raise StrategyError(f"map does not cover starting terrain {start_kind!r}")
         return
@@ -105,12 +108,12 @@ def _check_coverage(strategy: Strategy, terrain: Terrain, start_x: float) -> Non
         raise StrategyError(f"map does not cover terrain segment kinds {missing}")
 
 
-def _standing_state(terrain: Terrain, start_x: float, sim_cfg: SimConfig,
+def _standing_state(terrain: Terrain, sim_cfg: SimConfig,
                     rng: np.random.Generator) -> TrunkState:
     roll, pitch = (rng.uniform(-1.0, 1.0, size=2) * sim_cfg.attitude_jitter).tolist()
-    samp = terrain.query(start_x)
+    samp = terrain.query(START_X)
     return TrunkState(
-        (start_x, 0.0, samp.height + sim_cfg.nominal_height),
+        (START_X, 0.0, samp.height + sim_cfg.nominal_height),
         (0.0, 0.0, 0.0),
         (roll, samp.incline + pitch, 0.0),
         (0.0, 0.0, 0.0),
@@ -118,13 +121,13 @@ def _standing_state(terrain: Terrain, start_x: float, sim_cfg: SimConfig,
 
 
 def _single_gait(
-    strategy: FixedGait | PerVelocityFixed, terrain: Terrain, v_cmd: float, start_x: float
+    strategy: FixedGait | PerVelocityFixed, terrain: Terrain, v_cmd: float
 ) -> GaitName:
     """The one gait of a fixed or per-velocity trial: the fixed gait, or the
     map's pick on the start segment at the commanded speed."""
     if isinstance(strategy, FixedGait):
         return strategy.gait
-    return select_gait(strategy.map, terrain.segment_at(start_x).kind, v_cmd, strategy.c)
+    return select_gait(strategy.map, terrain.segment_at(START_X).kind, v_cmd, strategy.c)
 
 
 class _StrideLaw:
@@ -138,13 +141,13 @@ class _StrideLaw:
     """
 
     def __init__(self, strategy: MultiGait, terrain: Terrain, v_cmd: float,
-                 sim_cfg: SimConfig, start_x: float = 0.0) -> None:
+                 sim_cfg: SimConfig) -> None:
         self.strategy, self.terrain, self.v_cmd = strategy, terrain, v_cmd
-        start_kind = terrain.segment_at(start_x).kind
-        self.initial = select_gait(strategy.map, start_kind, 0.0, strategy.c)
-        self.hyst = HysteresisState(self.initial, 0.0, start_kind)
+        start = terrain.query(START_X)
+        self.initial = select_gait(strategy.map, start.kind, 0.0, strategy.c)
+        self.hyst = HysteresisState(self.initial, 0.0, start.kind)
         self.prev_t = 0.0
-        self.prev = (start_x, 0.0, terrain.query(start_x).height + sim_cfg.nominal_height)
+        self.prev = (START_X, 0.0, start.height + sim_cfg.nominal_height)
 
     def next_gait(self, position, t: float) -> GaitName:
         """The gait wanted at the boundary reached at ``position`` (three
@@ -190,15 +193,13 @@ def run_strategy(
     *,
     duration: float = 30.0,
     rng: np.random.Generator | None = None,
-    start_x: float = 0.0,
-    finish_x: float | None = None,
     timing: GaitTimingConfig | None = None,
     resume: TrialCheckpoint | None = None,
     on_stride=None,
 ) -> TrialResult:
     """Run one full test under a strategy; returns strides plus the event trace.
 
-    Trials begin from rest (the speed command then forces the robot forward),
+    Trials begin from rest at x = 0 and finish at ``terrain.course_end``,
     with ``rng`` jitter on roll and pitch; without ``rng`` the stream is
     seeded by ``sim_cfg.seed``, as in :func:`run_trial`. The multi-gait
     strategy re-selects at stride boundaries from the measured stride speed
@@ -219,20 +220,17 @@ def run_strategy(
     """
     sim_cfg = sim_cfg or SimConfig()
     params = params or RobotParams()
-    _check_coverage(strategy, terrain, start_x)
-    if finish_x is None:
-        finish_x = terrain.course_end
+    _check_coverage(strategy, terrain)
     rng = rng if rng is not None else np.random.default_rng(sim_cfg.seed)
     timing = timing or GaitTimingConfig()
-    period = timing.period
-    initial_state = None if resume else _standing_state(terrain, start_x, sim_cfg, rng)
+    initial_state = None if resume else _standing_state(terrain, sim_cfg, rng)
 
     if isinstance(strategy, MultiGait):
         if on_stride is not None:
             raise ValueError("a multi-gait trial takes no on_stride")
-        law = _StrideLaw(strategy, terrain, v_cmd, sim_cfg, start_x)
-        fsm = GaitFsm(law.initial, period=period, switch_time=timing.switch_time,
-                      dwell_strides=timing.dwell_strides)
+        law = _StrideLaw(strategy, terrain, v_cmd, sim_cfg)
+        fsm = GaitFsm(law.initial, period=timing.period,
+                      switch_time=timing.switch_time, dwell_strides=timing.dwell_strides)
         if resume is not None:
             if _first_switch(law, _boundaries(resume.strides)) is not None:
                 raise ValueError("the stride law leaves its start gait before the checkpoint")
@@ -245,12 +243,12 @@ def run_strategy(
 
         gait = fsm
     else:
-        gait = standard_gait(_single_gait(strategy, terrain, v_cmd, start_x), period)
+        gait = standard_gait(_single_gait(strategy, terrain, v_cmd), timing.period)
 
     return run_trial(
-        gait, v_cmd, terrain, duration, sim_cfg, params,
-        rng=rng, start_x=start_x, finish_x=finish_x,
-        initial_state=initial_state, on_stride=on_stride, resume=resume,
+        gait, v_cmd, terrain, duration, sim_cfg, params, rng=rng,
+        finish_x=terrain.course_end, initial_state=initial_state, on_stride=on_stride,
+        resume=resume,
     )
 
 
@@ -292,7 +290,7 @@ def _index_outcomes(
     """
     laws = [_StrideLaw(s, terrain, velocity, sim_cfg) if isinstance(s, MultiGait) else None
             for s in strategies]
-    gaits = [_single_gait(s, terrain, velocity, 0.0) if law is None else law.initial
+    gaits = [_single_gait(s, terrain, velocity) if law is None else law.initial
              for s, law in zip(strategies, laws)]
     switches: dict[int, int] = {}  # first switch of each fed law, by position
 
@@ -377,11 +375,11 @@ def compare(
     its index, so the rows are the same, bit for bit, for any ``jobs``.
 
     ``trial_hook(strategy, velocity, trial_idx) -> (cot, stb, failed)`` can be
-    injected for synthetic harnesses; with ``jobs`` > 1 it must pickle. The
-    velocity range must lie in the commanded speeds a trial accepts, low end
-    first, the terrain's finish line ahead of x = 0, where every trial
-    starts, the map of every strategy must cover the terrain, and ``jobs``
-    must be at least 1; all are checked before the first trial.
+    injected for synthetic harnesses; with ``jobs`` > 1 it must pickle. Every
+    trial starts from rest at x = 0 and finishes at ``course_end``, ahead of
+    it. The velocity range must lie in the speeds a trial accepts, low end
+    first, every strategy's map must cover the terrain, and ``jobs`` must be
+    at least 1; all are checked before the first trial.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
@@ -392,10 +390,10 @@ def compare(
             f"velocity range ({v_lo:g}, {v_hi:g}) m/s is not an interval in the "
             f"supported [0, {MAX_COMMAND_VELOCITY:g}] m/s"
         )
-    if terrain.course_end is not None and terrain.course_end <= 0.0:
+    if terrain.course_end is not None and terrain.course_end <= START_X:
         raise ValueError(f"terrain course_end {terrain.course_end:g} is not past x = 0")
     for strategy in strategies:
-        _check_coverage(strategy, terrain, 0.0)  # every trial starts at x = 0
+        _check_coverage(strategy, terrain)
     if trial_hook is None:
         index_outcomes = partial(
             _index_outcomes, strategies, terrain, sim_cfg or SimConfig(),

@@ -676,3 +676,21 @@ def test_a_checkpoint_of_another_trial_is_rejected(change):
     other, message = _REJECTED_RESUMES[change]
     with pytest.raises(ValueError, match=re.escape(message)):
         run_trial(**{**call, **other}, params=PARAMS, resume=c)
+
+
+def test_the_carrot_starts_at_the_initial_state_whatever_start_x_says():
+    # a trot started at x = 2: the position reference starts at the body, so
+    # start_x, which places only the default start, changes no bit; a carrot
+    # left at start_x = 0 held the body back to 0.73 m/s, ending at x = 4.92
+    start = TrunkState((2.0, 0.0, 0.32), (1.2, 0.0, 0.0), (0.0,) * 3, (0.0,) * 3)
+
+    def trial(**kwargs):
+        return run_trial(standard_gait(GaitName.TROT), 1.2, terrain_preset("flat"), 4.0,
+                         SimConfig(seed=1), PARAMS, rng=np.random.default_rng(3),
+                         initial_state=start, **kwargs)
+
+    at_body = trial(start_x=2.0)
+    assert not at_body.failed and at_body.strides[-1].position[-1, 0] > 6.5
+    _assert_same_trial(trial(), at_body)
+    # nothing queries the terrain at a start_x beside an initial_state
+    _assert_same_trial(trial(start_x=5000.0), at_body)

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import math
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -12,7 +13,7 @@ from gaitkit import simulation, strategy
 from gaitkit.gaits import GaitName, standard_gait
 from gaitkit.mapping import MapConfig, VelocityGaitMap, build_map
 from gaitkit.metrics import COT_BOUND, STB_BOUND, MetricsConfig
-from gaitkit.robot import RobotParams, terrain_preset
+from gaitkit.robot import RobotParams, Terrain, TerrainSegment, terrain_preset
 from gaitkit.simulation import SimConfig, run_trial
 from gaitkit.strategy import (
     ComparisonRow,
@@ -59,13 +60,16 @@ def test_fixed_gait_no_events():
     assert not res.failed
 
 
+def _flat_slope_finishing_at(x):
+    """flat-slope (slope12 from x = 3) with its finish line at ``x``."""
+    return dataclasses.replace(terrain_preset("flat-slope"), course_end=x)
+
+
 def test_multigait_terrain_switch_fires_table_chain():
-    terrain = terrain_preset("flat-slope")
+    terrain = _flat_slope_finishing_at(5.0)
     m = _map_selecting({"flat": GaitName.TROT, "slope12": GaitName.TROT_RUN})
     strategy = MultiGait(m, 0.1)
-    res = run_strategy(
-        strategy, terrain, 1.8, QUIET, duration=12.0, finish_x=5.0,
-    )
+    res = run_strategy(strategy, terrain, 1.8, QUIET, duration=12.0)
     chains = [e.chain for e in res.events]
     assert chains.count(("a14",)) == 1
     assert not res.failed
@@ -106,11 +110,9 @@ def test_run_strategy_seeds_from_the_sim_config():
 
 
 def test_multigait_uniform_map_never_switches():
-    terrain = terrain_preset("flat-slope")
+    terrain = _flat_slope_finishing_at(5.0)
     m = _map_selecting({"flat": GaitName.TROT, "slope12": GaitName.TROT})
-    res = run_strategy(
-        MultiGait(m, 0.5), terrain, 1.2, QUIET, duration=10.0, finish_x=5.0,
-    )
+    res = run_strategy(MultiGait(m, 0.5), terrain, 1.2, QUIET, duration=10.0)
     assert res.events == []
 
 
@@ -122,16 +124,19 @@ def test_multigait_requires_full_coverage():
 
 
 def test_per_velocity_fixed_checks_the_terrain_at_its_start(monkeypatch):
-    # flat-slope turns to slope12 at x = 3: a trial from x = 4 selects on slope12
-    terrain = terrain_preset("flat-slope")
+    # slope12 turns to flat at x = 3: a trial from x = 0 selects on slope12
+    terrain = Terrain("slope-flat", (
+        TerrainSegment(-100.0, math.radians(12.0), 0.7, "slope12"),
+        TerrainSegment(3.0, 0.0, 0.7, "flat"),
+    ))
     ran = []
     monkeypatch.setattr(strategy, "run_trial", lambda gait, *args, **kwargs: ran.append(gait))
     slope_only = _map_selecting({"slope12": GaitName.TROT})
-    run_strategy(PerVelocityFixed(slope_only, 0.5), terrain, 0.5, QUIET, start_x=4.0)
+    run_strategy(PerVelocityFixed(slope_only, 0.5), terrain, 0.5, QUIET)
     assert ran == [standard_gait(GaitName.TROT)]
     flat_only = _map_selecting({"flat": GaitName.TROT})
     with pytest.raises(StrategyError, match="slope12"):
-        run_strategy(PerVelocityFixed(flat_only, 0.5), terrain, 0.5, QUIET, start_x=4.0)
+        run_strategy(PerVelocityFixed(flat_only, 0.5), terrain, 0.5, QUIET)
     assert len(ran) == 1
 
 
@@ -145,11 +150,9 @@ def test_per_velocity_fixed_selects_once():
 
 
 def test_event_chains_replay_against_table():
-    terrain = terrain_preset("flat-slope")
+    terrain = _flat_slope_finishing_at(5.0)
     m = _map_selecting({"flat": GaitName.RUN, "slope12": GaitName.TROT_RUN})
-    res = run_strategy(
-        MultiGait(m, 0.1), terrain, 1.8, QUIET, duration=12.0, finish_x=5.0,
-    )
+    res = run_strategy(MultiGait(m, 0.1), terrain, 1.8, QUIET, duration=12.0)
     for event in res.events:
         assert TRANSITION_TABLE[(event.source, event.target)] == event.chain
 
@@ -589,14 +592,15 @@ def test_a_multi_gait_trial_resumed_on_its_finish_boundary_is_the_trial_from_res
     # multi:0.5 asks to leave trot at the second boundary; with the finish
     # line at the body's x there, the trial ends on that boundary's step, with
     # the request dispatched and no stride after it
-    terrain, velocity, demo, start = _resume_case("flat-slope", SHARED_BANDS["1.62-1.68"], 0)
+    _, velocity, demo, start = _resume_case("flat-slope", SHARED_BANDS["1.62-1.68"], 0)
     checkpoint = start.checkpoints[1]
+    terrain = _flat_slope_finishing_at(checkpoint.state.position[0])
     multi = MultiGait(demo, 0.5)
 
     def trial(resume=None):
         return run_strategy(multi, terrain, velocity, SimConfig(),
                             rng=np.random.default_rng((SHARED_SEED, 0, 11)),
-                            finish_x=checkpoint.state.position[0], resume=resume)
+                            resume=resume)
 
     from_rest = trial()
     assert from_rest.finished_course and from_rest.end_time == checkpoint.t
