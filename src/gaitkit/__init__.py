@@ -8,8 +8,6 @@ velocity-gait map construction, and a strategy comparison harness.
 __version__ = "0.1.0"
 
 from .gaits import (
-    ContactPhase,
-    ContactState,
     GaitName,
     GaitPattern,
     LegId,

@@ -136,12 +136,7 @@ def cmd_transition_demo(args) -> int:
     )
     duration = (2 * settle) * period + chain_time + period
 
-    fsm = _TracedFsm(
-        source,
-        period=period,
-        switch_time=cfg.gait.switch_time,
-        dwell_strides=cfg.gait.dwell_strides,
-    )
+    fsm = _TracedFsm(source, cfg.gait)
 
     def on_stride(stride_idx, body, t):
         if stride_idx == settle:

@@ -15,10 +15,9 @@ schedule a half-open partition of the stride.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 DEFAULT_PERIOD = 0.4  # stride duration [s]
 
@@ -66,31 +65,6 @@ class GaitName(IntEnum):
         return self.name.lower().replace("_", "-")
 
 
-class ContactPhase(Enum):
-    STANCE = "stance"
-    SWING = "swing"
-
-
-class ContactState(NamedTuple):
-    """Contact phase of one leg; swing_phase is defined only while airborne
-    and None in stance.
-
-    An immutable record; a named tuple because the control loop asks for one
-    per leg and step.
-    """
-
-    phase: ContactPhase
-    swing_phase: float | None = None
-
-    @property
-    def is_stance(self) -> bool:
-        return self.phase is ContactPhase.STANCE
-
-    @property
-    def is_swing(self) -> bool:
-        return self.phase is ContactPhase.SWING
-
-
 @dataclass(frozen=True)
 class GaitPattern:
     """Duty factor, per-leg lift-off offsets (RF, RH, LF, LH), stride period."""
@@ -134,29 +108,23 @@ def standard_gait(name: GaitName, period: float = DEFAULT_PERIOD) -> GaitPattern
     return GaitPattern(beta=beta, offsets=offsets, period=period)
 
 
-# bound once: the enum attribute lookup costs more than building the record
-_SWING = ContactPhase.SWING
-# every stance leg shares this record: a stance state carries no phase
-_STANCE_STATE = ContactState(ContactPhase.STANCE)
-
-
-def leg_contact(pattern: GaitPattern, phase: float, leg: LegId) -> ContactState:
-    """Contact state of ``leg`` at stride phase ``phase``.
+def leg_contact(pattern: GaitPattern, phase: float, leg: LegId) -> float | None:
+    """Swing phase in [0, 1) of ``leg`` at stride phase ``phase``, or None
+    in stance.
 
     The swing window starts at the leg's lift-off offset and spans the swing
-    fraction ``1 - beta`` of the stride; the remainder is stance, for which
-    every call returns the same immutable record.
+    fraction ``1 - beta`` of the stride; the remainder is stance.
     """
     local = (phase - pattern.offsets[leg]) % 1.0
     swing = 1.0 - pattern.beta
     if local < swing:
-        return ContactState(_SWING, local / swing)
-    return _STANCE_STATE
+        return local / swing
+    return None
 
 
 def stance_count(pattern: GaitPattern, phase: float) -> int:
     """Number of legs in stance at the given stride phase."""
-    return sum(leg_contact(pattern, phase, leg).is_stance for leg in LegId)
+    return sum(leg_contact(pattern, phase, leg) is None for leg in LegId)
 
 
 def _swing_arcs(pattern: GaitPattern, leg: LegId) -> list[tuple[Fraction, Fraction]]:

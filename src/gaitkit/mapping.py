@@ -26,6 +26,9 @@ ALL_GAITS = tuple(GaitName)
 # the keys of a winning cell in the map JSON, which are also the map CSV's
 # columns after its terrain column
 _CELL_KEYS = ("c", "v", "gait", "j_e", "cot", "stb", "success", "trials")
+# the speed margin [m/s] hysteretic selection keeps before it leaves the gait
+# it is in
+HYSTERESIS_BAND = 0.1
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,9 @@ class MapConfig:
         """Reject a config that :func:`build_map` could not run to the end."""
         if not self.gaits:
             raise ValueError("candidate gait set must not be empty")
+        repeated = sorted({g.label for g in self.gaits if self.gaits.count(g) > 1})
+        if repeated:
+            raise ValueError(f"map.gaits holds a gait twice: {repeated}")
         for name, least in (("trials", 1), ("strides", 1), ("warmup_strides", 0)):
             value = getattr(self, name)
             if type(value) is not int or value < least:
@@ -417,7 +423,7 @@ def select_gait_hysteretic(
     velocity: float,
     c: float,
     state: HysteresisState,
-    band: float = 0.1,
+    band: float = HYSTERESIS_BAND,
 ) -> tuple[GaitName, HysteresisState]:
     """Selection with a velocity hysteresis band to suppress chattering.
 

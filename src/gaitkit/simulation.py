@@ -238,7 +238,6 @@ class SimConfig:
     kp_ang: tuple[float, float, float] = (60.0, 60.0, 60.0)
     kd_ang: tuple[float, float, float] = (8.0, 8.0, 8.0)
     swing_apex: float = 0.06
-    ground_clearance: float = 0.02
     nominal_height: float = 0.32
     max_roll: float = 0.6
     max_pitch: float = 0.6
@@ -270,8 +269,8 @@ class SimConfig:
         gains = (*self.kp_lin, *self.kd_lin, *self.kp_ang, *self.kd_ang)
         if any(g < 0.0 for g in gains):
             raise ValueError("PD gains must be non-negative")
-        if self.ground_clearance <= 0.0 or self.swing_apex <= 0.0:
-            raise ValueError("swing clearance and apex must be positive")
+        if self.swing_apex <= 0.0:
+            raise ValueError("swing apex must be positive")
         if self.nominal_height <= 0.0:
             raise ValueError("nominal height must be positive")
         # a bound at or below zero would score every trial as a fall or
@@ -551,7 +550,9 @@ def run_trial(
         fsm = None
     else:
         raise TypeError(f"gait must be a GaitPattern or a GaitFsm, not {type(gait)}")
-    period = gait.period
+    # the pattern the trial starts in; a pattern holds its period
+    source = gait if fsm is None else standard_gait(fsm.current, fsm.timing.period)
+    period = source.period
 
     # NaN and inf fail the test
     if not 3.0 * period - 1e-9 <= duration < math.inf:
@@ -564,8 +565,6 @@ def run_trial(
     n_steps = int(round(duration / dt))
     hips = params.hip_offsets.tolist()
 
-    # the pattern the trial starts in; a pattern holds its period
-    source = gait if fsm is None else standard_gait(fsm.current, fsm.period)
     if resume is None:
         start = _start(source, v_cmd, terrain, config, params, rng, start_x, initial_state,
                        hips)
@@ -598,7 +597,7 @@ def run_trial(
     f_max = config.f_max_scale * params.mass * params.gravity
     weight = params.mass * params.gravity
     gravity = params.gravity
-    apex = max(config.swing_apex, config.ground_clearance)
+    apex = config.swing_apex
     limit = config.joint_torque_limit
     half = 0.5 * params.hip_length
     x_lo, x_hi = terrain.start_x, terrain.end_x
@@ -643,7 +642,7 @@ def run_trial(
         eff_stance = [False] * 4
         foot_acc = [(0.0, 0.0, 0.0)] * 4
         for leg in _LEGS:
-            s = leg_contact(pattern, phase, leg).swing_phase
+            s = leg_contact(pattern, phase, leg)
             if s is not None:
                 if not was_swing[leg]:
                     lift_pos[leg] = foot_pos[leg]

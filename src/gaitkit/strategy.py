@@ -39,10 +39,6 @@ from .simulation import (
 from .transitions import GaitFsm, GaitTimingConfig
 
 
-# the speed margin [m/s] a multi-gait trial's hysteretic selection keeps
-# before it leaves the gait it is in
-HYSTERESIS_BAND = 0.1
-
 # the x [m] where every strategy trial starts, from rest
 START_X = 0.0
 
@@ -160,8 +156,7 @@ class _StrideLaw:
         terrain, strategy = self.terrain, self.strategy
         kind = terrain.segment_at(min(max(position[0], terrain.start_x), terrain.end_x)).kind
         desired, self.hyst = select_gait_hysteretic(
-            strategy.map, kind, min(v_meas, self.v_cmd), strategy.c, self.hyst,
-            HYSTERESIS_BAND,
+            strategy.map, kind, min(v_meas, self.v_cmd), strategy.c, self.hyst
         )
         return desired
 
@@ -229,8 +224,7 @@ def run_strategy(
         if on_stride is not None:
             raise ValueError("a multi-gait trial takes no on_stride")
         law = _StrideLaw(strategy, terrain, v_cmd, sim_cfg)
-        fsm = GaitFsm(law.initial, period=timing.period,
-                      switch_time=timing.switch_time, dwell_strides=timing.dwell_strides)
+        fsm = GaitFsm(law.initial, timing)
         if resume is not None:
             if _first_switch(law, _boundaries(resume.strides)) is not None:
                 raise ValueError("the stride law leaves its start gait before the checkpoint")

@@ -256,7 +256,8 @@ class ActionWindow:
 
 
 class GaitFsm:
-    """Stateful gait machine: owns an FsmState, timing config, and a log.
+    """Stateful gait machine: owns an FsmState, its :class:`GaitTimingConfig`
+    (checked when that is built), and a log.
 
     A request made while a chain is running is remembered and dispatched
     automatically once the machine returns to idle, from whatever state it
@@ -264,17 +265,10 @@ class GaitFsm:
     """
 
     def __init__(
-        self,
-        initial: GaitName = GaitName.TROT,
-        *,
-        period: float = DEFAULT_PERIOD,
-        switch_time: float = DEFAULT_SWITCH_TIME,
-        dwell_strides: int = DEFAULT_DWELL_STRIDES,
+        self, initial: GaitName = GaitName.TROT, timing: GaitTimingConfig = GaitTimingConfig()
     ) -> None:
         self.state = initial_state(initial)
-        self.period = period
-        self.switch_time = switch_time
-        self.dwell_strides = dwell_strides
+        self.timing = timing
         self.time = 0.0
         self.pending: GaitName | None = None
         self.events: list[EventRecord] = []
@@ -307,15 +301,14 @@ class GaitFsm:
 
     def _dispatch(self, target: GaitName) -> None:
         source = self.state.current
-        self.state = fsm_dispatch(self.state, GaitEvent(target), self.switch_time)
+        self.state = fsm_dispatch(self.state, GaitEvent(target), self.timing.switch_time)
         chain = tuple(action.id for action in self.state.queue)
         self.events.append(EventRecord(self.time, source, target, chain))
 
     def advance(self, dt: float) -> GaitPattern:
         before = self.active_action
-        self.state, pattern = advance(
-            self.state, dt, period=self.period, dwell_strides=self.dwell_strides
-        )
+        self.state, pattern = advance(self.state, dt, period=self.timing.period,
+                                      dwell_strides=self.timing.dwell_strides)
         self.time += dt
         after = self.active_action
         # one action runs at a time, so its window is the last one appended

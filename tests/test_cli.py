@@ -492,9 +492,12 @@ _SIMULATE = ["simulate", "--gait", "trot", "--velocity", "1.2", "--duration", "1
         (_SIMULATE, {"c_values": []}, "map.c_values"),
         # build-map used to write every map row and cell twice
         (["build-map"], {"c_values": [0.5, 0.5]}, "map.c_values"),
+        # build-map used to simulate every cell of the gait twice
+        (["build-map"], {"gaits": ["trot", "trot"]}, "map.gaits holds a gait twice: ['trot']"),
     ],
     ids=["simulate-negative-warmup", "simulate-v-max", "build-map-v-max",
-         "build-map-negative-warmup", "simulate-empty-c-values", "build-map-repeated-c"],
+         "build-map-negative-warmup", "simulate-empty-c-values", "build-map-repeated-c",
+         "build-map-repeated-gait"],
 )
 def test_bad_map_section_exits_one_at_load(tmp_path, monkeypatch, capsys, command, section,
                                            message):

@@ -702,9 +702,9 @@ class _ControlLog:
             return dist
 
         def recorded_contact(pattern, phase, leg):
-            state = contact(pattern, phase, leg)
-            self.contacts.append((pattern, state))
-            return state
+            swing_phase = contact(pattern, phase, leg)
+            self.contacts.append((pattern, swing_phase))
+            return swing_phase
 
         def recorded_acc(s, lift, target, *args):
             acc = swing_acceleration(s, lift, target, *args)
@@ -843,13 +843,14 @@ def test_control_step_matches_numpy_reference(monkeypatch, trial, v_cmd, seed, c
         # force and moment rows differ in scale by two orders of magnitude
         assert _rel_close(got[:3], want[:3]) and _rel_close(got[3:], want[3:]), i
         acc_world = np.zeros((4, 3))
-        for leg, (pattern, state) in zip(LegId, contacts):
-            if state.is_swing and not was_swing[leg]:
+        for leg, (pattern, swing_phase) in zip(LegId, contacts):
+            is_swing = swing_phase is not None
+            if is_swing and not was_swing[leg]:
                 scatter[leg] = rng.normal(0.0, config.touchdown_noise, size=2)
-            was_swing[leg] = state.is_swing
-            if state.is_swing:
+            was_swing[leg] = is_swing
+            if is_swing:
                 target, acc_world[leg] = next(swing_acc)
-                want = _reference_target(pos, vel, euler, pattern, state.swing_phase,
+                want = _reference_target(pos, vel, euler, pattern, swing_phase,
                                          incline_ref, v_cmd, leg, scatter[leg], config,
                                          params)
                 assert _rel_close(target[:2], want), (i, leg)
@@ -863,7 +864,7 @@ def test_control_step_matches_numpy_reference(monkeypatch, trial, v_cmd, seed, c
             assert _rel_close(rows["forces"][i, leg], applied[leg]), (i, leg)
         seen["saturated"] += not np.array_equal(applied, log.qp_forces[i])
         seen["dropped"] += sum(
-            not state.is_swing and not on for (_, state), on in zip(contacts, rows["stance"][i])
+            s is None and not on for (_, s), on in zip(contacts, rows["stance"][i])
         )
     assert next(swing_acc, None) is None
     if covers:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,19 @@ def test_parallel_build_matches_sequential():
         assert seq.cells[key].j_e == par.cells[key].j_e
     for key in seq.gait_table:
         assert seq.gait_table[key].cot == par.gait_table[key].cot
+
+
+@pytest.mark.parametrize(
+    "gaits, named",
+    [((GaitName.TROT, GaitName.TROT), "['trot']"),
+     ((GaitName.WALK, GaitName.RUN, GaitName.WALK, GaitName.RUN), "['run', 'walk']")],
+    ids=["twice", "two-gaits-twice"],
+)
+def test_map_config_rejects_a_repeated_gait(gaits, named):
+    # build_map would simulate each of the gait's cells twice and keep two
+    # trial records under one (terrain, gait, v, trial) key
+    with pytest.raises(ValueError, match=re.escape(f"map.gaits holds a gait twice: {named}")):
+        MapConfig(gaits=gaits)
 
 
 def test_map_config_validation():

@@ -9,6 +9,7 @@ from gaitkit.transitions import (
     TRANSITION_TABLE,
     GaitEvent,
     GaitFsm,
+    GaitTimingConfig,
     advance,
     action_from_id,
     fsm_dispatch,
@@ -225,7 +226,7 @@ def test_advance_rejects_a_step_that_is_not_positive(dt):
     state, _ = advance(state, 0.002)
     with pytest.raises(ValueError, match="dt must be positive"):
         advance(state, dt)
-    fsm = GaitFsm(GaitName.TROT, switch_time=TS)
+    fsm = GaitFsm(GaitName.TROT, GaitTimingConfig(switch_time=TS))
     fsm.request(GaitName.WALK)
     fsm.advance(0.002)
     with pytest.raises(ValueError, match="dt must be positive"):
@@ -253,8 +254,23 @@ def test_chain_with_dwell_timing():
     assert not state.busy
 
 
+@pytest.mark.parametrize(
+    "timing",
+    [dict(dwell_strides=-3), dict(dwell_strides=1.5), dict(switch_time=0.0)],
+    ids=["negative-dwell", "fractional-dwell", "zero-switch-time"],
+)
+def test_a_machine_with_bad_timing_is_rejected_when_built(timing):
+    # the timing record runs its checks before the machine exists, not at
+    # its first request in the middle of a trial, and the machine has no
+    # timing keyword of its own that would skip them
+    with pytest.raises(ValueError):
+        GaitFsm(GaitName.TROT, GaitTimingConfig(**timing))
+    with pytest.raises(TypeError):
+        GaitFsm(GaitName.TROT, **timing)
+
+
 def test_mid_action_events_are_deferred():
-    fsm = GaitFsm(GaitName.TROT, switch_time=TS)
+    fsm = GaitFsm(GaitName.TROT, GaitTimingConfig(switch_time=TS))
     assert fsm.request(GaitName.BOUND) is True
     fsm.advance(0.1)
     assert fsm.request(GaitName.WALK) is False  # deferred while a12 runs
@@ -268,7 +284,7 @@ def test_mid_action_events_are_deferred():
 
 def test_schedule_trace_rows_and_actions():
     # a gait machine driven by a request script, sampled every 10 ms
-    fsm = GaitFsm(GaitName.TROT, period=0.4, switch_time=TS)
+    fsm = GaitFsm(GaitName.TROT, GaitTimingConfig(period=0.4, switch_time=TS))
     pending = [(0.2, GaitName.WALK)]
     rows = []
     dt = 0.01
@@ -288,7 +304,7 @@ def test_schedule_trace_rows_and_actions():
 @pytest.mark.parametrize("dwell", [0, 1])
 def test_chain_action_windows_follow_the_schedule(dwell):
     dt, period = 0.002, 0.4
-    fsm = GaitFsm(GaitName.WALK, period=period, switch_time=TS, dwell_strides=dwell)
+    fsm = GaitFsm(GaitName.WALK, GaitTimingConfig(period, TS, dwell))
     assert fsm.request(GaitName.RUN) is True
     dispatched = tuple(action.id for action in fsm.state.queue)
     assert dispatched == ("a01", "a12", "a23")
