@@ -3,8 +3,9 @@
 :func:`~gaitkit.simulation.run_trial` logs every step with one
 :meth:`StrideAccumulator.write` of a tuple of floats and the step's four
 stance flags, and closes a :class:`StrideLog` at each stride boundary. A
-stride owns its rows: :meth:`StrideAccumulator.write` appends each step's
-floats to the open stride's own ``array('d')``, and
+stride owns its rows: :meth:`StrideAccumulator.write` packs each step's 64
+floats into 512 bytes of native doubles with one ``struct`` call and appends
+them to the open stride's own ``array('d')``, and
 :meth:`StrideAccumulator.close` views that buffer as one float64 array of
 the stride's rows (and builds one bool array of its stance flags); the log
 fields are column views of that array, not copies. A step row carries the
@@ -16,6 +17,7 @@ place, with one subtraction and one division over the stride.
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from dataclasses import dataclass
 
@@ -89,12 +91,18 @@ _LOG_FIELDS = (
     ("foot_positions", (4, 3)),
 )
 
+# The floats of a step's log row (64), and the row packed as native doubles,
+# the layout of an array('d').
+_WIDTH = sum(math.prod(shape) for _, shape in _LOG_FIELDS)
+_ROW = struct.Struct(f"{_WIDTH}d")
+
 
 class StrideAccumulator:
     """Step rows of the open stride of one trial, with its counters.
 
-    :meth:`write` appends each step's floats to the open stride's
-    ``array('d')``, 8 bytes a float, and keeps its stance flags;
+    :meth:`write` packs each step's 64 floats with one ``struct`` call and
+    appends the 512 bytes to the open stride's ``array('d')`` with one
+    ``frombytes``, and keeps its stance flags;
     :meth:`close` views that buffer as one float64 array of rows, whose
     column views are the float fields, and turns the flags into one bool
     array. :meth:`reset` opens a new buffer, so the closed stride keeps its
@@ -121,8 +129,20 @@ class StrideAccumulator:
 
     def write(self, values, stance) -> None:
         """Log one step: its float fields in ``_LOG_FIELDS`` order, and its
-        four stance flags."""
-        self.rows.extend(values)
+        four stance flags.
+
+        Raises ``ValueError`` unless ``values`` holds exactly 64 floats, so
+        a mis-sized row never shifts the columns of its stride.
+        """
+        try:
+            packed = _ROW.pack(*values)
+        except struct.error:
+            if len(values) != _WIDTH:
+                raise ValueError(
+                    f"a step log row holds {_WIDTH} floats, got {len(values)}"
+                ) from None
+            raise
+        self.rows.frombytes(packed)
         self.stance.append(stance)
 
     def reset(self, t: float, pos) -> None:

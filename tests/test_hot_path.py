@@ -14,6 +14,7 @@ import dataclasses
 import itertools
 import math
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -50,6 +51,7 @@ from gaitkit.simulation import (
     swing_torques,
     swing_trajectory,
 )
+from gaitkit.stridelog import StrideAccumulator
 from gaitkit.transitions import GaitFsm
 
 PRESETS = ("flat", "slope12", "flat-slope", "continuous-slope", "up-down-slope")
@@ -681,6 +683,60 @@ def test_joint_velocities_are_the_differenced_ik_angles(monkeypatch, trial):
     got = np.concatenate([s.joint_velocities for s in result.strides])
     assert result.strides and len(angles.angles) % 4 == 0
     assert _same_bits(got, angles.rates(SimConfig().dt))
+
+
+@pytest.mark.parametrize("width", [0, 1, 63, 65, 128])
+def test_stride_accumulator_rejects_a_row_that_is_not_64_floats(width):
+    acc = StrideAccumulator(0.002, np.zeros(12))
+    acc.reset(0.0, (0.0, 0.0, 0.3))
+    acc.write(tuple(range(64)), [True] * 4)
+    with pytest.raises(ValueError, match="64"):
+        acc.write(tuple(range(width)), [True] * 4)
+    # the rejected row leaves nothing behind in the open stride
+    acc.write(tuple(range(64, 128)), [False] * 4)
+    log = acc.close(0.004, (0.0, 0.0, 0.3), 1.0, failed=False, complete=True)
+    assert log.time.tolist() == [0.0, 64.0]
+    assert log.stance.tolist() == [[True] * 4, [False] * 4]
+
+
+def _nan_with_payload(payload):
+    return struct.unpack("d", struct.pack("Q", 0x7FF8000000000000 | payload))[0]
+
+
+def test_stride_accumulator_rows_keep_every_bit():
+    dt = 0.002
+    specials = [-0.0, _nan_with_payload(0xABC), math.inf, -math.inf, 5e-324, 7,
+                np.float64(2.5), _nan_with_payload(0x5)]
+    rng = np.random.default_rng(4)
+    # specials in every column, the joint-angle columns included, over two
+    # strides so that the second differences against the first's last row
+    rows = [list(rng.normal(0.0, 1.0, 64)) for _ in range(9)]
+    for i, row in enumerate(rows):
+        for col in range(i % 7, 64, 7):
+            row[col] = specials[(i + col) % len(specials)]
+    q0 = rng.normal(0.0, 1.0, 12)
+    acc = StrideAccumulator(dt, q0)
+    acc.reset(0.0, (0.0, 0.0, 0.3))
+    strides = []
+    for cut in ((0, 5), (5, 9)):
+        for row in rows[cut[0]:cut[1]]:
+            acc.write(tuple(row), [True, False, True, False])
+        strides.append(acc.close(0.1, (0.5, 0.0, 0.3), 1.2, failed=False, complete=True))
+        acc.reset(0.1, (0.5, 0.0, 0.3))
+    want = np.array(rows, dtype=float)
+    q = want[:, 13:25]
+    rates = np.empty_like(q)
+    np.subtract(q, np.concatenate((q0[None], q[:-1])), out=rates)
+    np.divide(rates, dt, out=rates)
+    columns = {
+        "time": want[:, 0], "torques": want[:, 1:13], "joint_velocities": rates,
+        "forces": want[:, 25:37].reshape(-1, 4, 3), "position": want[:, 37:40],
+        "velocity": want[:, 40:43], "euler": want[:, 43:46], "omega": want[:, 46:49],
+        "euler_rates": want[:, 49:52], "foot_positions": want[:, 52:64].reshape(-1, 4, 3),
+    }
+    for name, col in columns.items():
+        got = np.concatenate([getattr(s, name) for s in strides])
+        assert _same_bits(got, col), name
 
 
 class _ControlLog:
