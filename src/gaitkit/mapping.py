@@ -1,17 +1,28 @@
 """Velocity-gait map construction and selection queries.
 
 For every (gait, velocity) cell the builder runs a batch of independent
-trials, averages per-trial mean CoT/STB with failure clamping, and records
-the blend-minimizing gait per stability ratio c. Because the blend is affine
-in c, per-trial CoT/STB are computed once and reused across all c values.
+trials and averages per-trial mean CoT/STB with failure clamping into the
+map's ``gait_table``, its one record of its cells. The winning gait of a
+(terrain, c, velocity) bin is derived from that table whenever it is asked
+for: lowest J_e at c, then most successes, then the duty factor closest to
+0.5, then the gait code. Because the blend is affine in c, one table serves
+every c value.
+
+The map file also carries the winners as ``cells``, for readers and for the
+map CSV. Loading reads the table and refuses a file that contradicts itself:
+a terrain listed twice, a ``c`` list unlike the first terrain's, a
+``gait_table`` row off its ``v_grid`` or given twice, a velocity bin with no
+row, or stored ``cells`` that are not the winners the table gives.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import partial
+from types import MappingProxyType
 
 import numpy as np
 
@@ -29,6 +40,10 @@ _CELL_KEYS = ("c", "v", "gait", "j_e", "cot", "stb", "success", "trials")
 # the speed margin [m/s] hysteretic selection keeps before it leaves the gait
 # it is in
 HYSTERESIS_BAND = 0.1
+# the gait codes in the order that breaks a tie of J_e and successes between
+# map winners: the duty factor closest to 0.5 first, then the lower code
+_TIE_ORDER = tuple(int(g) for g in sorted(
+    GaitName, key=lambda g: (abs(standard_gait(g).beta - 0.5), int(g))))
 
 
 @dataclass(frozen=True)
@@ -105,7 +120,7 @@ def summarize_trials(records) -> GaitCellStats:
                          sum(not f for f in failed), len(records))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MapCell:
     """Winning gait and its statistics for one (terrain, c, velocity) bin."""
 
@@ -117,18 +132,26 @@ class MapCell:
     trials: int
 
 
-def _tie_break_key(gait: GaitName, stats: GaitCellStats) -> tuple:
-    beta = standard_gait(gait).beta
-    return (-stats.successes, abs(beta - 0.5), int(gait))
+def _cell_text(cell: dict) -> str:
+    """A map JSON cell as text, each number in one type, so that two cells
+    holding the same values give the same text, NaN included."""
+    return json.dumps([
+        float(cell["c"]), float(cell["v"]), GaitName.parse(cell["gait"]).label,
+        float(cell["j_e"]), float(cell["cot"]), float(cell["stb"]),
+        int(cell["success"]), int(cell["trials"]),
+    ])
 
 
 @dataclass
 class VelocityGaitMap:
-    """Lookup from (terrain id, c, velocity bin) to the selected gait."""
+    """Lookup from (terrain id, c, velocity bin) to the selected gait.
+
+    ``gait_table`` holds the per-gait means of every bin, keyed by (terrain
+    id, gait code, velocity bin); the winning cells are derived from it.
+    """
 
     c_values: tuple[float, ...]
     v_grids: dict[str, tuple[float, ...]] = field(default_factory=dict)
-    cells: dict[tuple[str, float, int], MapCell] = field(default_factory=dict)
     gait_table: dict[tuple[str, int, int], GaitCellStats] = field(default_factory=dict)
     # raw per-trial metric records keyed by (terrain, gait, velocity, trial);
     # not persisted in the map file, exported separately on request
@@ -147,14 +170,33 @@ class VelocityGaitMap:
         shared = [tid for tid in other.terrain_ids if self.covers(tid)]
         if shared:
             raise ValueError(f"cannot merge maps that both cover terrains {shared}")
-        merged = VelocityGaitMap(
+        return VelocityGaitMap(
             c_values=self.c_values,
             v_grids={**self.v_grids, **other.v_grids},
-            cells={**self.cells, **other.cells},
             gait_table={**self.gait_table, **other.gait_table},
             trial_records=self.trial_records + other.trial_records,
         )
-        return merged
+
+    def _winner(self, terrain_id: str, c: float, idx: int) -> MapCell:
+        """The winning cell of one bin, from its gait rows in ``gait_table``:
+        lowest J_e at ``c``, then most successes, then the first gait of
+        :data:`_TIE_ORDER`."""
+        rows = [(gait, stats) for gait in _TIE_ORDER
+                if (stats := self.gait_table.get((terrain_id, gait, idx))) is not None]
+        gait, stats = min(rows, key=lambda row: (row[1].j_e(c), -row[1].successes))
+        return MapCell(GaitName(gait), stats.j_e(c), stats.cot, stats.stb, stats.successes,
+                       stats.trials)
+
+    @property
+    def cells(self) -> Mapping[tuple[str, float, int], MapCell]:
+        """Read-only view of every bin's winning cell, derived from
+        ``gait_table`` and keyed by (terrain id, c, velocity bin)."""
+        return MappingProxyType({
+            (tid, c, i): self._winner(tid, c, i)
+            for tid, grid in self.v_grids.items()
+            for c in self.c_values
+            for i in range(len(grid))
+        })
 
     def bin_index(self, terrain_id: str, velocity: float) -> tuple[int, bool]:
         """Nearest bin (round half up); flags when the query was clamped. A
@@ -176,20 +218,24 @@ class VelocityGaitMap:
         if c not in self.c_values:
             raise ValueError(f"c={c} not present in the map (has {self.c_values})")
         idx, clamped = self.bin_index(terrain_id, velocity)
-        return self.cells[(terrain_id, c, idx)], clamped
+        return self._winner(terrain_id, c, idx), clamped
+
+    def _terrain_cells(self, terrain_id: str) -> list[dict]:
+        """The winning cells of one terrain as map JSON cells, c by c."""
+        cells = []
+        for c in self.c_values:
+            for i, v in enumerate(self.v_grids[terrain_id]):
+                cell = self._winner(terrain_id, c, i)
+                cells.append(dict(zip(_CELL_KEYS, (
+                    c, v, cell.gait.label, cell.j_e, cell.cot, cell.stb,
+                    cell.successes, cell.trials,
+                ))))
+        return cells
 
     def to_json_dict(self) -> dict:
         terrains = []
         for tid in self.terrain_ids:
             grid = self.v_grids[tid]
-            cells = []
-            for c in self.c_values:
-                for i, v in enumerate(grid):
-                    cell = self.cells[(tid, c, i)]
-                    cells.append(dict(zip(_CELL_KEYS, (
-                        c, v, cell.gait.label, cell.j_e, cell.cot, cell.stb,
-                        cell.successes, cell.trials,
-                    ))))
             table = []
             for gait in GaitName:
                 for i, v in enumerate(grid):
@@ -209,38 +255,64 @@ class VelocityGaitMap:
                     )
             terrains.append(
                 {"terrain": tid, "c": list(self.c_values), "v_grid": list(grid),
-                 "cells": cells, "gait_table": table}
+                 "cells": self._terrain_cells(tid), "gait_table": table}
             )
         return {"terrains": terrains}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "VelocityGaitMap":
+        """The map of a map JSON dict, read from its ``gait_table``s.
+
+        A file that contradicts itself is a :class:`ValueError` naming the
+        terrain: a terrain listed twice, a ``c`` list unlike the first
+        terrain's, a ``gait_table`` row whose ``v`` is not on the ``v_grid``
+        or whose (gait, v) came before, a velocity bin with no row, or stored
+        ``cells`` that are not the winners the table gives.
+        """
         terrains = data["terrains"]
         if not terrains:
             raise ValueError("the map covers no terrain")
         out = cls(c_values=tuple(terrains[0]["c"]))
         for block in terrains:
             tid = block["terrain"]
+            if out.covers(tid):
+                raise ValueError(f"the map lists terrain {tid!r} twice")
+            if tuple(block["c"]) != out.c_values:
+                raise ValueError(f"terrain {tid!r} has c values {block['c']}, where the "
+                                 f"map's first terrain has {list(out.c_values)}")
+            if "gait_table" not in block:
+                raise ValueError(f"terrain {tid!r} has no gait_table")
             grid = tuple(float(v) for v in block["v_grid"])
             out.v_grids[tid] = grid
             index = {v: i for i, v in enumerate(grid)}
-            for cell in block["cells"]:
-                out.cells[(tid, float(cell["c"]), index[float(cell["v"])])] = MapCell(
-                    gait=GaitName.parse(cell["gait"]),
-                    j_e=float(cell["j_e"]),
-                    cot=float(cell["cot"]),
-                    stb=float(cell["stb"]),
-                    successes=int(cell["success"]),
-                    trials=int(cell["trials"]),
-                )
-            for row in block.get("gait_table", []):
-                gait = GaitName.parse(row["gait"])
-                out.gait_table[(tid, int(gait), index[float(row["v"])])] = GaitCellStats(
+            for row in block["gait_table"]:
+                gait, v = GaitName.parse(row["gait"]), float(row["v"])
+                if v not in index:
+                    raise ValueError(f"terrain {tid!r}: the gait_table row of {gait.label} "
+                                     f"at v={v} is not on its v_grid")
+                key = (tid, int(gait), index[v])
+                if key in out.gait_table:
+                    raise ValueError(f"terrain {tid!r}: the gait_table lists {gait.label} "
+                                     f"at v={v} twice")
+                out.gait_table[key] = GaitCellStats(
                     cot=float(row["cot"]),
                     stb=float(row["stb"]),
                     successes=int(row["success"]),
                     trials=int(row["trials"]),
                 )
+            for i, v in enumerate(grid):
+                if not any((tid, int(gait), i) in out.gait_table for gait in GaitName):
+                    raise ValueError(f"terrain {tid!r} has no gait_table row at v={v}")
+            derived = out._terrain_cells(tid)
+            if len(block["cells"]) != len(derived):
+                raise ValueError(f"terrain {tid!r} stores {len(block['cells'])} cells, "
+                                 f"where its c values and v_grid make {len(derived)}")
+            for stored, want in zip(block["cells"], derived):
+                if _cell_text(stored) != _cell_text(want):
+                    raise ValueError(
+                        f"terrain {tid!r}: the stored cell at c={want['c']}, "
+                        f"v={want['v']} is not the winner of its gait_table"
+                    )
         return out
 
     def save(self, path) -> None:
@@ -255,9 +327,9 @@ class VelocityGaitMap:
         """The winning cells of :meth:`to_json_dict`, one row each, with the
         terrain in front."""
         write_csv(path, ["terrain", *_CELL_KEYS], [
-            [block["terrain"], *cell.values()]
-            for block in self.to_json_dict()["terrains"]
-            for cell in block["cells"]
+            [tid, *cell.values()]
+            for tid in self.terrain_ids
+            for cell in self._terrain_cells(tid)
         ])
 
 
@@ -342,13 +414,13 @@ def build_map(
     params: RobotParams | None = None,
     *,
     seed: int = 0,
-    terrain_id: str | None = None,
     trial_runner=None,
     jobs: int = 1,
     timing: GaitTimingConfig | None = None,
     metrics: MetricsConfig | None = None,
 ) -> VelocityGaitMap:
-    """Sweep (gait, velocity) cells and select the blend-minimizing gait per c.
+    """Sweep (gait, velocity) cells into the ``gait_table`` of a map keyed by
+    ``terrain.name``, from which every c value's winning gait is derived.
 
     ``trial_runner(gait, velocity, trial_idx) -> (cot, stb, failed)`` may be
     injected for testing; the default runs the simulator. ``jobs`` is at
@@ -363,40 +435,21 @@ def build_map(
             params or RobotParams(), seed, timing or GaitTimingConfig(),
             metrics or MetricsConfig(),
         )
-    tid = terrain_id or terrain.name
+    tid = terrain.name
     grid = map_cfg.velocity_grid()
     gaits = [gait for gait in map_cfg.gaits for _ in grid]
-    velocities = [velocity for _ in map_cfg.gaits for velocity in grid]
-    results = fan_out(partial(_cell_stats, trial_runner, map_cfg.trials), gaits, velocities,
-                      jobs=jobs)
+    bins = [i for _ in map_cfg.gaits for i in range(len(grid))]
+    results = fan_out(partial(_cell_stats, trial_runner, map_cfg.trials), gaits,
+                      [grid[i] for i in bins], jobs=jobs)
 
-    out = VelocityGaitMap(c_values=tuple(map_cfg.c_values))
-    out.v_grids[tid] = grid
-    all_stats = {}
-    for gait, velocity, (stats, records) in zip(gaits, velocities, results):
-        all_stats[(gait, velocity)] = stats
+    out = VelocityGaitMap(c_values=tuple(map_cfg.c_values), v_grids={tid: grid})
+    for gait, i, (stats, records) in zip(gaits, bins, results):
+        out.gait_table[(tid, int(gait), i)] = stats
         out.trial_records += [
-            {"terrain": tid, "gait": gait.label, "v": velocity, "trial": trial,
+            {"terrain": tid, "gait": gait.label, "v": grid[i], "trial": trial,
              "cot": c_val, "stb": s_val, "failed": bool(failed)}
             for trial, (c_val, s_val, failed) in enumerate(records)
         ]
-    for i, velocity in enumerate(grid):
-        stats = {gait: all_stats[(gait, velocity)] for gait in map_cfg.gaits}
-        for gait in map_cfg.gaits:
-            out.gait_table[(tid, int(gait), i)] = stats[gait]
-        for c in map_cfg.c_values:
-            best = min(
-                stats, key=lambda g: (stats[g].j_e(c), _tie_break_key(g, stats[g]))
-            )
-            cell_stats = stats[best]
-            out.cells[(tid, c, i)] = MapCell(
-                gait=best,
-                j_e=cell_stats.j_e(c),
-                cot=cell_stats.cot,
-                stb=cell_stats.stb,
-                successes=cell_stats.successes,
-                trials=cell_stats.trials,
-            )
     return out
 
 

@@ -584,6 +584,90 @@ def test_select_on_a_map_without_terrain_exits_one_with_a_message(tmp_path, caps
     assert "Traceback" not in err
 
 
+def _terrain_twice(data):
+    data["terrains"].append({**data["terrains"][1], "terrain": "flat"})
+
+
+def _other_c_list(data):
+    data["terrains"][1]["c"] = [0.1, 0.5, 0.7]
+
+
+def _row_off_the_grid(data):
+    data["terrains"][0]["gait_table"][0]["v"] = 0.35
+
+
+def _row_twice(data):
+    table = data["terrains"][0]["gait_table"]
+    table.append(dict(table[0]))
+
+
+def _bin_without_a_row(data):
+    block = data["terrains"][1]
+    block["gait_table"] = [row for row in block["gait_table"] if row["v"] != 1.1]
+
+
+def _stored_cell_not_the_winner(data):
+    # bound's own row there: 0 of 2 successes at the bounds
+    data["terrains"][0]["cells"][0]["gait"] = "bound"
+
+
+def _no_gait_table(data):
+    del data["terrains"][0]["gait_table"]
+
+
+# each edit makes the demo map contradict itself, and names the terrain it
+# touches and what the error names besides
+_SELF_CONTRADICTING_MAPS = [
+    (_terrain_twice, "'flat'", "twice"),
+    (_other_c_list, "'slope12'", "[0.1, 0.5, 0.7]"),
+    (_row_off_the_grid, "'flat'", "v=0.35"),
+    (_row_twice, "'flat'", "walk at v=0.3 twice"),
+    (_bin_without_a_row, "'slope12'", "v=1.1"),
+    (_stored_cell_not_the_winner, "'flat'", "c=0.1, v=0.3"),
+    (_no_gait_table, "'flat'", "no gait_table"),
+]
+_SELF_CONTRADICTING_IDS = ["terrain-twice", "other-c-list", "row-off-the-grid", "row-twice",
+                           "bin-without-a-row", "stored-cell-not-the-winner",
+                           "no-gait-table"]
+
+
+def _edited_demo_map(tmp_path, edit):
+    data = json.loads(Path(_DEMO_MAP).read_text())
+    edit(data)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("edit, terrain, detail", _SELF_CONTRADICTING_MAPS,
+                         ids=_SELF_CONTRADICTING_IDS)
+def test_select_rejects_a_map_that_contradicts_itself(tmp_path, capsys, edit, terrain,
+                                                      detail):
+    # at load: the first three used to answer from the wrong copy or fail at
+    # the query with a bare key, and a stored cell was printed as it stood
+    map_path = _edited_demo_map(tmp_path, edit)
+    assert main(["select", "--map", str(map_path), "--velocity", "0.3", "--c", "0.1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and terrain in err and detail in err, err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_compare_rejects_a_map_that_contradicts_itself_before_any_trial(tmp_path,
+                                                                       monkeypatch, capsys):
+    def no_strategy_run(*args, **kwargs):
+        raise AssertionError("compare must reject the map before any trial")
+
+    monkeypatch.setattr(strategy, "run_strategy", no_strategy_run)
+    map_path = _edited_demo_map(tmp_path, _stored_cell_not_the_winner)
+    out = tmp_path / "runs" / "comparison.csv"
+    assert main(["compare", "--terrain", "flat-slope", "--map", str(map_path),
+                 "--strategy", "multi:0.1", "--trials", "1", "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: ") and "'flat'" in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["map.json"]
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--v-step", "nan"), ("--v-min", "nan"), ("--v-max", "nan"), ("--v-max", "inf")],

@@ -3,6 +3,7 @@
 ``repr`` per float cell."""
 
 import csv
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ import pytest
 from gaitkit.cli import _write_demo_series
 from gaitkit.config import config_from_dict
 from gaitkit.gaits import GaitName, standard_gait
-from gaitkit.mapping import MapCell, build_map
+from gaitkit.mapping import GaitCellStats, build_map
 from gaitkit.robot import terrain_preset
 from gaitkit.strategy import ComparisonRow, rows_to_csv
 from gaitkit.transitions import write_transition_trace
@@ -33,17 +34,20 @@ def _reference(path, header, rows):
 
 def _map_case(path):
     # integer c values, as a config file gives them
-    cfg = config_from_dict({"map": {"c_values": [0, 1], "v_min": 0.5, "v_max": 0.9,
+    cfg = config_from_dict({"map": {"c_values": [0, 1], "v_min": 0.5, "v_max": 1.3,
                                     "v_step": 0.4, "trials": 2, "strides": 1,
                                     "gaits": ["trot", "walk"]}})
     assert cfg.map.c_values == (0, 1)
-
-    def runner(gait, velocity, trial_idx):
-        return (0.1 + 0.2, 1e-05, False) if gait is GaitName.TROT else (1e16, -0.0, True)
-
-    m = build_map(terrain_preset("flat"), cfg.map, trial_runner=runner, terrain_id=ODD_NAME)
-    m.cells[(ODD_NAME, 1, 1)] = MapCell(GaitName.WALK, NAN, INF, -INF, 0, 2)
-    m.cells[(ODD_NAME, 0, 0)] = MapCell(GaitName.TROT, -0.0, 1e-05, 1e16, 2, 2)
+    terrain = dataclasses.replace(terrain_preset("flat"), name=ODD_NAME)
+    m = build_map(terrain, cfg.map, trial_runner=lambda gait, velocity, i: (0.5, 0.5, False))
+    # per-gait means holding the edge floats (a trial mean is never -0.0, so
+    # they go into the table); the winners carry them, and their J_e, to the CSV
+    for (gait, i), (cot, stb, successes) in {
+        (GaitName.TROT, 0): (1e-05, 1e16, 2), (GaitName.WALK, 0): (1e16, -0.0, 0),
+        (GaitName.TROT, 1): (INF, 0.1 + 0.2, 2), (GaitName.WALK, 1): (-INF, 1e-05, 0),
+        (GaitName.TROT, 2): (NAN, NAN, 0), (GaitName.WALK, 2): (0.1 + 0.2, INF, 2),
+    }.items():
+        m.gait_table[(ODD_NAME, int(gait), i)] = GaitCellStats(cot, stb, successes, 2)
     m.to_csv(path)
     rows = []
     for c in m.c_values:

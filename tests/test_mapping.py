@@ -2,12 +2,14 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gaitkit.gaits import GaitName, standard_gait
 from gaitkit.mapping import (
+    GaitCellStats,
     HysteresisState,
     MapConfig,
     VelocityGaitMap,
@@ -141,6 +143,46 @@ def test_map_json_round_trip(tmp_path):
     path2 = tmp_path / "map2.json"
     m2.save(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+_DEMO_MAP = Path(__file__).resolve().parent.parent / "maps" / "demo-map.json"
+
+
+def test_shipped_demo_map_reproduces_its_json_and_csv(tmp_path):
+    data = json.loads(_DEMO_MAP.read_text())
+    del data["manifest"]
+    loaded = VelocityGaitMap.load(_DEMO_MAP)
+    assert loaded.to_json_dict() == data
+    csv_path = tmp_path / "demo-map.csv"
+    loaded.to_csv(csv_path)
+    assert csv_path.read_bytes() == _DEMO_MAP.with_suffix(".csv").read_bytes()
+
+
+def test_cells_are_derived_from_the_gait_table():
+    m, _ = _build(c_values=(0.5,))
+    key = ("flat", 0.5, 0)
+    assert m.cells[key].gait is GaitName.TROT
+    with pytest.raises(TypeError):
+        m.cells[key] = m.cells[("flat", 0.5, 1)]
+    # a walk row better than every other gait there wins the bin
+    m.gait_table[("flat", int(GaitName.WALK), 0)] = GaitCellStats(0.01, 0.01, 3, 3)
+    assert m.cells[key].gait is GaitName.WALK
+    assert m.cell("flat", 0.3, 0.5)[0] == m.cells[key]
+    assert m.to_json_dict()["terrains"][0]["cells"][0]["gait"] == "walk"
+
+
+def test_a_map_with_non_finite_means_loads_back(tmp_path):
+    # the load check compares stored and derived cells as JSON text, where
+    # NaN equals NaN
+    table = {g: (lambda v: math.nan, lambda v: math.inf, lambda v: True) for g in GaitName}
+    cfg = MapConfig(v_min=0.5, v_max=0.9, v_step=0.4, c_values=(0.0, 0.5), trials=1,
+                    strides=1)
+    m = build_map(FLAT, cfg, trial_runner=_synthetic_runner(table))
+    path = tmp_path / "map.json"
+    m.save(path)
+    loaded = VelocityGaitMap.load(path)
+    assert json.dumps(loaded.to_json_dict()) == json.dumps(m.to_json_dict())
+    assert math.isnan(loaded.cells[("flat", 0.5, 1)].j_e)
 
 
 def test_map_csv_export(tmp_path):

@@ -37,7 +37,8 @@ def _map_selecting(selection, c_values=(0.1, 0.5, 0.9)):
     """Build a map over given terrains where `selection[kind]` always wins."""
     merged = None
     for kind, winner in selection.items():
-        terrain = terrain_preset("flat")
+        # a map is keyed by its terrain's name
+        terrain = dataclasses.replace(terrain_preset("flat"), name=kind)
 
         def runner(gait, velocity, trial_idx, _winner=winner):
             if gait is _winner:
@@ -46,7 +47,7 @@ def _map_selecting(selection, c_values=(0.1, 0.5, 0.9)):
 
         cfg = MapConfig(v_min=0.3, v_max=2.7, v_step=0.3, c_values=c_values,
                         trials=1, strides=1)
-        m = build_map(terrain, cfg, trial_runner=runner, terrain_id=kind)
+        m = build_map(terrain, cfg, trial_runner=runner)
         merged = m if merged is None else merged.merge(m)
     return merged
 
