@@ -11,8 +11,9 @@ every c value.
 The map file also carries the winners as ``cells``, for readers and for the
 map CSV. Loading reads the table and refuses a file that contradicts itself:
 a terrain listed twice, a ``c`` list unlike the first terrain's, a
-``gait_table`` row off its ``v_grid`` or given twice, a velocity bin with no
-row, or stored ``cells`` that are not the winners the table gives.
+``v_grid`` that does not rise in even steps, a ``gait_table`` row off its
+``v_grid`` or given twice, a velocity bin with no row, or stored ``cells``
+that are not the winners the table gives.
 """
 
 from __future__ import annotations
@@ -111,13 +112,27 @@ class GaitCellStats:
         return j_e(self.cot, self.stb, c)
 
 
+@dataclass(frozen=True)
+class TrialOutcome:
+    """One scored trial: its mean CoT and STB, and why it failed (see
+    :func:`trial_outcome`), None for a success."""
+
+    cot: float
+    stb: float
+    failure: str | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.failure is not None
+
+
 def summarize_trials(records) -> GaitCellStats:
-    """Mean CoT, mean STB, successes and count of ``(cot, stb, failed)`` trial
+    """Mean CoT, mean STB, successes and count of :class:`TrialOutcome`
     records: one map cell of :func:`build_map`, or one strategy's row of
     :func:`~gaitkit.strategy.compare`."""
-    cots, stbs, failed = zip(*records)
-    return GaitCellStats(float(np.mean(cots)), float(np.mean(stbs)),
-                         sum(not f for f in failed), len(records))
+    return GaitCellStats(float(np.mean([r.cot for r in records])),
+                         float(np.mean([r.stb for r in records])),
+                         sum(not r.failed for r in records), len(records))
 
 
 @dataclass(frozen=True)
@@ -265,9 +280,10 @@ class VelocityGaitMap:
 
         A file that contradicts itself is a :class:`ValueError` naming the
         terrain: a terrain listed twice, a ``c`` list unlike the first
-        terrain's, a ``gait_table`` row whose ``v`` is not on the ``v_grid``
-        or whose (gait, v) came before, a velocity bin with no row, or stored
-        ``cells`` that are not the winners the table gives.
+        terrain's, a ``v_grid`` that does not rise in even steps, a
+        ``gait_table`` row whose ``v`` is not on the ``v_grid`` or whose
+        (gait, v) came before, a velocity bin with no row, or stored ``cells``
+        that are not the winners the table gives.
         """
         terrains = data["terrains"]
         if not terrains:
@@ -283,6 +299,10 @@ class VelocityGaitMap:
             if "gait_table" not in block:
                 raise ValueError(f"terrain {tid!r} has no gait_table")
             grid = tuple(float(v) for v in block["v_grid"])
+            steps = np.diff(grid)  # bin_index bins by the first; NaN fails
+            if not (np.all(steps > 0.0) and np.allclose(steps, steps[:1], rtol=1e-9, atol=0)):
+                raise ValueError(f"terrain {tid!r}: v_grid {list(grid)} does not rise "
+                                 f"in even steps")
             out.v_grids[tid] = grid
             index = {v: i for i, v in enumerate(grid)}
             for row in block["gait_table"]:
@@ -355,28 +375,30 @@ def trial_outcome(
     metrics: MetricsConfig | None = None,
     warmup_strides: int = 3,
     strides: int | None = None,
-) -> tuple[float, float, bool]:
-    """Per-trial (mean CoT, mean STB, failed) over at most ``strides`` usable strides.
+) -> TrialOutcome:
+    """The :class:`TrialOutcome` of a trial, scored over at most ``strides``
+    usable strides, the complete ones after the warm-up.
 
-    A trial fails when it fell, missed its finish line, left no complete
-    stride after the warm-up or has a usable stride without displacement (no
-    displacement, no CoT); a failed trial scores the configured bounds.
+    A trial that did not finish its course fails on its end reason (a fall or
+    ``out-of-time``), one without a usable stride on ``no-scored-stride``, and
+    one with a usable stride without displacement (so without CoT) on
+    ``no-displacement``; a failed trial scores the configured bounds.
     """
     metrics = metrics or MetricsConfig()
     usable = [
         s for s in result.strides[warmup_strides:] if s.complete and not s.failed
     ][:strides]
-    if result.failed or not result.finished_course or not usable:
-        return metrics.cot_bound, metrics.stb_bound, True
-    cots, stbs = [], []
-    for log in usable:
-        try:
-            m = stride_metrics(log, terrain, params, metrics)
-        except UndefinedDisplacementError:
-            return metrics.cot_bound, metrics.stb_bound, True
-        cots.append(m.cot)
-        stbs.append(m.stb)
-    return float(np.mean(cots)), float(np.mean(stbs)), False
+    bounded = partial(TrialOutcome, metrics.cot_bound, metrics.stb_bound)
+    if not result.finished_course:
+        return bounded(result.end)
+    if not usable:
+        return bounded("no-scored-stride")
+    try:
+        scored = [stride_metrics(log, terrain, params, metrics) for log in usable]
+    except UndefinedDisplacementError:
+        return bounded("no-displacement")
+    return TrialOutcome(float(np.mean([m.cot for m in scored])),
+                        float(np.mean([m.stb for m in scored])))
 
 
 def _simulated_trial(
@@ -390,7 +412,7 @@ def _simulated_trial(
     gait: GaitName,
     velocity: float,
     trial_idx: int,
-) -> tuple[float, float, bool]:
+) -> TrialOutcome:
     """Default trial runner: one simulated trial, seeded by its cell key."""
     rng = np.random.default_rng((seed, int(gait), int(round(velocity * 1000)), trial_idx))
     duration = (map_cfg.warmup_strides + map_cfg.strides + 1) * timing.period
@@ -400,11 +422,9 @@ def _simulated_trial(
                          map_cfg.strides)
 
 
-def _cell_stats(
-    trial_runner, trials: int, gait: GaitName, velocity: float
-) -> tuple[GaitCellStats, list[tuple[float, float, bool]]]:
-    records = [trial_runner(gait, velocity, trial) for trial in range(trials)]
-    return summarize_trials(records), records
+def _cell_outcomes(trial_runner, trials: int, gait: GaitName,
+                   velocity: float) -> list[TrialOutcome]:
+    return [trial_runner(gait, velocity, trial) for trial in range(trials)]
 
 
 def build_map(
@@ -422,12 +442,14 @@ def build_map(
     """Sweep (gait, velocity) cells into the ``gait_table`` of a map keyed by
     ``terrain.name``, from which every c value's winning gait is derived.
 
-    ``trial_runner(gait, velocity, trial_idx) -> (cot, stb, failed)`` may be
-    injected for testing; the default runs the simulator. ``jobs`` is at
-    least 1 (a :class:`ValueError` otherwise); ``jobs`` > 1 fans the
-    independent cells out to worker processes through :func:`fan_out` (the
-    runner must then pickle); per-trial seeding depends only on the cell key,
-    so the result is identical either way.
+    ``trial_runner(gait, velocity, trial_idx)`` returns the
+    :class:`TrialOutcome` of one trial, kept in ``trial_records``; the
+    default simulates the trial and scores it with :func:`trial_outcome`, and
+    another may be injected for testing. ``jobs`` is at least 1 (a
+    :class:`ValueError` otherwise); ``jobs`` > 1 fans the independent cells
+    out to worker processes through :func:`fan_out` (the runner must then
+    pickle); per-trial seeding depends only on the cell key, so the result is
+    identical either way.
     """
     if trial_runner is None:
         trial_runner = partial(
@@ -439,16 +461,16 @@ def build_map(
     grid = map_cfg.velocity_grid()
     gaits = [gait for gait in map_cfg.gaits for _ in grid]
     bins = [i for _ in map_cfg.gaits for i in range(len(grid))]
-    results = fan_out(partial(_cell_stats, trial_runner, map_cfg.trials), gaits,
-                      [grid[i] for i in bins], jobs=jobs)
+    cells = fan_out(partial(_cell_outcomes, trial_runner, map_cfg.trials), gaits,
+                    [grid[i] for i in bins], jobs=jobs)
 
     out = VelocityGaitMap(c_values=tuple(map_cfg.c_values), v_grids={tid: grid})
-    for gait, i, (stats, records) in zip(gaits, bins, results):
-        out.gait_table[(tid, int(gait), i)] = stats
+    for gait, i, records in zip(gaits, bins, cells):
+        out.gait_table[(tid, int(gait), i)] = summarize_trials(records)
         out.trial_records += [
             {"terrain": tid, "gait": gait.label, "v": grid[i], "trial": trial,
-             "cot": c_val, "stb": s_val, "failed": bool(failed)}
-            for trial, (c_val, s_val, failed) in enumerate(records)
+             "cot": r.cot, "stb": r.stb, "failed": r.failed}
+            for trial, r in enumerate(records)
         ]
     return out
 

@@ -62,7 +62,7 @@ from .robot import (
     leg_ik,
     leg_jacobian,
 )
-from .stridelog import StrideAccumulator, StrideLog, TrialResult
+from .stridelog import FALLS, StrideAccumulator, StrideLog, TrialResult
 from .transitions import GaitFsm
 
 _LEGS = tuple(LegId)
@@ -432,21 +432,21 @@ def swing_torques(q_leg, foot_accel_body, leg: LegId, params: RobotParams) -> Ve
 
 
 def _start(pattern: GaitPattern, v_cmd: float, terrain: Terrain, config: SimConfig,
-           params: RobotParams, rng: np.random.Generator, start_x: float,
+           params: RobotParams, rng: np.random.Generator,
            initial_state: TrunkState | None, hips) -> TrialCheckpoint:
     """A fresh trial's step-0 :class:`TrialCheckpoint`. Without
-    ``initial_state`` the body stands at ``start_x`` at the nominal height,
+    ``initial_state`` the body stands at x = 0 at the nominal height,
     moving at ``v_cmd`` along the terrain, with ``rng`` jitter on roll, pitch
     and the horizontal velocity, drawn before the checkpoint takes the stream
     state. A state with a non-finite entry is a ValueError naming its field."""
     if initial_state is None:
-        samp0 = terrain.query(start_x)
+        samp0 = terrain.query(0.0)
         roll0, pitch0 = (rng.uniform(-1.0, 1.0, size=2) * config.attitude_jitter).tolist()
         vx0, vy0 = (rng.uniform(-1.0, 1.0, size=2) * config.velocity_jitter).tolist()
         # v_cmd along the terrain tangent plus the jitter; the 0.0 terms keep
         # the sign of zero of the vector sum
         initial_state = TrunkState(
-            (start_x, 0.0, samp0.height + config.nominal_height),
+            (0.0, 0.0, samp0.height + config.nominal_height),
             (v_cmd * math.cos(samp0.incline) + vx0, 0.0 + vy0,
              v_cmd * math.sin(samp0.incline) + 0.0),
             (roll0, samp0.incline + pitch0, 0.0),
@@ -488,7 +488,6 @@ def run_trial(
     params: RobotParams | None = None,
     *,
     rng: np.random.Generator | None = None,
-    start_x: float = 0.0,
     finish_x: float | None = None,
     initial_state: TrunkState | None = None,
     on_stride=None,
@@ -502,17 +501,20 @@ def run_trial(
     is a :class:`TypeError`. A fresh trial starts from its step-0
     :class:`TrialCheckpoint`, built from ``initial_state``, a
     :class:`TrunkState` whose vectors are turned into float triples once
-    here, with the position reference (the carrot) at its x. ``start_x``
-    places only the default start state, which stands there at the nominal
-    height, moving at ``v_cmd`` along the terrain, with ``rng`` jitter on
-    roll, pitch and the horizontal velocity; beside an ``initial_state`` it
-    has no part. ``duration`` must be finite and cover three strides.
+    here, with the position reference (the carrot) at its x. The default
+    start state stands at x = 0 at the nominal height, moving at ``v_cmd``
+    along the terrain, with ``rng`` jitter on roll, pitch and the horizontal
+    velocity. ``duration`` must be finite and cover three strides.
     ``on_stride(stride_idx, state, t)``, when given, is called at every
     stride boundary with the index of the stride that starts, the loop's own
     :class:`TrunkState` and the time; it may request a gait from a machine it
     holds, and it asks for a checkpoint of the boundary by returning a truthy
-    value. Logs are segmented per stride; the trial ends early on failure
-    (attitude or height threshold) or when the body passes ``finish_x``.
+    value. Logs are segmented per stride. The result's ``end`` names why the
+    trial ended: after a step, a fall (``terrain-bounds``: the ground under
+    the body is off the terrain; then ``roll``, ``pitch`` or ``height`` past
+    its bound, NaN included) or ``finish`` past ``finish_x``; after the last
+    step, ``duration``, or ``out-of-time`` with a finish line. A fall also
+    marks the last stride ``failed``.
 
     Every step logs one row, and each returned :class:`StrideLog` holds
     column views of one array of the rows of its stride: the strides
@@ -528,12 +530,11 @@ def run_trial(
     instead of its step-0 checkpoint: ``on_stride`` is called for the
     checkpoint's boundary (what it returns there is ignored), the finish line
     is checked, and the remaining steps of ``duration`` run, with ``rng`` set
-    to the checkpoint's stream state (``start_x`` has no part, and an
-    ``initial_state`` is a ValueError). With the same config and robot, the
-    result is the uninterrupted trial's, to the last bit, its strides
-    beginning with the checkpoint's own; its checkpoints are those asked for
-    at the later boundaries. A checkpoint
-    of another ``dt``, ``v_cmd``, gait, period or terrain is a ValueError; a
+    to the checkpoint's stream state (an ``initial_state`` is a ValueError).
+    With the same config and robot, the result is the uninterrupted trial's,
+    to the last bit, its strides beginning with the checkpoint's own; its
+    checkpoints are those asked for at the later boundaries. A checkpoint of
+    another ``dt``, ``v_cmd``, gait, period or terrain is a ValueError; a
     machine must be idle, its ``time`` at the checkpoint's.
     """
     config = config or SimConfig()
@@ -566,8 +567,7 @@ def run_trial(
     hips = params.hip_offsets.tolist()
 
     if resume is None:
-        start = _start(source, v_cmd, terrain, config, params, rng, start_x, initial_state,
-                       hips)
+        start = _start(source, v_cmd, terrain, config, params, rng, initial_state, hips)
     else:
         _check_resume(resume, source, fsm, v_cmd, terrain, dt, n_steps)
         if initial_state is not None:
@@ -606,13 +606,12 @@ def run_trial(
     # the ground under the body; after each step it is resampled for the
     # failure check and serves the next step
     body_samp = terrain.query(px)
-    failed = False
-    # a resumed trial re-enters the loop at its checkpoint's boundary, after
-    # its stride closed
-    finished = resume is not None and finish_x is not None and px >= finish_x
+    # why the trial ended, None while it runs; a resumed trial re-enters the
+    # loop at its checkpoint's boundary, after its stride closed
+    end = "finish" if resume is not None and finish_x is not None and px >= finish_x else None
     if resume is not None and on_stride is not None:
         on_stride(stride_idx, state, t)
-    for k in range(start.steps, start.steps if finished else n_steps):
+    for k in range(start.steps, start.steps if end else n_steps):
         pattern = gait if fsm is None else fsm.advance(dt)
         beta = pattern.beta
         swing_time_full = (1.0 - beta) * period
@@ -769,15 +768,17 @@ def run_trial(
         try:
             body_samp = terrain.query(px)
         except TerrainBoundsError:
-            failed = True
+            end = "terrain-bounds"
             break
         # written as "not x <= limit" so that a NaN attitude or height fails
-        if (
-            not abs(euler[0]) <= config.max_roll
-            or not abs(euler[1]) <= config.max_pitch
-            or not pz - body_samp.height >= min_height
-        ):
-            failed = True
+        if not abs(euler[0]) <= config.max_roll:
+            end = "roll"
+            break
+        if not abs(euler[1]) <= config.max_pitch:
+            end = "pitch"
+            break
+        if not pz - body_samp.height >= min_height:
+            end = "height"
             break
 
         phase += dt / period
@@ -803,10 +804,12 @@ def run_trial(
                     ))
 
         if finish_x is not None and px >= finish_x:
-            finished = True
+            end = "finish"
             break
 
-    log = acc.close(t, state.position, v_cmd, failed=failed, complete=False)
+    if end is None:
+        end = "duration" if finish_x is None else "out-of-time"
+    log = acc.close(t, state.position, v_cmd, failed=end in FALLS, complete=False)
     if log is not None:
         strides.append(log)
 
@@ -814,8 +817,7 @@ def run_trial(
         strides=strides,
         events=[] if fsm is None else list(fsm.events),
         action_windows=[] if fsm is None else list(fsm.action_windows),
-        failed=failed,
-        finished_course=finished or (finish_x is None and not failed),
+        end=end,
         end_time=t,
         checkpoints=checkpoints,
     )

@@ -18,6 +18,7 @@ from .gaits import GaitName, standard_gait
 from .io import write_csv
 from .mapping import (
     HysteresisState,
+    TrialOutcome,
     VelocityGaitMap,
     fan_out,
     select_gait,
@@ -268,7 +269,7 @@ def _index_outcomes(
     metrics: MetricsConfig,
     velocity: float,
     trial_idx: int,
-) -> list[tuple[float, float, bool]]:
+) -> list[TrialOutcome]:
     """Default trials of :func:`compare`: the outcome of trial ``trial_idx``
     of every strategy, in listing order, each distinct trial simulated once.
 
@@ -368,12 +369,13 @@ def compare(
     processes (:func:`~gaitkit.mapping.fan_out`); every trial is seeded by
     its index, so the rows are the same, bit for bit, for any ``jobs``.
 
-    ``trial_hook(strategy, velocity, trial_idx) -> (cot, stb, failed)`` can be
-    injected for synthetic harnesses; with ``jobs`` > 1 it must pickle. Every
-    trial starts from rest at x = 0 and finishes at ``course_end``, ahead of
-    it. The velocity range must lie in the speeds a trial accepts, low end
-    first, every strategy's map must cover the terrain, and ``jobs`` must be
-    at least 1; all are checked before the first trial.
+    ``trial_hook(strategy, velocity, trial_idx)``, for synthetic harnesses,
+    returns the :class:`~gaitkit.mapping.TrialOutcome` of one trial in place
+    of the simulated one; with ``jobs`` > 1 it must pickle. Every trial
+    starts from rest at x = 0 and finishes at ``course_end``, ahead of it.
+    The velocity range must lie in the speeds a trial accepts, low end first,
+    every strategy's map must cover the terrain, and ``jobs`` must be at
+    least 1; all are checked before the first trial.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")

@@ -56,10 +56,17 @@ class StrideLog:
     torque_flags: int = 0
 
 
+# a trial's falls, in the order run_trial checks them, and all its end reasons
+FALLS = ("terrain-bounds", "roll", "pitch", "height")
+TRIAL_ENDS = ("finish", "duration", "out-of-time", *FALLS)
+
+
 @dataclass
 class TrialResult:
-    """Strides and events of one trial; ``finished_course`` means the body
-    passed ``finish_x`` or, without a finish line, survived the duration.
+    """Strides and events of one trial, and why and when it ended: ``end``,
+    one of :data:`TRIAL_ENDS`, and ``end_time``. ``failed`` (it fell) and
+    ``finished_course`` (it passed its finish line or, without one, ran its
+    whole duration) are read from ``end``, so they cannot disagree.
     ``checkpoints`` are the :class:`~gaitkit.simulation.TrialCheckpoint` of
     the stride boundaries at which the trial's ``on_stride`` asked for one
     before the trial's first gait event, in order; empty when it asked for
@@ -68,10 +75,17 @@ class TrialResult:
     strides: list[StrideLog]
     events: list
     action_windows: list
-    failed: bool
-    finished_course: bool
+    end: str
     end_time: float
     checkpoints: list
+
+    @property
+    def failed(self) -> bool:
+        return self.end in FALLS
+
+    @property
+    def finished_course(self) -> bool:
+        return self.end in ("finish", "duration")
 
 
 # The float fields of a step's log row, in row order, with their shapes per

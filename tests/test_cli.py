@@ -12,7 +12,7 @@ import pytest
 
 from gaitkit import __version__, cli, mapping, strategy
 from gaitkit.cli import main
-from gaitkit.mapping import MapConfig, build_map
+from gaitkit.mapping import MapConfig, TrialOutcome, build_map
 from gaitkit.robot import terrain_preset
 
 
@@ -615,6 +615,16 @@ def _no_gait_table(data):
     del data["terrains"][0]["gait_table"]
 
 
+def _uneven_v_grid(data):
+    # flat cut to 0.3, 0.7 and 1.5 m/s, its rows and cells kept with them:
+    # bin_index bins by the first step, so a query at 1.5 m/s, on the grid,
+    # was answered "clamped to grid edge"
+    block = data["terrains"][0]
+    block["v_grid"] = [block["v_grid"][i] for i in (0, 1, 3)]
+    block["gait_table"] = [row for row in block["gait_table"] if row["v"] in block["v_grid"]]
+    block["cells"] = [cell for cell in block["cells"] if cell["v"] in block["v_grid"]]
+
+
 # each edit makes the demo map contradict itself, and names the terrain it
 # touches and what the error names besides
 _SELF_CONTRADICTING_MAPS = [
@@ -625,10 +635,11 @@ _SELF_CONTRADICTING_MAPS = [
     (_bin_without_a_row, "'slope12'", "v=1.1"),
     (_stored_cell_not_the_winner, "'flat'", "c=0.1, v=0.3"),
     (_no_gait_table, "'flat'", "no gait_table"),
+    (_uneven_v_grid, "'flat'", "does not rise in even steps"),
 ]
 _SELF_CONTRADICTING_IDS = ["terrain-twice", "other-c-list", "row-off-the-grid", "row-twice",
                            "bin-without-a-row", "stored-cell-not-the-winner",
-                           "no-gait-table"]
+                           "no-gait-table", "uneven-v-grid"]
 
 
 def _edited_demo_map(tmp_path, edit):
@@ -788,7 +799,7 @@ def test_compare_rejects_an_uncovered_terrain_before_any_trial(tmp_path, monkeyp
     map_path = tmp_path / "flat-map.json"
     cfg = MapConfig(v_min=0.5, v_max=0.5, c_values=(0.5,), trials=1, strides=1)
     build_map(terrain_preset("flat"), cfg,
-              trial_runner=lambda gait, velocity, i: (0.5, 0.5, False)).save(map_path)
+              trial_runner=lambda gait, velocity, i: TrialOutcome(0.5, 0.5)).save(map_path)
     out = tmp_path / "runs" / "comparison.csv"
     assert main([
         "compare", "--terrain", "flat-slope", "--map", str(map_path),

@@ -23,10 +23,13 @@ import gaitkit.simulation as simulation
 from gaitkit import forces
 from gaitkit.forces import distribute_forces
 from gaitkit.gaits import GaitName, standard_gait
-from gaitkit.robot import terrain_preset
+from gaitkit.robot import Terrain, TerrainSegment, terrain_preset
 from gaitkit.simulation import SimConfig, run_trial
 
 MG = 12.0 * 9.81
+# flat-slope's flat -> 12 deg join 0.6 m ahead of x = 0, where a trial starts
+KINK_AHEAD = Terrain("flat-slope", (TerrainSegment(-100.0, 0.0, 0.7, "flat"),
+                                    TerrainSegment(0.6, math.radians(12.0), 0.7, "slope12")))
 
 
 def _skew(v):
@@ -346,13 +349,12 @@ def test_qp_is_the_minimizer_on_every_trial_step(monkeypatch):
     )
     assert not result.failed
     assert len(calls) == round(1.2 / SimConfig().dt)
-    for gait, v_cmd, name, start_x in [
-        (GaitName.BOUND, 1.7, "flat", 0.0),
-        (GaitName.RUN, 0.7, "flat-slope", 2.4),
-        (GaitName.BOUND, 0.7, "slope12", 0.0),
+    for gait, v_cmd, terrain in [
+        (GaitName.BOUND, 1.7, terrain_preset("flat")),
+        (GaitName.RUN, 0.7, KINK_AHEAD),
+        (GaitName.BOUND, 0.7, terrain_preset("slope12")),
     ]:
-        run_trial(standard_gait(gait), v_cmd, terrain_preset(name), 1.5,
-                  SimConfig(seed=3), start_x=start_x)
+        run_trial(standard_gait(gait), v_cmd, terrain, 1.5, SimConfig(seed=3))
     binding = 0
     for M, b, G, h, _, x, _, active in calls:
         _check_minimizer(M, b, G, h, x, active)

@@ -55,6 +55,18 @@ from gaitkit.stridelog import StrideAccumulator
 from gaitkit.transitions import GaitFsm
 
 PRESETS = ("flat", "slope12", "flat-slope", "continuous-slope", "up-down-slope")
+# flat-slope and continuous-slope with their joins 0.6 m and 0.3 m ahead of
+# x = 0, where a trial starts
+FLAT_SLOPE_AHEAD = Terrain("flat-slope", (
+    TerrainSegment(-100.0, 0.0, 0.7, "flat"),
+    TerrainSegment(0.6, math.radians(12.0), 0.7, "slope12"),
+))
+CONTINUOUS_SLOPE_AHEAD = Terrain("continuous-slope", (
+    TerrainSegment(-100.0, 0.0, 0.7, "flat"),
+    TerrainSegment(0.3, math.radians(8.0), 0.7, "slope8"),
+    TerrainSegment(2.3, math.radians(12.0), 0.7, "slope12"),
+    TerrainSegment(4.3, math.radians(18.0), 0.7, "slope18"),
+))
 
 
 def _same_bits(got, want) -> bool:
@@ -248,15 +260,8 @@ def test_step_takes_float_rows_and_a_rotation_with_the_array_bits():
                 assert _same_bits(value, getattr(want, f)), f
 
 
-def _trot_on(terrain_name, start_x, duration):
-    return run_trial(
-        standard_gait(GaitName.TROT),
-        1.2,
-        terrain_preset(terrain_name),
-        duration,
-        SimConfig(seed=3),
-        start_x=start_x,
-    )
+def _trot_on(terrain, duration):
+    return run_trial(standard_gait(GaitName.TROT), 1.2, terrain, duration, SimConfig(seed=3))
 
 
 def _force_caches():
@@ -274,12 +279,13 @@ def test_trial_bits_do_not_depend_on_cone_cache_state():
     assert {"_cone_block", "_constraints", "_workspace"} <= set(caches)
     for cache in caches.values():
         cache.cache_clear()
-    cold = _trot_on("flat-slope", 2.4, 1.2)
+    cold = _trot_on(FLAT_SLOPE_AHEAD, 1.2)
+    assert cold.strides[-1].position[-1, 0] > 0.6
     for cache in caches.values():
         cache.cache_clear()
-    _trot_on("continuous-slope", 1.2, 2.4)
+    assert _trot_on(CONTINUOUS_SLOPE_AHEAD, 2.4).strides[-1].position[-1, 0] > 2.3
     misses = _cone_block.cache_info().misses
-    warm = _trot_on("flat-slope", 2.4, 1.2)
+    warm = _trot_on(FLAT_SLOPE_AHEAD, 1.2)
     assert _cone_block.cache_info().misses == misses
     assert len(cold.strides) == len(warm.strides)
     for a, b in zip(cold.strides, warm.strides):
@@ -309,9 +315,8 @@ def test_force_caches_hold_no_more_entries_than_stance_sets(monkeypatch):
 
     monkeypatch.setattr(simulation, "distribute_forces", recorded)
     for gait in (GaitName.WALK, GaitName.TROT, GaitName.BOUND, GaitName.RUN):
-        for name, start_x in (("flat", 0.0), ("flat-slope", 2.4)):
-            run_trial(standard_gait(gait), 0.9, terrain_preset(name), 1.5,
-                      SimConfig(seed=3), start_x=start_x)
+        for terrain in (terrain_preset("flat"), FLAT_SLOPE_AHEAD):
+            run_trial(standard_gait(gait), 0.9, terrain, 1.5, SimConfig(seed=3))
     assert len(working_sets) > 2 * len(stance_sets)
     sizes = {name: cache.cache_info().currsize for name, cache in caches.items()}
     assert max(sizes.values()) <= len(stance_sets), (sizes, len(stance_sets))
@@ -503,7 +508,7 @@ class _IntegratorLog:
 
 
 def _steady_trot(log):
-    return _trot_on("flat", 0.0, 1.2)
+    return _trot_on(terrain_preset("flat"), 1.2)
 
 
 def _falling_bound(log):
@@ -531,7 +536,7 @@ def _fsm_trot_to_walk(log):
 
 def _finish_on_stride_boundary(log):
     # the body reaches finish_x in the step that closes the second stride
-    free = _trot_on("flat", 0.0, 1.2)
+    free = _trot_on(terrain_preset("flat"), 1.2)
     finish_x = float(free.strides[2].position[0, 0])
     log.rows.clear()
     result = run_trial(
@@ -619,24 +624,24 @@ def test_on_stride_gets_the_body_state_that_opens_the_next_stride():
 
 @pytest.mark.parametrize("preset", PRESETS)
 def test_the_default_start_state_is_the_first_log_row(preset):
-    # v_cmd along the terrain tangent at start_x plus the velocity jitter,
+    # v_cmd along the terrain tangent at x = 0 plus the velocity jitter,
     # roll and pitch jitter on the terrain incline, from the trial's rng: two
     # attitude draws, then two velocity draws
     terrain = terrain_preset(preset)
     config = SimConfig(attitude_jitter=0.04, velocity_jitter=0.06)
-    start_x, v_cmd = 2.5, 1.1
+    v_cmd = 1.1
     result = run_trial(
         standard_gait(GaitName.TROT), v_cmd, terrain, 1.2, config,
-        rng=np.random.default_rng(41), start_x=start_x,
+        rng=np.random.default_rng(41),
     )
     rng = np.random.default_rng(41)
     att = rng.uniform(-1.0, 1.0, size=2) * config.attitude_jitter
     jit = rng.uniform(-1.0, 1.0, size=2) * config.velocity_jitter
-    samp = terrain.query(start_x)
+    samp = terrain.query(0.0)
     tangent = np.array([math.cos(samp.incline), 0.0, math.sin(samp.incline)])
     first = result.strides[0]
     want = {
-        "position": np.array([start_x, 0.0, samp.height + config.nominal_height]),
+        "position": np.array([0.0, 0.0, samp.height + config.nominal_height]),
         "velocity": v_cmd * tangent + np.array([jit[0], jit[1], 0.0]),
         "euler": np.array([att[0], samp.incline + att[1], 0.0]),
         "omega": np.zeros(3),
@@ -1156,7 +1161,7 @@ def test_post_step_bounds_error_ends_the_trial_as_a_fall(monkeypatch):
     assert raised and x > terrain.end_x
     last = result.strides[-1]
     assert x == pytest.approx(last.position[-1, 0] + 0.002 * last.velocity[-1, 0], abs=1e-3)
-    assert result.failed and not result.finished_course
+    assert result.end == "terrain-bounds" and result.failed and not result.finished_course
     assert last.failed and not last.complete
     assert result.end_time < 2.0
 

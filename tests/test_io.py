@@ -13,7 +13,7 @@ import pytest
 from gaitkit.cli import _write_demo_series
 from gaitkit.config import config_from_dict
 from gaitkit.gaits import GaitName, standard_gait
-from gaitkit.mapping import GaitCellStats, build_map
+from gaitkit.mapping import GaitCellStats, TrialOutcome, build_map
 from gaitkit.robot import terrain_preset
 from gaitkit.strategy import ComparisonRow, rows_to_csv
 from gaitkit.transitions import write_transition_trace
@@ -39,7 +39,7 @@ def _map_case(path):
                                     "gaits": ["trot", "walk"]}})
     assert cfg.map.c_values == (0, 1)
     terrain = dataclasses.replace(terrain_preset("flat"), name=ODD_NAME)
-    m = build_map(terrain, cfg.map, trial_runner=lambda gait, velocity, i: (0.5, 0.5, False))
+    m = build_map(terrain, cfg.map, trial_runner=lambda gait, velocity, i: TrialOutcome(0.5, 0.5))
     # per-gait means holding the edge floats (a trial mean is never -0.0, so
     # they go into the table); the winners carry them, and their J_e, to the CSV
     for (gait, i), (cot, stb, successes) in {

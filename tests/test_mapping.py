@@ -12,6 +12,7 @@ from gaitkit.mapping import (
     GaitCellStats,
     HysteresisState,
     MapConfig,
+    TrialOutcome,
     VelocityGaitMap,
     build_map,
     select_gait,
@@ -25,11 +26,13 @@ FLAT = terrain_preset("flat")
 
 
 def _synthetic_runner(table):
-    """table: {gait: (cot_fn(v), stb_fn(v))} -> deterministic trial metrics."""
+    """table: {gait: (cot_fn(v), stb_fn(v), fails_fn(v))} -> deterministic
+    trial outcomes, a failing trial one that fell on height."""
 
     def runner(gait, velocity, trial_idx):
-        cot_fn, stb_fn, fail_fn = table[gait]
-        return cot_fn(velocity), stb_fn(velocity), fail_fn(velocity)
+        cot_fn, stb_fn, fails_fn = table[gait]
+        return TrialOutcome(cot_fn(velocity), stb_fn(velocity),
+                            "height" if fails_fn(velocity) else None)
 
     return runner
 
@@ -237,6 +240,9 @@ def test_parallel_build_matches_sequential():
         assert seq.cells[key].j_e == par.cells[key].j_e
     for key in seq.gait_table:
         assert seq.gait_table[key].cot == par.gait_table[key].cot
+    # the workers return each cell's TrialOutcome records
+    assert len(seq.trial_records) == 4
+    assert par.trial_records == seq.trial_records
 
 
 @pytest.mark.parametrize(

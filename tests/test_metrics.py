@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,13 @@ from gaitkit.metrics import (
     stride_metrics,
 )
 from gaitkit.gaits import GaitName, standard_gait
-from gaitkit.robot import RobotParams, TerrainBoundsError, terrain_preset
+from gaitkit.robot import (
+    RobotParams,
+    Terrain,
+    TerrainBoundsError,
+    TerrainSegment,
+    terrain_preset,
+)
 from gaitkit.simulation import SimConfig, run_trial
 
 
@@ -289,18 +296,19 @@ def test_stb_samples_match_per_sample_loop(name):
 
 
 def test_stb_samples_match_per_sample_loop_across_the_kink():
-    # trot and walk strides over the flat -> 12 deg join of flat-slope
-    terrain = terrain_preset("flat-slope")
+    # trot and walk strides over flat-slope's flat -> 12 deg join, 0.5 m
+    # ahead of x = 0, where the trials start
+    terrain = Terrain("flat-slope", (TerrainSegment(-100.0, 0.0, 0.7, "flat"),
+                                     TerrainSegment(0.5, math.radians(12.0), 0.7, "slope12")))
     weights = MetricsConfig().weights
     kinked = 0
     for gait, v_cmd in ((GaitName.TROT, 1.2), (GaitName.WALK, 0.7)):
-        result = run_trial(standard_gait(gait), v_cmd, terrain, 1.5, SimConfig(seed=3),
-                           start_x=2.5)
+        result = run_trial(standard_gait(gait), v_cmd, terrain, 1.5, SimConfig(seed=3))
         for log in result.strides:
             values, guards = stb_samples(log, terrain, weights)
             want, want_guards = _reference_stb_samples(log, terrain, weights)
             assert values.tobytes() == want.tobytes() and guards == want_guards
-            kinked += log.position[0, 0] < 3.0 < log.position[-1, 0]
+            kinked += log.position[0, 0] < 0.5 < log.position[-1, 0]
     assert kinked > 0
 
 

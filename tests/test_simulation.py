@@ -10,7 +10,7 @@ import gaitkit.simulation as simulation
 from gaitkit import forces
 from gaitkit.gaits import GaitName, LegId, standard_gait
 from gaitkit.mapping import MapConfig, build_map
-from gaitkit.robot import RobotParams, terrain_preset
+from gaitkit.robot import RobotParams, Terrain, TerrainSegment, terrain_preset
 from gaitkit.simulation import (
     SimConfig,
     TrunkState,
@@ -25,6 +25,9 @@ from gaitkit.transitions import GaitFsm
 
 PARAMS = RobotParams()
 QUIET = dataclasses.replace(SimConfig(), attitude_jitter=0.0, velocity_jitter=0.0)
+# flat-slope's flat -> 12 deg join 0.6 m ahead of x = 0, where a trial starts
+KINK_AHEAD = Terrain("flat-slope", (TerrainSegment(-100.0, 0.0, 0.7, "flat"),
+                                    TerrainSegment(0.6, math.radians(12.0), 0.7, "slope12")))
 
 
 def _state(pos=(0, 0, 1.0), vel=(0, 0, 0), euler=(0, 0, 0), omega=(0, 0, 0)):
@@ -260,6 +263,44 @@ def test_forced_pitch_failure():
     )
     assert res.failed
     assert res.strides[-1].failed
+    # the body drops under the height floor before the pitch passes its bound
+    assert res.end == "height"
+
+
+@pytest.mark.parametrize("start, end", [
+    (_state(pos=(0.0, 0.0, 0.32), euler=(0.7, 0.0, 0.0)), "roll"),
+    (_state(pos=(0.0, 0.0, 0.32), euler=(0.0, -0.7, 0.0)), "pitch"),
+    (_state(pos=(0.0, 0.0, 0.1)), "height"),
+    # the checks run in this order: roll, pitch, height
+    (_state(pos=(0.0, 0.0, 0.1), euler=(0.7, 0.7, 0.0)), "roll"),
+    (_state(pos=(0.0, 0.0, 0.1), euler=(0.0, 0.7, 0.0)), "pitch"),
+], ids=["roll", "pitch", "height", "roll-before-pitch", "pitch-before-height"])
+def test_a_start_state_past_a_bound_ends_the_trial_on_it(start, end):
+    # max_roll and max_pitch are 0.6 rad, the height floor 0.4 x 0.32 m
+    res = run_trial(
+        standard_gait(GaitName.TROT), 1.0, terrain_preset("flat"), 1.2, QUIET, PARAMS,
+        rng=np.random.default_rng(0), initial_state=start,
+    )
+    assert res.end == end and res.failed and not res.finished_course
+    assert res.end_time == pytest.approx(QUIET.dt)
+    assert res.strides[-1].failed and not res.strides[-1].complete
+
+
+@pytest.mark.parametrize("finish_x, end", [(1.0, "finish"), (50.0, "out-of-time"),
+                                           (None, "duration")])
+def test_a_trial_that_does_not_fall_ends_on_its_finish_line_or_its_time(finish_x, end):
+    res = run_trial(standard_gait(GaitName.TROT), 1.2, terrain_preset("flat"), 1.5, QUIET,
+                    PARAMS, finish_x=finish_x)
+    assert res.end == end and not res.failed
+    assert res.finished_course == (end != "out-of-time")
+    assert not any(s.failed for s in res.strides)
+    last = res.strides[-1]
+    assert res.end_time == pytest.approx(last.time[-1] + QUIET.dt)
+    if end == "finish":
+        # the step that carries the body past the line, its row logged before it
+        assert last.position[-1, 0] < 1.0 and res.end_time < 1.5
+    else:
+        assert res.end_time == pytest.approx(1.5)
 
 
 def _nan_position_after_each_step(monkeypatch, axis):
@@ -285,7 +326,7 @@ def test_nan_state_ends_the_trial_as_a_fall(monkeypatch):
         standard_gait(GaitName.TROT), 1.0, terrain_preset("flat"), 2.0, QUIET, PARAMS,
         rng=np.random.default_rng(0), initial_state=start,
     )
-    assert res.failed and not res.finished_course
+    assert res.end == "terrain-bounds" and not res.finished_course
     assert res.end_time == pytest.approx(QUIET.dt)
     assert res.strides[-1].failed
 
@@ -299,7 +340,7 @@ def test_nan_height_ends_the_trial_as_a_fall(monkeypatch):
         standard_gait(GaitName.TROT), 1.0, terrain_preset("flat"), 1.2, QUIET, PARAMS,
         rng=np.random.default_rng(0), initial_state=start,
     )
-    assert res.failed and not res.finished_course
+    assert res.end == "height" and not res.finished_course
     assert res.end_time == pytest.approx(QUIET.dt)
     assert res.strides[-1].failed
 
@@ -384,10 +425,7 @@ def test_degenerate_working_sets_keep_forces_in_the_cone(monkeypatch):
     # origin, and adding them made the KKT matrix singular (forces 103 N
     # outside the cone)
     log = _DistributionLog(monkeypatch)
-    run_trial(
-        standard_gait(GaitName.RUN), 0.7, terrain_preset("flat-slope"), 1.5,
-        SimConfig(seed=3), start_x=2.4,
-    )
+    run_trial(standard_gait(GaitName.RUN), 0.7, KINK_AHEAD, 1.5, SimConfig(seed=3))
     assert len(log.calls) > 100
     worst = max(
         _cone_violation(dist.forces[leg], normals[leg], mu, f_max)
@@ -427,10 +465,9 @@ def test_threaded_working_set_needs_fewer_kkt_solves_than_cold_starts(monkeypatc
     for mode in ("hot", "cold"):
         monkeypatch.setattr(simulation, "distribute_forces", counted(mode))
         result = run_trial(
-            standard_gait(GaitName.WALK), 0.7, terrain_preset("flat-slope"), 1.2,
-            SimConfig(seed=3), start_x=2.4,
+            standard_gait(GaitName.WALK), 0.7, KINK_AHEAD, 1.2, SimConfig(seed=3),
         )
-        assert not result.failed
+        assert not result.failed and result.strides[-1].position[-1, 0] > 0.6
     assert len(solves["hot"]) == len(solves["cold"]) == round(1.2 / SimConfig().dt)
     assert sum(solves["hot"]) < 0.6 * sum(solves["cold"])
 
@@ -678,19 +715,11 @@ def test_a_checkpoint_of_another_trial_is_rejected(change):
         run_trial(**{**call, **other}, params=PARAMS, resume=c)
 
 
-def test_the_carrot_starts_at_the_initial_state_whatever_start_x_says():
-    # a trot started at x = 2: the position reference starts at the body, so
-    # start_x, which places only the default start, changes no bit; a carrot
-    # left at start_x = 0 held the body back to 0.73 m/s, ending at x = 4.92
+def test_the_carrot_starts_at_the_initial_state():
+    # a trot started at x = 2: the position reference starts at the body; a
+    # carrot left at x = 0 held the body back to 0.73 m/s, ending at x = 4.92
     start = TrunkState((2.0, 0.0, 0.32), (1.2, 0.0, 0.0), (0.0,) * 3, (0.0,) * 3)
-
-    def trial(**kwargs):
-        return run_trial(standard_gait(GaitName.TROT), 1.2, terrain_preset("flat"), 4.0,
-                         SimConfig(seed=1), PARAMS, rng=np.random.default_rng(3),
-                         initial_state=start, **kwargs)
-
-    at_body = trial(start_x=2.0)
-    assert not at_body.failed and at_body.strides[-1].position[-1, 0] > 6.5
-    _assert_same_trial(trial(), at_body)
-    # nothing queries the terrain at a start_x beside an initial_state
-    _assert_same_trial(trial(start_x=5000.0), at_body)
+    result = run_trial(standard_gait(GaitName.TROT), 1.2, terrain_preset("flat"), 4.0,
+                       SimConfig(seed=1), PARAMS, rng=np.random.default_rng(3),
+                       initial_state=start)
+    assert not result.failed and result.strides[-1].position[-1, 0] > 6.5

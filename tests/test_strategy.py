@@ -11,10 +11,11 @@ import pytest
 
 from gaitkit import simulation, strategy
 from gaitkit.gaits import GaitName, standard_gait
-from gaitkit.mapping import MapConfig, VelocityGaitMap, build_map
+from gaitkit.mapping import MapConfig, TrialOutcome, VelocityGaitMap, build_map
 from gaitkit.metrics import COT_BOUND, STB_BOUND, MetricsConfig
 from gaitkit.robot import RobotParams, Terrain, TerrainSegment, terrain_preset
-from gaitkit.simulation import SimConfig, run_trial
+from gaitkit.simulation import SimConfig, TrialResult, run_trial
+from gaitkit.stridelog import FALLS, TRIAL_ENDS
 from gaitkit.strategy import (
     ComparisonRow,
     FixedGait,
@@ -42,8 +43,8 @@ def _map_selecting(selection, c_values=(0.1, 0.5, 0.9)):
 
         def runner(gait, velocity, trial_idx, _winner=winner):
             if gait is _winner:
-                return 0.05, 0.05, False
-            return 0.9, 0.9, False
+                return TrialOutcome(0.05, 0.05)
+            return TrialOutcome(0.9, 0.9)
 
         cfg = MapConfig(v_min=0.3, v_max=2.7, v_step=0.3, c_values=c_values,
                         trials=1, strides=1)
@@ -160,8 +161,7 @@ def test_event_chains_replay_against_table():
 
 def _synthetic_hook(cot_by_strategy):
     def hook(strategy, velocity, trial_idx):
-        c, s = cot_by_strategy[strategy.label]
-        return c, s, False
+        return TrialOutcome(*cot_by_strategy[strategy.label])
 
     return hook
 
@@ -275,20 +275,19 @@ def test_rows_to_csv_layout(tmp_path):
 
 
 def test_trial_outcome_failure_clamps():
-    from gaitkit.robot import RobotParams
-
-    class FakeResult:
-        failed = True
-        finished_course = False
-        strides = []
-
-    cot_v, stb_v, failed = trial_outcome(FakeResult(), terrain_preset("flat"), RobotParams())
-    assert failed
-    assert cot_v == COT_BOUND
-    assert stb_v == STB_BOUND
+    # a fall or a missed finish line fails on the trial's end reason; a
+    # trial that finished its course without a stride to score fails too
     bounds = MetricsConfig(cot_bound=2.0, stb_bound=3.0)
-    assert trial_outcome(FakeResult(), terrain_preset("flat"), RobotParams(),
-                         bounds) == (2.0, 3.0, True)
+    for end in TRIAL_ENDS:
+        res = TrialResult(strides=[], events=[], action_windows=[], end=end,
+                          end_time=0.5, checkpoints=[])
+        assert res.failed == (end in FALLS)
+        assert res.finished_course == (end in ("finish", "duration"))
+        failure = "no-scored-stride" if res.finished_course else end
+        outcome = trial_outcome(res, terrain_preset("flat"), RobotParams())
+        assert outcome == TrialOutcome(COT_BOUND, STB_BOUND, failure) and outcome.failed
+        assert trial_outcome(res, terrain_preset("flat"), RobotParams(),
+                             bounds) == TrialOutcome(2.0, 3.0, failure)
 
 
 def test_trial_outcome_scores_at_most_strides_usable_strides():
@@ -301,12 +300,13 @@ def test_trial_outcome_scores_at_most_strides_usable_strides():
     assert not res.failed and res.finished_course
     first = next(s for s in res.strides[3:] if s.complete)
     expected = stride_metrics(first, terrain, RobotParams())
-    cot_v, stb_v, failed = trial_outcome(res, terrain, RobotParams(), strides=1)
-    assert not failed
-    assert (cot_v, stb_v) == (expected.cot, expected.stb)
-    assert trial_outcome(res, terrain, RobotParams())[:2] != (cot_v, stb_v)
-    missed = dataclasses.replace(res, finished_course=False)
-    assert trial_outcome(missed, terrain, RobotParams()) == (COT_BOUND, STB_BOUND, True)
+    scored = trial_outcome(res, terrain, RobotParams(), strides=1)
+    assert scored == TrialOutcome(expected.cot, expected.stb) and not scored.failed
+    assert trial_outcome(res, terrain, RobotParams()) != scored
+    missed = dataclasses.replace(res, end="out-of-time")
+    assert not missed.failed and not missed.finished_course
+    assert trial_outcome(missed, terrain, RobotParams()) == TrialOutcome(
+        COT_BOUND, STB_BOUND, "out-of-time")
 
 
 def test_compare_on_terrain_without_course_end_scores_survivors():
@@ -331,7 +331,7 @@ def test_trial_outcome_scores_a_trial_without_displacement_as_a_fall(delta_s):
     res = _standing_still(delta_s)
     bounds = MetricsConfig(cot_bound=2.0, stb_bound=3.0)
     assert trial_outcome(res, terrain_preset("flat"), RobotParams(), bounds,
-                         warmup_strides=0) == (2.0, 3.0, True)
+                         warmup_strides=0) == TrialOutcome(2.0, 3.0, "no-displacement")
 
 
 def test_compare_scores_undefined_displacement_as_a_fall(monkeypatch):
@@ -465,7 +465,8 @@ def test_compare_simulates_each_distinct_trial_once(monkeypatch):
 def _synthetic_outcome(s, velocity, trial_idx):
     """A trial hook that pickles: a made-up outcome from the strategy's
     label, the velocity and the trial index."""
-    return len(s.label) * velocity, 0.1 * trial_idx, trial_idx % 3 == 0
+    return TrialOutcome(len(s.label) * velocity, 0.1 * trial_idx,
+                        "height" if trial_idx % 3 == 0 else None)
 
 
 @pytest.mark.parametrize("hook", [None, _synthetic_outcome], ids=["simulated", "hook"])
